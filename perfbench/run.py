@@ -33,6 +33,7 @@ REPO = BENCH_DIR.parent
 RUNS_DIR = REPO / ".perfbench_runs"
 THREADS = min(2, os.cpu_count() or 1)  # BLAS threads and CLI --workers
 TIME_LIMIT_S = 170.0  # a run stops starting rounds that would end after this
+SIM_SEED_OFFSET = 100  # simulation seed = world seed + this
 
 sys.path.insert(0, str(BENCH_DIR))
 from tracer import now  # noqa: E402
@@ -56,7 +57,7 @@ def run_round(args, workdir: Path, traced: bool, timeout: float) -> dict:
     """One round in a fresh process; a crash or timeout fails all its operations."""
     workdir.mkdir(parents=True)
     argv = [sys.executable, str(BENCH_DIR / "workloads.py"), "--workload", args.workload,
-            "--world-seed", str(args.seed), "--sim-seed", str(args.sim_seed),
+            "--world-seed", str(args.seed), "--sim-seed", str(args.seed + SIM_SEED_OFFSET),
             "--size", "smoke" if args.smoke else "full", "--workers", str(THREADS),
             "--workdir", str(workdir)]
     if traced:
@@ -96,14 +97,12 @@ def medians(samples: dict[str, list[float]]) -> dict[str, float]:
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--workload", choices=sorted(WORKLOADS), required=True)
-    parser.add_argument("--seed", type=int, required=True, help="world seed (cli_chain: master seed)")
-    parser.add_argument("--sim-seed", type=int, help="simulation seed; default seed + 100")
+    parser.add_argument("--seed", type=int, required=True,
+                        help=f"world seed; the simulation seed is seed + {SIM_SEED_OFFSET} (cli_chain: master seed)")
     parser.add_argument("--seconds", type=float, required=True, help="time for the rounds of one run")
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument("--smoke", action="store_true", help="tiny sizes, same steps and checks")
     args = parser.parse_args()
-    if args.sim_seed is None:
-        args.sim_seed = args.seed + 100
 
     if not (REPO / "src" / "topicsim" / "cli.py").is_file():
         print(f"error: no topicsim sources under {REPO / 'src'}", file=sys.stderr)

@@ -43,6 +43,11 @@ SIZES = {
     "smoke": {"tracking": 2_000, "noise_removal": 10_000, "cli_chain": 300},
 }
 MATCH_SAMPLE = 500  # users per direction whose argmax group is recomputed
+# Both matching directions score the same users, so their unique rates differ
+# by sampling noise alone. Over 40 seeds the difference had a standard deviation
+# of 0.77 (8k users) and 0.81 (2k users) times sqrt(p(1-p)/n); the symmetry
+# check allows four such deviations (see README.md for the per-seed figures).
+SYMMETRY_SD = 0.8
 
 # Tiny fixed chain for the refusal probes; independent of --seed on purpose,
 # so a probe fails or passes the same way in every round.
@@ -113,16 +118,12 @@ def check_tracking(log, world, rep, n: int, sim_seed: int) -> dict[str, str]:
             continue
         i = REPORT_EPOCHS.index(epoch)
         fwd, rev = rep.unique_rates[i], rep.reverse_unique_rates[i]
-        # Both directions match the same users, so they differ by sampling noise
-        # alone: about 0.0035 (one standard deviation) at 8k users and rates near
-        # 0.5. A flat 0.01 fails about one seed in a hundred at this size.
-        symmetry_tol = max(0.01, 3 * math.sqrt(fwd * (1 - fwd) / n))
+        p = (fwd + rev) / 2
+        symmetry_tol = max(0.01, 4 * SYMMETRY_SD * math.sqrt(p * (1 - p) / n))
         sizes, cdf = rep.k_cdfs[epoch]
         for d, (mine, theirs), rate in (("ab", sticky, fwd), ("ba", sticky[::-1], rev)):
             op, why = f"match.{d}.epoch{epoch}", []
             k, contains = _sampled_groups(mine, theirs, sample)
-            if not (k.min() >= 1 and k.max() <= n):
-                why.append(f"sampled k outside [1, {n}]")
             if abs(fwd - rev) >= symmetry_tol:
                 why.append(f"A->B {fwd:.4f} vs B->A {rev:.4f}, beyond {symmetry_tol:.4f}")
             unique = (k == 1) & contains
