@@ -103,12 +103,25 @@ def load_config(path: Optional[str], overrides: dict) -> dict:
     return cfg
 
 
+# Keys read only by the analysis stages (denoise, reidentify) or by none.
+ANALYSIS_ONLY_KEYS = ("threshold", "aggressive_gap_rule", "workers", "out")
+
+
+def _hash_without(cfg: dict, skipped: tuple[str, ...]) -> str:
+    hashed = {k: v for k, v in cfg.items() if k not in skipped}
+    canon = json.dumps(hashed, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canon.encode("utf-8")).hexdigest()[:12]
+
+
 def config_hash(cfg: dict) -> str:
     # workers and out do not affect results, so they are not part of the
     # content identity; equal hashes must mean byte-identical outputs.
-    hashed = {k: v for k, v in cfg.items() if k not in ("workers", "out")}
-    canon = json.dumps(hashed, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canon.encode("utf-8")).hexdigest()[:12]
+    return _hash_without(cfg, ("workers", "out"))
+
+
+def scenario_hash(cfg: dict) -> str:
+    """Identity of the simulated scenario: every key that shapes `log.ndjson`."""
+    return _hash_without(cfg, ANALYSIS_ONLY_KEYS)
 
 
 def file_header(cfg: dict) -> dict:
@@ -232,7 +245,7 @@ def cmd_simulate(cfg: dict) -> int:
     out = _out_dir(cfg)
     population = read_population(_require(out / "population.ndjson", "generate"))
     log = run_scenario(population, _sim_config(cfg), taxonomy)
-    log.write_ndjson(out / "log.ndjson", header=file_header(cfg))
+    log.write_ndjson(out / "log.ndjson", header=dict(file_header(cfg), scenario_hash=scenario_hash(cfg)))
     log.write_truth_ndjson(out / "truth.ndjson", header=file_header(cfg))
     print(f"simulated {len(population)} users x {len(cfg['sites'])} sites x {cfg['epochs']} epochs")
     print(f"wrote {out / 'log.ndjson'} and {out / 'truth.ndjson'}")
@@ -246,18 +259,36 @@ def _denoiser_config(cfg: dict) -> DenoiserConfig:
     )
 
 
+def _check_scenario(log_path: Path, cfg: dict) -> None:
+    """Refuse a log simulated under another scenario than `cfg` describes."""
+    with open(log_path, encoding="utf-8") as fh:
+        first = fh.readline()
+    try:
+        recorded = json.loads(first)["header"].get("scenario_hash")
+    except (ValueError, KeyError, TypeError, AttributeError):
+        recorded = None
+    expected = scenario_hash(cfg)
+    if recorded != expected:
+        raise ConfigError(
+            f"{log_path} was simulated under scenario hash {recorded}, but this config gives "
+            f"{expected}: rerun the `simulate` subcommand with this config first"
+        )
+
+
 def _rebuild_scenario(cfg: dict) -> tuple[Taxonomy, DomainClassification, list, ObservationLog]:
     """Recreate the in-memory scenario for analysis subcommands.
 
     The NDJSON artifacts are the interchange format; for analysis we
     re-derive the identical log from the recorded seed (draws are keyed,
-    so this is byte-exact) rather than reparsing gigabytes.
+    so this is byte-exact) rather than reparsing gigabytes. The log's
+    header must carry this config's scenario hash.
     """
+    out = _out_dir(cfg)
+    population_path = _require(out / "population.ndjson", "generate")
+    _check_scenario(_require(out / "log.ndjson", "simulate"), cfg)
     taxonomy = _resolve_taxonomy(cfg)
     classification = _resolve_classification(cfg, taxonomy)
-    out = _out_dir(cfg)
-    population = read_population(_require(out / "population.ndjson", "generate"))
-    _require(out / "log.ndjson", "simulate")
+    population = read_population(population_path)
     log = run_scenario(population, _sim_config(cfg), taxonomy)
     return taxonomy, classification, population, log
 
@@ -295,8 +326,10 @@ def cmd_reidentify(cfg: dict) -> int:
         klines = [csv_header_line(cfg)] + rep.k_cdf_csv_lines(e)
         (out / f"reid_kcdf_epoch_{e:02d}.csv").write_text("\n".join(klines) + "\n", encoding="utf-8")
     last = rep.epochs[-1]
+    whole, tied, wrong = rep.miss_counts[last]
     print(f"epoch {last}: unique_rate={rep.unique_rate_at(last):.4f} "
-          f"better_than_random={rep.better_than_random_at(last):.4f}")
+          f"better_than_random={rep.better_than_random_at(last):.4f} "
+          f"whole_population={whole} tied={tied} wrong_argmax={wrong}")
     print(f"wrote {out / 'reid_report.csv'} and per-epoch k-CDF files")
     return 0
 

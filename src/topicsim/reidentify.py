@@ -50,6 +50,23 @@ class MatchReport:
         # Strictly informative non-unique matches only.
         return self.contains_truth & (self.k < self.n_users) & (self.k > 1)
 
+    # Why users were not uniquely re-identified. With the unique users,
+    # these three counts partition a population of two or more.
+    @property
+    def n_whole_population(self) -> int:
+        """Users whose group is everyone (k = n), e.g. no topic overlaps."""
+        return int(np.count_nonzero(self.k == self.n_users))
+
+    @property
+    def n_tied(self) -> int:
+        """Users in a tie that contains them but not everyone (1 < k < n)."""
+        return int(np.count_nonzero(self.better_than_random))
+
+    @property
+    def n_wrong_argmax(self) -> int:
+        """Users whose argmax group misses their own identity."""
+        return int(np.count_nonzero(~self.contains_truth))
+
     @property
     def unique_rate(self) -> float:
         return float(self.unique_correct.mean())
@@ -106,7 +123,7 @@ def match_users(
     users = sorted(profiles_a)
     a = _sets_to_matrix(profiles_a, users, omega)
     b = _sets_to_matrix(profiles_b, users, omega)
-    k, contains = _argmax_match(a, b)
+    k, contains, _, _ = _argmax_match(a, b)
     return MatchReport(epoch=epoch, k=k, contains_truth=contains, n_users=len(users))
 
 
@@ -119,19 +136,44 @@ def _sets_to_matrix(profiles: Mapping[int, Iterable[int]], users: Sequence[int],
     return mat
 
 
-def _argmax_match(a: np.ndarray, b: np.ndarray, block: int = 1024) -> tuple[np.ndarray, np.ndarray]:
-    """Group sizes and self-containment for the argmax-overlap match."""
+def _argmax_match(
+    a: np.ndarray, b: np.ndarray, block: int = 1024
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Argmax-overlap groups in both directions from one blocked A·Bᵀ product.
+
+    Row i of `a` and row i of `b` are the same identity. Returns
+    `(k_ab, contains_ab, k_ba, contains_ba)`: group size and
+    self-containment for each A-side user matched against B (row
+    reductions of the product) and for each B-side user matched against
+    A (column reductions, merged across row blocks as a running max and
+    the count of entries at that max).
+    """
     n = a.shape[0]
+    if b.shape[0] != n:
+        raise ValueError(f"A has {n} users and B has {b.shape[0]}: matching needs the same users")
     bt = b.T.copy()
-    k = np.empty(n, dtype=np.int64)
-    contains = np.empty(n, dtype=bool)
+    k_ab = np.empty(n, dtype=np.int64)
+    contains_ab = np.empty(n, dtype=bool)
+    self_overlap = np.empty(n, dtype=np.float32)
+    col_max = np.full(n, -1.0, dtype=np.float32)  # below every overlap
+    k_ba = np.zeros(n, dtype=np.int64)
+    # One block buffer for all products: a fresh block per product would
+    # keep two blocks alive at each assignment.
+    buf = np.empty((min(block, n), n), dtype=np.float32)
     for lo in range(0, n, block):
         hi = min(lo + block, n)
-        overlap = a[lo:hi] @ bt  # counts are small ints, exact in float32
+        overlap = np.matmul(a[lo:hi], bt, out=buf[: hi - lo])  # small ints, exact in float32
+        diag = overlap[np.arange(hi - lo), np.arange(lo, hi)]
+        self_overlap[lo:hi] = diag  # also the diagonal of columns lo..hi-1
         mx = overlap.max(axis=1)
-        k[lo:hi] = (overlap == mx[:, None]).sum(axis=1)
-        contains[lo:hi] = overlap[np.arange(hi - lo), np.arange(lo, hi)] == mx
-    return k, contains
+        k_ab[lo:hi] = (overlap == mx[:, None]).sum(axis=1, dtype=np.int32)
+        contains_ab[lo:hi] = diag == mx
+        m_blk = overlap.max(axis=0)
+        c_blk = (overlap == m_blk).sum(axis=0, dtype=np.int32)
+        new = np.maximum(col_max, m_blk)
+        k_ba = k_ba * (col_max == new) + c_blk * (m_blk == new)
+        col_max = new
+    return k_ab, contains_ab, k_ba, self_overlap == col_max
 
 
 @dataclass(frozen=True)
@@ -144,6 +186,8 @@ class ReidReport:
     reverse_unique_rates: tuple[float, ...]  # B matched against A
     k_cdfs: Mapping[int, tuple[np.ndarray, np.ndarray]]
     n_users: int
+    # epoch -> A->B (whole population, tied, wrong argmax) user counts
+    miss_counts: Mapping[int, tuple[int, int, int]]
 
     def unique_rate_at(self, epoch: int) -> float:
         return self.unique_rates[self.epochs.index(epoch)]
@@ -176,6 +220,7 @@ def reid_report(reports: Sequence[MatchReport], reverse_reports: Sequence[MatchR
         reverse_unique_rates=tuple(rev.get(r.epoch, float("nan")) for r in reports),
         k_cdfs={r.epoch: r.k_cdf() for r in reports},
         n_users=reports[0].n_users,
+        miss_counts={r.epoch: (r.n_whole_population, r.n_tied, r.n_wrong_argmax) for r in reports},
     )
 
 
@@ -191,7 +236,8 @@ def run_reidentification(
 
     Denoises both sites incrementally, accumulates sticky genuine sets,
     and matches at each requested epoch in both directions (A against B
-    for the headline rates, B against A for the symmetry check).
+    for the headline rates, B against A for the symmetry check) from one
+    product over the topic columns active on either side.
     """
     la, lb = log.site_view(site_a), log.site_view(site_b)
     omega = int(prev.counts.shape[0] - 1)
@@ -212,10 +258,11 @@ def run_reidentification(
         sticky_b |= eb.genuine_matrix()
         if epoch not in wanted:
             continue
-        a = sticky_a.astype(np.float32)
-        b = sticky_b.astype(np.float32)
-        k_ab, c_ab = _argmax_match(a, b)
-        k_ba, c_ba = _argmax_match(b, a)
+        # Topics neither side has labeled add nothing to any overlap.
+        act = sticky_a.any(axis=0) | sticky_b.any(axis=0)
+        a = sticky_a[:, act].astype(np.float32)
+        b = sticky_b[:, act].astype(np.float32)
+        k_ab, c_ab, k_ba, c_ba = _argmax_match(a, b)
         forward.append(MatchReport(epoch=epoch, k=k_ab, contains_truth=c_ab, n_users=la.n_users))
         reverse.append(MatchReport(epoch=epoch, k=k_ba, contains_truth=c_ba, n_users=lb.n_users))
     return reid_report(forward, reverse)

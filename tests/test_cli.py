@@ -169,3 +169,39 @@ def test_generate_from_rank_bucket_files(tmp_path):
     assert run_cli("generate", "--config", cfg) == 0
     lines = (tmp_path / "o" / "population.ndjson").read_text().splitlines()
     assert len(lines) == 1 + 25
+
+
+def test_denoise_refuses_log_of_another_seed(tiny_config, capsys):
+    cfg, out = tiny_config
+    assert run_cli("generate", "--config", cfg) == 0
+    assert run_cli("simulate", "--config", cfg) == 0
+    capsys.readouterr()
+    assert run_cli("denoise", "--config", cfg, "--seed", 6) == 2
+    err = capsys.readouterr().err
+    assert "simulate" in err and "log.ndjson" in err
+    assert not (out / "denoise_metrics.csv").exists()
+
+
+def test_reidentify_refuses_log_of_other_epochs(tiny_config, tmp_path, capsys):
+    cfg, out = tiny_config
+    assert run_cli("generate", "--config", cfg) == 0
+    assert run_cli("simulate", "--config", cfg) == 0
+    longer = tmp_path / "longer.json"
+    longer.write_text(json.dumps(dict(json.loads(cfg.read_text()), epochs=12)))
+    capsys.readouterr()
+    assert run_cli("reidentify", "--config", longer) == 2
+    assert "simulate" in capsys.readouterr().err
+    assert not (out / "reid_report.csv").exists()
+
+
+def test_analysis_only_keys_do_not_need_a_new_log(tiny_config, tmp_path, capsys):
+    cfg, out = tiny_config
+    assert run_cli("generate", "--config", cfg) == 0
+    assert run_cli("simulate", "--config", cfg) == 0
+    stricter = tmp_path / "stricter.json"
+    stricter.write_text(json.dumps(dict(json.loads(cfg.read_text()), threshold=20, aggressive_gap_rule=True)))
+    capsys.readouterr()
+    assert run_cli("reidentify", "--config", stricter, "--workers", 1) == 0
+    summary = capsys.readouterr().out.splitlines()[0]
+    for label in ("unique_rate=", "whole_population=", "tied=", "wrong_argmax="):
+        assert label in summary

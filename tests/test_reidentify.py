@@ -1,18 +1,24 @@
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis.extra.numpy import arrays
 
 from conftest import make_profile
+from reference import argmax_match_one_way, reidentify_two_calls
 from topicsim.classification import PrevalenceTable
 from topicsim.denoiser import DenoiserConfig, denoise_one_shot
 from topicsim.population import UserProfile
 from topicsim.reidentify import (
     MatchReport,
+    _argmax_match,
     match_users,
     recover_profiles,
     reid_report,
     run_reidentification,
 )
 from topicsim.simulator import SimConfig, run_scenario
+from topicsim.worlds import build_world, wide_pool_config
 
 
 def test_singleton_population_is_unique():
@@ -144,3 +150,62 @@ def test_reid_report_requires_input():
 def test_match_report_validates_shapes():
     with pytest.raises(ValueError):
         MatchReport(epoch=1, k=np.array([1, 2]), contains_truth=np.array([True]), n_users=2)
+
+
+@st.composite
+def overlap_inputs(draw):
+    """Two 0/1 float32 matrices over the same users, rich in all-zero and repeated rows."""
+    n = draw(st.integers(min_value=1, max_value=40))
+    width = draw(st.integers(min_value=0, max_value=8))
+    rows = st.integers(min_value=0, max_value=n - 1)
+    out = []
+    for _ in range(2):
+        m = draw(arrays(np.bool_, (n, width)))
+        for i in draw(st.lists(rows, max_size=3)):
+            m[i] = False  # zero overlap with everyone: k = n
+        for i, j in draw(st.lists(st.tuples(rows, rows), max_size=4)):
+            m[i] = m[j]  # equal rows tie
+        out.append(m.astype(np.float32))
+    return tuple(out)
+
+
+@pytest.mark.parametrize("block", [1, 7, 1024])
+@settings(max_examples=150, deadline=None)
+@given(overlap_inputs())
+def test_argmax_match_both_directions_equal_one_way_oracle(block, mats):
+    a, b = mats
+    k_ab, c_ab, k_ba, c_ba = _argmax_match(a, b, block=block)
+    ref_k_ab, ref_c_ab = argmax_match_one_way(a, b)
+    ref_k_ba, ref_c_ba = argmax_match_one_way(b, a)
+    assert np.array_equal(k_ab, ref_k_ab) and np.array_equal(c_ab, ref_c_ab)
+    assert np.array_equal(k_ba, ref_k_ba) and np.array_equal(c_ba, ref_c_ba)
+
+
+def test_argmax_match_needs_same_users():
+    with pytest.raises(ValueError, match="same users"):
+        _argmax_match(np.ones((3, 2), np.float32), np.ones((4, 2), np.float32))
+
+
+def test_run_reidentification_equals_two_call_oracle():
+    world = build_world(wide_pool_config(n_users=2_000, seed=1))
+    log = run_scenario(world.population, SimConfig(epochs=30, sites=("wa", "wb"), seed=101), world.taxonomy)
+    rep = run_reidentification(log, "wa", "wb", world.prevalence, DenoiserConfig())
+    ref = reidentify_two_calls(log, "wa", "wb", world.prevalence, DenoiserConfig())
+    assert rep.epochs == ref.epochs == tuple(range(1, 31))
+    assert rep.unique_rates == ref.unique_rates
+    assert rep.better_than_random_rates == ref.better_than_random_rates
+    assert rep.reverse_unique_rates == ref.reverse_unique_rates
+    for e in rep.epochs:
+        for got, want in zip(rep.k_cdfs[e], ref.k_cdfs[e]):
+            assert np.array_equal(got, want)
+    assert rep.miss_counts == ref.miss_counts
+
+
+def test_miss_counts_partition_non_unique_users():
+    # 0, 5: unique; 1, 2: tied with each other; 3: empty set, so k = n;
+    # 4: its argmax is user 5, whose B-side set outscores 4's own.
+    a = {0: {1, 2}, 1: {3, 4}, 2: {3, 4}, 3: set(), 4: {7, 8}, 5: {10}}
+    b = {0: {1, 2}, 1: {3, 4}, 2: {3, 4}, 3: {9}, 4: {7}, 5: {7, 8, 10}}
+    rep = match_users(a, b)
+    assert (rep.n_whole_population, rep.n_tied, rep.n_wrong_argmax) == (1, 2, 1)
+    assert int(rep.unique_correct.sum()) == 2
