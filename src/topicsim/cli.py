@@ -17,17 +17,13 @@ import json
 import math
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 from typing import Optional
 
 from . import __version__, analytics
 from .chrome_filter import FilterParams, classify_scores, load_score_vectors
-from .classification import (
-    DomainClassification,
-    load_classification,
-    prevalence,
-    synthesize_skewed_classification,
-)
+from .classification import DomainClassification, load_classification, prevalence
 from .denoiser import DenoiserConfig, denoise_site_trajectory
 from .population import (
     DEFAULT_FIXED_TOP,
@@ -47,7 +43,7 @@ from .population import (
 from .reidentify import run_reidentification
 from .simulator import ObservationLog, SimConfig, run_scenario
 from .taxonomy import Taxonomy, bundled_taxonomy, load_taxonomy
-from .worlds import aggressive_skew_config, wide_pool_config
+from .worlds import aggressive_skew_config, synthetic_classification, wide_pool_config
 
 CONFIG_DEFAULTS: dict = {
     "taxonomy": "bundled",          # path to a taxonomy file, or "bundled"
@@ -63,7 +59,6 @@ CONFIG_DEFAULTS: dict = {
     "T": 5,
     "tau": 3,
     "p": 0.05,
-    "witness_enabled": False,
     "threshold": 10,
     "aggressive_gap_rule": False,
     "profile_candidates": 1,        # candidate profiles per user (1..10)
@@ -124,6 +119,11 @@ def scenario_hash(cfg: dict) -> str:
     return _hash_without(cfg, ANALYSIS_ONLY_KEYS)
 
 
+def population_hash(cfg: dict) -> str:
+    """Identity of the population: every key that shapes `population.ndjson`."""
+    return _hash_without(cfg, ANALYSIS_ONLY_KEYS + ("sites", "epochs", "tau", "p"))
+
+
 def file_header(cfg: dict) -> dict:
     return {"topicsim": __version__, "config_hash": config_hash(cfg), "seed": int(cfg["seed"])}
 
@@ -143,7 +143,6 @@ def _resolve_classification(cfg: dict, taxonomy: Taxonomy) -> DomainClassificati
     spec = cfg["classification"]
     if isinstance(spec, str) and spec.startswith("synthetic:"):
         preset = spec.split(":", 1)[1]
-        n = int(cfg["n_domains"])
         seed = int(cfg["seed"])
         if preset == "aggressive-skew":
             wc = aggressive_skew_config(n_users=1, seed=seed)
@@ -151,13 +150,8 @@ def _resolve_classification(cfg: dict, taxonomy: Taxonomy) -> DomainClassificati
             wc = wide_pool_config(n_users=1, seed=seed)
         else:
             raise ConfigError(f"unknown synthetic classification preset {preset!r}")
-        return synthesize_skewed_classification(
-            taxonomy, n, wc.skew, seed=seed,
-            head_topics=wc.head_topics, head_floor=wc.head_floor,
-            head_placement=wc.head_placement, mid_topics=wc.mid_topics,
-            mid_count_range=wc.mid_count_range, mid_placement=wc.mid_placement,
-            tail_placement=wc.tail_placement, source_label=spec,
-        )
+        wc = replace(wc, n_domains=int(cfg["n_domains"]))
+        return synthetic_classification(wc, taxonomy, source_label=spec)
     path = Path(spec)
     if not path.exists():
         raise MissingArtifactError(path, "filter (or supply a classification file)")
@@ -217,7 +211,8 @@ def cmd_generate(cfg: dict) -> int:
             ]
             for u in users
         }
-    write_population(users, out / "population.ndjson", header=file_header(cfg),
+    write_population(users, out / "population.ndjson",
+                     header=dict(file_header(cfg), population_hash=population_hash(cfg)),
                      candidates=extra)
     stats = summarize_population(users)
     for line in stats.lines():
@@ -236,14 +231,16 @@ def _sim_config(cfg: dict) -> SimConfig:
     return SimConfig(
         T=int(cfg["T"]), tau=int(cfg["tau"]), p=float(cfg["p"]),
         epochs=int(cfg["epochs"]), sites=tuple(cfg["sites"]),
-        witness_enabled=bool(cfg["witness_enabled"]), seed=int(cfg["seed"]),
+        seed=int(cfg["seed"]),
     )
 
 
 def cmd_simulate(cfg: dict) -> int:
     taxonomy = _resolve_taxonomy(cfg)
     out = _out_dir(cfg)
-    population = read_population(_require(out / "population.ndjson", "generate"))
+    population_path = _require(out / "population.ndjson", "generate")
+    _check_header(population_path, "population_hash", population_hash(cfg), "generate")
+    population = read_population(population_path)
     log = run_scenario(population, _sim_config(cfg), taxonomy)
     log.write_ndjson(out / "log.ndjson", header=dict(file_header(cfg), scenario_hash=scenario_hash(cfg)))
     log.write_truth_ndjson(out / "truth.ndjson", header=file_header(cfg))
@@ -259,19 +256,18 @@ def _denoiser_config(cfg: dict) -> DenoiserConfig:
     )
 
 
-def _check_scenario(log_path: Path, cfg: dict) -> None:
-    """Refuse a log simulated under another scenario than `cfg` describes."""
-    with open(log_path, encoding="utf-8") as fh:
+def _check_header(path: Path, key: str, expected: str, produced_by: str) -> None:
+    """Refuse an artifact whose header `key` differs from what this config gives."""
+    with open(path, encoding="utf-8") as fh:
         first = fh.readline()
     try:
-        recorded = json.loads(first)["header"].get("scenario_hash")
+        recorded = json.loads(first)["header"].get(key)
     except (ValueError, KeyError, TypeError, AttributeError):
         recorded = None
-    expected = scenario_hash(cfg)
     if recorded != expected:
         raise ConfigError(
-            f"{log_path} was simulated under scenario hash {recorded}, but this config gives "
-            f"{expected}: rerun the `simulate` subcommand with this config first"
+            f"{path} was made under {key} {recorded}, but this config gives "
+            f"{expected}: rerun the `{produced_by}` subcommand with this config first"
         )
 
 
@@ -281,11 +277,13 @@ def _rebuild_scenario(cfg: dict) -> tuple[Taxonomy, DomainClassification, list, 
     The NDJSON artifacts are the interchange format; for analysis we
     re-derive the identical log from the recorded seed (draws are keyed,
     so this is byte-exact) rather than reparsing gigabytes. The log's
-    header must carry this config's scenario hash.
+    header must carry this config's scenario hash and the population's
+    header its population hash.
     """
     out = _out_dir(cfg)
     population_path = _require(out / "population.ndjson", "generate")
-    _check_scenario(_require(out / "log.ndjson", "simulate"), cfg)
+    _check_header(_require(out / "log.ndjson", "simulate"), "scenario_hash", scenario_hash(cfg), "simulate")
+    _check_header(population_path, "population_hash", population_hash(cfg), "generate")
     taxonomy = _resolve_taxonomy(cfg)
     classification = _resolve_classification(cfg, taxonomy)
     population = read_population(population_path)

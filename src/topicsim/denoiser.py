@@ -522,8 +522,9 @@ def denoise_site_trajectory(
 
     At each epoch the verdict uses calls 1..e only and is scored over all
     draws the adversary has actually seen by then (per-draw instances,
-    noisy positive, effective-nature truth). Draws the witness mechanism
-    suppressed from every call never become instances.
+    noisy positive, effective-nature truth). Every call returns all tau
+    draws of its window, so by epoch e the adversary has seen exactly
+    the draws of source epochs before e.
     """
     omega = int(max(prev.counts.shape[0] - 1, site_log.truth_topics.max()))
     engine = MultiShotEngine(site_log.n_users, omega, prev, config)
@@ -533,20 +534,8 @@ def denoise_site_trajectory(
     for i, uid in enumerate(site_log.user_ids):
         profile_mask[i, list(by_id[int(uid)].top_profile)] = True
 
-    src0 = int(site_log.source_epochs[0])
     rows = np.arange(site_log.n_users)[:, None]
     noisy_eff = site_log.truth_noisy & ~profile_mask[rows, site_log.truth_topics.astype(np.int64)]
-
-    # Earliest call in which each (user, source) draw was returned;
-    # without witnessing this is always source + 1.
-    n_src = site_log.truth_topics.shape[1]
-    first_visible = np.full((site_log.n_users, n_src), np.iinfo(np.int16).max, dtype=np.int16)
-    for epoch in range(1, site_log.epochs + 1):
-        visible = site_log.topics[:, epoch - 1, :] >= 0
-        src_pos = (site_log.slot_sources[:, epoch - 1, :] - src0).astype(np.int64)
-        u_idx = np.repeat(np.arange(site_log.n_users), visible.shape[1])[visible.ravel()]
-        s_idx = src_pos.ravel()[visible.ravel()]
-        np.minimum.at(first_visible, (u_idx, s_idx), epoch)
 
     wanted = set(epochs) if epochs is not None else set(range(1, site_log.epochs + 1))
     points = []
@@ -554,7 +543,7 @@ def denoise_site_trajectory(
         engine.observe_epoch(epoch, site_log.topics[:, epoch - 1, :])
         if epoch not in wanted:
             continue
-        seen = first_visible <= epoch
+        seen = (site_log.source_epochs < epoch)[None, :]
         tt = site_log.truth_topics.astype(np.int64)
         predicted_noisy = ~engine.genuine_matrix()[rows, tt]
         tp = int(np.sum(seen & noisy_eff & predicted_noisy))

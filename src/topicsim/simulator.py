@@ -8,8 +8,7 @@ cross-worker determinism come from keying every draw on
 (seed, user, site, source_epoch) -- there is no shared generator state.
 
 Users are warm-started: profiles are assumed stable for at least tau
-epochs before epoch 1, so every call returns exactly tau topics (unless
-the witness requirement is enabled and suppresses some).
+epochs before epoch 1, so every call returns exactly tau topics.
 
 Ground-truth noise flags live in a separate truth channel never consumed
 by adversary-side code; evaluation functions take it explicitly.
@@ -29,7 +28,7 @@ import numpy as np
 
 from . import rng
 from .population import UserProfile
-from .taxonomy import Taxonomy, parent_of
+from .taxonomy import Taxonomy
 
 DEFAULT_T = 5
 DEFAULT_TAU = 3
@@ -43,7 +42,6 @@ class SimConfig:
     p: float = DEFAULT_P
     epochs: int = 1
     sites: tuple[str, ...] = ()
-    witness_enabled: bool = False
     seed: int = 0
 
     def __post_init__(self):
@@ -110,7 +108,7 @@ class ObservationLog:
         self,
         config: SimConfig,
         user_ids: np.ndarray,
-        topics: np.ndarray,        # (site, user, epoch, tau) int16, -1 = suppressed
+        topics: np.ndarray,        # (site, user, epoch, tau) int16
         slot_sources: np.ndarray,  # (site, user, epoch, tau) int16, source epoch per slot
         truth_topics: np.ndarray,  # (site, user, source) int16
         truth_noisy: np.ndarray,   # (site, user, source) bool
@@ -139,7 +137,7 @@ class ObservationLog:
         s, u = self._site_index[site], self._user_index[user_id]
         row = self.topics[s, u, epoch - 1]
         return ApiResult(
-            topics=tuple(int(t) for t in row if t >= 0),
+            topics=tuple(int(t) for t in row),
             epoch=epoch,
             site=site,
             user_id=user_id,
@@ -160,15 +158,13 @@ class ObservationLog:
                     yield self.result(site, int(uid), e)
 
     def total_slots(self) -> int:
-        return int(np.sum(self.topics >= 0))
+        return int(self.topics.size)
 
     def noisy_slot_fraction(self) -> float:
         """Fraction of returned slots whose pinned draw was the noise branch."""
-        s_idx, u_idx, e_idx, t_idx = np.nonzero(self.topics >= 0)
-        src = self.slot_sources[s_idx, u_idx, e_idx, t_idx]
-        src_pos = src - int(self.source_epochs[0])
-        flags = self.truth_noisy[s_idx, u_idx, src_pos]
-        return float(flags.mean()) if len(flags) else 0.0
+        src_pos = (self.slot_sources - int(self.source_epochs[0])).astype(np.int64)
+        flags = np.take_along_axis(self.truth_noisy[:, :, None, :], src_pos, axis=3)
+        return float(flags.mean()) if flags.size else 0.0
 
     def site_view(self, site: str) -> "SiteLog":
         s = self._site_index[site]
@@ -291,7 +287,7 @@ def run_scenario(
 
     truth_topics = np.zeros((n_sites, n, n_src), dtype=np.int16)
     truth_noisy = np.zeros((n_sites, n, n_src), dtype=bool)
-    topics = np.full((n_sites, n, config.epochs, config.tau), -1, dtype=np.int16)
+    topics = np.empty((n_sites, n, config.epochs, config.tau), dtype=np.int16)
     slot_sources = np.zeros((n_sites, n, config.epochs, config.tau), dtype=np.int16)
 
     for si, site in enumerate(config.sites):
@@ -312,7 +308,7 @@ def run_scenario(
             )
             slot_sources[si, :, epoch - 1, :] = window[perm]
 
-    log = ObservationLog(
+    return ObservationLog(
         config=config,
         user_ids=user_ids,
         topics=topics,
@@ -321,9 +317,6 @@ def run_scenario(
         truth_noisy=truth_noisy,
         source_epochs=source_epochs,
     )
-    if config.witness_enabled:
-        _apply_witness_requirement(log, population, taxonomy)
-    return log
 
 
 def call_api(
@@ -332,77 +325,15 @@ def call_api(
     epoch: int,
     config: SimConfig,
     taxonomy: Taxonomy,
-    witnessed: Optional[set[int]] = None,
 ) -> ApiResult:
-    """Assemble one API result from the pinned per-epoch draws.
-
-    `witnessed` is the caller's set of previously observed topics for
-    this user; it is only consulted when the witness requirement is
-    enabled, in which case an unwitnessed genuine topic is replaced by
-    its parent (if witnessed) or dropped from the result.
-    """
+    """Assemble one API result from the pinned per-epoch draws."""
     if epoch < 1:
         raise ValueError(f"epoch must be >= 1, got {epoch}")
-    draws = [
-        (src, epoch_topic_draw(user, site, src, config, taxonomy))
+    returned = [
+        epoch_topic_draw(user, site, src, config, taxonomy).topic
         for src in range(epoch - config.tau, epoch)
     ]
-    returned: list[int] = []
-    for _, draw in draws:
-        topic = draw.topic
-        if config.witness_enabled and not draw.noisy:
-            seen = witnessed or set()
-            if topic not in seen:
-                parent = parent_of(taxonomy, topic)
-                if parent is not None and parent.id in seen:
-                    topic = parent.id
-                else:
-                    continue
-        returned.append(topic)
     perm = rng.permutation(len(returned), config.seed, user.user_id, rng.string_key(site),
                            epoch, rng.TAG_SHUFFLE)
     shuffled = tuple(returned[i] for i in perm)
     return ApiResult(topics=shuffled, epoch=epoch, site=site, user_id=user.user_id)
-
-
-def _apply_witness_requirement(
-    log: ObservationLog, population: Sequence[UserProfile], taxonomy: Taxonomy
-) -> None:
-    """Replay calls enforcing per-site witnessing (slow object path).
-
-    A genuine topic is returned only if this site already returned it for
-    this user within the previous tau epochs; otherwise its parent is
-    substituted when witnessed, else the slot is suppressed (-1). Noisy
-    topics pass through unconditionally.
-    """
-    config = log.config
-    parent_cache = {t.id: (parent_of(taxonomy, t.id).id if parent_of(taxonomy, t.id) else -1)
-                    for t in taxonomy.topics}
-    for si, site in enumerate(log.sites):
-        for ui, uid in enumerate(log.user_ids):
-            seen_by_epoch: dict[int, set[int]] = {}
-            for epoch in range(1, config.epochs + 1):
-                window = range(max(1, epoch - config.tau), epoch)
-                witnessed: set[int] = set()
-                for w in window:
-                    witnessed |= seen_by_epoch.get(w, set())
-                returned: set[int] = set()
-                for slot in range(config.tau):
-                    src = int(log.slot_sources[si, ui, epoch - 1, slot])
-                    src_pos = src - int(log.source_epochs[0])
-                    was_noisy = bool(log.truth_noisy[si, ui, src_pos])
-                    topic = int(log.topics[si, ui, epoch - 1, slot])
-                    if topic < 0 or was_noisy:
-                        if topic >= 0:
-                            returned.add(topic)
-                        continue
-                    if topic not in witnessed:
-                        parent = parent_cache.get(topic, -1)
-                        if parent >= 0 and parent in witnessed:
-                            log.topics[si, ui, epoch - 1, slot] = parent
-                            returned.add(parent)
-                        else:
-                            log.topics[si, ui, epoch - 1, slot] = -1
-                    else:
-                        returned.add(topic)
-                seen_by_epoch[epoch] = returned

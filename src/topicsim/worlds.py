@@ -68,11 +68,12 @@ class World:
     population: tuple[UserProfile, ...]
 
 
-def build_world(config: WorldConfig = WorldConfig(), taxonomy: Optional[Taxonomy] = None) -> World:
-    """Build a fully wired synthetic world, deterministic in config.seed."""
-    tax = taxonomy or bundled_taxonomy()
-    classification = synthesize_skewed_classification(
-        tax,
+def synthetic_classification(
+    config: WorldConfig, taxonomy: Taxonomy, source_label: str = "synthetic"
+) -> DomainClassification:
+    """The world's skew-matched synthetic classification, deterministic in config.seed."""
+    return synthesize_skewed_classification(
+        taxonomy,
         config.n_domains,
         config.skew,
         seed=config.seed,
@@ -83,7 +84,14 @@ def build_world(config: WorldConfig = WorldConfig(), taxonomy: Optional[Taxonomy
         mid_count_range=config.mid_count_range,
         mid_placement=config.mid_placement,
         tail_placement=config.tail_placement,
+        source_label=source_label,
     )
+
+
+def build_world(config: WorldConfig = WorldConfig(), taxonomy: Optional[Taxonomy] = None) -> World:
+    """Build a fully wired synthetic world, deterministic in config.seed."""
+    tax = taxonomy or bundled_taxonomy()
+    classification = synthetic_classification(config, tax)
     order = RankedDomainList(tuple(classification.domains()))
     traffic = TrafficModel(kind="zipf", exponent=config.traffic_exponent)
     counts = UniqueDomainCountModel(

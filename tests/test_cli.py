@@ -1,9 +1,12 @@
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from topicsim.cli import main
+from topicsim.cli import CONFIG_DEFAULTS, _resolve_classification, main
+from topicsim.taxonomy import bundled_taxonomy
+from topicsim.worlds import aggressive_skew_config, build_world, wide_pool_config
 
 
 @pytest.fixture()
@@ -205,3 +208,49 @@ def test_analysis_only_keys_do_not_need_a_new_log(tiny_config, tmp_path, capsys)
     summary = capsys.readouterr().out.splitlines()[0]
     for label in ("unique_rate=", "whole_population=", "tied=", "wrong_argmax="):
         assert label in summary
+
+
+def test_denoise_refuses_population_of_another_generate(tiny_config, capsys):
+    cfg, out = tiny_config
+    assert run_cli("generate", "--config", cfg) == 0
+    assert run_cli("simulate", "--config", cfg) == 0
+    assert run_cli("generate", "--config", cfg, "--seed", 6) == 0
+    capsys.readouterr()
+    assert run_cli("denoise", "--config", cfg) == 2
+    err = capsys.readouterr().err
+    assert "generate" in err and "population.ndjson" in err
+    assert not (out / "denoise_metrics.csv").exists()
+
+
+def test_simulate_refuses_population_of_another_seed(tiny_config, capsys):
+    cfg, out = tiny_config
+    assert run_cli("generate", "--config", cfg, "--seed", 6) == 0
+    capsys.readouterr()
+    assert run_cli("simulate", "--config", cfg) == 2
+    err = capsys.readouterr().err
+    assert "generate" in err and "population.ndjson" in err
+    assert not (out / "log.ndjson").exists()
+
+
+def test_simulate_keys_do_not_need_a_new_population(tiny_config, tmp_path):
+    cfg, out = tiny_config
+    assert run_cli("generate", "--config", cfg) == 0
+    longer = tmp_path / "longer.json"
+    longer.write_text(json.dumps(dict(json.loads(cfg.read_text()), epochs=6)))
+    assert run_cli("simulate", "--config", longer) == 0
+    assert run_cli("denoise", "--config", longer) == 0
+    assert len((out / "denoise_metrics.csv").read_text().splitlines()) == 2 + 6
+
+
+@pytest.mark.parametrize("preset, world_config", [
+    ("aggressive-skew", aggressive_skew_config),
+    ("wide-pool", wide_pool_config),
+])
+def test_synthetic_classification_matches_world(preset, world_config):
+    seed = 4
+    taxonomy = bundled_taxonomy()
+    cfg = dict(CONFIG_DEFAULTS, classification=f"synthetic:{preset}", n_domains=2000, seed=seed)
+    got = _resolve_classification(cfg, taxonomy)
+    world = build_world(replace(world_config(1, seed), n_domains=2000), taxonomy)
+    assert got.entries == world.classification.entries
+    assert got.source_label == f"synthetic:{preset}"

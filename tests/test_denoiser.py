@@ -279,7 +279,9 @@ def test_trajectory_recovered_sets_monotone_and_bounded(taxonomy):
 
 
 def test_trajectory_matches_object_evaluation(taxonomy):
-    """Vectorized per-epoch metrics equal the object-level evaluation."""
+    """Vectorized per-epoch metrics equal the object-level evaluation at
+    every epoch, the cold-start ones included, where the warm-start draws
+    of source epochs <= 0 are already seen."""
     users, log = stable_scenario(taxonomy, n_users=60, epochs=6)
     counts = np.zeros(350, dtype=np.int64)
     counts[1:100] = 40
@@ -287,19 +289,20 @@ def test_trajectory_matches_object_evaluation(taxonomy):
     cfg = DenoiserConfig()
     site = log.site_view("w")
 
-    traj = denoise_site_trajectory(site, prev, cfg, users, epochs=[6])
-    point = traj.points[0]
+    traj = denoise_site_trajectory(site, prev, cfg, users)
+    assert [pt.epoch for pt in traj.points] == list(range(1, 7))
 
     truth = truth_channel(site, users)
-    outcomes = {}
-    for u in range(60):
-        history = [log.result("w", u, e) for e in range(1, 7)]
-        outcomes[u] = denoise_multi_shot(history, prev, cfg)
-    ev = evaluate_denoiser(outcomes, truth, through_epoch=6)
-    assert (point.metrics.tp, point.metrics.fp, point.metrics.tn, point.metrics.fn) == (
-        ev.metrics.tp, ev.metrics.fp, ev.metrics.tn, ev.metrics.fn
-    )
-    assert point.median_recovered == ev.median_recovered
+    for point in traj.points:
+        outcomes = {}
+        for u in range(60):
+            history = [log.result("w", u, e) for e in range(1, point.epoch + 1)]
+            outcomes[u] = denoise_multi_shot(history, prev, cfg)
+        ev = evaluate_denoiser(outcomes, truth, through_epoch=point.epoch)
+        assert (point.metrics.tp, point.metrics.fp, point.metrics.tn, point.metrics.fn) == (
+            ev.metrics.tp, ev.metrics.fp, ev.metrics.tn, ev.metrics.fn
+        ), point.epoch
+        assert point.median_recovered == ev.median_recovered, point.epoch
 
 
 def test_median_user_fully_recovered_after_thirty_epochs(taxonomy):

@@ -187,18 +187,3 @@ def test_truth_channel_separate_from_results(taxonomy, tmp_path):
     assert "noisy" not in log_lines[1]
     assert "noisy" in truth_lines[1]
 
-
-def test_witness_requirement_suppresses_unseen_genuine(taxonomy):
-    users = single_profile_users(300)
-    cfg = SimConfig(p=0.0, epochs=6, sites=("wa",), seed=19, witness_enabled=True)
-    log = run_scenario(users, cfg, taxonomy)
-    first = [log.result("wa", u, 1) for u in range(300)]
-    # Nothing witnessed before epoch 1 and no noisy topics: all suppressed.
-    assert all(len(r.topics) == 0 for r in first)
-
-
-def test_witness_passes_noisy_topics_through(taxonomy):
-    users = single_profile_users(400)
-    cfg = SimConfig(p=1.0, epochs=1, sites=("wa",), seed=19, witness_enabled=True)
-    log = run_scenario(users, cfg, taxonomy)
-    assert log.total_slots() == 400 * 3
