@@ -14,7 +14,11 @@ Ground-truth noise flags live in a separate truth channel never consumed
 by adversary-side code; evaluation functions take it explicitly.
 
 Log output: NDJSON, one record per call `{site, user, epoch, topics}`;
-truth channel NDJSON `{site, user, source_epoch, topic, noisy}`.
+truth channel NDJSON `{site, user, source_epoch, topic, noisy}`. Both
+are compact JSON in that key order, after an optional `{"header": ...}`
+line. Records are formatted straight from the arrays, one block of
+`WRITE_BLOCK_USERS` users at a time, so memory stays flat as the
+population grows; the bytes are those of `json.dumps` per record.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -33,6 +37,9 @@ from .taxonomy import Taxonomy
 DEFAULT_T = 5
 DEFAULT_TAU = 3
 DEFAULT_P = 0.05
+
+# Users per formatted block in the NDJSON writers.
+WRITE_BLOCK_USERS = 1024
 
 
 @dataclass(frozen=True)
@@ -148,15 +155,6 @@ class ObservationLog:
         k = self._source_index[source_epoch]
         return EpochDraw(topic=int(self.truth_topics[s, u, k]), noisy=bool(self.truth_noisy[s, u, k]))
 
-    def history(self, site: str, user_id: int) -> list[ApiResult]:
-        return [self.result(site, user_id, e) for e in range(1, self.epochs + 1)]
-
-    def iter_results(self) -> Iterable[ApiResult]:
-        for site in self.sites:
-            for uid in self.user_ids:
-                for e in range(1, self.epochs + 1):
-                    yield self.result(site, int(uid), e)
-
     def total_slots(self) -> int:
         return int(self.topics.size)
 
@@ -181,34 +179,41 @@ class ObservationLog:
 
     def write_ndjson(self, path: Union[str, Path], header: Optional[dict] = None) -> None:
         with open(path, "w", encoding="utf-8") as fh:
-            if header is not None:
-                fh.write(json.dumps({"header": header}, separators=(",", ":"), sort_keys=True) + "\n")
-            for res in self.iter_results():
-                fh.write(
-                    json.dumps(
-                        {"site": res.site, "user": res.user_id, "epoch": res.epoch,
-                         "topics": list(res.topics)},
-                        separators=(",", ":"),
-                    )
-                    + "\n"
-                )
+            _write_header(fh, header)
+            for si, site in enumerate(self.sites):
+                head = f'{{"site":{json.dumps(site)},"user":'
+                for lo in range(0, len(self.user_ids), WRITE_BLOCK_USERS):
+                    hi = lo + WRITE_BLOCK_USERS
+                    users = self.user_ids[lo:hi].tolist()
+                    calls = self.topics[si, lo:hi].tolist()
+                    fh.write("".join(
+                        f'{head}{uid},"epoch":{epoch},"topics":[{",".join(map(str, row))}]}}\n'
+                        for uid, rows in zip(users, calls)
+                        for epoch, row in enumerate(rows, 1)
+                    ))
 
     def write_truth_ndjson(self, path: Union[str, Path], header: Optional[dict] = None) -> None:
+        sources = self.source_epochs.tolist()
         with open(path, "w", encoding="utf-8") as fh:
-            if header is not None:
-                fh.write(json.dumps({"header": header}, separators=(",", ":"), sort_keys=True) + "\n")
+            _write_header(fh, header)
             for si, site in enumerate(self.sites):
-                for ui, uid in enumerate(self.user_ids):
-                    for ki, src in enumerate(self.source_epochs):
-                        fh.write(
-                            json.dumps(
-                                {"site": site, "user": int(uid), "source_epoch": int(src),
-                                 "topic": int(self.truth_topics[si, ui, ki]),
-                                 "noisy": bool(self.truth_noisy[si, ui, ki])},
-                                separators=(",", ":"),
-                            )
-                            + "\n"
-                        )
+                head = f'{{"site":{json.dumps(site)},"user":'
+                for lo in range(0, len(self.user_ids), WRITE_BLOCK_USERS):
+                    hi = lo + WRITE_BLOCK_USERS
+                    users = self.user_ids[lo:hi].tolist()
+                    topics = self.truth_topics[si, lo:hi].tolist()
+                    noisy = self.truth_noisy[si, lo:hi].tolist()
+                    fh.write("".join(
+                        f'{head}{uid},"source_epoch":{src},"topic":{topic},'
+                        f'"noisy":{"true" if flag else "false"}}}\n'
+                        for uid, trow, nrow in zip(users, topics, noisy)
+                        for src, topic, flag in zip(sources, trow, nrow)
+                    ))
+
+
+def _write_header(fh, header: Optional[dict]) -> None:
+    if header is not None:
+        fh.write(json.dumps({"header": header}, separators=(",", ":"), sort_keys=True) + "\n")
 
 
 @dataclass

@@ -6,7 +6,9 @@ faster rewrite can be checked for equal results.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
+import json
+from pathlib import Path
+from typing import Iterable, Optional, Union
 
 import numpy as np
 
@@ -63,3 +65,44 @@ def reidentify_two_calls(
         forward.append(MatchReport(epoch=epoch, k=k_ab, contains_truth=c_ab, n_users=la.n_users))
         reverse.append(MatchReport(epoch=epoch, k=k_ba, contains_truth=c_ba, n_users=lb.n_users))
     return reid_report(forward, reverse)
+
+
+def _write_header_reference(fh, header: Optional[dict]) -> None:
+    if header is not None:
+        fh.write(json.dumps({"header": header}, separators=(",", ":"), sort_keys=True) + "\n")
+
+
+def write_log_ndjson_reference(log: ObservationLog, path: Union[str, Path], header: Optional[dict] = None) -> None:
+    """`ObservationLog.write_ndjson` as one `json.dumps` per API result."""
+    with open(path, "w", encoding="utf-8") as fh:
+        _write_header_reference(fh, header)
+        for site in log.sites:
+            for uid in log.user_ids:
+                for e in range(1, log.epochs + 1):
+                    res = log.result(site, int(uid), e)
+                    fh.write(
+                        json.dumps(
+                            {"site": res.site, "user": res.user_id, "epoch": res.epoch,
+                             "topics": list(res.topics)},
+                            separators=(",", ":"),
+                        )
+                        + "\n"
+                    )
+
+
+def write_truth_ndjson_reference(log: ObservationLog, path: Union[str, Path], header: Optional[dict] = None) -> None:
+    """`ObservationLog.write_truth_ndjson` as one `json.dumps` per truth draw."""
+    with open(path, "w", encoding="utf-8") as fh:
+        _write_header_reference(fh, header)
+        for si, site in enumerate(log.sites):
+            for ui, uid in enumerate(log.user_ids):
+                for ki, src in enumerate(log.source_epochs):
+                    fh.write(
+                        json.dumps(
+                            {"site": site, "user": int(uid), "source_epoch": int(src),
+                             "topic": int(log.truth_topics[si, ui, ki]),
+                             "noisy": bool(log.truth_noisy[si, ui, ki])},
+                            separators=(",", ":"),
+                        )
+                        + "\n"
+                    )

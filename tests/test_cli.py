@@ -4,7 +4,19 @@ from pathlib import Path
 
 import pytest
 
-from topicsim.cli import CONFIG_DEFAULTS, _resolve_classification, main
+from reference import write_log_ndjson_reference, write_truth_ndjson_reference
+from topicsim.cli import (
+    CONFIG_DEFAULTS,
+    _resolve_classification,
+    _resolve_taxonomy,
+    _sim_config,
+    file_header,
+    load_config,
+    main,
+    scenario_hash,
+)
+from topicsim.population import read_population
+from topicsim.simulator import run_scenario
 from topicsim.taxonomy import bundled_taxonomy
 from topicsim.worlds import aggressive_skew_config, build_world, wide_pool_config
 
@@ -74,6 +86,24 @@ def test_rerun_is_byte_identical(tiny_config):
     run_cli("simulate", "--config", cfg)
     for name, blob in first.items():
         assert (out / name).read_bytes() == blob
+
+
+def test_simulate_writes_reference_bytes(tmp_path):
+    cfg_path = tmp_path / "c.json"
+    cfg_path.write_text(json.dumps({
+        "n_users": 40, "n_domains": 2000, "sites": ["wa.example", "wb.example"],
+        "epochs": 6, "seed": 8, "out": str(tmp_path / "o"),
+    }))
+    assert run_cli("generate", "--config", cfg_path) == 0
+    assert run_cli("simulate", "--config", cfg_path) == 0
+    cfg = load_config(str(cfg_path), {})
+    out = Path(cfg["out"])
+    log = run_scenario(read_population(out / "population.ndjson"), _sim_config(cfg), _resolve_taxonomy(cfg))
+    write_log_ndjson_reference(log, tmp_path / "log_ref.ndjson",
+                               dict(file_header(cfg), scenario_hash=scenario_hash(cfg)))
+    write_truth_ndjson_reference(log, tmp_path / "truth_ref.ndjson", file_header(cfg))
+    assert (out / "log.ndjson").read_bytes() == (tmp_path / "log_ref.ndjson").read_bytes()
+    assert (out / "truth.ndjson").read_bytes() == (tmp_path / "truth_ref.ndjson").read_bytes()
 
 
 def test_workers_flag_does_not_change_outputs(tiny_config):

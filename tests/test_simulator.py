@@ -1,10 +1,17 @@
+import tempfile
+from pathlib import Path
+
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
 from scipy import stats
 
 from conftest import make_profile
+from reference import write_log_ndjson_reference, write_truth_ndjson_reference
 from topicsim.population import UserProfile
 from topicsim.simulator import (
+    WRITE_BLOCK_USERS,
     SimConfig,
     call_api,
     epoch_topic_draw,
@@ -128,11 +135,13 @@ def test_scenario_complete_logs_and_noise_rate(taxonomy):
     assert abs(log.noisy_slot_fraction() - 0.05) < 4 * sd
 
 
-def test_scenario_empty_site_list(taxonomy):
+def test_scenario_empty_site_list(taxonomy, tmp_path):
     users = users_with_random_profiles(3)
     log = run_scenario(users, SimConfig(epochs=4, sites=(), seed=1), taxonomy)
-    assert log.total_slots() == 0
-    assert list(log.iter_results()) == []
+    assert log.topics.size == 0
+    path = tmp_path / "log.ndjson"
+    log.write_ndjson(path, header={"seed": 1})
+    assert path.read_text().splitlines() == ['{"header":{"seed":1}}']
 
 
 def test_scenario_rejects_empty_population(taxonomy):
@@ -187,3 +196,37 @@ def test_truth_channel_separate_from_results(taxonomy, tmp_path):
     assert "noisy" not in log_lines[1]
     assert "noisy" in truth_lines[1]
 
+
+@settings(max_examples=30, deadline=None)
+@given(
+    n=st.one_of(st.integers(1, 12), st.integers(WRITE_BLOCK_USERS - 2, WRITE_BLOCK_USERS + 30)),
+    id_seed=st.integers(0, 2**16),
+    sites=st.lists(st.sampled_from(["wa", 'a"b', "a\\b", "\u00fc.example", "tab\tnl\n"]),
+                   unique=True, max_size=3),
+    epochs=st.integers(0, 5),
+    tau=st.integers(1, 4),
+    p=st.sampled_from([0.0, 0.3, 1.0]),
+    header=st.one_of(
+        st.none(),
+        st.dictionaries(st.text(max_size=4), st.one_of(st.integers(), st.text(max_size=4)), max_size=3),
+    ),
+)
+@example(n=WRITE_BLOCK_USERS + 1, id_seed=0, sites=["wa", 'a"b'], epochs=2, tau=3, p=0.3,
+         header={"seed": 1})
+def test_ndjson_writers_match_reference_bytes(taxonomy, n, id_seed, sites, epochs, tau, p, header):
+    """Both block writers give the bytes of one `json.dumps` per record."""
+    gen = np.random.default_rng(id_seed)
+    ids = gen.choice(10**6, size=n, replace=False)  # not 0..n-1, not sorted
+    profiles = np.argsort(gen.random((n, 349)), axis=1)[:, :5] + 1
+    users = [UserProfile(int(u), frozenset(), frozenset(), tuple(row.tolist()))
+             for u, row in zip(ids, profiles)]
+    cfg = SimConfig(tau=tau, p=p, epochs=epochs, sites=tuple(sites), seed=id_seed)
+    log = run_scenario(users, cfg, taxonomy)
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp)
+        log.write_ndjson(out / "log.ndjson", header=header)
+        write_log_ndjson_reference(log, out / "log_ref.ndjson", header)
+        log.write_truth_ndjson(out / "truth.ndjson", header=header)
+        write_truth_ndjson_reference(log, out / "truth_ref.ndjson", header)
+        assert (out / "log.ndjson").read_bytes() == (out / "log_ref.ndjson").read_bytes()
+        assert (out / "truth.ndjson").read_bytes() == (out / "truth_ref.ndjson").read_bytes()
