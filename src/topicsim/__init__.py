@@ -13,12 +13,11 @@ from .analytics import NoiseModel
 from .classification import DomainClassification, PrevalenceTable, SkewSpec
 from .denoiser import DenoiserConfig
 from .population import RankedDomainList, TrafficModel, UniqueDomainCountModel, UserProfile
-from .simulator import ApiResult, EpochDraw, ObservationLog, SimConfig
+from .simulator import EpochDraw, ObservationLog, SimConfig
 from .taxonomy import Taxonomy, Topic, bundled_taxonomy
 
 __all__ = [
     "__version__",
-    "ApiResult",
     "DenoiserConfig",
     "DomainClassification",
     "EpochDraw",

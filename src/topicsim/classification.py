@@ -86,9 +86,6 @@ class PrevalenceTable:
     def max_count(self) -> int:
         return int(self.counts[1:].max())
 
-    def topics_above(self, threshold: int) -> int:
-        return int(np.sum(self.counts[1:] > threshold))
-
 
 def load_classification(
     source: Union[str, Path, IO[str]],

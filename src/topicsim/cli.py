@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import math
 import os
 import sys
 from dataclasses import replace
@@ -28,8 +27,6 @@ from .denoiser import DenoiserConfig, denoise_site_trajectory
 from .population import (
     DEFAULT_FIXED_TOP,
     RankedDomainList,
-    TrafficModel,
-    UniqueDomainCountModel,
     build_total_order,
     derive_top_profile,
     generate_population,
@@ -43,7 +40,14 @@ from .population import (
 from .reidentify import run_reidentification
 from .simulator import ObservationLog, SimConfig, run_scenario
 from .taxonomy import Taxonomy, bundled_taxonomy, load_taxonomy
-from .worlds import aggressive_skew_config, synthetic_classification, wide_pool_config
+from .worlds import (
+    WorldConfig,
+    aggressive_skew_config,
+    count_model,
+    synthetic_classification,
+    traffic_model,
+    wide_pool_config,
+)
 
 CONFIG_DEFAULTS: dict = {
     "taxonomy": "bundled",          # path to a taxonomy file, or "bundled"
@@ -139,19 +143,33 @@ def _resolve_taxonomy(cfg: dict) -> Taxonomy:
     return load_taxonomy(cfg["taxonomy"])
 
 
+SYNTHETIC_PRESETS = {
+    "aggressive-skew": aggressive_skew_config,
+    "wide-pool": wide_pool_config,
+}
+
+
+def _world_config(cfg: dict) -> WorldConfig:
+    """The world a config describes: its synthetic preset, else the defaults.
+
+    The classification, traffic and unique-domain-count models all come
+    from this one config, as in `worlds.build_world`.
+    """
+    spec = cfg["classification"]
+    wc = WorldConfig()
+    if isinstance(spec, str) and spec.startswith("synthetic:"):
+        preset = spec.split(":", 1)[1]
+        if preset not in SYNTHETIC_PRESETS:
+            raise ConfigError(f"unknown synthetic classification preset {preset!r}")
+        wc = SYNTHETIC_PRESETS[preset](n_users=1)
+    return replace(wc, n_users=int(cfg["n_users"]), n_domains=int(cfg["n_domains"]),
+                   seed=int(cfg["seed"]), T=int(cfg["T"]))
+
+
 def _resolve_classification(cfg: dict, taxonomy: Taxonomy) -> DomainClassification:
     spec = cfg["classification"]
     if isinstance(spec, str) and spec.startswith("synthetic:"):
-        preset = spec.split(":", 1)[1]
-        seed = int(cfg["seed"])
-        if preset == "aggressive-skew":
-            wc = aggressive_skew_config(n_users=1, seed=seed)
-        elif preset == "wide-pool":
-            wc = wide_pool_config(n_users=1, seed=seed)
-        else:
-            raise ConfigError(f"unknown synthetic classification preset {preset!r}")
-        wc = replace(wc, n_domains=int(cfg["n_domains"]))
-        return synthetic_classification(wc, taxonomy, source_label=spec)
+        return synthetic_classification(_world_config(cfg), taxonomy, source_label=spec)
     path = Path(spec)
     if not path.exists():
         raise MissingArtifactError(path, "filter (or supply a classification file)")
@@ -180,20 +198,17 @@ def _build_order(cfg: dict, classification: DomainClassification) -> RankedDomai
     return RankedDomainList(tuple(classification.domains()))
 
 
-def _count_model(cfg: dict) -> UniqueDomainCountModel:
-    if cfg["histogram"] is not None:
-        return load_count_histogram(cfg["histogram"])
-    return UniqueDomainCountModel(mu=math.log(28.0), sigma=0.8, minimum=8, maximum=2000)
-
-
 def cmd_generate(cfg: dict) -> int:
     taxonomy = _resolve_taxonomy(cfg)
     classification = _resolve_classification(cfg, taxonomy)
     order = _build_order(cfg, classification)
-    traffic = TrafficModel(kind="zipf", exponent=1.0)
-    counts = _count_model(cfg)
+    world = _world_config(cfg)
+    if cfg["histogram"] is not None:
+        counts = load_count_histogram(cfg["histogram"])
+    else:
+        counts = count_model(world)
     users = generate_population(
-        int(cfg["n_users"]), order, traffic, counts, classification,
+        int(cfg["n_users"]), order, traffic_model(world), counts, classification,
         seed=int(cfg["seed"]), T=int(cfg["T"]), taxonomy=taxonomy,
         profile_candidate=int(cfg["profile_index"]),
         workers=int(cfg["workers"]),

@@ -36,24 +36,14 @@ Metrics series output: CSV
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
 from .classification import PrevalenceTable
 from .population import UserProfile
-from .simulator import ApiResult, EpochDraw, SiteLog
-
-GENUINE = "genuine"
-NOISY = "noisy"
-
-BASIS_WITHIN_CALL = "repetition-within-call"
-BASIS_ACROSS_CALLS = "repetition-across-calls"
-BASIS_THRESHOLD = "threshold"
-BASIS_PROFILE_COMPLETE = "profile-complete"
-BASIS_STALE = "stale-unconfirmed"
+from .simulator import SiteLog
 
 
 @dataclass(frozen=True)
@@ -75,181 +65,6 @@ class DenoiserConfig:
         # variant accepts any non-consecutive pair, which can double-count
         # a single pinned draw; it exists for comparison only.
         return 2 if self.aggressive_gap_rule else self.tau
-
-
-def threshold_classify(topic: int, prev: PrevalenceTable, config: DenoiserConfig) -> str:
-    """Genuine iff the topic appears on strictly more than `threshold` domains."""
-    return GENUINE if prev.count_of(topic) > config.threshold else NOISY
-
-
-@dataclass(frozen=True)
-class TopicLabel:
-    label: str
-    basis: str
-
-
-@dataclass(frozen=True)
-class SlotVerdict:
-    epoch: int
-    slot: int
-    topic: int
-    label: str
-    basis: str
-
-
-@dataclass(frozen=True)
-class NoiseVerdict:
-    """Labels for every observed slot and every observed topic."""
-
-    slots: tuple[SlotVerdict, ...]
-    topic_labels: Mapping[int, TopicLabel]
-
-    def genuine_topics(self) -> frozenset[int]:
-        return frozenset(t for t, tl in self.topic_labels.items() if tl.label == GENUINE)
-
-    def label_of(self, topic: int) -> TopicLabel:
-        return self.topic_labels[topic]
-
-
-@dataclass(frozen=True)
-class MultiShotOutcome:
-    verdict: NoiseVerdict
-    recovered: frozenset[int]  # confirmed genuine topics, at most T
-    frozen: bool
-
-
-@dataclass
-class _TopicState:
-    first_seen: int = 0
-    last_counted: int = 0
-    greedy_evidence: int = 0
-    best_call_mult: int = 0
-    confirmed_at: int = 0
-    basis: str = ""
-
-    @property
-    def evidence(self) -> int:
-        return max(self.greedy_evidence, self.best_call_mult)
-
-
-def _update_topic_states(
-    states: dict[int, _TopicState], epoch: int, topics: Sequence[int], gap: int
-) -> None:
-    for topic, mult in Counter(topics).items():
-        st = states.setdefault(topic, _TopicState())
-        if st.first_seen == 0:
-            st.first_seen = epoch
-            st.last_counted = epoch
-            st.greedy_evidence = mult
-        elif epoch >= st.last_counted + gap:
-            st.last_counted = epoch
-            st.greedy_evidence += mult
-        st.best_call_mult = max(st.best_call_mult, mult)
-        if st.confirmed_at == 0 and st.evidence >= 2:
-            st.confirmed_at = epoch
-            st.basis = BASIS_WITHIN_CALL if st.best_call_mult >= 2 else BASIS_ACROSS_CALLS
-
-
-def _recovered_set(
-    states: dict[int, _TopicState],
-    T: int,
-    prev: Optional[PrevalenceTable] = None,
-    config: Optional[DenoiserConfig] = None,
-) -> list[int]:
-    """T best-evidenced confirmed topics.
-
-    Evidence ties are broken by the prevalence prior (noise topics that
-    slip in through a double draw are mostly below threshold), then by
-    earliest first observation.
-    """
-
-    def above(t: int) -> int:
-        if prev is None or config is None:
-            return 0
-        return 1 if prev.count_of(t) > config.threshold else 0
-
-    confirmed = [
-        (st.evidence, above(t), -st.first_seen, -t)
-        for t, st in states.items()
-        if st.confirmed_at
-    ]
-    confirmed.sort(reverse=True)
-    return [-entry[3] for entry in confirmed[:T]]
-
-
-def _labels(
-    states: dict[int, _TopicState],
-    current_epoch: int,
-    prev: PrevalenceTable,
-    config: DenoiserConfig,
-) -> dict[int, TopicLabel]:
-    recovered = set(_recovered_set(states, config.T, prev, config))
-    frozen = len(recovered) >= config.T and sum(1 for st in states.values() if st.confirmed_at) >= config.T
-    cold = current_epoch <= config.gap
-    labels: dict[int, TopicLabel] = {}
-    for topic, st in states.items():
-        if topic in recovered:
-            labels[topic] = TopicLabel(GENUINE, st.basis)
-        elif frozen:
-            labels[topic] = TopicLabel(NOISY, BASIS_PROFILE_COMPLETE)
-        elif st.confirmed_at:
-            # Confirmed but evicted from the top-T can only happen when
-            # frozen; unfrozen confirmed topics are always recovered.
-            labels[topic] = TopicLabel(GENUINE, st.basis)
-        elif cold:
-            labels[topic] = TopicLabel(threshold_classify(topic, prev, config), BASIS_THRESHOLD)
-        else:
-            labels[topic] = TopicLabel(NOISY, BASIS_STALE)
-    return labels
-
-
-def denoise_multi_shot(
-    history: Sequence[ApiResult],
-    prev: PrevalenceTable,
-    config: DenoiserConfig = DenoiserConfig(),
-) -> MultiShotOutcome:
-    """On-the-fly multi-shot verdict over one (site, user) history.
-
-    History must be epoch-ordered and single-site. The verdict reflects
-    knowledge after the last call; with a single call it is identical to
-    denoise_one_shot.
-    """
-    if not history:
-        raise ValueError("history must contain at least one call")
-    site = history[0].site
-    states: dict[int, _TopicState] = {}
-    last_epoch = 0
-    for res in history:
-        if res.site != site:
-            raise ValueError(f"history mixes sites {site!r} and {res.site!r}")
-        if res.epoch <= last_epoch:
-            raise ValueError("history must be strictly epoch-ordered")
-        last_epoch = res.epoch
-        _update_topic_states(states, res.epoch, res.topics, config.gap)
-
-    labels = _labels(states, last_epoch, prev, config)
-    slots = tuple(
-        SlotVerdict(res.epoch, i, t, labels[t].label, labels[t].basis)
-        for res in history
-        for i, t in enumerate(res.topics)
-    )
-    recovered = frozenset(_recovered_set(states, config.T, prev, config))
-    return MultiShotOutcome(
-        verdict=NoiseVerdict(slots=slots, topic_labels=labels),
-        recovered=recovered,
-        frozen=len(recovered) >= config.T,
-    )
-
-
-def denoise_one_shot(
-    result: ApiResult,
-    prev: PrevalenceTable,
-    config: DenoiserConfig = DenoiserConfig(),
-) -> NoiseVerdict:
-    """Single-call verdict: repeats are genuine, the rest ask the threshold."""
-    if not result.topics:
-        raise ValueError("result carries no topics")
-    return denoise_multi_shot([result], prev, config).verdict
 
 
 @dataclass(frozen=True)
@@ -285,96 +100,13 @@ class DenoiseMetrics:
         return self.fp / negatives if negatives else None
 
 
-@dataclass(frozen=True)
-class TruthChannel:
-    """Ground-truth draws plus profiles, for evaluation only.
-
-    A draw is an effectively noisy instance when it came from the noise
-    branch and its topic is outside the user's top profile.
-    """
-
-    draws: Mapping[tuple[int, int], EpochDraw]  # (user_id, source_epoch) -> draw
-    profiles: Mapping[int, frozenset[int]]
-
-    def effectively_noisy(self, user_id: int, source_epoch: int) -> bool:
-        draw = self.draws[(user_id, source_epoch)]
-        return draw.noisy and draw.topic not in self.profiles[user_id]
-
-
-def truth_channel(site_log: SiteLog, population: Sequence[UserProfile]) -> TruthChannel:
-    draws = {}
-    for ui, uid in enumerate(site_log.user_ids):
-        for ki, src in enumerate(site_log.source_epochs):
-            draws[(int(uid), int(src))] = EpochDraw(
-                topic=int(site_log.truth_topics[ui, ki]),
-                noisy=bool(site_log.truth_noisy[ui, ki]),
-            )
-    profiles = {u.user_id: frozenset(u.top_profile) for u in population}
-    return TruthChannel(draws=draws, profiles=profiles)
-
-
-@dataclass(frozen=True)
-class DenoiseEvaluation:
-    metrics: DenoiseMetrics
-    min_recovered: int
-    median_recovered: float
-    max_recovered: int
-
-
-def evaluate_denoiser(
-    outcomes: Mapping[int, MultiShotOutcome],
-    truth: TruthChannel,
-    through_epoch: Optional[int] = None,
-) -> DenoiseEvaluation:
-    """Score verdicts against the truth channel, per-draw instances.
-
-    Every observed draw (source epoch before `through_epoch`) must be in
-    the truth channel; a missing one is an evaluation error.
-    """
-    tp = fp = tn = fn = 0
-    sizes = []
-    for user_id, outcome in outcomes.items():
-        last_epoch = max(s.epoch for s in outcome.verdict.slots)
-        horizon = through_epoch if through_epoch is not None else last_epoch
-        sources = sorted({src for (u, src) in truth.draws if u == user_id and src < horizon})
-        if not sources:
-            raise ValueError(f"truth channel has no draws for user {user_id}")
-        for src in sources:
-            if (user_id, src) not in truth.draws:
-                raise ValueError(f"instance (user {user_id}, source {src}) missing from truth")
-            draw = truth.draws[(user_id, src)]
-            if draw.topic not in outcome.verdict.topic_labels:
-                raise ValueError(
-                    f"draw topic {draw.topic} for user {user_id} missing from verdict"
-                )
-            predicted_noisy = outcome.verdict.topic_labels[draw.topic].label == NOISY
-            actual_noisy = truth.effectively_noisy(user_id, src)
-            if actual_noisy and predicted_noisy:
-                tp += 1
-            elif actual_noisy:
-                fn += 1
-            elif predicted_noisy:
-                fp += 1
-            else:
-                tn += 1
-        sizes.append(len(outcome.recovered))
-    return DenoiseEvaluation(
-        metrics=DenoiseMetrics(tp=tp, fp=fp, tn=tn, fn=fn),
-        min_recovered=int(min(sizes)),
-        median_recovered=float(np.median(sizes)),
-        max_recovered=int(max(sizes)),
-    )
-
-
-# --- vectorized site-level engine ----------------------------------------
-
-
 class MultiShotEngine:
     """Incremental multi-shot denoiser over all users of one site.
 
-    Mirrors denoise_multi_shot exactly (property-tested equivalence) but
-    keeps (user, topic) state in dense arrays so 10k+ user populations
-    stay cheap. Feed calls epoch by epoch via observe_epoch, then read
+    Mirrors the object-level oracle `denoise_multi_shot` in
+    `tests/reference.py` exactly (property-tested equivalence), keeping
+    (user, topic) state in dense arrays so 10k+ user populations stay
+    cheap. Feed calls epoch by epoch via observe_epoch, then read
     genuine_matrix / recovered_sizes.
     """
 
@@ -437,8 +169,8 @@ class MultiShotEngine:
     def _demotions(self) -> list[tuple[int, np.ndarray]]:
         """(user, demoted-topic-ids) for users with more than T confirmed.
 
-        Same ranking as the object-level recovered set: evidence, then
-        the prevalence prior, then earliest first observation.
+        Ranking: evidence, then the prevalence prior, then earliest first
+        observation, then topic id.
         """
         out = []
         for uid in np.nonzero(self.conf_count > self.config.T)[0]:
@@ -535,7 +267,8 @@ def denoise_site_trajectory(
         profile_mask[i, list(by_id[int(uid)].top_profile)] = True
 
     rows = np.arange(site_log.n_users)[:, None]
-    noisy_eff = site_log.truth_noisy & ~profile_mask[rows, site_log.truth_topics.astype(np.int64)]
+    tt = site_log.truth_topics.astype(np.int64)
+    noisy_eff = site_log.truth_noisy & ~profile_mask[rows, tt]
 
     wanted = set(epochs) if epochs is not None else set(range(1, site_log.epochs + 1))
     points = []
@@ -544,7 +277,6 @@ def denoise_site_trajectory(
         if epoch not in wanted:
             continue
         seen = (site_log.source_epochs < epoch)[None, :]
-        tt = site_log.truth_topics.astype(np.int64)
         predicted_noisy = ~engine.genuine_matrix()[rows, tt]
         tp = int(np.sum(seen & noisy_eff & predicted_noisy))
         fn = int(np.sum(seen & noisy_eff & ~predicted_noisy))

@@ -24,8 +24,8 @@ from typing import Iterable, Mapping, Optional, Sequence
 import numpy as np
 
 from .classification import PrevalenceTable
-from .denoiser import DenoiserConfig, MultiShotEngine, denoise_multi_shot
-from .simulator import ApiResult, ObservationLog, SiteLog
+from .denoiser import DenoiserConfig, MultiShotEngine
+from .simulator import ObservationLog
 
 
 @dataclass(frozen=True)
@@ -80,31 +80,6 @@ class MatchReport:
         ks = np.sort(self.k)
         sizes, counts = np.unique(ks, return_counts=True)
         return sizes, np.cumsum(counts) / len(ks)
-
-
-def recover_profiles(
-    site_log: SiteLog,
-    prev: PrevalenceTable,
-    config: DenoiserConfig = DenoiserConfig(),
-) -> dict[int, dict[int, frozenset[int]]]:
-    """Per-user, per-epoch recovered genuine sets for one site (object level).
-
-    Output at epoch e uses calls 1..e only. Sets are the cumulative
-    genuine-ever sets used for matching.
-    """
-    out: dict[int, dict[int, frozenset[int]]] = {}
-    for ui, uid in enumerate(site_log.user_ids):
-        per_epoch: dict[int, frozenset[int]] = {}
-        sticky: set[int] = set()
-        history = []
-        for e in range(1, site_log.epochs + 1):
-            topics = tuple(int(t) for t in site_log.topics[ui, e - 1] if t >= 0)
-            history.append(ApiResult(topics=topics, epoch=e, site=site_log.site, user_id=int(uid)))
-            outcome = denoise_multi_shot(history, prev, config)
-            sticky |= outcome.verdict.genuine_topics()
-            per_epoch[e] = frozenset(sticky)
-        out[int(uid)] = per_epoch
-    return out
 
 
 def match_users(

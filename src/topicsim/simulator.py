@@ -68,14 +68,6 @@ class EpochDraw:
     noisy: bool
 
 
-@dataclass(frozen=True)
-class ApiResult:
-    topics: tuple[int, ...]
-    epoch: int
-    site: str
-    user_id: int
-
-
 def epoch_topic_draw(
     user: UserProfile,
     site: str,
@@ -105,10 +97,9 @@ def epoch_topic_draw(
 class ObservationLog:
     """Complete per-(site, user, epoch) API results plus the truth channel.
 
-    Results are dense arrays; ApiResult / EpochDraw views are built on
-    demand. `slot_sources` records which source epoch produced each
-    returned slot, making every returned topic traceable to exactly one
-    truth draw.
+    Results are dense arrays. `slot_sources` records which source epoch
+    produced each returned slot, making every returned topic traceable
+    to exactly one truth draw.
     """
 
     def __init__(
@@ -129,8 +120,6 @@ class ObservationLog:
         self.truth_noisy = truth_noisy
         self.source_epochs = source_epochs
         self._site_index = {s: i for i, s in enumerate(config.sites)}
-        self._user_index = {int(u): i for i, u in enumerate(user_ids)}
-        self._source_index = {int(e): i for i, e in enumerate(source_epochs)}
 
     @property
     def sites(self) -> tuple[str, ...]:
@@ -139,21 +128,6 @@ class ObservationLog:
     @property
     def epochs(self) -> int:
         return self.config.epochs
-
-    def result(self, site: str, user_id: int, epoch: int) -> ApiResult:
-        s, u = self._site_index[site], self._user_index[user_id]
-        row = self.topics[s, u, epoch - 1]
-        return ApiResult(
-            topics=tuple(int(t) for t in row),
-            epoch=epoch,
-            site=site,
-            user_id=user_id,
-        )
-
-    def truth_draw(self, site: str, user_id: int, source_epoch: int) -> EpochDraw:
-        s, u = self._site_index[site], self._user_index[user_id]
-        k = self._source_index[source_epoch]
-        return EpochDraw(topic=int(self.truth_topics[s, u, k]), noisy=bool(self.truth_noisy[s, u, k]))
 
     def total_slots(self) -> int:
         return int(self.topics.size)
@@ -323,22 +297,3 @@ def run_scenario(
         source_epochs=source_epochs,
     )
 
-
-def call_api(
-    user: UserProfile,
-    site: str,
-    epoch: int,
-    config: SimConfig,
-    taxonomy: Taxonomy,
-) -> ApiResult:
-    """Assemble one API result from the pinned per-epoch draws."""
-    if epoch < 1:
-        raise ValueError(f"epoch must be >= 1, got {epoch}")
-    returned = [
-        epoch_topic_draw(user, site, src, config, taxonomy).topic
-        for src in range(epoch - config.tau, epoch)
-    ]
-    perm = rng.permutation(len(returned), config.seed, user.user_id, rng.string_key(site),
-                           epoch, rng.TAG_SHUFFLE)
-    shuffled = tuple(returned[i] for i in perm)
-    return ApiResult(topics=shuffled, epoch=epoch, site=site, user_id=user.user_id)

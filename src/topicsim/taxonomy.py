@@ -38,10 +38,6 @@ class Topic:
     name: str
     parent_id: Optional[int]
 
-    @property
-    def is_root(self) -> bool:
-        return self.parent_id is None and self.id != UNKNOWN_TOPIC_ID
-
 
 UNKNOWN_TOPIC = Topic(UNKNOWN_TOPIC_ID, UNKNOWN_TOPIC_NAME, None)
 
@@ -83,10 +79,6 @@ class Taxonomy:
 
     def roots(self) -> tuple[Topic, ...]:
         return tuple(self._by_id[i] for i in self.root_ids)
-
-    def children_of(self, topic: Union[Topic, int]) -> tuple[Topic, ...]:
-        tid = topic.id if isinstance(topic, Topic) else topic
-        return tuple(t for t in self.topics if t.parent_id == tid)
 
     def subtree_size(self, root: Union[Topic, int]) -> int:
         """Number of topics in the subtree, including the root itself."""
@@ -173,12 +165,6 @@ def load_taxonomy(source: Union[str, Path, IO[str]]) -> Taxonomy:
             pid = name_to_id[pname]
         topics.append(Topic(tid, name, pid))
     return Taxonomy(topics)
-
-
-def save_taxonomy(taxonomy: Taxonomy, path: Union[str, Path]) -> None:
-    lines = [TAXONOMY_HEADER]
-    lines += [f"{t.id}\t{t.name}" for t in taxonomy.topics]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 _BUNDLED: Optional[Taxonomy] = None

@@ -88,18 +88,28 @@ def synthetic_classification(
     )
 
 
-def build_world(config: WorldConfig = WorldConfig(), taxonomy: Optional[Taxonomy] = None) -> World:
-    """Build a fully wired synthetic world, deterministic in config.seed."""
-    tax = taxonomy or bundled_taxonomy()
-    classification = synthetic_classification(config, tax)
-    order = RankedDomainList(tuple(classification.domains()))
-    traffic = TrafficModel(kind="zipf", exponent=config.traffic_exponent)
-    counts = UniqueDomainCountModel(
+def traffic_model(config: WorldConfig) -> TrafficModel:
+    """The world's Zipf traffic model over its ranked domain list."""
+    return TrafficModel(kind="zipf", exponent=config.traffic_exponent)
+
+
+def count_model(config: WorldConfig) -> UniqueDomainCountModel:
+    """The world's log-normal model of unique visited domains per user."""
+    return UniqueDomainCountModel(
         mu=math.log(config.count_mu_median),
         sigma=config.count_sigma,
         minimum=config.count_min,
         maximum=config.count_max,
     )
+
+
+def build_world(config: WorldConfig = WorldConfig(), taxonomy: Optional[Taxonomy] = None) -> World:
+    """Build a fully wired synthetic world, deterministic in config.seed."""
+    tax = taxonomy or bundled_taxonomy()
+    classification = synthetic_classification(config, tax)
+    order = RankedDomainList(tuple(classification.domains()))
+    traffic = traffic_model(config)
+    counts = count_model(config)
     population = generate_population(
         config.n_users,
         order,

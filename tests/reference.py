@@ -1,21 +1,298 @@
 """Reference oracles that the package's optimised paths are tested against.
 
 Each one is the plain, earlier form of a package routine, kept here so a
-faster rewrite can be checked for equal results.
+faster rewrite can be checked for equal results:
+
+* `call_api` (one API call from per-epoch `epoch_topic_draw`s) with
+  `ApiResult`, `log_result` and `log_truth_draw` (object views of an
+  `ObservationLog`) checks `simulator.run_scenario`;
+* `denoise_multi_shot` (per-topic state objects for one user's call
+  history) checks `denoiser.MultiShotEngine`;
+* `truth_channel` and `evaluate_denoiser` (per-draw scoring of
+  `denoise_multi_shot` outcomes) check `denoiser.denoise_site_trajectory`;
+* `argmax_match_one_way` and `reidentify_two_calls` (one full-width
+  product per direction) check `reidentify._argmax_match` and
+  `reidentify.run_reidentification`;
+* `write_log_ndjson_reference` and `write_truth_ndjson_reference` (one
+  `json.dumps` per record) check `ObservationLog.write_ndjson` and
+  `ObservationLog.write_truth_ndjson`.
 """
 
 from __future__ import annotations
 
 import json
+from collections import Counter
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Optional, Union
+from typing import Iterable, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
+from topicsim import rng
 from topicsim.classification import PrevalenceTable
-from topicsim.denoiser import DenoiserConfig, MultiShotEngine
+from topicsim.denoiser import DenoiseMetrics, DenoiserConfig, MultiShotEngine
+from topicsim.population import UserProfile
 from topicsim.reidentify import MatchReport, ReidReport, reid_report
-from topicsim.simulator import ObservationLog
+from topicsim.simulator import EpochDraw, ObservationLog, SimConfig, SiteLog, epoch_topic_draw
+from topicsim.taxonomy import Taxonomy
+
+
+# --- simulator ---------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class ApiResult:
+    topics: tuple[int, ...]
+    epoch: int
+    site: str
+    user_id: int
+
+
+def call_api(user: UserProfile, site: str, epoch: int, config: SimConfig, taxonomy: Taxonomy) -> ApiResult:
+    """Assemble one API result from the pinned per-epoch draws."""
+    if epoch < 1:
+        raise ValueError(f"epoch must be >= 1, got {epoch}")
+    returned = [
+        epoch_topic_draw(user, site, src, config, taxonomy).topic
+        for src in range(epoch - config.tau, epoch)
+    ]
+    perm = rng.permutation(len(returned), config.seed, user.user_id, rng.string_key(site),
+                           epoch, rng.TAG_SHUFFLE)
+    return ApiResult(topics=tuple(returned[i] for i in perm), epoch=epoch, site=site, user_id=user.user_id)
+
+
+def _user_row(log: ObservationLog, user_id: int) -> int:
+    return int(np.flatnonzero(log.user_ids == user_id)[0])
+
+
+def log_result(log: ObservationLog, site: str, user_id: int, epoch: int) -> ApiResult:
+    """The logged API result of one (site, user, epoch) call."""
+    row = log.topics[log.sites.index(site), _user_row(log, user_id), epoch - 1]
+    return ApiResult(topics=tuple(int(t) for t in row), epoch=epoch, site=site, user_id=user_id)
+
+
+def log_truth_draw(log: ObservationLog, site: str, user_id: int, source_epoch: int) -> EpochDraw:
+    """The logged pinned draw of one (site, user, source epoch)."""
+    s, u = log.sites.index(site), _user_row(log, user_id)
+    k = int(np.flatnonzero(log.source_epochs == source_epoch)[0])
+    return EpochDraw(topic=int(log.truth_topics[s, u, k]), noisy=bool(log.truth_noisy[s, u, k]))
+
+
+# --- denoiser ----------------------------------------------------------------
+
+GENUINE = "genuine"
+NOISY = "noisy"
+
+BASIS_WITHIN_CALL = "repetition-within-call"
+BASIS_ACROSS_CALLS = "repetition-across-calls"
+BASIS_THRESHOLD = "threshold"
+BASIS_PROFILE_COMPLETE = "profile-complete"
+BASIS_STALE = "stale-unconfirmed"
+
+
+def threshold_classify(topic: int, prev: PrevalenceTable, config: DenoiserConfig) -> str:
+    """Genuine iff the topic appears on strictly more than `threshold` domains."""
+    return GENUINE if prev.count_of(topic) > config.threshold else NOISY
+
+
+@dataclass(frozen=True)
+class TopicLabel:
+    label: str
+    basis: str
+
+
+@dataclass(frozen=True)
+class NoiseVerdict:
+    """Labels for every observed topic."""
+
+    topic_labels: Mapping[int, TopicLabel]
+
+    def genuine_topics(self) -> frozenset[int]:
+        return frozenset(t for t, tl in self.topic_labels.items() if tl.label == GENUINE)
+
+    def label_of(self, topic: int) -> TopicLabel:
+        return self.topic_labels[topic]
+
+
+@dataclass(frozen=True)
+class MultiShotOutcome:
+    verdict: NoiseVerdict
+    recovered: frozenset[int]  # confirmed genuine topics, at most T
+    frozen: bool
+
+
+@dataclass
+class _TopicState:
+    first_seen: int = 0
+    last_counted: int = 0
+    greedy_evidence: int = 0
+    best_call_mult: int = 0
+    confirmed_at: int = 0
+    basis: str = ""
+
+    @property
+    def evidence(self) -> int:
+        return max(self.greedy_evidence, self.best_call_mult)
+
+
+def _update_topic_states(states: dict[int, _TopicState], epoch: int, topics: Sequence[int], gap: int) -> None:
+    for topic, mult in Counter(topics).items():
+        st = states.setdefault(topic, _TopicState())
+        if st.first_seen == 0:
+            st.first_seen = epoch
+            st.last_counted = epoch
+            st.greedy_evidence = mult
+        elif epoch >= st.last_counted + gap:
+            st.last_counted = epoch
+            st.greedy_evidence += mult
+        st.best_call_mult = max(st.best_call_mult, mult)
+        if st.confirmed_at == 0 and st.evidence >= 2:
+            st.confirmed_at = epoch
+            st.basis = BASIS_WITHIN_CALL if st.best_call_mult >= 2 else BASIS_ACROSS_CALLS
+
+
+def _recovered_set(states: dict[int, _TopicState], prev: PrevalenceTable, config: DenoiserConfig) -> list[int]:
+    """T best-evidenced confirmed topics.
+
+    Evidence ties are broken by the prevalence prior (noise topics that
+    slip in through a double draw are mostly below threshold), then by
+    earliest first observation.
+    """
+    confirmed = [
+        (st.evidence, int(prev.count_of(t) > config.threshold), -st.first_seen, -t)
+        for t, st in states.items()
+        if st.confirmed_at
+    ]
+    confirmed.sort(reverse=True)
+    return [-entry[3] for entry in confirmed[:config.T]]
+
+
+def _labels(
+    states: dict[int, _TopicState], current_epoch: int, prev: PrevalenceTable, config: DenoiserConfig
+) -> dict[int, TopicLabel]:
+    recovered = set(_recovered_set(states, prev, config))
+    frozen = len(recovered) >= config.T and sum(1 for st in states.values() if st.confirmed_at) >= config.T
+    cold = current_epoch <= config.gap
+    labels: dict[int, TopicLabel] = {}
+    for topic, st in states.items():
+        if topic in recovered:
+            labels[topic] = TopicLabel(GENUINE, st.basis)
+        elif frozen:
+            labels[topic] = TopicLabel(NOISY, BASIS_PROFILE_COMPLETE)
+        elif st.confirmed_at:
+            # Confirmed but evicted from the top-T can only happen when
+            # frozen; unfrozen confirmed topics are always recovered.
+            labels[topic] = TopicLabel(GENUINE, st.basis)
+        elif cold:
+            labels[topic] = TopicLabel(threshold_classify(topic, prev, config), BASIS_THRESHOLD)
+        else:
+            labels[topic] = TopicLabel(NOISY, BASIS_STALE)
+    return labels
+
+
+def denoise_multi_shot(
+    history: Sequence[ApiResult], prev: PrevalenceTable, config: DenoiserConfig = DenoiserConfig()
+) -> MultiShotOutcome:
+    """On-the-fly multi-shot verdict over one (site, user) history.
+
+    History must be epoch-ordered and single-site. The verdict reflects
+    knowledge after the last call.
+    """
+    if not history:
+        raise ValueError("history must contain at least one call")
+    site = history[0].site
+    states: dict[int, _TopicState] = {}
+    last_epoch = 0
+    for res in history:
+        if res.site != site:
+            raise ValueError(f"history mixes sites {site!r} and {res.site!r}")
+        if res.epoch <= last_epoch:
+            raise ValueError("history must be strictly epoch-ordered")
+        last_epoch = res.epoch
+        _update_topic_states(states, res.epoch, res.topics, config.gap)
+    recovered = frozenset(_recovered_set(states, prev, config))
+    return MultiShotOutcome(
+        verdict=NoiseVerdict(topic_labels=_labels(states, last_epoch, prev, config)),
+        recovered=recovered,
+        frozen=len(recovered) >= config.T,
+    )
+
+
+@dataclass(frozen=True)
+class TruthChannel:
+    """Ground-truth draws plus profiles, for evaluation only.
+
+    A draw is an effectively noisy instance when it came from the noise
+    branch and its topic is outside the user's top profile.
+    """
+
+    draws: Mapping[tuple[int, int], EpochDraw]  # (user_id, source_epoch) -> draw
+    profiles: Mapping[int, frozenset[int]]
+
+    def effectively_noisy(self, user_id: int, source_epoch: int) -> bool:
+        draw = self.draws[(user_id, source_epoch)]
+        return draw.noisy and draw.topic not in self.profiles[user_id]
+
+
+def truth_channel(site_log: SiteLog, population: Sequence[UserProfile]) -> TruthChannel:
+    draws = {}
+    for ui, uid in enumerate(site_log.user_ids):
+        for ki, src in enumerate(site_log.source_epochs):
+            draws[(int(uid), int(src))] = EpochDraw(
+                topic=int(site_log.truth_topics[ui, ki]),
+                noisy=bool(site_log.truth_noisy[ui, ki]),
+            )
+    profiles = {u.user_id: frozenset(u.top_profile) for u in population}
+    return TruthChannel(draws=draws, profiles=profiles)
+
+
+@dataclass(frozen=True)
+class DenoiseEvaluation:
+    metrics: DenoiseMetrics
+    min_recovered: int
+    median_recovered: float
+    max_recovered: int
+
+
+def evaluate_denoiser(
+    outcomes: Mapping[int, MultiShotOutcome], truth: TruthChannel, through_epoch: int
+) -> DenoiseEvaluation:
+    """Score verdicts made at `through_epoch` against the truth channel.
+
+    Instances are the draws of source epochs before `through_epoch`, each
+    scored once, noisy positive. Every such draw's topic must carry a
+    label; a missing one is an evaluation error.
+    """
+    tp = fp = tn = fn = 0
+    sizes = []
+    for user_id, outcome in outcomes.items():
+        sources = sorted(src for (u, src) in truth.draws if u == user_id and src < through_epoch)
+        if not sources:
+            raise ValueError(f"truth channel has no draws for user {user_id}")
+        for src in sources:
+            draw = truth.draws[(user_id, src)]
+            if draw.topic not in outcome.verdict.topic_labels:
+                raise ValueError(f"draw topic {draw.topic} for user {user_id} missing from verdict")
+            predicted_noisy = outcome.verdict.topic_labels[draw.topic].label == NOISY
+            actual_noisy = truth.effectively_noisy(user_id, src)
+            if actual_noisy and predicted_noisy:
+                tp += 1
+            elif actual_noisy:
+                fn += 1
+            elif predicted_noisy:
+                fp += 1
+            else:
+                tn += 1
+        sizes.append(len(outcome.recovered))
+    return DenoiseEvaluation(
+        metrics=DenoiseMetrics(tp=tp, fp=fp, tn=tn, fn=fn),
+        min_recovered=int(min(sizes)),
+        median_recovered=float(np.median(sizes)),
+        max_recovered=int(max(sizes)),
+    )
+
+
+# --- reidentify --------------------------------------------------------------
 
 
 def argmax_match_one_way(a: np.ndarray, b: np.ndarray, block: int = 1024) -> tuple[np.ndarray, np.ndarray]:
@@ -67,6 +344,9 @@ def reidentify_two_calls(
     return reid_report(forward, reverse)
 
 
+# --- NDJSON writers ---------------------------------------------------------
+
+
 def _write_header_reference(fh, header: Optional[dict]) -> None:
     if header is not None:
         fh.write(json.dumps({"header": header}, separators=(",", ":"), sort_keys=True) + "\n")
@@ -79,7 +359,7 @@ def write_log_ndjson_reference(log: ObservationLog, path: Union[str, Path], head
         for site in log.sites:
             for uid in log.user_ids:
                 for e in range(1, log.epochs + 1):
-                    res = log.result(site, int(uid), e)
+                    res = log_result(log, site, int(uid), e)
                     fh.write(
                         json.dumps(
                             {"site": res.site, "user": res.user_id, "epoch": res.epoch,

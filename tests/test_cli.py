@@ -284,3 +284,18 @@ def test_synthetic_classification_matches_world(preset, world_config):
     world = build_world(replace(world_config(1, seed), n_domains=2000), taxonomy)
     assert got.entries == world.classification.entries
     assert got.source_label == f"synthetic:{preset}"
+
+
+@pytest.mark.parametrize("preset, world_config", [
+    ("aggressive-skew", aggressive_skew_config),
+    ("wide-pool", wide_pool_config),
+])
+def test_generate_builds_the_preset_world(preset, world_config, tmp_path):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({
+        "n_users": 150, "n_domains": 2000, "classification": f"synthetic:{preset}",
+        "seed": 1, "out": str(tmp_path / "o"),
+    }))
+    assert run_cli("generate", "--config", cfg) == 0
+    world = build_world(replace(world_config(150, seed=1), n_domains=2000), bundled_taxonomy())
+    assert read_population(tmp_path / "o" / "population.ndjson") == list(world.population)

@@ -4,26 +4,24 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from conftest import make_profile
-from topicsim.classification import PrevalenceTable
-from topicsim.denoiser import (
+from reference import (
     BASIS_ACROSS_CALLS,
     BASIS_THRESHOLD,
     BASIS_WITHIN_CALL,
-    DenoiseMetrics,
-    DenoiserConfig,
     GENUINE,
-    MultiShotEngine,
     NOISY,
+    ApiResult,
     TruthChannel,
     denoise_multi_shot,
-    denoise_one_shot,
-    denoise_site_trajectory,
     evaluate_denoiser,
+    log_result,
     threshold_classify,
     truth_channel,
 )
+from topicsim.classification import PrevalenceTable
+from topicsim.denoiser import DenoiseMetrics, DenoiserConfig, MultiShotEngine, denoise_site_trajectory
 from topicsim.population import UserProfile
-from topicsim.simulator import ApiResult, EpochDraw, SimConfig, run_scenario
+from topicsim.simulator import EpochDraw, SimConfig, run_scenario
 
 
 def prevalence_with(above=(), below=(), above_count=50, below_count=3, omega=349):
@@ -39,6 +37,20 @@ def res(topics, epoch=1, user=0):
     return ApiResult(topics=tuple(topics), epoch=epoch, site="w", user_id=user)
 
 
+def engine_genuine(history, prev, cfg=DenoiserConfig()):
+    """The engine's genuine topics for one user after `history`.
+
+    Epochs the history skips are fed as calls with every slot suppressed.
+    """
+    width = max(len(r.topics) for r in history)
+    calls = {r.epoch: r.topics for r in history}
+    engine = MultiShotEngine(1, 349, prev, cfg)
+    for epoch in range(1, history[-1].epoch + 1):
+        row = list(calls.get(epoch, ())) + [-1] * width
+        engine.observe_epoch(epoch, np.array([row[:width]], dtype=np.int16))
+    return set(np.nonzero(engine.genuine_matrix()[0])[0].tolist())
+
+
 def test_threshold_rule_boundaries():
     cfg = DenoiserConfig(threshold=10)
     prev = prevalence_with(above=(1,), below=(2,), above_count=11, below_count=10)
@@ -46,61 +58,61 @@ def test_threshold_rule_boundaries():
     assert threshold_classify(2, prev, cfg) == NOISY    # 10 is not more than 10
     assert threshold_classify(3, prev, cfg) == NOISY    # count 0
     assert threshold_classify(3, prev, DenoiserConfig(threshold=0)) == NOISY
+    assert MultiShotEngine(1, 349, prev, cfg).threshold_pass[[1, 2, 3]].tolist() == [True, False, False]
+    assert not MultiShotEngine(1, 349, prev, DenoiserConfig(threshold=0)).threshold_pass[3]
 
 
 def test_one_shot_repeat_beats_threshold():
     prev = prevalence_with(below=(5,))
-    verdict = denoise_one_shot(res([5, 5, 200]), prev)
+    history = [res([5, 5, 200])]
+    verdict = denoise_multi_shot(history, prev).verdict
     assert verdict.label_of(5).label == GENUINE
     assert verdict.label_of(5).basis == BASIS_WITHIN_CALL
     assert verdict.label_of(200).label == NOISY
     assert verdict.label_of(200).basis == BASIS_THRESHOLD
+    assert engine_genuine(history, prev) == {5}
 
 
 def test_one_shot_all_above_threshold():
     prev = prevalence_with(above=(1, 2, 3))
-    verdict = denoise_one_shot(res([1, 2, 3]), prev)
+    history = [res([1, 2, 3])]
+    verdict = denoise_multi_shot(history, prev).verdict
     assert all(v.label == GENUINE for v in verdict.topic_labels.values())
     assert all(v.basis == BASIS_THRESHOLD for v in verdict.topic_labels.values())
-
-
-def test_one_shot_requires_topics():
-    with pytest.raises(ValueError):
-        denoise_one_shot(res([]), prevalence_with())
+    assert engine_genuine(history, prev) == {1, 2, 3}
 
 
 def test_multi_shot_gap_rule():
     prev = prevalence_with()
     history = [res([7], epoch=2), res([7], epoch=6)]
     out = denoise_multi_shot(history, prev)
-    assert out.verdict.label_of(7) .label == GENUINE
+    assert out.verdict.label_of(7).label == GENUINE
     assert out.verdict.label_of(7).basis == BASIS_ACROSS_CALLS
     assert out.recovered == {7}
+    assert engine_genuine(history, prev) == {7}
 
 
 def test_multi_shot_small_gap_not_confirmed_by_default():
     prev = prevalence_with()
     history = [res([7], epoch=2), res([7], epoch=4)]
     assert denoise_multi_shot(history, prev).verdict.label_of(7).label == NOISY
+    assert engine_genuine(history, prev) == set()
     aggressive = DenoiserConfig(aggressive_gap_rule=True)
     assert denoise_multi_shot(history, prev, aggressive).verdict.label_of(7).label == GENUINE
-
-
-def test_multi_shot_single_epoch_equals_one_shot():
-    prev = prevalence_with(above=(1, 2), below=(3,))
-    call = res([1, 3, 3])
-    assert denoise_multi_shot([call], prev).verdict == denoise_one_shot(call, prev)
+    assert engine_genuine(history, prev, aggressive) == {7}
 
 
 def test_multi_shot_threshold_only_in_cold_window():
     prev = prevalence_with(above=(9,))
     # Topic 9 observed once, never repeated: trusted only while calls
     # with disjoint windows are impossible.
-    history = [res([9], epoch=e) for e in (1,)]
+    history = [res([9], epoch=1)]
     assert denoise_multi_shot(history, prev).verdict.label_of(9).label == GENUINE
+    assert engine_genuine(history, prev) == {9}
     history = [res([9], epoch=1), res([42], epoch=5)]
     out = denoise_multi_shot(history, prev)
     assert out.verdict.label_of(9).label == NOISY
+    assert engine_genuine(history, prev) == set()
 
 
 def test_multi_shot_freeze_marks_rest_noisy():
@@ -119,6 +131,7 @@ def test_multi_shot_freeze_marks_rest_noisy():
     assert out.recovered == {1, 2, 3, 4, 5}
     assert out.frozen
     assert out.verdict.label_of(30).label == NOISY
+    assert engine_genuine(history, prev, DenoiserConfig(T=5)) == {1, 2, 3, 4, 5}
 
 
 def test_eviction_tie_break_prefers_prevalent_topics():
@@ -134,6 +147,7 @@ def test_eviction_tie_break_prefers_prevalent_topics():
     out = denoise_multi_shot(history, prev, DenoiserConfig(T=5))
     assert out.recovered == {1, 2, 3, 4, 30}
     assert out.verdict.label_of(5).label == NOISY
+    assert engine_genuine(history, prev, DenoiserConfig(T=5)) == {1, 2, 3, 4, 30}
 
 
 def test_multi_shot_requires_single_ordered_site():
@@ -153,7 +167,7 @@ def test_evaluate_perfect_classifier():
         draws={(0, -2): EpochDraw(1, False), (0, -1): EpochDraw(2, False), (0, 0): EpochDraw(300, True)},
         profiles={0: frozenset({1, 2, 3, 4, 5})},
     )
-    ev = evaluate_denoiser({0: outcome}, truth)
+    ev = evaluate_denoiser({0: outcome}, truth, through_epoch=1)
     assert ev.metrics.accuracy == 1.0
     assert ev.metrics.fpr == 0.0
     assert ev.metrics.tpr == 1.0
@@ -172,7 +186,7 @@ def test_evaluate_naive_all_genuine():
         },
         profiles={0: frozenset({1, 2, 10, 11, 12})},
     )
-    ev = evaluate_denoiser({0: outcome}, truth)
+    ev = evaluate_denoiser({0: outcome}, truth, through_epoch=1)
     assert ev.metrics.tpr == 0.0
     assert ev.metrics.precision is None
     assert ev.metrics.accuracy == pytest.approx(2 / 3)
@@ -183,7 +197,7 @@ def test_evaluate_rejects_missing_truth():
     outcome = denoise_multi_shot([res([1, 1, 1])], prev)
     truth = TruthChannel(draws={}, profiles={0: frozenset()})
     with pytest.raises(ValueError, match="no draws"):
-        evaluate_denoiser({0: outcome}, truth)
+        evaluate_denoiser({0: outcome}, truth, through_epoch=1)
 
 
 def test_metrics_none_denominators():
@@ -204,14 +218,21 @@ calls_strategy = st.lists(
 )
 
 
-@settings(max_examples=150, deadline=None)
-@given(calls_strategy)
-def test_engine_matches_object_denoiser(calls):
+@settings(max_examples=200, deadline=None)
+@given(
+    data=st.data(),
+    tau=st.integers(min_value=1, max_value=4),
+    T=st.integers(min_value=1, max_value=6),
+    threshold=st.sampled_from([0, 2, 3, 10, 49, 50]),
+    aggressive=st.booleans(),
+)
+def test_engine_matches_object_denoiser(data, tau, T, threshold, aggressive):
     counts = np.zeros(350, dtype=np.int64)
     counts[1:15] = 50
     counts[15:25] = 3
     prev = PrevalenceTable(counts=counts, total_domains=1000)
-    cfg = DenoiserConfig()
+    cfg = DenoiserConfig(threshold=threshold, tau=tau, T=T, aggressive_gap_rule=aggressive)
+    calls = data.draw(st.lists(st.lists(topic_ids, min_size=tau, max_size=tau), min_size=1, max_size=10))
 
     history = [res(topics, epoch=e + 1) for e, topics in enumerate(calls)]
     outcome = denoise_multi_shot(history, prev, cfg)
@@ -222,8 +243,7 @@ def test_engine_matches_object_denoiser(calls):
     genuine = set(np.nonzero(engine.genuine_matrix()[0])[0].tolist())
     assert genuine == set(outcome.verdict.genuine_topics())
     recovered = set(np.nonzero(engine.recovered_matrix()[0])[0].tolist())
-    if len(recovered) <= cfg.T:
-        assert recovered == set(outcome.recovered)
+    assert recovered == set(outcome.recovered)
 
 
 @settings(max_examples=60, deadline=None)
@@ -296,13 +316,15 @@ def test_trajectory_matches_object_evaluation(taxonomy):
     for point in traj.points:
         outcomes = {}
         for u in range(60):
-            history = [log.result("w", u, e) for e in range(1, point.epoch + 1)]
+            history = [log_result(log, "w", u, e) for e in range(1, point.epoch + 1)]
             outcomes[u] = denoise_multi_shot(history, prev, cfg)
         ev = evaluate_denoiser(outcomes, truth, through_epoch=point.epoch)
         assert (point.metrics.tp, point.metrics.fp, point.metrics.tn, point.metrics.fn) == (
             ev.metrics.tp, ev.metrics.fp, ev.metrics.tn, ev.metrics.fn
         ), point.epoch
-        assert point.median_recovered == ev.median_recovered, point.epoch
+        assert (point.min_recovered, point.median_recovered, point.max_recovered) == (
+            ev.min_recovered, ev.median_recovered, ev.max_recovered
+        ), point.epoch
 
 
 def test_median_user_fully_recovered_after_thirty_epochs(taxonomy):

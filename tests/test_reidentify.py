@@ -7,13 +7,12 @@ from hypothesis.extra.numpy import arrays
 from conftest import make_profile
 from reference import argmax_match_one_way, reidentify_two_calls
 from topicsim.classification import PrevalenceTable
-from topicsim.denoiser import DenoiserConfig, denoise_one_shot
+from topicsim.denoiser import DenoiserConfig
 from topicsim.population import UserProfile
 from topicsim.reidentify import (
     MatchReport,
     _argmax_match,
     match_users,
-    recover_profiles,
     reid_report,
     run_reidentification,
 )
@@ -102,23 +101,6 @@ def small_two_site_world(taxonomy, n=150, epochs=8, seed=3):
     counts[1:200] = 40
     prev = PrevalenceTable(counts=counts, total_domains=1000)
     return users, log, prev
-
-
-def test_recover_profiles_epoch1_equals_one_shot(taxonomy):
-    users, log, prev = small_two_site_world(taxonomy, n=25, epochs=4)
-    cfg = DenoiserConfig()
-    recovered = recover_profiles(log.site_view("wa"), prev, cfg)
-    for u in range(25):
-        one_shot = denoise_one_shot(log.result("wa", u, 1), prev, cfg).genuine_topics()
-        assert recovered[u][1] == one_shot
-
-
-def test_recover_profiles_never_shrink(taxonomy):
-    users, log, prev = small_two_site_world(taxonomy, n=40, epochs=8)
-    recovered = recover_profiles(log.site_view("wa"), prev, DenoiserConfig())
-    for u, per_epoch in recovered.items():
-        for e in range(1, 8):
-            assert per_epoch[e] <= per_epoch[e + 1]
 
 
 def test_run_reidentification_report_structure(taxonomy):

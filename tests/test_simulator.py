@@ -8,15 +8,15 @@ from hypothesis import example, given, settings
 from scipy import stats
 
 from conftest import make_profile
-from reference import write_log_ndjson_reference, write_truth_ndjson_reference
-from topicsim.population import UserProfile
-from topicsim.simulator import (
-    WRITE_BLOCK_USERS,
-    SimConfig,
+from reference import (
     call_api,
-    epoch_topic_draw,
-    run_scenario,
+    log_result,
+    log_truth_draw,
+    write_log_ndjson_reference,
+    write_truth_ndjson_reference,
 )
+from topicsim.population import UserProfile
+from topicsim.simulator import WRITE_BLOCK_USERS, SimConfig, epoch_topic_draw, run_scenario
 
 
 def users_with_random_profiles(n, seed0=0):
@@ -78,7 +78,7 @@ def test_pinning_matches_scenario_arrays(taxonomy):
         u = int(rng.integers(50))
         site = cfg.sites[int(rng.integers(2))]
         src = int(rng.integers(1 - cfg.tau, cfg.epochs))
-        assert epoch_topic_draw(users[u], site, src, cfg, taxonomy) == log.truth_draw(site, u, src)
+        assert epoch_topic_draw(users[u], site, src, cfg, taxonomy) == log_truth_draw(log, site, u, src)
 
 
 def test_call_returns_tau_topics(taxonomy):
@@ -155,7 +155,7 @@ def test_object_api_agrees_with_scenario(taxonomy):
     log = run_scenario(users, cfg, taxonomy)
     for u in (0, 7, 19):
         for epoch in (1, 4, 6):
-            assert call_api(users[u], "wa", epoch, cfg, taxonomy) == log.result("wa", u, epoch)
+            assert call_api(users[u], "wa", epoch, cfg, taxonomy) == log_result(log, "wa", u, epoch)
 
 
 def test_slots_trace_to_truth_draws(taxonomy):
@@ -164,11 +164,11 @@ def test_slots_trace_to_truth_draws(taxonomy):
     log = run_scenario(users, cfg, taxonomy)
     for u in range(30):
         for epoch in range(1, 6):
-            res = log.result("wa", u, epoch)
+            res = log_result(log, "wa", u, epoch)
             sources = log.slot_sources[0, u, epoch - 1]
             assert sorted(sources) == list(range(epoch - 3, epoch))
             for slot, topic in enumerate(res.topics):
-                draw = log.truth_draw("wa", u, int(sources[slot]))
+                draw = log_truth_draw(log, "wa", u, int(sources[slot]))
                 assert draw.topic == topic
 
 
