@@ -15,6 +15,7 @@ Usage:
 from __future__ import annotations
 
 import argparse
+import resource
 import sys
 import time
 from pathlib import Path
@@ -27,6 +28,11 @@ from topicsim.simulator import SimConfig, run_scenario
 from topicsim.worlds import build_world, wide_pool_config
 
 REPORT_EPOCHS = (1, 2, 5, 10, 15, 20, 25, 30)
+
+
+def _peak_rss_mib() -> float:
+    """This process's peak resident set size so far (Linux reports KiB)."""
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 
 
 def main() -> None:
@@ -44,7 +50,7 @@ def main() -> None:
 
     summary = ["n_users,epoch,unique_rate,better_than_random_rate"]
     for n in args.sizes:
-        t0 = time.time()
+        t0 = time.perf_counter()
         world = build_world(wide_pool_config(n, seed=args.seed))
         cfg = SimConfig(epochs=args.epochs, sites=("wa.example", "wb.example"), seed=args.sim_seed)
         log = run_scenario(world.population, cfg, world.taxonomy)
@@ -64,7 +70,7 @@ def main() -> None:
             f"n={n}: epoch 1 unique={rep.unique_rate_at(epochs[0]):.3f}, "
             f"epoch {last} unique={rep.unique_rate_at(last):.3f} "
             f"(+{rep.better_than_random_at(last):.3f} better than random) "
-            f"[{time.time() - t0:.1f}s]"
+            f"[{time.perf_counter() - t0:.1f}s, peak RSS {_peak_rss_mib():.0f} MiB]"
         )
     (out_dir / "sweep_summary.csv").write_text("\n".join(summary) + "\n", encoding="utf-8")
     print(f"wrote {out_dir}/sweep_summary.csv")

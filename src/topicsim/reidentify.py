@@ -18,6 +18,8 @@ per-epoch `k,cdf` files.
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -103,52 +105,104 @@ def match_users(
 
 
 def _sets_to_matrix(profiles: Mapping[int, Iterable[int]], users: Sequence[int], omega: int) -> np.ndarray:
-    mat = np.zeros((len(users), omega + 1), dtype=np.float32)
+    mat = np.zeros((len(users), omega + 1), dtype=bool)
     for i, uid in enumerate(users):
         topics = list(profiles[uid])
         if topics:
-            mat[i, topics] = 1.0
+            mat[i, topics] = True
     return mat
 
 
-def _argmax_match(
-    a: np.ndarray, b: np.ndarray, block: int = 1024
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Argmax-overlap groups in both directions from one blocked A·Bᵀ product.
+# Sets of at most this many topics are matched by counting their 2^|S|
+# subsets; over 351 topic columns every such subset has an exact int64
+# key. Pairs involving a wider set are compared by a dense product.
+MAX_SUBSET_TOPICS = 10
 
-    Row i of `a` and row i of `b` are the same identity. Returns
-    `(k_ab, contains_ab, k_ba, contains_ba)`: group size and
-    self-containment for each A-side user matched against B (row
-    reductions of the product) and for each B-side user matched against
-    A (column reductions, merged across row blocks as a running max and
-    the count of entries at that max).
+
+def _argmax_match(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Argmax-overlap groups in both directions, by counting shared subsets.
+
+    Row i of the `(n, w)` 0/1 matrices `a` and `b` is the same identity.
+    Returns `(k_ab, contains_ab, k_ba, contains_ba)`: group size and
+    self-containment for each A-side user matched against B, and for
+    each B-side user matched against A. A user is in their own group when
+    their overlap with themselves is the maximum overlap.
     """
     n = a.shape[0]
     if b.shape[0] != n:
         raise ValueError(f"A has {n} users and B has {b.shape[0]}: matching needs the same users")
-    bt = b.T.copy()
-    k_ab = np.empty(n, dtype=np.int64)
-    contains_ab = np.empty(n, dtype=bool)
-    self_overlap = np.empty(n, dtype=np.float32)
-    col_max = np.full(n, -1.0, dtype=np.float32)  # below every overlap
-    k_ba = np.zeros(n, dtype=np.int64)
-    # One block buffer for all products: a fresh block per product would
-    # keep two blocks alive at each assignment.
-    buf = np.empty((min(block, n), n), dtype=np.float32)
-    for lo in range(0, n, block):
-        hi = min(lo + block, n)
-        overlap = np.matmul(a[lo:hi], bt, out=buf[: hi - lo])  # small ints, exact in float32
-        diag = overlap[np.arange(hi - lo), np.arange(lo, hi)]
-        self_overlap[lo:hi] = diag  # also the diagonal of columns lo..hi-1
-        mx = overlap.max(axis=1)
-        k_ab[lo:hi] = (overlap == mx[:, None]).sum(axis=1, dtype=np.int32)
-        contains_ab[lo:hi] = diag == mx
-        m_blk = overlap.max(axis=0)
-        c_blk = (overlap == m_blk).sum(axis=0, dtype=np.int32)
-        new = np.maximum(col_max, m_blk)
-        k_ba = k_ba * (col_max == new) + c_blk * (m_blk == new)
-        col_max = new
-    return k_ab, contains_ab, k_ba, self_overlap == col_max
+    a, b = np.asarray(a, dtype=bool), np.asarray(b, dtype=bool)
+    self_overlap = np.count_nonzero(a & b, axis=1)
+    m_ab, k_ab = _max_overlap_groups(a, b)
+    m_ba, k_ba = _max_overlap_groups(b, a)
+    return k_ab, self_overlap == m_ab, k_ba, self_overlap == m_ba
+
+
+def _max_overlap_groups(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's maximum overlap m with the rows of `y`, and how many reach it.
+
+    m is the largest j such that some j-subset of the row's set lies in
+    some set of `y`, and the count sums, over the m-subsets X of the row's
+    set, the sets of `y` that contain X (m = 0 counts every row of `y`).
+    Levels j are scanned downwards; a row leaves the scan at its first hit.
+    """
+    cap = MAX_SUBSET_TOPICS
+    while math.comb(x.shape[1], cap) >= 2**63:  # j-subset keys lie below C(w, j)
+        cap -= 1
+    # binom[t, i] = C(t, i). A j-subset's key is sum_i C(t_i, i + 1) over
+    # its ascending topic ids t_i: its rank among the j-subsets.
+    binom = np.array([[math.comb(t, i) for i in range(cap + 1)] for t in range(x.shape[1])], dtype=np.int64)
+    size_x, size_y = np.count_nonzero(x, axis=1), np.count_nonzero(y, axis=1)
+    queries, sets_y = _sets_by_size(x, size_x, cap), _sets_by_size(y, size_y, cap)
+    m = np.zeros(x.shape[0], dtype=np.int64)
+    k = np.full(x.shape[0], np.count_nonzero(size_y <= cap), dtype=np.int64)
+    for j in range(max(queries, default=0), 0, -1):
+        # The int64 maximum lies above every key, so `searchsorted` stays in the table.
+        keys = [_subset_keys(topics, j, binom).ravel() for s, (_, topics) in sets_y.items() if s >= j]
+        table, counts = np.unique(np.concatenate([*keys, [np.iinfo(np.int64).max]]), return_counts=True)
+        for s in [s for s in queries if s >= j]:
+            rows, topics = queries[s]
+            query = _subset_keys(topics, j, binom)
+            idx = np.searchsorted(table, query)
+            total = np.where(table[idx] == query, counts[idx], 0).sum(axis=1)
+            hit = total > 0
+            m[rows[hit]], k[rows[hit]] = j, total[hit]
+            queries[s] = rows[~hit], topics[~hit]
+    wide_x, wide_y = size_x > cap, size_y > cap
+    if wide_x.any():
+        m[wide_x], k[wide_x] = _dense_max_count(x[wide_x], y[~wide_y])
+    if wide_y.any():
+        m_wide, k_wide = _dense_max_count(x, y[wide_y])
+        best = np.maximum(m, m_wide)
+        m, k = best, k * (m == best) + k_wide * (m_wide == best)
+    return m, k
+
+
+def _sets_by_size(mat: np.ndarray, size: np.ndarray, cap: int) -> dict:
+    """`{s: (row ids, (rows, s) ascending topic ids)}` for rows of 1 to `cap` topics."""
+    topics = np.flatnonzero(mat) % mat.shape[1]  # row by row, ascending within a row
+    start = np.cumsum(size) - size
+    groups = {}
+    for s in np.unique(size[(size > 0) & (size <= cap)]).tolist():
+        rows = np.flatnonzero(size == s)
+        groups[s] = rows, topics[start[rows, None] + np.arange(s)]
+    return groups
+
+
+def _subset_keys(topics: np.ndarray, j: int, binom: np.ndarray) -> np.ndarray:
+    """Exact keys of every j-subset of each row of ascending topic ids."""
+    combos = np.array(list(itertools.combinations(range(topics.shape[1]), j)))
+    keys = np.zeros((len(topics), len(combos)), dtype=np.int64)
+    for i in range(j):
+        keys += binom[topics[:, combos[:, i]], i + 1]
+    return keys
+
+
+def _dense_max_count(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's maximum overlap with the rows of `y` and how many reach it; (-1, 0) if `y` is empty."""
+    overlap = x.astype(np.float32) @ y.T.astype(np.float32)  # small ints, exact in float32
+    mx = overlap.max(axis=1, initial=-1)
+    return mx.astype(np.int64), np.count_nonzero(overlap == mx[:, None], axis=1)
 
 
 @dataclass(frozen=True)
@@ -210,9 +264,11 @@ def run_reidentification(
     """Full two-site attack over an observation log (vectorized).
 
     Denoises both sites incrementally, accumulates sticky genuine sets,
-    and matches at each requested epoch in both directions (A against B
-    for the headline rates, B against A for the symmetry check) from one
-    product over the topic columns active on either side.
+    and matches the boolean sticky sets at each requested epoch in both
+    directions (A against B for the headline rates, B against A for the
+    symmetry check) with one `_argmax_match` call, whose cost grows with
+    the number of users and the subsets of their sets, not with their
+    pairs.
     """
     la, lb = log.site_view(site_a), log.site_view(site_b)
     omega = int(prev.counts.shape[0] - 1)
@@ -233,11 +289,7 @@ def run_reidentification(
         sticky_b |= eb.genuine_matrix()
         if epoch not in wanted:
             continue
-        # Topics neither side has labeled add nothing to any overlap.
-        act = sticky_a.any(axis=0) | sticky_b.any(axis=0)
-        a = sticky_a[:, act].astype(np.float32)
-        b = sticky_b[:, act].astype(np.float32)
-        k_ab, c_ab, k_ba, c_ba = _argmax_match(a, b)
+        k_ab, c_ab, k_ba, c_ba = _argmax_match(sticky_a, sticky_b)
         forward.append(MatchReport(epoch=epoch, k=k_ab, contains_truth=c_ab, n_users=la.n_users))
         reverse.append(MatchReport(epoch=epoch, k=k_ba, contains_truth=c_ba, n_users=lb.n_users))
     return reid_report(forward, reverse)

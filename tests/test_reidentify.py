@@ -1,7 +1,7 @@
 import hypothesis.strategies as st
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis.extra.numpy import arrays
 
 from conftest import make_profile
@@ -10,6 +10,7 @@ from topicsim.classification import PrevalenceTable
 from topicsim.denoiser import DenoiserConfig
 from topicsim.population import UserProfile
 from topicsim.reidentify import (
+    MAX_SUBSET_TOPICS,
     MatchReport,
     _argmax_match,
     match_users,
@@ -136,31 +137,62 @@ def test_match_report_validates_shapes():
 
 @st.composite
 def overlap_inputs(draw):
-    """Two 0/1 float32 matrices over the same users, rich in all-zero and repeated rows."""
+    """Two 0/1 matrices over the same users: empty, equal, 8-10-topic and over-cap rows.
+
+    `wide` names the sides that get rows over `MAX_SUBSET_TOPICS`, which
+    the matcher compares by its dense product.
+    """
+    wide = draw(st.sampled_from([(), ("a",), ("b",), ("a", "b")]))
     n = draw(st.integers(min_value=1, max_value=40))
-    width = draw(st.integers(min_value=0, max_value=8))
+    width = draw(st.integers(min_value=MAX_SUBSET_TOPICS + 1 if wide else 0, max_value=MAX_SUBSET_TOPICS + 4))
     rows = st.integers(min_value=0, max_value=n - 1)
     out = []
-    for _ in range(2):
+    for side in ("a", "b"):
         m = draw(arrays(np.bool_, (n, width)))
+        if side not in wide:
+            m[np.count_nonzero(m, axis=1) > MAX_SUBSET_TOPICS] = False
         for i in draw(st.lists(rows, max_size=3)):
             m[i] = False  # zero overlap with everyone: k = n
         for i, j in draw(st.lists(st.tuples(rows, rows), max_size=4)):
             m[i] = m[j]  # equal rows tie
-        out.append(m.astype(np.float32))
+        # Rows of 8 to 10 topics, or over the cap on a `wide` side, each
+        # also copied to a second row to tie with it.
+        sizes = (MAX_SUBSET_TOPICS + 1, width) if side in wide else (8, min(width, MAX_SUBSET_TOPICS))
+        if sizes[0] <= sizes[1]:
+            sized = st.tuples(rows, rows, st.integers(*sizes))
+            for i, j, size in draw(st.lists(sized, min_size=side in wide, max_size=3)):
+                m[i] = False
+                m[i, draw(st.permutations(range(width)))[:size]] = True
+                m[j] = m[i]
+        out.append(m)
     return tuple(out)
 
 
-@pytest.mark.parametrize("block", [1, 7, 1024])
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=400, deadline=None)
+@example((np.zeros((1, 0), bool), np.zeros((1, 0), bool)))
 @given(overlap_inputs())
-def test_argmax_match_both_directions_equal_one_way_oracle(block, mats):
+def test_argmax_match_both_directions_equal_one_way_oracle(mats):
     a, b = mats
-    k_ab, c_ab, k_ba, c_ba = _argmax_match(a, b, block=block)
-    ref_k_ab, ref_c_ab = argmax_match_one_way(a, b)
-    ref_k_ba, ref_c_ba = argmax_match_one_way(b, a)
+    k_ab, c_ab, k_ba, c_ba = _argmax_match(a, b)
+    fa, fb = a.astype(np.float32), b.astype(np.float32)
+    ref_k_ab, ref_c_ab = argmax_match_one_way(fa, fb)
+    ref_k_ba, ref_c_ba = argmax_match_one_way(fb, fa)
     assert np.array_equal(k_ab, ref_k_ab) and np.array_equal(c_ab, ref_c_ab)
     assert np.array_equal(k_ba, ref_k_ba) and np.array_equal(c_ba, ref_c_ba)
+
+
+def test_argmax_match_lowers_subset_cap_for_wide_topic_spaces():
+    # Over 2000 columns, 10-topic subset keys would overflow int64, so
+    # 8-10-topic rows must go to the dense product to stay exact.
+    rng = np.random.default_rng(3)
+    a = rng.random((30, 2000)) < 0.003
+    b = rng.random((30, 2000)) < 0.003
+    a[:6, :9] = True
+    b[4:10, 3:13] = True
+    got = _argmax_match(a, b)
+    fa, fb = a.astype(np.float32), b.astype(np.float32)
+    for g, want in zip(got, (*argmax_match_one_way(fa, fb), *argmax_match_one_way(fb, fa))):
+        assert np.array_equal(g, want)
 
 
 def test_argmax_match_needs_same_users():
