@@ -168,11 +168,15 @@ def overlap_inputs(draw):
     return tuple(out)
 
 
+@pytest.mark.parametrize("first_topic", [1, 7, 1024])
 @settings(max_examples=400, deadline=None)
-@example((np.zeros((1, 0), bool), np.zeros((1, 0), bool)))
-@given(overlap_inputs())
-def test_argmax_match_both_directions_equal_one_way_oracle(mats):
-    a, b = mats
+@example(mats=(np.zeros((1, 0), bool), np.zeros((1, 0), bool)))
+@given(mats=overlap_inputs())
+def test_argmax_match_both_directions_equal_one_way_oracle(first_topic, mats):
+    # Drawn topics start at column `first_topic`, as taxonomy ids start at 1.
+    # Past 1000 columns the subset cap falls to 7, so 8-10-topic rows on
+    # either side also go through the dense product.
+    a, b = (np.pad(m, ((0, 0), (first_topic, 0))) for m in mats)
     k_ab, c_ab, k_ba, c_ba = _argmax_match(a, b)
     fa, fb = a.astype(np.float32), b.astype(np.float32)
     ref_k_ab, ref_c_ab = argmax_match_one_way(fa, fb)
