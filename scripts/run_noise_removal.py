@@ -14,6 +14,7 @@ Usage:
 from __future__ import annotations
 
 import argparse
+import resource
 import sys
 import time
 from pathlib import Path
@@ -23,6 +24,11 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from topicsim.denoiser import DenoiserConfig, denoise_site_trajectory
 from topicsim.simulator import SimConfig, run_scenario
 from topicsim.worlds import aggressive_skew_config, build_world
+
+
+def _peak_rss_mib() -> float:
+    """This process's peak resident set size so far (Linux reports KiB)."""
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 
 
 def main() -> None:
@@ -35,7 +41,7 @@ def main() -> None:
     parser.add_argument("--out", default="noise_removal.csv")
     args = parser.parse_args()
 
-    t0 = time.time()
+    t0 = time.perf_counter()
     world = build_world(aggressive_skew_config(args.users, seed=args.seed))
     print(
         f"world: {args.users} users, {world.prevalence.total_domains} domains, "
@@ -64,7 +70,7 @@ def main() -> None:
                 f"tpr={m.tpr:.4f} fpr={m.fpr:.4f} "
                 f"recovered(min/med/max)={pt.min_recovered}/{pt.median_recovered:g}/{pt.max_recovered}"
             )
-    print(f"wrote {args.out} ({time.time() - t0:.1f}s)")
+    print(f"wrote {args.out} ({time.perf_counter() - t0:.1f}s, peak RSS {_peak_rss_mib():.0f} MiB)")
 
 
 if __name__ == "__main__":

@@ -105,21 +105,27 @@ class MultiShotEngine:
 
     Mirrors the object-level oracle `denoise_multi_shot` in
     `tests/reference.py` exactly (property-tested equivalence), keeping
-    (user, topic) state in dense arrays so 10k+ user populations stay
-    cheap. Feed calls epoch by epoch via observe_epoch, then read
-    genuine_matrix / recovered_sizes.
+    (user, topic) state in four dense `(n_users, omega + 1)` int16
+    arrays so 10k+ user populations stay cheap:
+
+    * `first_seen`: epoch of the first observation, 0 if never seen;
+    * `last_counted`: epoch of the last call counted as independent;
+    * `greedy_ev`: multiplicity summed over calls at least `gap` apart;
+    * `evidence`: max(greedy_ev, largest within-call multiplicity).
+
+    A topic is confirmed when `evidence >= 2`; `conf_count` holds the
+    per-user count of confirmed topics. Feed calls epoch by epoch via
+    observe_epoch, then read genuine_matrix / recovered_sizes.
     """
 
     def __init__(self, n_users: int, omega: int, prev: PrevalenceTable, config: DenoiserConfig):
         self.config = config
         self.omega = omega
-        self.n = n_users
         shape = (n_users, omega + 1)
         self.first_seen = np.zeros(shape, dtype=np.int16)
         self.last_counted = np.zeros(shape, dtype=np.int16)
         self.greedy_ev = np.zeros(shape, dtype=np.int16)
-        self.best_mult = np.zeros(shape, dtype=np.int16)
-        self.confirmed_at = np.zeros(shape, dtype=np.int16)
+        self.evidence = np.zeros(shape, dtype=np.int16)
         self.conf_count = np.zeros(n_users, dtype=np.int32)
         self.threshold_pass = prev.counts > config.threshold  # (omega + 1,)
         self.threshold_pass[0] = False
@@ -129,20 +135,18 @@ class MultiShotEngine:
         """call_topics: (n_users, slots) int topics, -1 for suppressed slots."""
         if epoch != self.current_epoch + 1:
             raise ValueError(f"epochs must be observed in order, got {epoch} after {self.current_epoch}")
+        if call_topics.size and call_topics.max() > self.omega:
+            raise ValueError(f"topic id {call_topics.max()} is above omega = {self.omega}")
         self.current_epoch = epoch
         n, slots = call_topics.shape
-        flat_u = np.repeat(np.arange(n), slots)
+        # Topic ids are at most omega, so u * (omega + 1) + t names one
+        # (user, topic) pair.
+        width = self.omega + 1
         flat_t = call_topics.ravel()
-        keep = flat_t >= 0
-        flat_u, flat_t = flat_u[keep], flat_t[keep].astype(np.int64)
-
-        order = np.lexsort((flat_t, flat_u))
-        u, t = flat_u[order], flat_t[order]
-        boundary = np.ones(len(u), dtype=bool)
-        boundary[1:] = (u[1:] != u[:-1]) | (t[1:] != t[:-1])
-        starts = np.nonzero(boundary)[0]
-        mult = np.diff(np.append(starts, len(u))).astype(np.int16)
-        gu, gt = u[starts], t[starts]
+        keys = np.repeat(np.arange(n, dtype=np.int64) * width, slots) + flat_t
+        keys, mult = np.unique(keys[flat_t >= 0], return_counts=True)
+        gu, gt = np.divmod(keys, width)
+        mult = mult.astype(np.int16)
 
         first = self.first_seen[gu, gt] == 0
         self.first_seen[gu[first], gt[first]] = epoch
@@ -153,60 +157,41 @@ class MultiShotEngine:
         self.last_counted[gu[countable], gt[countable]] = epoch
         self.greedy_ev[gu[countable], gt[countable]] += mult[countable]
 
-        self.best_mult[gu, gt] = np.maximum(self.best_mult[gu, gt], mult)
-
-        evidence = np.maximum(self.greedy_ev[gu, gt], self.best_mult[gu, gt])
-        newly = (self.confirmed_at[gu, gt] == 0) & (evidence >= 2)
-        self.confirmed_at[gu[newly], gt[newly]] = epoch
-        np.add.at(self.conf_count, gu[newly], 1)
-
-    def frozen_users(self) -> np.ndarray:
-        return self.conf_count >= self.config.T
+        # Greedy evidence and the largest multiplicity only grow, so the
+        # running maximum equals max(greedy, largest multiplicity).
+        before = self.evidence[gu, gt]
+        after = np.maximum(np.maximum(before, mult), self.greedy_ev[gu, gt])
+        self.evidence[gu, gt] = after
+        np.add.at(self.conf_count, gu[(before < 2) & (after >= 2)], 1)
 
     def recovered_sizes(self) -> np.ndarray:
         return np.minimum(self.conf_count, self.config.T)
 
-    def _demotions(self) -> list[tuple[int, np.ndarray]]:
-        """(user, demoted-topic-ids) for users with more than T confirmed.
+    def recovered_matrix(self) -> np.ndarray:
+        """Confirmed-genuine (user, topic) mask, capped at T by eviction.
 
-        Ranking: evidence, then the prevalence prior, then earliest first
+        Users with more than T confirmed topics keep the T best, ranked
+        by evidence, then the prevalence prior, then earliest first
         observation, then topic id.
         """
-        out = []
-        for uid in np.nonzero(self.conf_count > self.config.T)[0]:
-            topics = np.nonzero(self.confirmed_at[uid] > 0)[0]
-            ev = np.maximum(self.greedy_ev[uid, topics], self.best_mult[uid, topics])
-            rank = sorted(
-                range(len(topics)),
-                key=lambda i: (
-                    -ev[i],
-                    -int(self.threshold_pass[topics[i]]),
-                    self.first_seen[uid, topics[i]],
-                    topics[i],
-                ),
-            )
-            demoted = rank[self.config.T:]
-            if demoted:
-                out.append((int(uid), topics[np.asarray(demoted, dtype=np.int64)]))
-        return out
+        recovered = self.evidence >= 2
+        over = np.nonzero(self.conf_count > self.config.T)[0]
+        rows, t = np.nonzero(recovered[over])
+        u = over[rows]
+        order = np.lexsort((t, self.first_seen[u, t], ~self.threshold_pass[t], -self.evidence[u, t], u))
+        u, t = u[order], t[order]
+        rank = np.arange(u.size) - np.searchsorted(u, u)  # minus the user's segment offset
+        demoted = rank >= self.config.T
+        recovered[u[demoted], t[demoted]] = False
+        return recovered
 
     def genuine_matrix(self) -> np.ndarray:
         """Current (user, topic) genuine labels; unobserved topics are False."""
-        genuine = self.confirmed_at > 0
-        for uid, demoted in self._demotions():
-            genuine[uid, demoted] = False
+        genuine = self.recovered_matrix()
         if self.current_epoch <= self.config.gap:
-            observed = self.first_seen > 0
-            unfrozen = ~self.frozen_users()
-            genuine |= observed & self.threshold_pass[None, :] & unfrozen[:, None]
+            unfrozen = self.conf_count < self.config.T
+            genuine |= (self.first_seen > 0) & self.threshold_pass[None, :] & unfrozen[:, None]
         return genuine
-
-    def recovered_matrix(self) -> np.ndarray:
-        """Confirmed-genuine (user, topic) mask, capped at T by eviction."""
-        recovered = self.confirmed_at > 0
-        for uid, demoted in self._demotions():
-            recovered[uid, demoted] = False
-        return recovered
 
 
 @dataclass(frozen=True)

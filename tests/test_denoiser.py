@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
 from conftest import make_profile
@@ -218,32 +218,60 @@ calls_strategy = st.lists(
 )
 
 
+@st.composite
+def engine_cases(draw):
+    """tau plus one call list per user (1-4 users, equal epoch counts);
+    topic 0 in a draw stands for a suppressed slot (-1)."""
+    tau = draw(st.integers(min_value=1, max_value=4))
+    epochs = draw(st.integers(min_value=1, max_value=10))
+    slot = st.integers(min_value=0, max_value=30).map(lambda t: t or -1)
+    call = st.lists(slot, min_size=tau, max_size=tau)
+    user = st.lists(call, min_size=epochs, max_size=epochs)
+    return tau, draw(st.lists(user, min_size=1, max_size=4))
+
+
 @settings(max_examples=200, deadline=None)
 @given(
-    data=st.data(),
-    tau=st.integers(min_value=1, max_value=4),
+    case=engine_cases(),
     T=st.integers(min_value=1, max_value=6),
     threshold=st.sampled_from([0, 2, 3, 10, 49, 50]),
     aggressive=st.booleans(),
 )
-def test_engine_matches_object_denoiser(data, tau, T, threshold, aggressive):
+# Adjacent users both hold three confirmed topics over T = 2, and the
+# prevalence prior decides each eviction: ranking restarts per user.
+@example(
+    case=(2, [[[20, 20], [2, 2], [3, 3]], [[4, 4], [21, 21], [6, 6]]]),
+    T=2, threshold=10, aggressive=False,
+)
+def test_engine_matches_object_denoiser(case, T, threshold, aggressive):
+    tau, users = case
     counts = np.zeros(350, dtype=np.int64)
     counts[1:15] = 50
     counts[15:25] = 3
     prev = PrevalenceTable(counts=counts, total_domains=1000)
     cfg = DenoiserConfig(threshold=threshold, tau=tau, T=T, aggressive_gap_rule=aggressive)
-    calls = data.draw(st.lists(st.lists(topic_ids, min_size=tau, max_size=tau), min_size=1, max_size=10))
 
-    history = [res(topics, epoch=e + 1) for e, topics in enumerate(calls)]
-    outcome = denoise_multi_shot(history, prev, cfg)
+    engine = MultiShotEngine(len(users), 349, prev, cfg)
+    for e in range(len(users[0])):
+        engine.observe_epoch(e + 1, np.array([calls[e] for calls in users], dtype=np.int16))
+    genuine, recovered, sizes = engine.genuine_matrix(), engine.recovered_matrix(), engine.recovered_sizes()
 
-    engine = MultiShotEngine(1, 349, prev, cfg)
-    for e, topics in enumerate(calls):
-        engine.observe_epoch(e + 1, np.array([topics], dtype=np.int16))
-    genuine = set(np.nonzero(engine.genuine_matrix()[0])[0].tolist())
-    assert genuine == set(outcome.verdict.genuine_topics())
-    recovered = set(np.nonzero(engine.recovered_matrix()[0])[0].tolist())
-    assert recovered == set(outcome.recovered)
+    for u, calls in enumerate(users):
+        history = [res([t for t in topics if t >= 0], epoch=e + 1) for e, topics in enumerate(calls)]
+        outcome = denoise_multi_shot(history, prev, cfg)
+        assert set(np.nonzero(genuine[u])[0].tolist()) == set(outcome.verdict.genuine_topics()), u
+        assert set(np.nonzero(recovered[u])[0].tolist()) == set(outcome.recovered), u
+        assert sizes[u] == len(outcome.recovered), u
+
+
+def test_observe_epoch_rejects_topic_above_omega():
+    engine = MultiShotEngine(2, 349, prevalence_with(), DenoiserConfig())
+    with pytest.raises(ValueError, match="above omega"):
+        engine.observe_epoch(1, np.array([[1, 2, 3], [4, 350, -1]], dtype=np.int16))
+    assert engine.current_epoch == 0
+    # Any negative id is a suppressed slot.
+    engine.observe_epoch(1, np.array([[7, 7, -1], [-5, 349, 349]], dtype=np.int16))
+    assert np.nonzero(engine.recovered_matrix())[1].tolist() == [7, 349]
 
 
 @settings(max_examples=60, deadline=None)
@@ -255,7 +283,7 @@ def test_confirmed_set_monotone_in_history(calls):
     size_before = 0
     for e, topics in enumerate(calls):
         engine.observe_epoch(e + 1, np.array([topics], dtype=np.int16))
-        confirmed = engine.confirmed_at[0] > 0
+        confirmed = engine.evidence[0] >= 2
         assert np.all(confirmed[confirmed_before])  # never un-confirm
         size = int(engine.recovered_sizes()[0])
         assert size >= size_before
