@@ -52,6 +52,7 @@ def main() -> None:
     for n in args.sizes:
         t0 = time.perf_counter()
         world = build_world(wide_pool_config(n, seed=args.seed))
+        world_s = time.perf_counter() - t0
         cfg = SimConfig(epochs=args.epochs, sites=("wa.example", "wb.example"), seed=args.sim_seed)
         log = run_scenario(world.population, cfg, world.taxonomy)
         rep = run_reidentification(
@@ -70,7 +71,7 @@ def main() -> None:
             f"n={n}: epoch 1 unique={rep.unique_rate_at(epochs[0]):.3f}, "
             f"epoch {last} unique={rep.unique_rate_at(last):.3f} "
             f"(+{rep.better_than_random_at(last):.3f} better than random) "
-            f"[{time.perf_counter() - t0:.1f}s, peak RSS {_peak_rss_mib():.0f} MiB]"
+            f"[{time.perf_counter() - t0:.1f}s, world {world_s:.1f}s, peak RSS {_peak_rss_mib():.0f} MiB]"
         )
     (out_dir / "sweep_summary.csv").write_text("\n".join(summary) + "\n", encoding="utf-8")
     print(f"wrote {out_dir}/sweep_summary.csv")

@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -28,13 +27,13 @@ from .population import (
     DEFAULT_FIXED_TOP,
     RankedDomainList,
     build_total_order,
-    derive_top_profile,
     generate_population,
     load_bucket_file,
     load_count_histogram,
     load_rank_file,
     read_population,
     summarize_population,
+    top_profiles,
     write_population,
 )
 from .reidentify import run_reidentification
@@ -69,7 +68,7 @@ CONFIG_DEFAULTS: dict = {
     "profile_index": 0,             # which candidate the experiments use
     "seed": 0,
     "out": "out",
-    "workers": 0,                   # 0 = available cores
+    "workers": 0,                   # accepted, unused: no stage forks
 }
 
 
@@ -211,7 +210,6 @@ def cmd_generate(cfg: dict) -> int:
         int(cfg["n_users"]), order, traffic_model(world), counts, classification,
         seed=int(cfg["seed"]), T=int(cfg["T"]), taxonomy=taxonomy,
         profile_candidate=int(cfg["profile_index"]),
-        workers=int(cfg["workers"]),
     )
     out = _out_dir(cfg)
     n_candidates = int(cfg["profile_candidates"])
@@ -219,13 +217,12 @@ def cmd_generate(cfg: dict) -> int:
     if n_candidates > 1:
         # Alternative top-profiles under distinct sub-seeds; experiments
         # pick one via profile_index, downstream files carry them all.
-        extra = {
-            u.user_id: [
-                list(derive_top_profile(u, taxonomy, int(cfg["T"]), int(cfg["seed"]), candidate=c).top_profile)
-                for c in range(n_candidates)
-            ]
-            for u in users
-        }
+        per_candidate = [
+            top_profiles(users, taxonomy, int(cfg["T"]), int(cfg["seed"]), candidate=c)
+            for c in range(n_candidates)
+        ]
+        extra = {u.user_id: [list(p) for p in profiles]
+                 for u, profiles in zip(users, zip(*per_candidate))}
     write_population(users, out / "population.ndjson",
                      header=dict(file_header(cfg), population_hash=population_hash(cfg)),
                      candidates=extra)
@@ -404,7 +401,9 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p):
         p.add_argument("--config", help="flat JSON config file")
         p.add_argument("--seed", type=int, help="master seed (overrides config)")
-        p.add_argument("--workers", type=int, help="parallelism bound; 0 = available cores")
+        p.add_argument("--workers", type=int,
+                       help="accepted for older configs and scripts; no stage forks, "
+                            "and the value does not change any output")
         p.add_argument("--out", help="output directory (overrides config)")
 
     for name in ("generate", "simulate", "denoise", "reidentify", "analytics", "report"):
@@ -420,8 +419,6 @@ def main(argv: Optional[list[str]] = None) -> int:
     overrides = {"seed": args.seed, "workers": args.workers, "out": args.out}
     try:
         cfg = load_config(args.config, overrides)
-        if cfg["workers"] == 0:
-            cfg["workers"] = os.cpu_count() or 1
         handlers = {
             "generate": cmd_generate,
             "simulate": cmd_simulate,

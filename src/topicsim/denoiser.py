@@ -135,6 +135,11 @@ class MultiShotEngine:
         """call_topics: (n_users, slots) int topics, -1 for suppressed slots."""
         if epoch != self.current_epoch + 1:
             raise ValueError(f"epochs must be observed in order, got {epoch} after {self.current_epoch}")
+        if call_topics.ndim != 2 or call_topics.shape[0] != self.first_seen.shape[0]:
+            raise ValueError(
+                f"call_topics has shape {call_topics.shape}, expected one row per user "
+                f"({self.first_seen.shape[0]})"
+            )
         if call_topics.size and call_topics.max() > self.omega:
             raise ValueError(f"topic id {call_topics.max()} is above omega = {self.omega}")
         self.current_epoch = epoch

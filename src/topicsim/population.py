@@ -11,8 +11,13 @@ the union of the classification sets of the visited domains; the stable
 top-T interest profile samples uniformly from observed topics, padded
 with uniform taxonomy draws when fewer than T were observed.
 
-All sampling is keyed on (seed, user_id), so generation is reproducible
-and embarrassingly parallel.
+All sampling is keyed on (seed, tag, user_id, counter), so generation
+is reproducible and needs no generator state: users are drawn as arrays,
+one block of `POPULATION_BLOCK_USERS` at a time, each block's domain
+draws in rounds for the users still short of their count, its observed
+topics gathered from a domain->topic CSR, and its profiles picked by one
+segmented sort of keyed uniforms. The result does not depend on the
+block size.
 
 File formats: rank-bucket CSV `origin,rank_bucket`; rank list CSV
 `rank,domain`; count-histogram CSV `unique_domain_count,user_fraction`;
@@ -23,13 +28,14 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import itertools
 import json
 import logging
 import math
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
-from typing import IO, Iterable, Mapping, Optional, Sequence, Union
+from typing import IO, Callable, Iterable, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
@@ -70,10 +76,6 @@ class RankedDomainList:
 
     def __len__(self) -> int:
         return len(self.domains)
-
-    def position(self, domain: str) -> int:
-        """1-based total-order position."""
-        return self.domains.index(domain) + 1
 
 
 # --- eTLD+1 ------------------------------------------------------------
@@ -362,36 +364,110 @@ class UserProfile:
         )
 
 
-def _sample_distinct_domains(
-    k: int, cdf: np.ndarray, seed: int, user_id: int
-) -> list[int]:
-    """k distinct positions, traffic-weighted.
+# Users per block of array draws in `generate_population` and
+# `top_profiles`; bounds the size of the draw temporaries.
+POPULATION_BLOCK_USERS = 1024
 
-    Draws with replacement and keeps first occurrences, which realizes
-    successive weighted sampling without replacement.
+
+def _segment_ranks(rows: np.ndarray) -> np.ndarray:
+    """Position of each entry inside its run of equal adjacent `rows`."""
+    starts = np.flatnonzero(np.r_[True, rows[1:] != rows[:-1]])
+    lengths = np.diff(np.r_[starts, rows.size])
+    return np.arange(rows.size) - np.repeat(starts, lengths)
+
+
+def _distinct_draws(
+    need: np.ndarray,
+    batch: Callable[[np.ndarray], np.ndarray],
+    draw: Callable[[int, np.ndarray, np.ndarray], np.ndarray],
+    width: int,
+    taken: Optional[np.ndarray] = None,
+) -> np.ndarray:
+    """The first `need[r]` new values of each row's keyed draw stream.
+
+    Round c asks `draw(c, rows, j)` for `batch(short)` values of every
+    row still `short` of its need, j counting from 0 inside the row. It
+    keeps the first occurrence of each (row, value) that is not in
+    `taken` or already chosen, and of those a row's first `short`, so
+    each row gets exactly what a scalar draw-and-skip loop would.
+    Returns the chosen pairs as keys row * width + value, sorted.
     """
-    chosen: dict[int, None] = {}
+    need = np.asarray(need, dtype=np.int64).copy()
+    seen = np.zeros(0, dtype=np.int64) if taken is None else taken
+    start = seen.size
+    rows = np.flatnonzero(need > 0)
     counter = 0
-    m = len(cdf)
-    while len(chosen) < k:
-        batch = max(2 * (k - len(chosen)), 16)
-        u = rng.counter_stream(batch, seed, rng.TAG_DOMAIN_PICK, user_id, counter)
+    while rows.size:
+        r = np.repeat(rows, batch(need[rows]))
+        keys = r * width + draw(counter, r, _segment_ranks(r))
+        _, first = np.unique(keys, return_index=True)
+        first.sort()
+        first = first[~np.isin(keys[first], seen)]
+        keep = first[_segment_ranks(r[first]) < need[r[first]]]
+        seen = np.concatenate([seen, keys[keep]])
+        need -= np.bincount(r[keep], minlength=need.size)
+        rows = rows[need[rows] > 0]
         counter += 1
-        for idx in np.searchsorted(cdf, u, side="right"):
-            if len(chosen) == k:
-                break
-            chosen.setdefault(min(int(idx), m - 1))
-    return list(chosen)
+    return np.sort(seen[start:])
 
 
-def derive_top_profile(
-    user: UserProfile,
+def _profile_keys(
+    uids: np.ndarray,
+    observed: np.ndarray,
+    width: int,
+    all_ids: np.ndarray,
+    T: int,
+    seed: int,
+    candidate: int,
+) -> np.ndarray:
+    """Top-T profile keys row * width + topic, sorted, for users `uids`.
+
+    `observed` holds each row's observed topics as sorted keys. A user's
+    picks are its T observed topics of lowest keyed uniform (ties by
+    position in the sorted list), a keyed permutation; users with fewer
+    than T observed topics are padded with distinct uniform taxonomy
+    draws from the fill stream.
+    """
+    if not 0 <= candidate < 10:
+        raise PopulationError(f"candidate index must be in [0, 10), got {candidate}")
+    rows = observed // width
+    j = _segment_ranks(rows)
+    order = np.lexsort((j, rng.uniform(seed, rng.TAG_PROFILE, uids[rows], candidate, j), rows))
+    picks = observed[order[_segment_ranks(rows[order]) < T]]
+    short = np.maximum(T - np.bincount(rows, minlength=uids.size), 0)
+
+    def fill(counter, r, jj):
+        u = rng.uniform(seed, rng.TAG_PROFILE_FILL, uids[r], candidate, counter, jj)
+        return all_ids[(u * all_ids.size).astype(np.int64)]
+
+    padding = _distinct_draws(short, lambda s: np.full_like(s, 16), fill, width, taken=observed)
+    return np.sort(np.concatenate([picks, padding]))
+
+
+def _split(keys: np.ndarray, width: int, n_rows: int, values: np.ndarray) -> list[list]:
+    """Per-row lists of the objects `values[key % width]`, for sorted keys."""
+    rows, rest = np.divmod(keys, width)
+    bounds = np.searchsorted(rows, np.arange(n_rows + 1)).tolist()
+    flat = values[rest].tolist()
+    return [flat[a:b] for a, b in zip(bounds, bounds[1:])]
+
+
+def _topic_ids(taxonomy: Taxonomy, topics: np.ndarray) -> tuple[np.ndarray, int, np.ndarray]:
+    """Taxonomy ids, the key width over them and `topics`, and one shared
+    int object per id below that width, so users do not each hold copies."""
+    all_ids = np.asarray(taxonomy.ids(), dtype=np.int64)
+    width = int(max(all_ids.max(initial=0), topics.max(initial=0))) + 1
+    return all_ids, width, np.arange(width).astype(object)
+
+
+def top_profiles(
+    users: Sequence[UserProfile],
     taxonomy: Taxonomy,
     T: int,
     seed: int,
     candidate: int = 0,
-) -> UserProfile:
-    """Fill in the stable top-T profile for a user.
+) -> list[tuple[int, ...]]:
+    """Stable top-T profile of each user, as `generate_population` draws it.
 
     Uniform sample of T distinct observed topics; when fewer than T were
     observed, the remainder is drawn uniformly (distinct) from the
@@ -399,56 +475,19 @@ def derive_top_profile(
     selects one of up to 10 alternative profiles under distinct
     sub-seeds.
     """
-    if not 0 <= candidate < 10:
-        raise PopulationError(f"candidate index must be in [0, 10), got {candidate}")
-    observed = sorted(user.observed_topics)
-    picks: list[int] = []
-    if observed:
-        perm = rng.permutation(len(observed), seed, rng.TAG_PROFILE, user.user_id, candidate)
-        picks = [observed[i] for i in perm[:T]]
-    if len(picks) < T:
-        all_ids = taxonomy.ids()
-        counter = 0
-        have = set(picks)
-        while len(picks) < T:
-            u = rng.counter_stream(16, seed, rng.TAG_PROFILE_FILL, user.user_id, candidate, counter)
-            counter += 1
-            for tid in (np.asarray(all_ids)[(u * len(all_ids)).astype(np.int64)]):
-                tid = int(tid)
-                if len(picks) >= T:
-                    break
-                if tid not in have:
-                    have.add(tid)
-                    picks.append(tid)
-    return UserProfile(
-        user_id=user.user_id,
-        visited_domains=user.visited_domains,
-        observed_topics=user.observed_topics,
-        top_profile=tuple(sorted(picks)),
-    )
-
-
-# Shared state for fork-based worker processes; set just before forking.
-_FORK_STATE: dict = {}
-
-
-def _build_user(uid: int, k: int) -> UserProfile:
-    st = _FORK_STATE
-    positions = _sample_distinct_domains(k, st["cdf"], st["seed"], uid)
-    domains = st["domains"]
-    topic_lookup = st["topic_lookup"]
-    visited = frozenset(domains[i] for i in positions)
-    observed = frozenset().union(*(topic_lookup[i] for i in positions)) if positions else frozenset()
-    base = UserProfile(uid, visited, observed, top_profile=())
-    if st["taxonomy"] is None:
-        return base
-    return derive_top_profile(base, st["taxonomy"], st["T"], st["seed"], candidate=st["candidate"])
-
-
-def _build_chunk(bounds: tuple[int, int]) -> list[UserProfile]:
-    lo, hi = bounds
-    ks = _FORK_STATE["ks"]
-    return [_build_user(uid, int(ks[uid])) for uid in range(lo, hi)]
+    out: list[tuple[int, ...]] = []
+    for lo in range(0, len(users), POPULATION_BLOCK_USERS):
+        block = users[lo:lo + POPULATION_BLOCK_USERS]
+        uids = np.array([u.user_id for u in block], dtype=np.int64)
+        sizes = [len(u.observed_topics) for u in block]
+        topics = np.fromiter(
+            (t for u in block for t in sorted(u.observed_topics)), dtype=np.int64, count=sum(sizes)
+        )
+        all_ids, width, topic_objs = _topic_ids(taxonomy, topics)
+        observed = np.repeat(np.arange(len(block), dtype=np.int64) * width, sizes) + topics
+        keys = _profile_keys(uids, observed, width, all_ids, T, seed, candidate)
+        out.extend(map(tuple, _split(keys, width, len(block), topic_objs)))
+    return out
 
 
 def generate_population(
@@ -459,16 +498,20 @@ def generate_population(
     classification: DomainClassification,
     seed: int,
     T: int = 5,
-    taxonomy: Optional[Taxonomy] = None,
+    *,
+    taxonomy: Taxonomy,
     profile_candidate: int = 0,
-    workers: int = 1,
 ) -> list[UserProfile]:
     """Generate n users with visited domains, observed topics, and top-T profiles.
 
-    Deterministic for a fixed seed; per-user substreams are keyed on
-    (seed, user_id), so any partition of users across workers yields
-    identical results (users are reassembled in user_id order). Counts
-    exceeding the list length are clamped (logged).
+    Deterministic for a fixed seed. Every draw is keyed on (seed, tag,
+    user_id, counter), so users are drawn as arrays, one block of
+    `POPULATION_BLOCK_USERS` at a time, and the result does not depend
+    on the block size. A user's domains are its first k distinct
+    traffic-weighted positions, drawn with replacement in rounds of
+    max(2 * short, 16) keyed uniforms; first occurrences realize
+    successive weighted sampling without replacement. Counts exceeding
+    the list length are clamped (logged).
     """
     if n < 1:
         raise PopulationError(f"population size must be >= 1, got {n}")
@@ -480,29 +523,42 @@ def generate_population(
         logger.warning("clamped unique-domain count to %d for %d of %d users", m, clamped, n)
     ks = np.minimum(ks, m)
 
-    _FORK_STATE.update(
-        cdf=cdf,
-        seed=seed,
-        domains=order.domains,
-        topic_lookup=[classification.topics_of(d) for d in order.domains],
-        taxonomy=taxonomy,
-        T=T,
-        candidate=profile_candidate,
-        ks=ks,
-    )
-    try:
-        import multiprocessing as mp
+    # Domain -> topic CSR over total-order positions.
+    topic_sets = [classification.topics_of(d) for d in order.domains]
+    indptr = np.zeros(m + 1, dtype=np.int64)
+    np.cumsum([len(ts) for ts in topic_sets], out=indptr[1:])
+    flat = np.fromiter(itertools.chain.from_iterable(topic_sets), dtype=np.int64, count=int(indptr[-1]))
+    domains = np.array(order.domains, dtype=object)
+    all_ids, width, topic_objs = _topic_ids(taxonomy, flat)
 
-        use_fork = workers > 1 and n >= 4 * workers and "fork" in mp.get_all_start_methods()
-        if use_fork:
-            step = -(-n // workers)
-            bounds = [(lo, min(lo + step, n)) for lo in range(0, n, step)]
-            with mp.get_context("fork").Pool(processes=workers) as pool:
-                chunks = pool.map(_build_chunk, bounds)
-            return [u for chunk in chunks for u in chunk]
-        return _build_chunk((0, n))
-    finally:
-        _FORK_STATE.clear()
+    users: list[UserProfile] = []
+    for lo in range(0, n, POPULATION_BLOCK_USERS):
+        uids = np.arange(lo, min(lo + POPULATION_BLOCK_USERS, n), dtype=np.int64)
+
+        def pick(counter, r, j):
+            u = rng.uniform(seed, rng.TAG_DOMAIN_PICK, uids[r], counter, j)
+            return np.minimum(np.searchsorted(cdf, u, side="right"), m - 1)
+
+        visits = _distinct_draws(ks[uids], lambda short: np.maximum(2 * short, 16), pick, m)
+        rows, pos = np.divmod(visits, m)
+        lens = indptr[pos + 1] - indptr[pos]
+        starts = np.repeat(indptr[pos] - (np.cumsum(lens) - lens), lens)
+        observed = np.unique(
+            np.repeat(rows * width, lens) + flat[starts + np.arange(starts.size)]
+        )
+        profiles = _profile_keys(uids, observed, width, all_ids, T, seed, profile_candidate)
+        # A frozenset made from a dict sizes its hash table once, for the
+        # final count; made from a list it grows fourfold as it fills.
+        users.extend(
+            UserProfile(uid, frozenset(dict.fromkeys(v)), frozenset(dict.fromkeys(o)), tuple(p))
+            for uid, v, o, p in zip(
+                uids.tolist(),
+                _split(visits, m, uids.size, domains),
+                _split(observed, width, uids.size, topic_objs),
+                _split(profiles, width, uids.size, topic_objs),
+            )
+        )
+    return users
 
 
 def write_population(

@@ -3,6 +3,9 @@
 Each one is the plain, earlier form of a package routine, kept here so a
 faster rewrite can be checked for equal results:
 
+* `generate_population_reference` (one user at a time, from the scalar
+  draw loops `_sample_distinct_domains` and `derive_top_profile`) checks
+  `population.generate_population` and `population.top_profiles`;
 * `call_api` (one API call from per-epoch `epoch_topic_draw`s) with
   `ApiResult`, `log_result` and `log_truth_draw` (object views of an
   `ObservationLog`) checks `simulator.run_scenario`;
@@ -30,12 +33,112 @@ from typing import Iterable, Mapping, Optional, Sequence, Union
 import numpy as np
 
 from topicsim import rng
-from topicsim.classification import PrevalenceTable
+from topicsim.classification import DomainClassification, PrevalenceTable
 from topicsim.denoiser import DenoiseMetrics, DenoiserConfig, MultiShotEngine
-from topicsim.population import UserProfile
+from topicsim.population import (
+    PopulationError,
+    RankedDomainList,
+    TrafficModel,
+    UniqueDomainCountModel,
+    UserProfile,
+)
 from topicsim.reidentify import MatchReport, ReidReport, reid_report
 from topicsim.simulator import EpochDraw, ObservationLog, SimConfig, SiteLog, epoch_topic_draw
 from topicsim.taxonomy import Taxonomy
+
+
+# --- population --------------------------------------------------------------
+
+
+def _sample_distinct_domains(
+    k: int, cdf: np.ndarray, seed: int, user_id: int
+) -> list[int]:
+    """k distinct positions, traffic-weighted.
+
+    Draws with replacement and keeps first occurrences, which realizes
+    successive weighted sampling without replacement.
+    """
+    chosen: dict[int, None] = {}
+    counter = 0
+    m = len(cdf)
+    while len(chosen) < k:
+        batch = max(2 * (k - len(chosen)), 16)
+        u = rng.counter_stream(batch, seed, rng.TAG_DOMAIN_PICK, user_id, counter)
+        counter += 1
+        for idx in np.searchsorted(cdf, u, side="right"):
+            if len(chosen) == k:
+                break
+            chosen.setdefault(min(int(idx), m - 1))
+    return list(chosen)
+
+
+def derive_top_profile(
+    user: UserProfile,
+    taxonomy: Taxonomy,
+    T: int,
+    seed: int,
+    candidate: int = 0,
+) -> UserProfile:
+    """Fill in the stable top-T profile for a user.
+
+    Uniform sample of T distinct observed topics; when fewer than T were
+    observed, the remainder is drawn uniformly (distinct) from the
+    taxonomy, mirroring the noise mechanism's padding. `candidate`
+    selects one of up to 10 alternative profiles under distinct
+    sub-seeds.
+    """
+    if not 0 <= candidate < 10:
+        raise PopulationError(f"candidate index must be in [0, 10), got {candidate}")
+    observed = sorted(user.observed_topics)
+    picks: list[int] = []
+    if observed:
+        perm = rng.permutation(len(observed), seed, rng.TAG_PROFILE, user.user_id, candidate)
+        picks = [observed[i] for i in perm[:T]]
+    if len(picks) < T:
+        all_ids = taxonomy.ids()
+        counter = 0
+        have = set(picks)
+        while len(picks) < T:
+            u = rng.counter_stream(16, seed, rng.TAG_PROFILE_FILL, user.user_id, candidate, counter)
+            counter += 1
+            for tid in (np.asarray(all_ids)[(u * len(all_ids)).astype(np.int64)]):
+                tid = int(tid)
+                if len(picks) >= T:
+                    break
+                if tid not in have:
+                    have.add(tid)
+                    picks.append(tid)
+    return UserProfile(
+        user_id=user.user_id,
+        visited_domains=user.visited_domains,
+        observed_topics=user.observed_topics,
+        top_profile=tuple(sorted(picks)),
+    )
+
+
+def generate_population_reference(
+    n: int,
+    order: RankedDomainList,
+    traffic: TrafficModel,
+    counts: UniqueDomainCountModel,
+    classification: DomainClassification,
+    seed: int,
+    T: int,
+    taxonomy: Taxonomy,
+    profile_candidate: int = 0,
+) -> list[UserProfile]:
+    """`generate_population`, one user at a time."""
+    m = len(order)
+    cdf = np.cumsum(traffic.weights(m))
+    ks = np.minimum(counts.sample(n, seed), m)
+    users = []
+    for uid in range(n):
+        positions = _sample_distinct_domains(int(ks[uid]), cdf, seed, uid)
+        visited = frozenset(order.domains[i] for i in positions)
+        observed = frozenset().union(*(classification.topics_of(order.domains[i]) for i in positions))
+        base = UserProfile(uid, visited, observed, top_profile=())
+        users.append(derive_top_profile(base, taxonomy, T, seed, candidate=profile_candidate))
+    return users
 
 
 # --- simulator ---------------------------------------------------------------

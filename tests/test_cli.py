@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from reference import write_log_ndjson_reference, write_truth_ndjson_reference
+from reference import derive_top_profile, write_log_ndjson_reference, write_truth_ndjson_reference
 from topicsim.cli import (
     CONFIG_DEFAULTS,
     _resolve_classification,
@@ -112,6 +112,27 @@ def test_workers_flag_does_not_change_outputs(tiny_config):
     one = (out / "population.ndjson").read_bytes()
     run_cli("generate", "--config", cfg, "--workers", 2)
     assert (out / "population.ndjson").read_bytes() == one
+
+
+def test_profile_candidates_match_oracle(tmp_path):
+    base = {"n_users": 40, "n_domains": 2000, "T": 5, "seed": 3, "profile_candidates": 3}
+    records = {}
+    for index in (0, 2):
+        cfg = tmp_path / f"c{index}.json"
+        cfg.write_text(json.dumps(dict(base, profile_index=index, out=str(tmp_path / f"o{index}"))))
+        assert run_cli("generate", "--config", cfg) == 0
+        lines = (tmp_path / f"o{index}" / "population.ndjson").read_text().splitlines()
+        records[index] = [json.loads(line) for line in lines[1:]]
+    taxonomy = bundled_taxonomy()
+    for record, user in zip(records[0], read_population(tmp_path / "o0" / "population.ndjson")):
+        assert record["top_profile_candidates"] == [
+            list(derive_top_profile(user, taxonomy, 5, 3, candidate=c).top_profile) for c in range(3)
+        ]
+    for zero, two in zip(records[0], records[2]):
+        assert two["top_profile_candidates"] == zero["top_profile_candidates"]
+        assert zero["top_profile"] == zero["top_profile_candidates"][0]
+        assert two["top_profile"] == zero["top_profile_candidates"][2]
+    assert any(z["top_profile"] != t["top_profile"] for z, t in zip(records[0], records[2]))
 
 
 def test_unknown_config_key_rejected(tmp_path, capsys):

@@ -274,6 +274,17 @@ def test_observe_epoch_rejects_topic_above_omega():
     assert np.nonzero(engine.recovered_matrix())[1].tolist() == [7, 349]
 
 
+@pytest.mark.parametrize("rows", [1, 4])
+def test_observe_epoch_rejects_row_count_mismatch(rows):
+    engine = MultiShotEngine(3, 349, prevalence_with(), DenoiserConfig())
+    with pytest.raises(ValueError, match="one row per user"):
+        engine.observe_epoch(1, np.full((rows, 3), 5, dtype=np.int16))
+    assert engine.current_epoch == 0
+    # The refused epoch can still be fed correctly.
+    engine.observe_epoch(1, np.array([[5, 5, 5], [-1, -1, -1], [9, 9, -1]], dtype=np.int16))
+    assert engine.current_epoch == 1
+    assert np.nonzero(engine.recovered_matrix())[1].tolist() == [5, 9]
+
 @settings(max_examples=60, deadline=None)
 @given(calls_strategy)
 def test_confirmed_set_monotone_in_history(calls):

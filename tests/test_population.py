@@ -1,10 +1,15 @@
 import io
 import math
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
 
+from reference import derive_top_profile, generate_population_reference
+from topicsim import population
 from topicsim.classification import DomainClassification
+from topicsim.taxonomy import Taxonomy, Topic
 from topicsim.population import (
     DEFAULT_FIXED_TOP,
     PopulationError,
@@ -13,7 +18,6 @@ from topicsim.population import (
     UniqueDomainCountModel,
     UserProfile,
     build_total_order,
-    derive_top_profile,
     etld_plus_one,
     generate_population,
     load_bucket_file,
@@ -21,6 +25,7 @@ from topicsim.population import (
     load_rank_file,
     read_population,
     summarize_population,
+    top_profiles,
     write_population,
 )
 
@@ -213,13 +218,81 @@ def test_generate_observed_topics_are_union(taxonomy):
         assert u.observed_topics == expected
 
 
-def test_generate_deterministic_and_worker_independent(taxonomy):
+def test_generate_deterministic_and_block_size_independent(taxonomy, monkeypatch):
     order, traffic, cls = tiny_world(taxonomy)
     counts = UniqueDomainCountModel(mu=math.log(6), sigma=0.5, minimum=1, maximum=30)
     one = generate_population(200, order, traffic, counts, cls, seed=8, taxonomy=taxonomy)
     two = generate_population(200, order, traffic, counts, cls, seed=8, taxonomy=taxonomy)
-    forked = generate_population(200, order, traffic, counts, cls, seed=8, taxonomy=taxonomy, workers=2)
-    assert one == two == forked
+    assert one == two
+    for block in (1, 7):
+        monkeypatch.setattr(population, "POPULATION_BLOCK_USERS", block)
+        assert generate_population(200, order, traffic, counts, cls, seed=8, taxonomy=taxonomy) == one
+        assert top_profiles(one, taxonomy, T=5, seed=8, candidate=3) == [
+            derive_top_profile(u, taxonomy, T=5, seed=8, candidate=3).top_profile for u in one
+        ]
+
+
+@st.composite
+def generation_cases(draw):
+    m = draw(st.integers(1, 40))
+    # Topic ids from a small range so that some users observe fewer
+    # than T topics; an empty set is a domain classified only Unknown.
+    entries = {
+        f"d{i}.example": draw(st.frozensets(st.integers(1, 12), max_size=3)) for i in range(m)
+    }
+    if draw(st.booleans()):
+        counts = UniqueDomainCountModel(
+            mu=math.log(draw(st.sampled_from([2, 6, 15]))), sigma=0.6,
+            minimum=1, maximum=draw(st.sampled_from([5, 60])),
+        )
+    else:
+        support = tuple(sorted(draw(st.sets(st.integers(1, 60), min_size=1, max_size=4))))
+        counts = UniqueDomainCountModel(
+            kind="empirical-histogram", support=support,
+            probabilities=tuple(1.0 / len(support) for _ in support),
+        )
+    return dict(
+        n=draw(st.sampled_from([1, 1023, 1024, 1025, 2049])),
+        order=RankedDomainList(tuple(entries)),
+        traffic=TrafficModel(exponent=draw(st.sampled_from([0.0, 0.7, 1.0]))),
+        counts=counts,
+        classification=DomainClassification(entries),
+        seed=draw(st.integers(0, 2**32)),
+        T=draw(st.integers(1, 6)),
+        profile_candidate=draw(st.integers(0, 9)),
+    )
+
+
+# Six topics, no more than the largest T drawn, so the fill stream
+# often redraws held topics and needs further rounds.
+SMALL_TAXONOMY = Taxonomy(Topic(i, f"/t{i}", None) for i in range(1, 7))
+
+# Each user visits one domain, mostly an unclassified one, so with T = 6
+# on six topics nearly every profile comes whole from the fill stream.
+ONE_DOMAIN_EACH = dict(
+    n=1025,
+    order=RankedDomainList(("d0.example", "d1.example", "d2.example")),
+    traffic=TrafficModel(exponent=1.0),
+    counts=UniqueDomainCountModel(kind="empirical-histogram", support=(1,), probabilities=(1.0,)),
+    classification=DomainClassification({"d0.example": (), "d1.example": (), "d2.example": (3,)}),
+    seed=5,
+    T=6,
+    profile_candidate=9,
+)
+
+
+@settings(max_examples=12, deadline=None)
+@given(generation_cases(), st.booleans())
+@example(ONE_DOMAIN_EACH, True)
+def test_generate_matches_per_user_oracle(taxonomy, case, small):
+    taxonomy = SMALL_TAXONOMY if small else taxonomy
+    got = generate_population(**case, taxonomy=taxonomy)
+    assert got == generate_population_reference(**case, taxonomy=taxonomy)
+    other = (case["profile_candidate"] + 1) % 10
+    assert top_profiles(got, taxonomy, case["T"], case["seed"], candidate=other) == [
+        derive_top_profile(u, taxonomy, case["T"], case["seed"], candidate=other).top_profile
+        for u in got
+    ]
 
 
 def test_generate_clamps_counts_to_list_length(taxonomy, caplog):
@@ -260,6 +333,8 @@ def test_profile_candidate_range(taxonomy):
     user = UserProfile(2, frozenset(), frozenset({1}), ())
     with pytest.raises(PopulationError):
         derive_top_profile(user, taxonomy, T=5, seed=3, candidate=10)
+    with pytest.raises(PopulationError):
+        top_profiles([user], taxonomy, T=5, seed=3, candidate=10)
 
 
 def test_population_ndjson_roundtrip(tmp_path, taxonomy):
