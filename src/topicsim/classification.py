@@ -188,9 +188,6 @@ class SkewSpec:
 
 SKEW_TOLERANCE = 0.10  # relative tolerance on top_fraction and median
 
-_PLACE_HEAD, _PLACE_MID, _PLACE_TAIL = 0, 1, 2
-
-
 def _target_counts(
     omega: int,
     n_domains: int,
@@ -198,16 +195,14 @@ def _target_counts(
     seed: int,
     head_topics: Optional[int],
     head_floor: Optional[int],
-    mid_topics: int,
-    mid_count_range: tuple[int, int],
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Per-rank domain counts plus a placement class per rank.
+    """Per-rank domain counts plus a head mask per rank.
 
     With head_topics=None the exponent is fitted so the power law passes
-    through the median position (a plain fitted power law). With an
-    explicit head size the power law is truncated onto bands: an optional
-    mid band of moderately prevalent topics, then a floor band jittered
-    around the median target. Returns (counts desc, placement classes).
+    through the median position (a plain fitted power law), and the head
+    is the ranks above max(10, median). With an explicit head size the
+    power law is truncated onto a floor band jittered around the median
+    target. Returns (counts desc, head mask).
     """
     n_nonzero = omega - spec.zero_topics
     c1 = max(1, round(spec.top_fraction * n_domains))
@@ -219,29 +214,20 @@ def _target_counts(
     m = max(1.0, spec.median)
 
     ranks = np.arange(1, n_nonzero + 1, dtype=float)
-    placement = np.full(n_nonzero, _PLACE_TAIL, dtype=np.int8)
     if head_topics is None:
         alpha = math.log(c1 / m) / math.log(median_rank) if median_rank > 1 else 1.0
         counts = np.maximum(1, np.round(c1 * ranks**-alpha)).astype(np.int64)
-        placement[counts > max(10, spec.median)] = _PLACE_HEAD
+        is_head = counts > max(10, spec.median)
     else:
         head = max(1, min(head_topics, n_nonzero - 1))
-        mid = max(0, min(mid_topics, n_nonzero - head - 1))
         floor_level = head_floor if head_floor is not None else max(2, round(2 * m))
         alpha = math.log(c1 / floor_level) / math.log(head) if head > 1 else 1.0
         counts = np.maximum(1, np.round(c1 * ranks**-alpha)).astype(np.int64)
-        placement[:head] = _PLACE_HEAD
-        if mid:
-            lo, hi = mid_count_range
-            jitter = rng.counter_stream(mid, seed, rng.TAG_SYNTH_CLASSIFICATION, 0x31D)
-            counts[head:head + mid] = lo + np.floor(jitter * (hi - lo + 1)).astype(np.int64)
-            placement[head:head + mid] = _PLACE_MID
-        tail_start = head + mid
-        tail = n_nonzero - tail_start
-        jitter = rng.counter_stream(tail, seed, rng.TAG_SYNTH_CLASSIFICATION, 0xBAD)
+        is_head = np.arange(n_nonzero) < head
+        jitter = rng.counter_stream(n_nonzero - head, seed, rng.TAG_SYNTH_CLASSIFICATION, 0xBAD)
         lo = max(1, round(0.5 * m))
         hi = max(lo + 1, round(1.5 * m))
-        counts[tail_start:] = lo + np.floor(jitter * (hi - lo + 1)).astype(np.int64)
+        counts[head:] = lo + np.floor(jitter * (hi - lo + 1)).astype(np.int64)
     counts[0] = c1
 
     # Nudge the count at the median rank until the realized median matches.
@@ -251,7 +237,7 @@ def _target_counts(
         order = np.argsort(counts, kind="stable")[::-1]
         idx = order[median_rank - 1]
         counts[idx] = max(1, round(spec.median))
-    return counts, placement
+    return counts, is_head
 
 
 def synthesize_skewed_classification(
@@ -261,10 +247,7 @@ def synthesize_skewed_classification(
     seed: int,
     head_topics: Optional[int] = None,
     head_floor: Optional[int] = None,
-    mid_topics: int = 0,
-    mid_count_range: tuple[int, int] = (12, 40),
     head_placement: Optional[tuple[float, float]] = None,
-    mid_placement: tuple[float, float] = (0.25, 1.0),
     tail_placement: tuple[float, float] = (0.05, 1.0),
     source_label: str = "synthetic",
 ) -> DomainClassification:
@@ -272,11 +255,14 @@ def synthesize_skewed_classification(
 
     Domains are emitted in popularity-rank order under synthetic names.
     Head topics are biased toward popular domains unless an explicit
-    `head_placement` window is given; mid-band topics (above typical
-    classifier thresholds but carried by few domains) land in the
-    `mid_placement` rank window; floor topics land in `tail_placement`.
-    The windows are fractions of the domain list and control how often
-    each band shows up in sampled browsing histories.
+    `head_placement` window is given; floor topics land in
+    `tail_placement`. The windows are fractions of the domain list and
+    control how often each band shows up in sampled browsing histories;
+    a topic whose count does not fit its window is refused.
+
+    A topic's domains are the first distinct values of its keyed draw
+    stream (tag TAG_SYNTH_CLASSIFICATION, topic id, round, position),
+    drawn for all topics at once in rounds of max(2 * short, 16).
 
     The realized PrevalenceTable has exactly `zero_topics` zero-count
     topics and hits top_fraction and median within 10%. Fixed seed gives
@@ -284,9 +270,7 @@ def synthesize_skewed_classification(
     """
     omega = taxonomy.omega
     skew_spec.validate(omega, n_domains)
-    counts, placement = _target_counts(
-        omega, n_domains, skew_spec, seed, head_topics, head_floor, mid_topics, mid_count_range
-    )
+    counts, is_head = _target_counts(omega, n_domains, skew_spec, seed, head_topics, head_floor)
     counts = np.minimum(counts, n_domains)
 
     # Which topic ids take which popularity rank (seeded, reproducible).
@@ -294,45 +278,51 @@ def synthesize_skewed_classification(
     topic_ids = np.arange(1, omega + 1, dtype=np.int64)[topic_perm]
     nonzero_ids = topic_ids[: len(counts)]
 
-    domain_topics: list[list[int]] = [[] for _ in range(n_domains)]
     ranks = np.arange(n_domains, dtype=np.float64)
     head_weights = (ranks + 10.0) ** -0.75
     head_cdf = np.cumsum(head_weights / head_weights.sum())
 
     def window(frac: tuple[float, float]) -> tuple[int, int]:
         lo = int(frac[0] * n_domains)
-        return lo, max(lo + 1, int(frac[1] * n_domains))
+        hi = max(lo + 1, int(frac[1] * n_domains))
+        if lo < 0 or hi > n_domains:
+            raise ClassificationError(f"placement window {frac} falls outside the {n_domains} domains")
+        return lo, hi
 
-    windows = {_PLACE_MID: window(mid_placement), _PLACE_TAIL: window(tail_placement)}
+    # Each topic draws from its window [lo, hi), or rank-biased if `biased`.
+    tail_lo, tail_hi = window(tail_placement)
+    lo = np.where(is_head, 0, tail_lo)
+    hi = np.where(is_head, n_domains, tail_hi)
+    biased = is_head
     if head_placement is not None:
-        windows[_PLACE_HEAD] = window(head_placement)
+        lo[is_head], hi[is_head] = window(head_placement)
+        biased = np.zeros_like(is_head)
+    over = np.flatnonzero(counts > hi - lo)
+    if over.size:
+        i = over[0]
+        frac = head_placement if is_head[i] else tail_placement
+        raise ClassificationError(
+            f"topic {nonzero_ids[i]} needs {counts[i]} domains, more than the "
+            f"{hi[i] - lo[i]} of its placement window {frac}"
+        )
 
-    for rank_idx, (tid, c) in enumerate(zip(nonzero_ids, counts)):
-        c = int(c)
-        place = int(placement[rank_idx])
-        chosen: set[int] = set()
-        counter = 0
-        while len(chosen) < c:
-            need = c - len(chosen)
-            u = rng.counter_stream(
-                max(2 * need, 16), seed, rng.TAG_SYNTH_CLASSIFICATION, int(tid), counter
-            )
-            counter += 1
-            if place == _PLACE_HEAD and _PLACE_HEAD not in windows:
-                idxs = np.searchsorted(head_cdf, u)
-            else:
-                lo, hi = windows[place]
-                idxs = (lo + u * (hi - lo)).astype(np.int64)
-            for i in idxs:
-                if len(chosen) == c:
-                    break
-                chosen.add(int(i))
-        for i in chosen:
-            domain_topics[i].append(int(tid))
+    def draw(counter, r, j):
+        u = rng.uniform(seed, rng.TAG_SYNTH_CLASSIFICATION, nonzero_ids[r], counter, j)
+        idxs = (lo[r] + u * (hi[r] - lo[r])).astype(np.int64)
+        b = biased[r]
+        idxs[b] = np.minimum(np.searchsorted(head_cdf, u[b]), n_domains - 1)
+        return idxs
+
+    keys = rng.distinct_draws(counts, lambda short: np.maximum(2 * short, 16), draw, n_domains)
+    # Regroup by domain; each domain lists its topics in rank order.
+    rows, doms = np.divmod(keys, n_domains)
+    by_domain = np.argsort(doms, kind="stable")
+    topics = nonzero_ids[rows[by_domain]].tolist()
+    bounds = np.searchsorted(doms[by_domain], np.arange(n_domains + 1)).tolist()
 
     width = len(str(n_domains))
     entries = {
-        f"site-{str(i + 1).zfill(width)}.example": topics
-        for i, topics in enumerate(domain_topics)
+        f"site-{str(i + 1).zfill(width)}.example": topics[a:b]
+        for i, (a, b) in enumerate(zip(bounds, bounds[1:]))
     }
     return DomainClassification(entries, source_label=source_label)

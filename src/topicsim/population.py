@@ -35,7 +35,7 @@ import math
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
-from typing import IO, Callable, Iterable, Mapping, Optional, Sequence, Union
+from typing import IO, Iterable, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
@@ -369,48 +369,6 @@ class UserProfile:
 POPULATION_BLOCK_USERS = 1024
 
 
-def _segment_ranks(rows: np.ndarray) -> np.ndarray:
-    """Position of each entry inside its run of equal adjacent `rows`."""
-    starts = np.flatnonzero(np.r_[True, rows[1:] != rows[:-1]])
-    lengths = np.diff(np.r_[starts, rows.size])
-    return np.arange(rows.size) - np.repeat(starts, lengths)
-
-
-def _distinct_draws(
-    need: np.ndarray,
-    batch: Callable[[np.ndarray], np.ndarray],
-    draw: Callable[[int, np.ndarray, np.ndarray], np.ndarray],
-    width: int,
-    taken: Optional[np.ndarray] = None,
-) -> np.ndarray:
-    """The first `need[r]` new values of each row's keyed draw stream.
-
-    Round c asks `draw(c, rows, j)` for `batch(short)` values of every
-    row still `short` of its need, j counting from 0 inside the row. It
-    keeps the first occurrence of each (row, value) that is not in
-    `taken` or already chosen, and of those a row's first `short`, so
-    each row gets exactly what a scalar draw-and-skip loop would.
-    Returns the chosen pairs as keys row * width + value, sorted.
-    """
-    need = np.asarray(need, dtype=np.int64).copy()
-    seen = np.zeros(0, dtype=np.int64) if taken is None else taken
-    start = seen.size
-    rows = np.flatnonzero(need > 0)
-    counter = 0
-    while rows.size:
-        r = np.repeat(rows, batch(need[rows]))
-        keys = r * width + draw(counter, r, _segment_ranks(r))
-        _, first = np.unique(keys, return_index=True)
-        first.sort()
-        first = first[~np.isin(keys[first], seen)]
-        keep = first[_segment_ranks(r[first]) < need[r[first]]]
-        seen = np.concatenate([seen, keys[keep]])
-        need -= np.bincount(r[keep], minlength=need.size)
-        rows = rows[need[rows] > 0]
-        counter += 1
-    return np.sort(seen[start:])
-
-
 def _profile_keys(
     uids: np.ndarray,
     observed: np.ndarray,
@@ -426,21 +384,23 @@ def _profile_keys(
     picks are its T observed topics of lowest keyed uniform (ties by
     position in the sorted list), a keyed permutation; users with fewer
     than T observed topics are padded with distinct uniform taxonomy
-    draws from the fill stream.
+    draws from the fill stream, so T may not exceed the taxonomy's size.
     """
     if not 0 <= candidate < 10:
         raise PopulationError(f"candidate index must be in [0, 10), got {candidate}")
+    if T > all_ids.size:
+        raise PopulationError(f"T = {T} exceeds the taxonomy's {all_ids.size} topics")
     rows = observed // width
-    j = _segment_ranks(rows)
+    j = rng.segment_ranks(rows)
     order = np.lexsort((j, rng.uniform(seed, rng.TAG_PROFILE, uids[rows], candidate, j), rows))
-    picks = observed[order[_segment_ranks(rows[order]) < T]]
+    picks = observed[order[rng.segment_ranks(rows[order]) < T]]
     short = np.maximum(T - np.bincount(rows, minlength=uids.size), 0)
 
     def fill(counter, r, jj):
         u = rng.uniform(seed, rng.TAG_PROFILE_FILL, uids[r], candidate, counter, jj)
         return all_ids[(u * all_ids.size).astype(np.int64)]
 
-    padding = _distinct_draws(short, lambda s: np.full_like(s, 16), fill, width, taken=observed)
+    padding = rng.distinct_draws(short, lambda s: np.full_like(s, 16), fill, width, taken=observed)
     return np.sort(np.concatenate([picks, padding]))
 
 
@@ -539,7 +499,7 @@ def generate_population(
             u = rng.uniform(seed, rng.TAG_DOMAIN_PICK, uids[r], counter, j)
             return np.minimum(np.searchsorted(cdf, u, side="right"), m - 1)
 
-        visits = _distinct_draws(ks[uids], lambda short: np.maximum(2 * short, 16), pick, m)
+        visits = rng.distinct_draws(ks[uids], lambda short: np.maximum(2 * short, 16), pick, m)
         rows, pos = np.divmod(visits, m)
         lens = indptr[pos + 1] - indptr[pos]
         starts = np.repeat(indptr[pos] - (np.cumsum(lens) - lens), lens)

@@ -3,8 +3,8 @@
 Every random decision in the simulator is a pure function of a key tuple
 (master seed, user id, site, epoch, purpose tag, ...). This gives us
 per-site result pinning and bitwise reproducibility that is independent
-of call order and worker partitioning: there is no generator state to
-advance, only keys to hash.
+of call order and of how draws are batched: there is no generator state
+to advance, only keys to hash.
 
 The hash is a chained splitmix64-style finalizer over the key words. It
 is not cryptographic; it only needs good equidistribution, which the
@@ -14,6 +14,7 @@ chi-square checks in the test suite exercise.
 from __future__ import annotations
 
 import hashlib
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -32,7 +33,6 @@ TAG_PROFILE_FILL = 0x05
 TAG_DOMAIN_COUNT = 0x06
 TAG_DOMAIN_PICK = 0x07
 TAG_SYNTH_CLASSIFICATION = 0x08
-TAG_GENERIC = 0x09
 
 
 def _splitmix(z: np.ndarray) -> np.ndarray:
@@ -71,15 +71,6 @@ def uniform(*words) -> np.ndarray:
     return (hash_u64(*words) >> np.uint64(11)) * (2.0**-53)
 
 
-def randint(n: int, *words) -> np.ndarray:
-    """Uniform integer in [0, n) keyed by the word tuple.
-
-    Uses the 53-bit uniform, so the draw bias is below n / 2**53 --
-    irrelevant at simulation scale (n <= a few million).
-    """
-    return (uniform(*words) * n).astype(np.int64)
-
-
 def permutation(k: int, *words) -> np.ndarray:
     """Deterministic permutation of range(k) keyed by the word tuple."""
     keys = uniform(*words, np.arange(k, dtype=np.int64))
@@ -89,3 +80,46 @@ def permutation(k: int, *words) -> np.ndarray:
 def counter_stream(n: int, *words) -> np.ndarray:
     """n uniform floats from counters 0..n-1 appended to the key tuple."""
     return uniform(*words, np.arange(n, dtype=np.int64))
+
+
+def segment_ranks(rows: np.ndarray) -> np.ndarray:
+    """Position of each entry inside its run of equal adjacent `rows`."""
+    starts = np.flatnonzero(np.r_[True, rows[1:] != rows[:-1]])
+    lengths = np.diff(np.r_[starts, rows.size])
+    return np.arange(rows.size) - np.repeat(starts, lengths)
+
+
+def distinct_draws(
+    need: np.ndarray,
+    batch: Callable[[np.ndarray], np.ndarray],
+    draw: Callable[[int, np.ndarray, np.ndarray], np.ndarray],
+    width: int,
+    taken: Optional[np.ndarray] = None,
+) -> np.ndarray:
+    """The first `need[r]` new values of each row's keyed draw stream.
+
+    Round c asks `draw(c, rows, j)` for `batch(short)` values in
+    [0, width) of every row still `short` of its need, j counting from 0
+    inside the row. It keeps the first occurrence of each (row, value)
+    that is not in `taken` or already chosen, and of those a row's first
+    `short`, so each row gets exactly what a scalar draw-and-skip loop
+    would. `taken` holds keys row * width + value. Returns the chosen
+    pairs as such keys, sorted.
+    """
+    need = np.asarray(need, dtype=np.int64).copy()
+    seen = np.zeros(0, dtype=np.int64) if taken is None else taken
+    start = seen.size
+    rows = np.flatnonzero(need > 0)
+    counter = 0
+    while rows.size:
+        r = np.repeat(rows, batch(need[rows]))
+        keys = r * width + draw(counter, r, segment_ranks(r))
+        _, first = np.unique(keys, return_index=True)
+        first.sort()
+        first = first[~np.isin(keys[first], seen)]
+        keep = first[segment_ranks(r[first]) < need[r[first]]]
+        seen = np.concatenate([seen, keys[keep]])
+        need -= np.bincount(r[keep], minlength=need.size)
+        rows = rows[need[rows] > 0]
+        counter += 1
+    return np.sort(seen[start:])

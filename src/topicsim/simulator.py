@@ -4,7 +4,7 @@ Per (user, site, source epoch) a single pinned draw exists: noisy with
 probability p (uniform over the taxonomy), genuine otherwise (uniform
 over the user's stable top-T profile). A call at epoch e returns the
 draws for source epochs e-tau .. e-1 in shuffled order. Pinning and
-cross-worker determinism come from keying every draw on
+call-order independence come from keying every draw on
 (seed, user, site, source_epoch) -- there is no shared generator state.
 
 Users are warm-started: profiles are assumed stable for at least tau

@@ -43,7 +43,7 @@ UNKNOWN_TOPIC = Topic(UNKNOWN_TOPIC_ID, UNKNOWN_TOPIC_NAME, None)
 
 
 class Taxonomy:
-    """Validated, immutable topic hierarchy. Safe to share across workers."""
+    """Validated, immutable topic hierarchy."""
 
     def __init__(self, topics: Iterable[Topic]):
         self.topics: tuple[Topic, ...] = tuple(topics)

@@ -13,7 +13,7 @@ domains, a long tail of topics on only a handful of domains each.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .classification import (
@@ -33,27 +33,26 @@ from .population import (
 from .taxonomy import Taxonomy, bundled_taxonomy
 
 
+# Shared by both presets: the classification's skew targets and rank
+# windows, the traffic exponent and the unique-domain-count spread.
+SKEW = SkewSpec(zero_topics=42, top_fraction=0.188, median=4)
+HEAD_PLACEMENT = (0.0, 1.0)
+TAIL_PLACEMENT = (0.4, 1.0)
+TRAFFIC_EXPONENT = 1.0
+COUNT_SIGMA = 0.8
+COUNT_MIN = 8
+COUNT_MAX = 2_000
+
+
 @dataclass(frozen=True)
 class WorldConfig:
     n_users: int = 10_000
     n_domains: int = 50_000
     seed: int = 0
     T: int = 5
-    skew: SkewSpec = field(
-        default_factory=lambda: SkewSpec(zero_topics=42, top_fraction=0.188, median=4)
-    )
     head_topics: int = 42
     head_floor: int = 600
-    head_placement: Optional[tuple[float, float]] = (0.0, 1.0)  # None = rank-biased
-    mid_topics: int = 0
-    mid_count_range: tuple[int, int] = (12, 35)
-    mid_placement: tuple[float, float] = (0.3, 1.0)
-    tail_placement: tuple[float, float] = (0.4, 1.0)
-    traffic_exponent: float = 1.0
     count_mu_median: float = 28.0
-    count_sigma: float = 0.8
-    count_min: int = 8
-    count_max: int = 2_000
 
 
 @dataclass(frozen=True)
@@ -75,31 +74,28 @@ def synthetic_classification(
     return synthesize_skewed_classification(
         taxonomy,
         config.n_domains,
-        config.skew,
+        SKEW,
         seed=config.seed,
         head_topics=config.head_topics,
         head_floor=config.head_floor,
-        head_placement=config.head_placement,
-        mid_topics=config.mid_topics,
-        mid_count_range=config.mid_count_range,
-        mid_placement=config.mid_placement,
-        tail_placement=config.tail_placement,
+        head_placement=HEAD_PLACEMENT,
+        tail_placement=TAIL_PLACEMENT,
         source_label=source_label,
     )
 
 
 def traffic_model(config: WorldConfig) -> TrafficModel:
     """The world's Zipf traffic model over its ranked domain list."""
-    return TrafficModel(kind="zipf", exponent=config.traffic_exponent)
+    return TrafficModel(kind="zipf", exponent=TRAFFIC_EXPONENT)
 
 
 def count_model(config: WorldConfig) -> UniqueDomainCountModel:
     """The world's log-normal model of unique visited domains per user."""
     return UniqueDomainCountModel(
         mu=math.log(config.count_mu_median),
-        sigma=config.count_sigma,
-        minimum=config.count_min,
-        maximum=config.count_max,
+        sigma=COUNT_SIGMA,
+        minimum=COUNT_MIN,
+        maximum=COUNT_MAX,
     )
 
 

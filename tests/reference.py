@@ -3,6 +3,11 @@
 Each one is the plain, earlier form of a package routine, kept here so a
 faster rewrite can be checked for equal results:
 
+* `distinct_draws_reference` (one row and one value at a time) checks
+  `rng.distinct_draws`;
+* `synthesize_skewed_classification_reference` (one topic at a time,
+  from a scalar draw-and-skip loop) checks
+  `classification.synthesize_skewed_classification`;
 * `generate_population_reference` (one user at a time, from the scalar
   draw loops `_sample_distinct_domains` and `derive_top_profile`) checks
   `population.generate_population` and `population.top_profiles`;
@@ -28,12 +33,17 @@ import json
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
 from topicsim import rng
-from topicsim.classification import DomainClassification, PrevalenceTable
+from topicsim.classification import (
+    DomainClassification,
+    PrevalenceTable,
+    SkewSpec,
+    _target_counts,
+)
 from topicsim.denoiser import DenoiseMetrics, DenoiserConfig, MultiShotEngine
 from topicsim.population import (
     PopulationError,
@@ -45,6 +55,101 @@ from topicsim.population import (
 from topicsim.reidentify import MatchReport, ReidReport, reid_report
 from topicsim.simulator import EpochDraw, ObservationLog, SimConfig, SiteLog, epoch_topic_draw
 from topicsim.taxonomy import Taxonomy
+
+
+# --- rng ---------------------------------------------------------------------
+
+
+def distinct_draws_reference(
+    need: Sequence[int],
+    batch: Callable[[np.ndarray], np.ndarray],
+    draw: Callable[[int, np.ndarray, np.ndarray], np.ndarray],
+    width: int,
+    taken: Iterable[int] = (),
+) -> np.ndarray:
+    """`rng.distinct_draws`, one row and one value at a time."""
+    taken = set(taken)
+    chosen: list[int] = []
+    for row, k in enumerate(need):
+        mine: dict[int, None] = {}
+        counter = 0
+        while len(mine) < k:
+            size = int(batch(np.array([k - len(mine)]))[0])
+            values = draw(counter, np.full(size, row), np.arange(size))
+            counter += 1
+            for v in values.tolist():
+                if len(mine) == k:
+                    break
+                if row * width + v not in taken:
+                    mine.setdefault(row * width + v)
+        chosen.extend(mine)
+    return np.sort(np.array(chosen, dtype=np.int64))
+
+
+# --- classification ----------------------------------------------------------
+
+
+def synthesize_skewed_classification_reference(
+    taxonomy: Taxonomy,
+    n_domains: int,
+    skew_spec: SkewSpec,
+    seed: int,
+    head_topics: Optional[int] = None,
+    head_floor: Optional[int] = None,
+    head_placement: Optional[tuple[float, float]] = None,
+    tail_placement: tuple[float, float] = (0.05, 1.0),
+    source_label: str = "synthetic",
+) -> DomainClassification:
+    """`synthesize_skewed_classification`, one topic at a time.
+
+    Loops forever on a topic whose count exceeds its placement window.
+    """
+    omega = taxonomy.omega
+    skew_spec.validate(omega, n_domains)
+    counts, is_head = _target_counts(omega, n_domains, skew_spec, seed, head_topics, head_floor)
+    counts = np.minimum(counts, n_domains)
+
+    topic_perm = np.argsort(rng.counter_stream(omega, seed, rng.TAG_SYNTH_CLASSIFICATION, 1))
+    topic_ids = np.arange(1, omega + 1, dtype=np.int64)[topic_perm]
+    nonzero_ids = topic_ids[: len(counts)]
+
+    domain_topics: list[list[int]] = [[] for _ in range(n_domains)]
+    ranks = np.arange(n_domains, dtype=np.float64)
+    head_weights = (ranks + 10.0) ** -0.75
+    head_cdf = np.cumsum(head_weights / head_weights.sum())
+
+    def window(frac: tuple[float, float]) -> tuple[int, int]:
+        lo = int(frac[0] * n_domains)
+        return lo, max(lo + 1, int(frac[1] * n_domains))
+
+    for tid, c, head in zip(nonzero_ids, counts, is_head):
+        c = int(c)
+        chosen: set[int] = set()
+        counter = 0
+        while len(chosen) < c:
+            need = c - len(chosen)
+            u = rng.counter_stream(
+                max(2 * need, 16), seed, rng.TAG_SYNTH_CLASSIFICATION, int(tid), counter
+            )
+            counter += 1
+            if head and head_placement is None:
+                idxs = np.searchsorted(head_cdf, u)
+            else:
+                lo, hi = window(head_placement if head else tail_placement)
+                idxs = (lo + u * (hi - lo)).astype(np.int64)
+            for i in idxs:
+                if len(chosen) == c:
+                    break
+                chosen.add(int(i))
+        for i in chosen:
+            domain_topics[i].append(int(tid))
+
+    width = len(str(n_domains))
+    entries = {
+        f"site-{str(i + 1).zfill(width)}.example": topics
+        for i, topics in enumerate(domain_topics)
+    }
+    return DomainClassification(entries, source_label=source_label)
 
 
 # --- population --------------------------------------------------------------

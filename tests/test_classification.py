@@ -2,9 +2,10 @@ import io
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 import hypothesis.strategies as st
 
+from reference import synthesize_skewed_classification_reference
 from topicsim.classification import (
     ClassificationError,
     DomainClassification,
@@ -159,3 +160,59 @@ def test_synthesize_rejects_infeasible_spec(taxonomy):
         synthesize_skewed_classification(
             taxonomy, 1_000, SkewSpec(zero_topics=400, top_fraction=0.1, median=2), seed=0
         )
+
+
+@st.composite
+def synthesis_cases(draw):
+    n_domains = draw(st.integers(30, 600))
+    top_fraction = draw(st.floats(0.05, 0.5))
+    window = st.tuples(st.floats(0.0, 0.5), st.floats(0.5, 1.0))
+    return dict(
+        n_domains=n_domains,
+        skew_spec=SkewSpec(
+            zero_topics=draw(st.integers(0, 150)),
+            top_fraction=top_fraction,
+            median=draw(st.integers(1, min(5, int(top_fraction * n_domains)))),
+        ),
+        seed=draw(st.integers(0, 2**32)),
+        head_topics=draw(st.none() | st.integers(1, 200)),
+        head_floor=draw(st.none() | st.integers(1, 20)),
+        head_placement=draw(st.none() | window),
+        tail_placement=draw(window),
+    )
+
+
+@settings(max_examples=25, deadline=None)
+@given(synthesis_cases())
+@example(dict(n_domains=50_000, skew_spec=SkewSpec(42, 0.188, 4), seed=1, head_topics=180,
+              head_floor=60, head_placement=(0.0, 1.0), tail_placement=(0.4, 1.0)))
+@example(dict(n_domains=5_000, skew_spec=SkewSpec(10, 0.1, 5), seed=11, head_topics=None,
+              head_floor=None, head_placement=None, tail_placement=(0.05, 1.0)))
+def test_synthesize_matches_per_topic_oracle(taxonomy, case):
+    try:
+        got = synthesize_skewed_classification(taxonomy, **case)
+    except ClassificationError:
+        assume(False)  # an infeasible spec or window; the oracle would fail or hang
+    want = synthesize_skewed_classification_reference(taxonomy, **case)
+    assert got.entries == want.entries
+    # Each domain's topics come in the same order, so the sets iterate alike.
+    assert [list(ts) for ts in got.entries.values()] == [list(ts) for ts in want.entries.values()]
+
+
+def test_synthesize_refuses_a_count_larger_than_its_window(taxonomy):
+    spec = SkewSpec(zero_topics=0, top_fraction=0.5, median=2)
+    with pytest.raises(ClassificationError, match=r"needs 500 domains, more than the 100 .*\(0\.0, 0\.1\)"):
+        synthesize_skewed_classification(
+            taxonomy, 1000, spec, seed=0, head_topics=5, head_placement=(0.0, 0.1)
+        )
+    with pytest.raises(ClassificationError, match="needs 500 domains, more than the 499 "):
+        synthesize_skewed_classification(
+            taxonomy, 1000, spec, seed=0, head_topics=5, head_placement=(0.0, 0.499)
+        )
+    # A window exactly as large as the count is filled completely.
+    cls = synthesize_skewed_classification(
+        taxonomy, 1000, spec, seed=0, head_topics=5, head_placement=(0.0, 0.5)
+    )
+    assert prevalence(cls, taxonomy).max_count() == 500
+    with pytest.raises(ClassificationError, match="falls outside the 1000 domains"):
+        synthesize_skewed_classification(taxonomy, 1000, spec, seed=0, tail_placement=(1.0, 1.0))

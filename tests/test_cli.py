@@ -76,6 +76,14 @@ def test_generate_single_user(tmp_path):
     assert len(lines) == 2  # header + one user
 
 
+def test_generate_refuses_T_above_taxonomy_size(tmp_path, capsys):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"n_users": 5, "n_domains": 500, "T": 400, "out": str(tmp_path / "o")}))
+    assert run_cli("generate", "--config", cfg) != 0
+    assert "T = 400 exceeds the taxonomy's 349 topics" in capsys.readouterr().err
+    assert not (tmp_path / "o" / "population.ndjson").exists()
+
+
 def test_rerun_is_byte_identical(tiny_config):
     cfg, out = tiny_config
     run_cli("generate", "--config", cfg)

@@ -337,6 +337,18 @@ def test_profile_candidate_range(taxonomy):
         top_profiles([user], taxonomy, T=5, seed=3, candidate=10)
 
 
+def test_profile_size_above_taxonomy_size_is_refused(taxonomy):
+    order, traffic, cls = tiny_world(taxonomy)
+    counts = UniqueDomainCountModel(kind="empirical-histogram", support=(2,), probabilities=(1.0,))
+    T = len(taxonomy.ids()) + 1
+    with pytest.raises(PopulationError, match=f"T = {T} exceeds the taxonomy's {T - 1} topics"):
+        generate_population(3, order, traffic, counts, cls, seed=1, T=T, taxonomy=taxonomy)
+    users = generate_population(3, order, traffic, counts, cls, seed=1, T=T - 1, taxonomy=taxonomy)
+    assert all(len(u.top_profile) == T - 1 for u in users)
+    with pytest.raises(PopulationError, match="exceeds the taxonomy"):
+        top_profiles(users, taxonomy, T=T, seed=1)
+
+
 def test_population_ndjson_roundtrip(tmp_path, taxonomy):
     order, traffic, cls = tiny_world(taxonomy)
     counts = UniqueDomainCountModel(kind="empirical-histogram", support=(4,), probabilities=(1.0,))

@@ -2,6 +2,7 @@ import numpy as np
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+from reference import distinct_draws_reference
 from topicsim import rng
 
 key_words = st.lists(st.integers(min_value=-(2**62), max_value=2**62), min_size=1, max_size=5)
@@ -46,14 +47,6 @@ def test_uniform_chi_square_equidistribution():
     assert 40 < chi2 < 180
 
 
-def test_randint_uniformity():
-    draws = rng.randint(7, 5, np.arange(700_000))
-    counts = np.bincount(draws, minlength=7)
-    assert counts.min() > 0
-    sd = np.sqrt(700_000 * (1 / 7) * (6 / 7))
-    assert np.abs(counts - 100_000).max() < 5 * sd
-
-
 def test_permutation_is_a_permutation():
     perm = rng.permutation(1000, 3, 4)
     assert sorted(perm.tolist()) == list(range(1000))
@@ -70,3 +63,47 @@ def test_counter_stream_extends_prefix(n, words):
     short = rng.counter_stream(n, *words)
     long = rng.counter_stream(n + 10, *words)
     assert np.array_equal(short, long[:n])
+
+
+BATCH_RULES = {
+    "max(2 * short, 16)": lambda short: np.maximum(2 * short, 16),
+    "16": lambda short: np.full_like(short, 16),
+    "short": lambda short: short,
+    "1": lambda short: np.ones_like(short),
+}
+
+
+@st.composite
+def distinct_draw_cases(draw):
+    width = draw(st.integers(1, 30))
+    rows = draw(st.integers(0, 8))
+    taken = sorted(draw(st.sets(st.integers(0, rows * width - 1), max_size=rows * width))) if rows else []
+    free = [width - sum(1 for k in taken if k // width == r) for r in range(rows)]
+    need = [draw(st.integers(0, f)) for f in free]
+    return dict(
+        need=need,
+        width=width,
+        taken=taken,
+        batch=draw(st.sampled_from(sorted(BATCH_RULES))),
+        seed=draw(st.integers(0, 2**32)),
+        # A cubed uniform piles draws onto small values, so rows redraw
+        # values they hold and need further rounds.
+        power=draw(st.sampled_from([1, 3])),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(distinct_draw_cases())
+def test_distinct_draws_match_scalar_oracle(case):
+    width, seed, power = case["width"], case["seed"], case["power"]
+
+    def values(counter, r, j):
+        return (rng.uniform(seed, r, counter, j) ** power * width).astype(np.int64)
+
+    batch = BATCH_RULES[case["batch"]]
+    taken = np.array(case["taken"], dtype=np.int64)
+    got = rng.distinct_draws(case["need"], batch, values, width, taken=taken)
+    assert got.tolist() == distinct_draws_reference(
+        case["need"], batch, values, width, taken=case["taken"]
+    ).tolist()
+    assert np.bincount(got // width, minlength=len(case["need"])).tolist() == case["need"]
