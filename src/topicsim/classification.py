@@ -169,6 +169,8 @@ class SkewSpec:
     zero_topics: exact number of topics appearing on no domain at all.
     top_fraction: share of domains carrying the single most common topic.
     median: target median of the per-topic domain counts (over all topics).
+    Synthesis meets it only when the floor band covers the median rank,
+    that is when the head is shorter than omega - (omega - 1) // 2 ranks.
     """
 
     zero_topics: int
@@ -187,22 +189,25 @@ class SkewSpec:
 
 
 SKEW_TOLERANCE = 0.10  # relative tolerance on top_fraction and median
+# Fractions of the domain list that floor topics draw from; head topics
+# draw from the whole list.
+FLOOR_WINDOW = (0.4, 1.0)
+
 
 def _target_counts(
     omega: int,
     n_domains: int,
     spec: SkewSpec,
     seed: int,
-    head_topics: Optional[int],
-    head_floor: Optional[int],
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-rank domain counts plus a head mask per rank.
+    head_topics: int,
+    head_floor: int,
+) -> tuple[np.ndarray, int]:
+    """Per-rank domain counts, descending, and the head size.
 
-    With head_topics=None the exponent is fitted so the power law passes
-    through the median position (a plain fitted power law), and the head
-    is the ranks above max(10, median). With an explicit head size the
-    power law is truncated onto a floor band jittered around the median
-    target. Returns (counts desc, head mask).
+    The head ranks follow a power law from the top topic's count down to
+    `head_floor`; the ranks after it form a floor band jittered around
+    the median target. If the realized median misses its target, the
+    count at the median rank is set to it.
     """
     n_nonzero = omega - spec.zero_topics
     c1 = max(1, round(spec.top_fraction * n_domains))
@@ -213,21 +218,14 @@ def _target_counts(
         raise ClassificationError("zero_topics already pushes the median to 0")
     m = max(1.0, spec.median)
 
+    head = max(1, min(head_topics, n_nonzero - 1))
+    alpha = math.log(c1 / head_floor) / math.log(head) if head > 1 else 1.0
     ranks = np.arange(1, n_nonzero + 1, dtype=float)
-    if head_topics is None:
-        alpha = math.log(c1 / m) / math.log(median_rank) if median_rank > 1 else 1.0
-        counts = np.maximum(1, np.round(c1 * ranks**-alpha)).astype(np.int64)
-        is_head = counts > max(10, spec.median)
-    else:
-        head = max(1, min(head_topics, n_nonzero - 1))
-        floor_level = head_floor if head_floor is not None else max(2, round(2 * m))
-        alpha = math.log(c1 / floor_level) / math.log(head) if head > 1 else 1.0
-        counts = np.maximum(1, np.round(c1 * ranks**-alpha)).astype(np.int64)
-        is_head = np.arange(n_nonzero) < head
-        jitter = rng.counter_stream(n_nonzero - head, seed, rng.TAG_SYNTH_CLASSIFICATION, 0xBAD)
-        lo = max(1, round(0.5 * m))
-        hi = max(lo + 1, round(1.5 * m))
-        counts[head:] = lo + np.floor(jitter * (hi - lo + 1)).astype(np.int64)
+    counts = np.maximum(1, np.round(c1 * ranks**-alpha)).astype(np.int64)
+    jitter = rng.counter_stream(n_nonzero - head, seed, rng.TAG_SYNTH_CLASSIFICATION, 0xBAD)
+    lo = max(1, round(0.5 * m))
+    hi = max(lo + 1, round(1.5 * m))
+    counts[head:] = lo + np.floor(jitter * (hi - lo + 1)).astype(np.int64)
     counts[0] = c1
 
     # Nudge the count at the median rank until the realized median matches.
@@ -237,7 +235,7 @@ def _target_counts(
         order = np.argsort(counts, kind="stable")[::-1]
         idx = order[median_rank - 1]
         counts[idx] = max(1, round(spec.median))
-    return counts, is_head
+    return counts, head
 
 
 def synthesize_skewed_classification(
@@ -245,32 +243,32 @@ def synthesize_skewed_classification(
     n_domains: int,
     skew_spec: SkewSpec,
     seed: int,
-    head_topics: Optional[int] = None,
-    head_floor: Optional[int] = None,
-    head_placement: Optional[tuple[float, float]] = None,
-    tail_placement: tuple[float, float] = (0.05, 1.0),
+    head_topics: int,
+    head_floor: int,
     source_label: str = "synthetic",
 ) -> DomainClassification:
     """Generate a classification whose prevalence matches a skew spec.
 
     Domains are emitted in popularity-rank order under synthetic names.
-    Head topics are biased toward popular domains unless an explicit
-    `head_placement` window is given; floor topics land in
-    `tail_placement`. The windows are fractions of the domain list and
-    control how often each band shows up in sampled browsing histories;
-    a topic whose count does not fit its window is refused.
+    The `head_topics` most common topics follow a power law down to
+    `head_floor` domains and draw uniformly from the whole list; the
+    rest form a floor band around the median target and draw from
+    `FLOOR_WINDOW`, which controls how often they show up in sampled
+    browsing histories. A topic whose count does not fit its window is
+    refused.
 
     A topic's domains are the first distinct values of its keyed draw
     stream (tag TAG_SYNTH_CLASSIFICATION, topic id, round, position),
     drawn for all topics at once in rounds of max(2 * short, 16).
 
     The realized PrevalenceTable has exactly `zero_topics` zero-count
-    topics and hits top_fraction and median within 10%. Fixed seed gives
-    identical output.
+    topics and hits top_fraction within 10%. It hits the median within
+    10% only when the floor band covers the median rank (see SkewSpec).
+    Fixed seed gives identical output.
     """
     omega = taxonomy.omega
     skew_spec.validate(omega, n_domains)
-    counts, is_head = _target_counts(omega, n_domains, skew_spec, seed, head_topics, head_floor)
+    counts, head = _target_counts(omega, n_domains, skew_spec, seed, head_topics, head_floor)
     counts = np.minimum(counts, n_domains)
 
     # Which topic ids take which popularity rank (seeded, reproducible).
@@ -278,40 +276,22 @@ def synthesize_skewed_classification(
     topic_ids = np.arange(1, omega + 1, dtype=np.int64)[topic_perm]
     nonzero_ids = topic_ids[: len(counts)]
 
-    ranks = np.arange(n_domains, dtype=np.float64)
-    head_weights = (ranks + 10.0) ** -0.75
-    head_cdf = np.cumsum(head_weights / head_weights.sum())
-
-    def window(frac: tuple[float, float]) -> tuple[int, int]:
-        lo = int(frac[0] * n_domains)
-        hi = max(lo + 1, int(frac[1] * n_domains))
-        if lo < 0 or hi > n_domains:
-            raise ClassificationError(f"placement window {frac} falls outside the {n_domains} domains")
-        return lo, hi
-
-    # Each topic draws from its window [lo, hi), or rank-biased if `biased`.
-    tail_lo, tail_hi = window(tail_placement)
-    lo = np.where(is_head, 0, tail_lo)
-    hi = np.where(is_head, n_domains, tail_hi)
-    biased = is_head
-    if head_placement is not None:
-        lo[is_head], hi[is_head] = window(head_placement)
-        biased = np.zeros_like(is_head)
+    # Each topic draws from its window [lo, hi) of the domain list.
+    floor_lo, floor_hi = (int(f * n_domains) for f in FLOOR_WINDOW)
+    lo = np.full(len(counts), floor_lo, dtype=np.int64)
+    hi = np.full(len(counts), floor_hi, dtype=np.int64)
+    lo[:head], hi[:head] = 0, n_domains
     over = np.flatnonzero(counts > hi - lo)
     if over.size:
         i = over[0]
-        frac = head_placement if is_head[i] else tail_placement
         raise ClassificationError(
             f"topic {nonzero_ids[i]} needs {counts[i]} domains, more than the "
-            f"{hi[i] - lo[i]} of its placement window {frac}"
+            f"{hi[i] - lo[i]} of its window"
         )
 
     def draw(counter, r, j):
         u = rng.uniform(seed, rng.TAG_SYNTH_CLASSIFICATION, nonzero_ids[r], counter, j)
-        idxs = (lo[r] + u * (hi[r] - lo[r])).astype(np.int64)
-        b = biased[r]
-        idxs[b] = np.minimum(np.searchsorted(head_cdf, u[b]), n_domains - 1)
-        return idxs
+        return (lo[r] + u * (hi[r] - lo[r])).astype(np.int64)
 
     keys = rng.distinct_draws(counts, lambda short: np.maximum(2 * short, 16), draw, n_domains)
     # Regroup by domain; each domain lists its topics in rank order.

@@ -40,11 +40,11 @@ from .reidentify import run_reidentification
 from .simulator import ObservationLog, SimConfig, run_scenario
 from .taxonomy import Taxonomy, bundled_taxonomy, load_taxonomy
 from .worlds import (
+    TRAFFIC,
     WorldConfig,
     aggressive_skew_config,
     count_model,
     synthetic_classification,
-    traffic_model,
     wide_pool_config,
 )
 
@@ -151,8 +151,9 @@ SYNTHETIC_PRESETS = {
 def _world_config(cfg: dict) -> WorldConfig:
     """The world a config describes: its synthetic preset, else the defaults.
 
-    The classification, traffic and unique-domain-count models all come
-    from this one config, as in `worlds.build_world`.
+    The classification and unique-domain-count models both come from
+    this one config, and traffic from `worlds.TRAFFIC`, as in
+    `worlds.build_world`.
     """
     spec = cfg["classification"]
     wc = WorldConfig()
@@ -201,13 +202,12 @@ def cmd_generate(cfg: dict) -> int:
     taxonomy = _resolve_taxonomy(cfg)
     classification = _resolve_classification(cfg, taxonomy)
     order = _build_order(cfg, classification)
-    world = _world_config(cfg)
     if cfg["histogram"] is not None:
         counts = load_count_histogram(cfg["histogram"])
     else:
-        counts = count_model(world)
+        counts = count_model(_world_config(cfg))
     users = generate_population(
-        int(cfg["n_users"]), order, traffic_model(world), counts, classification,
+        int(cfg["n_users"]), order, TRAFFIC, counts, classification,
         seed=int(cfg["seed"]), T=int(cfg["T"]), taxonomy=taxonomy,
         profile_candidate=int(cfg["profile_index"]),
     )
@@ -430,10 +430,11 @@ def main(argv: Optional[list[str]] = None) -> int:
         if args.command == "filter":
             return cmd_filter(cfg, args.scores)
         return handlers[args.command](cfg)
-    except (ConfigError, MissingArtifactError) as exc:
+    except (MissingArtifactError, ValueError) as exc:
+        # A refused input: a config value, a missing or foreign artifact.
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, OSError) as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

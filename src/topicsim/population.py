@@ -32,7 +32,7 @@ import itertools
 import json
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 from typing import IO, Iterable, Mapping, Optional, Sequence, Union
@@ -205,33 +205,12 @@ def _open(source):
 
 @dataclass(frozen=True)
 class TrafficModel:
-    """Visit-probability distribution over total-order positions.
+    """Zipf visit-probability distribution over total-order positions: weight 1/rank^exponent."""
 
-    kind "zipf": weight 1/rank^exponent. kind "binned-empirical":
-    probability mass per rank bucket, spread uniformly inside the bucket.
-    """
-
-    kind: str = "zipf"
     exponent: float = 1.0
-    bin_weights: Mapping[str, float] = field(default_factory=dict)
 
     def weights(self, m: int) -> np.ndarray:
-        if self.kind == "zipf":
-            w = np.arange(1, m + 1, dtype=np.float64) ** -self.exponent
-        elif self.kind == "binned-empirical":
-            w = np.zeros(m, dtype=np.float64)
-            lo = 0
-            for label in BUCKET_LABELS:
-                hi = min(_BUCKET_SIZES[label], m)
-                if hi <= lo:
-                    continue
-                mass = float(self.bin_weights.get(label, 0.0))
-                w[lo:hi] = mass / (hi - lo)
-                lo = hi
-            if w.sum() <= 0:
-                raise PopulationError("binned traffic model has no mass on the list")
-        else:
-            raise PopulationError(f"unknown traffic model kind {self.kind!r}")
+        w = np.arange(1, m + 1, dtype=np.float64) ** -self.exponent
         w /= w.sum()
         if abs(w.sum() - 1.0) > 1e-9:
             raise PopulationError("traffic weights do not normalize")

@@ -33,12 +33,11 @@ from .population import (
 from .taxonomy import Taxonomy, bundled_taxonomy
 
 
-# Shared by both presets: the classification's skew targets and rank
-# windows, the traffic exponent and the unique-domain-count spread.
+# Shared by both presets and the CLI: the classification's skew targets,
+# the Zipf traffic model over the ranked domain list and the
+# unique-domain-count spread.
 SKEW = SkewSpec(zero_topics=42, top_fraction=0.188, median=4)
-HEAD_PLACEMENT = (0.0, 1.0)
-TAIL_PLACEMENT = (0.4, 1.0)
-TRAFFIC_EXPONENT = 1.0
+TRAFFIC = TrafficModel(exponent=1.0)
 COUNT_SIGMA = 0.8
 COUNT_MIN = 8
 COUNT_MAX = 2_000
@@ -78,15 +77,8 @@ def synthetic_classification(
         seed=config.seed,
         head_topics=config.head_topics,
         head_floor=config.head_floor,
-        head_placement=HEAD_PLACEMENT,
-        tail_placement=TAIL_PLACEMENT,
         source_label=source_label,
     )
-
-
-def traffic_model(config: WorldConfig) -> TrafficModel:
-    """The world's Zipf traffic model over its ranked domain list."""
-    return TrafficModel(kind="zipf", exponent=TRAFFIC_EXPONENT)
 
 
 def count_model(config: WorldConfig) -> UniqueDomainCountModel:
@@ -104,12 +96,11 @@ def build_world(config: WorldConfig = WorldConfig(), taxonomy: Optional[Taxonomy
     tax = taxonomy or bundled_taxonomy()
     classification = synthetic_classification(config, tax)
     order = RankedDomainList(tuple(classification.domains()))
-    traffic = traffic_model(config)
     counts = count_model(config)
     population = generate_population(
         config.n_users,
         order,
-        traffic,
+        TRAFFIC,
         counts,
         classification,
         seed=config.seed,
@@ -122,7 +113,7 @@ def build_world(config: WorldConfig = WorldConfig(), taxonomy: Optional[Taxonomy
         classification=classification,
         prevalence=prevalence(classification, tax),
         order=order,
-        traffic=traffic,
+        traffic=TRAFFIC,
         counts=counts,
         population=tuple(population),
     )

@@ -6,7 +6,8 @@ faster rewrite can be checked for equal results:
 * `distinct_draws_reference` (one row and one value at a time) checks
   `rng.distinct_draws`;
 * `synthesize_skewed_classification_reference` (one topic at a time,
-  from a scalar draw-and-skip loop) checks
+  from a scalar draw-and-skip loop over the whole domain list for head
+  topics and `FLOOR_WINDOW` for floor topics) checks
   `classification.synthesize_skewed_classification`;
 * `generate_population_reference` (one user at a time, from the scalar
   draw loops `_sample_distinct_domains` and `derive_top_profile`) checks
@@ -39,6 +40,7 @@ import numpy as np
 
 from topicsim import rng
 from topicsim.classification import (
+    FLOOR_WINDOW,
     DomainClassification,
     PrevalenceTable,
     SkewSpec,
@@ -94,19 +96,17 @@ def synthesize_skewed_classification_reference(
     n_domains: int,
     skew_spec: SkewSpec,
     seed: int,
-    head_topics: Optional[int] = None,
-    head_floor: Optional[int] = None,
-    head_placement: Optional[tuple[float, float]] = None,
-    tail_placement: tuple[float, float] = (0.05, 1.0),
+    head_topics: int,
+    head_floor: int,
     source_label: str = "synthetic",
 ) -> DomainClassification:
     """`synthesize_skewed_classification`, one topic at a time.
 
-    Loops forever on a topic whose count exceeds its placement window.
+    Loops forever on a floor topic whose count exceeds `FLOOR_WINDOW`.
     """
     omega = taxonomy.omega
     skew_spec.validate(omega, n_domains)
-    counts, is_head = _target_counts(omega, n_domains, skew_spec, seed, head_topics, head_floor)
+    counts, head = _target_counts(omega, n_domains, skew_spec, seed, head_topics, head_floor)
     counts = np.minimum(counts, n_domains)
 
     topic_perm = np.argsort(rng.counter_stream(omega, seed, rng.TAG_SYNTH_CLASSIFICATION, 1))
@@ -114,15 +114,11 @@ def synthesize_skewed_classification_reference(
     nonzero_ids = topic_ids[: len(counts)]
 
     domain_topics: list[list[int]] = [[] for _ in range(n_domains)]
-    ranks = np.arange(n_domains, dtype=np.float64)
-    head_weights = (ranks + 10.0) ** -0.75
-    head_cdf = np.cumsum(head_weights / head_weights.sum())
-
-    def window(frac: tuple[float, float]) -> tuple[int, int]:
-        lo = int(frac[0] * n_domains)
-        return lo, max(lo + 1, int(frac[1] * n_domains))
-
-    for tid, c, head in zip(nonzero_ids, counts, is_head):
+    for rank, (tid, c) in enumerate(zip(nonzero_ids, counts)):
+        if rank < head:
+            lo, hi = 0, n_domains
+        else:
+            lo, hi = (int(f * n_domains) for f in FLOOR_WINDOW)
         c = int(c)
         chosen: set[int] = set()
         counter = 0
@@ -132,12 +128,7 @@ def synthesize_skewed_classification_reference(
                 max(2 * need, 16), seed, rng.TAG_SYNTH_CLASSIFICATION, int(tid), counter
             )
             counter += 1
-            if head and head_placement is None:
-                idxs = np.searchsorted(head_cdf, u)
-            else:
-                lo, hi = window(head_placement if head else tail_placement)
-                idxs = (lo + u * (hi - lo)).astype(np.int64)
-            for i in idxs:
+            for i in (lo + u * (hi - lo)).astype(np.int64):
                 if len(chosen) == c:
                     break
                 chosen.add(int(i))

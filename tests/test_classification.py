@@ -15,6 +15,7 @@ from topicsim.classification import (
     save_classification,
     synthesize_skewed_classification,
 )
+from topicsim.worlds import SKEW as SKEW_TARGETS, aggressive_skew_config, synthetic_classification
 
 # Per-domain topic-count histogram of the bundled hand-annotation fixture.
 STATIC_HISTOGRAM = {0: 1344, 1: 4135, 2: 2350, 3: 1073, 4: 270, 5: 59, 6: 20, 7: 3}
@@ -115,7 +116,9 @@ SKEW = SkewSpec(zero_topics=42, top_fraction=0.188, median=66)
 
 @pytest.mark.slow
 def test_synthesize_million_domain_targets(taxonomy):
-    cls = synthesize_skewed_classification(taxonomy, 1_000_000, SKEW, seed=7)
+    cls = synthesize_skewed_classification(
+        taxonomy, 1_000_000, SKEW, seed=7, head_topics=42, head_floor=600
+    )
     table = prevalence(cls, taxonomy)
     assert table.zero_count_topics() == 42
     assert table.max_count() == pytest.approx(188_000, rel=0.10)
@@ -125,7 +128,9 @@ def test_synthesize_million_domain_targets(taxonomy):
 
 def test_synthesize_desk_scale_targets(taxonomy):
     spec = SkewSpec(zero_topics=42, top_fraction=0.188, median=4)
-    cls = synthesize_skewed_classification(taxonomy, 50_000, spec, seed=7, head_topics=26)
+    cls = synthesize_skewed_classification(
+        taxonomy, 50_000, spec, seed=7, head_topics=26, head_floor=8
+    )
     table = prevalence(cls, taxonomy)
     assert table.zero_count_topics() == 42
     assert table.max_count() == pytest.approx(0.188 * 50_000, rel=0.10)
@@ -134,7 +139,7 @@ def test_synthesize_desk_scale_targets(taxonomy):
 
 def test_synthesize_loose_uniform_limit(taxonomy):
     spec = SkewSpec(zero_topics=0, top_fraction=1 / 349, median=80)
-    cls = synthesize_skewed_classification(taxonomy, 50_000, spec, seed=3)
+    cls = synthesize_skewed_classification(taxonomy, 50_000, spec, seed=3, head_topics=1, head_floor=1)
     table = prevalence(cls, taxonomy)
     assert table.zero_count_topics() == 0
     # Flat spec: max within 10% of the uniform share, nothing degenerate.
@@ -144,21 +149,23 @@ def test_synthesize_loose_uniform_limit(taxonomy):
 
 def test_synthesize_deterministic(taxonomy):
     spec = SkewSpec(zero_topics=10, top_fraction=0.1, median=5)
-    a = synthesize_skewed_classification(taxonomy, 5_000, spec, seed=11, head_topics=20)
-    b = synthesize_skewed_classification(taxonomy, 5_000, spec, seed=11, head_topics=20)
+    a = synthesize_skewed_classification(taxonomy, 5_000, spec, seed=11, head_topics=20, head_floor=10)
+    b = synthesize_skewed_classification(taxonomy, 5_000, spec, seed=11, head_topics=20, head_floor=10)
     assert a.entries == b.entries
-    c = synthesize_skewed_classification(taxonomy, 5_000, spec, seed=12, head_topics=20)
+    c = synthesize_skewed_classification(taxonomy, 5_000, spec, seed=12, head_topics=20, head_floor=10)
     assert a.entries != c.entries
 
 
 def test_synthesize_rejects_infeasible_spec(taxonomy):
     with pytest.raises(ClassificationError):
         synthesize_skewed_classification(
-            taxonomy, 1_000, SkewSpec(zero_topics=42, top_fraction=0.01, median=500), seed=0
+            taxonomy, 1_000, SkewSpec(zero_topics=42, top_fraction=0.01, median=500), seed=0,
+            head_topics=42, head_floor=10,
         )
     with pytest.raises(ClassificationError):
         synthesize_skewed_classification(
-            taxonomy, 1_000, SkewSpec(zero_topics=400, top_fraction=0.1, median=2), seed=0
+            taxonomy, 1_000, SkewSpec(zero_topics=400, top_fraction=0.1, median=2), seed=0,
+            head_topics=42, head_floor=10,
         )
 
 
@@ -166,7 +173,6 @@ def test_synthesize_rejects_infeasible_spec(taxonomy):
 def synthesis_cases(draw):
     n_domains = draw(st.integers(30, 600))
     top_fraction = draw(st.floats(0.05, 0.5))
-    window = st.tuples(st.floats(0.0, 0.5), st.floats(0.5, 1.0))
     return dict(
         n_domains=n_domains,
         skew_spec=SkewSpec(
@@ -175,19 +181,17 @@ def synthesis_cases(draw):
             median=draw(st.integers(1, min(5, int(top_fraction * n_domains)))),
         ),
         seed=draw(st.integers(0, 2**32)),
-        head_topics=draw(st.none() | st.integers(1, 200)),
-        head_floor=draw(st.none() | st.integers(1, 20)),
-        head_placement=draw(st.none() | window),
-        tail_placement=draw(window),
+        head_topics=draw(st.integers(1, 200)),
+        head_floor=draw(st.integers(1, 20)),
     )
 
 
 @settings(max_examples=25, deadline=None)
 @given(synthesis_cases())
 @example(dict(n_domains=50_000, skew_spec=SkewSpec(42, 0.188, 4), seed=1, head_topics=180,
-              head_floor=60, head_placement=(0.0, 1.0), tail_placement=(0.4, 1.0)))
-@example(dict(n_domains=5_000, skew_spec=SkewSpec(10, 0.1, 5), seed=11, head_topics=None,
-              head_floor=None, head_placement=None, tail_placement=(0.05, 1.0)))
+              head_floor=60))
+@example(dict(n_domains=5_000, skew_spec=SkewSpec(10, 0.1, 5), seed=11, head_topics=20,
+              head_floor=10))
 def test_synthesize_matches_per_topic_oracle(taxonomy, case):
     try:
         got = synthesize_skewed_classification(taxonomy, **case)
@@ -200,19 +204,35 @@ def test_synthesize_matches_per_topic_oracle(taxonomy, case):
 
 
 def test_synthesize_refuses_a_count_larger_than_its_window(taxonomy):
-    spec = SkewSpec(zero_topics=0, top_fraction=0.5, median=2)
-    with pytest.raises(ClassificationError, match=r"needs 500 domains, more than the 100 .*\(0\.0, 0\.1\)"):
+    # At 10 domains the floor window (0.4, 1.0) holds 6; a median of 5
+    # jitters floor counts over 2..8.
+    spec = SkewSpec(zero_topics=0, top_fraction=0.5, median=5)
+    for seed in (0, 1, 2):
+        with pytest.raises(ClassificationError, match=r"needs [78] domains, more than the 6 of its window"):
+            synthesize_skewed_classification(taxonomy, 10, spec, seed=seed, head_topics=5, head_floor=1)
+    # One over: a median of 4.6 jitters floor counts over 2..7.
+    with pytest.raises(ClassificationError, match="needs 7 domains, more than the 6 of its window"):
         synthesize_skewed_classification(
-            taxonomy, 1000, spec, seed=0, head_topics=5, head_placement=(0.0, 0.1)
-        )
-    with pytest.raises(ClassificationError, match="needs 500 domains, more than the 499 "):
-        synthesize_skewed_classification(
-            taxonomy, 1000, spec, seed=0, head_topics=5, head_placement=(0.0, 0.499)
+            taxonomy, 10, SkewSpec(zero_topics=0, top_fraction=0.5, median=4.6), seed=0,
+            head_topics=1, head_floor=1,
         )
     # A window exactly as large as the count is filled completely.
     cls = synthesize_skewed_classification(
-        taxonomy, 1000, spec, seed=0, head_topics=5, head_placement=(0.0, 0.5)
+        taxonomy, 10, SkewSpec(zero_topics=0, top_fraction=0.5, median=4), seed=0,
+        head_topics=1, head_floor=1,
     )
-    assert prevalence(cls, taxonomy).max_count() == 500
-    with pytest.raises(ClassificationError, match="falls outside the 1000 domains"):
-        synthesize_skewed_classification(taxonomy, 1000, spec, seed=0, tail_placement=(1.0, 1.0))
+    table = prevalence(cls, taxonomy)
+    full = np.flatnonzero(table.counts == 6)
+    assert full.size
+    floor_domains = cls.domains()[4:]
+    for tid in full.tolist():
+        assert [d for d in cls.domains() if tid in cls.topics_of(d)] == floor_domains
+
+
+@pytest.mark.parametrize("seed", [1, 2, 7])
+def test_aggressive_skew_world_meets_all_three_targets(taxonomy, seed):
+    cls = synthetic_classification(aggressive_skew_config(n_users=1, seed=seed), taxonomy)
+    table = prevalence(cls, taxonomy)
+    assert table.zero_count_topics() == SKEW_TARGETS.zero_topics
+    assert table.max_count() == pytest.approx(SKEW_TARGETS.top_fraction * len(cls), rel=0.10)
+    assert table.median_count() == pytest.approx(SKEW_TARGETS.median, rel=0.10)

@@ -76,12 +76,20 @@ def test_generate_single_user(tmp_path):
     assert len(lines) == 2  # header + one user
 
 
-def test_generate_refuses_T_above_taxonomy_size(tmp_path, capsys):
+@pytest.mark.parametrize("stage, overrides, message", [
+    ("generate", {"T": 400}, "T = 400 exceeds the taxonomy's 349 topics"),
+    ("generate", {"n_domains": 10}, "median target exceeds the top topic's count"),
+    ("simulate", {"p": 2.0}, "p must be in [0, 1], got 2.0"),
+], ids=["T-400", "n_domains-10", "p-2"])
+def test_config_value_refusals_exit_2(tmp_path, capsys, stage, overrides, message):
     cfg = tmp_path / "c.json"
-    cfg.write_text(json.dumps({"n_users": 5, "n_domains": 500, "T": 400, "out": str(tmp_path / "o")}))
-    assert run_cli("generate", "--config", cfg) != 0
-    assert "T = 400 exceeds the taxonomy's 349 topics" in capsys.readouterr().err
-    assert not (tmp_path / "o" / "population.ndjson").exists()
+    cfg.write_text(json.dumps({"n_users": 5, "n_domains": 500, "out": str(tmp_path / "o"), **overrides}))
+    if stage == "simulate":
+        assert run_cli("generate", "--config", cfg) == 0
+    assert run_cli(stage, "--config", cfg) == 2
+    assert message in capsys.readouterr().err
+    written = "population.ndjson" if stage == "generate" else "log.ndjson"
+    assert not (tmp_path / "o" / written).exists()
 
 
 def test_rerun_is_byte_identical(tiny_config):

@@ -120,7 +120,7 @@ def test_bucket_and_rank_file_parsing():
 
 
 def test_zipf_weights_normalize():
-    w = TrafficModel(kind="zipf", exponent=1.0).weights(1000)
+    w = TrafficModel(exponent=1.0).weights(1000)
     assert w.sum() == pytest.approx(1.0, abs=1e-9)
     assert w[0] > w[1] > w[-1]
 
@@ -128,7 +128,7 @@ def test_zipf_weights_normalize():
 def test_zipf_rank1_frequency_matches_analytic_pmf():
     """Sampling oracle: rank-1 weight of Zipf(1.0) over 100 is 1/H_100."""
     m = 100
-    w = TrafficModel(kind="zipf", exponent=1.0).weights(m)
+    w = TrafficModel(exponent=1.0).weights(m)
     harmonic = sum(1.0 / r for r in range(1, m + 1))
     assert w[0] == pytest.approx(1.0 / harmonic, rel=1e-9)
 
@@ -138,15 +138,6 @@ def test_zipf_rank1_frequency_matches_analytic_pmf():
     draws = np.searchsorted(cdf, rng.counter_stream(1_000_000, 123), side="right")
     observed = float(np.mean(draws == 0))
     assert observed == pytest.approx(1.0 / harmonic, rel=0.02)
-
-
-def test_binned_traffic_model():
-    tm = TrafficModel(kind="binned-empirical", bin_weights={"1k": 0.7, "5k": 0.3})
-    w = tm.weights(5000)
-    assert w.sum() == pytest.approx(1.0, abs=1e-9)
-    assert w[:1000].sum() == pytest.approx(0.7, abs=1e-9)
-    assert w[500] == pytest.approx(0.7 / 1000)
-    assert w[3000] == pytest.approx(0.3 / 4000)
 
 
 def test_count_model_histogram_roundtrip():
