@@ -12,7 +12,7 @@ __version__ = "0.1.0"
 from .analytics import NoiseModel
 from .classification import DomainClassification, PrevalenceTable, SkewSpec
 from .denoiser import DenoiserConfig
-from .population import RankedDomainList, TrafficModel, UniqueDomainCountModel, UserProfile
+from .population import Population, RankedDomainList, TrafficModel, UniqueDomainCountModel, UserProfile
 from .simulator import EpochDraw, ObservationLog, SimConfig
 from .taxonomy import Taxonomy, Topic, bundled_taxonomy
 
@@ -23,6 +23,7 @@ __all__ = [
     "EpochDraw",
     "NoiseModel",
     "ObservationLog",
+    "Population",
     "PrevalenceTable",
     "RankedDomainList",
     "SimConfig",

@@ -3,7 +3,9 @@
 Covers three inputs: the bundled hand-annotation-style static mapping,
 externally produced top-list classifications, and synthetic skew-matched
 classifications that stand in for a real top-1M classification at desk
-scale.
+scale. A `DomainClassification` is a CSR of domain rows to sorted topic
+ids; synthesis builds it directly, and prevalence is one bincount over
+its topic column.
 
 Classification file format: UTF-8, tab-separated,
 `domain<TAB>comma-separated-topic-ids`, empty id list allowed (a domain
@@ -12,11 +14,13 @@ classified only as Unknown).
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
-from typing import IO, Iterable, Mapping, Optional, Union
+from typing import IO, Iterable, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
@@ -35,36 +39,66 @@ class ClassificationError(ValueError):
 
 
 class DomainClassification:
-    """Immutable mapping from domain name to its set of topic ids.
+    """Immutable mapping from domain name to its set of topic ids, as a CSR.
 
-    An empty topic set means the domain is classified only as Unknown.
-    Entry order is meaningful: it is the popularity rank order when the
-    classification was synthesized or loaded from a ranked list.
+    `names` holds the domains in entry order, which is meaningful: it is
+    the popularity rank order when the classification was synthesized or
+    loaded from a ranked list. Row i's topic ids are
+    `topics[indptr[i]:indptr[i + 1]]`, sorted; an empty row means the
+    domain is classified only as Unknown. `entries`, `topics_of` and the
+    per-domain statistics are views derived from these arrays.
     """
 
     def __init__(self, entries: Mapping[str, Iterable[int]], source_label: str = ""):
-        self.entries: dict[str, frozenset[int]] = {
-            d: frozenset(ts) for d, ts in entries.items()
-        }
+        rows = [sorted(set(ts)) for ts in entries.values()]
+        self.names: tuple[str, ...] = tuple(entries)
+        self.indptr = np.zeros(len(rows) + 1, dtype=np.int64)
+        np.cumsum([len(r) for r in rows], out=self.indptr[1:])
+        self.topics = np.fromiter(itertools.chain.from_iterable(rows), dtype=np.int64, count=int(self.indptr[-1]))
         self.source_label = source_label
 
+    @classmethod
+    def from_csr(
+        cls, names: tuple[str, ...], indptr: np.ndarray, topics: np.ndarray, source_label: str = ""
+    ) -> "DomainClassification":
+        """A classification over `names` whose rows are already sorted."""
+        obj = cls({}, source_label)
+        obj.names, obj.indptr, obj.topics = names, indptr, topics
+        return obj
+
+    @functools.cached_property
+    def _row_of(self) -> dict[str, int]:
+        return {d: i for i, d in enumerate(self.names)}
+
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self.names)
 
     def __contains__(self, domain: str) -> bool:
-        return domain in self.entries
+        return domain in self._row_of
+
+    def rows_of(self, domains: Sequence[str]) -> np.ndarray:
+        """Row index of each domain, -1 for a domain not classified here."""
+        return np.fromiter((self._row_of.get(d, -1) for d in domains), dtype=np.int64, count=len(domains))
+
+    def row(self, i: int) -> np.ndarray:
+        return self.topics[self.indptr[i]:self.indptr[i + 1]]
 
     def topics_of(self, domain: str) -> frozenset[int]:
-        return self.entries.get(domain, frozenset())
+        i = self._row_of.get(domain)
+        return frozenset() if i is None else frozenset(self.row(i).tolist())
+
+    @property
+    def entries(self) -> dict[str, frozenset[int]]:
+        return {d: frozenset(self.row(i).tolist()) for i, d in enumerate(self.names)}
 
     def domains(self) -> list[str]:
-        return list(self.entries)
+        return list(self.names)
 
     def empty_domain_count(self) -> int:
-        return sum(1 for ts in self.entries.values() if not ts)
+        return int(np.count_nonzero(self.topics_per_domain() == 0))
 
     def topics_per_domain(self) -> np.ndarray:
-        return np.array([len(ts) for ts in self.entries.values()], dtype=np.int64)
+        return np.diff(self.indptr)
 
 
 @dataclass(frozen=True)
@@ -134,10 +168,17 @@ def load_classification(
     return DomainClassification(entries, source_label=label)
 
 
+def classification_lines(classification: DomainClassification) -> list[str]:
+    """`domain<TAB>id,id,...` rows, the file format `load_classification` reads."""
+    return [
+        f"{d}\t{','.join(map(str, classification.row(i).tolist()))}\n"
+        for i, d in enumerate(classification.names)
+    ]
+
+
 def save_classification(classification: DomainClassification, path: Union[str, Path]) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        for domain, topics in classification.entries.items():
-            fh.write(f"{domain}\t{','.join(map(str, sorted(topics)))}\n")
+        fh.writelines(classification_lines(classification))
 
 
 _BUNDLED_STATIC: Optional[DomainClassification] = None
@@ -155,10 +196,7 @@ def bundled_static_mapping(taxonomy: Taxonomy) -> DomainClassification:
 
 def prevalence(classification: DomainClassification, taxonomy: Taxonomy) -> PrevalenceTable:
     """Count, per topic, the distinct domains whose topic set contains it."""
-    counts = np.zeros(taxonomy.omega + 1, dtype=np.int64)
-    for topics in classification.entries.values():
-        for tid in topics:
-            counts[tid] += 1
+    counts = np.bincount(classification.topics, minlength=taxonomy.omega + 1)
     return PrevalenceTable(counts=counts, total_domains=len(classification))
 
 
@@ -294,15 +332,12 @@ def synthesize_skewed_classification(
         return (lo[r] + u * (hi[r] - lo[r])).astype(np.int64)
 
     keys = rng.distinct_draws(counts, lambda short: np.maximum(2 * short, 16), draw, n_domains)
-    # Regroup by domain; each domain lists its topics in rank order.
+    # Regroup by domain; each domain lists its topic ids in ascending order.
     rows, doms = np.divmod(keys, n_domains)
-    by_domain = np.argsort(doms, kind="stable")
-    topics = nonzero_ids[rows[by_domain]].tolist()
-    bounds = np.searchsorted(doms[by_domain], np.arange(n_domains + 1)).tolist()
-
+    tids = nonzero_ids[rows]
+    by_domain = np.lexsort((tids, doms))
+    indptr = np.zeros(n_domains + 1, dtype=np.int64)
+    np.cumsum(np.bincount(doms, minlength=n_domains), out=indptr[1:])
     width = len(str(n_domains))
-    entries = {
-        f"site-{str(i + 1).zfill(width)}.example": topics[a:b]
-        for i, (a, b) in enumerate(zip(bounds, bounds[1:]))
-    }
-    return DomainClassification(entries, source_label=source_label)
+    names = tuple(f"site-{i:0{width}d}.example" for i in range(1, n_domains + 1))
+    return DomainClassification.from_csr(names, indptr, tids[by_domain], source_label=source_label)

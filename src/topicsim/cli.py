@@ -21,10 +21,11 @@ from typing import Optional
 
 from . import __version__, analytics
 from .chrome_filter import FilterParams, classify_scores, load_score_vectors
-from .classification import DomainClassification, load_classification, prevalence
+from .classification import DomainClassification, classification_lines, load_classification, prevalence
 from .denoiser import DenoiserConfig, denoise_site_trajectory
 from .population import (
     DEFAULT_FIXED_TOP,
+    Population,
     RankedDomainList,
     build_total_order,
     generate_population,
@@ -195,7 +196,7 @@ def _build_order(cfg: dict, classification: DomainClassification) -> RankedDomai
         fixed = tuple(d for d in DEFAULT_FIXED_TOP if d in bins)
         return build_total_order(bins, ranks, fixed_top=fixed, radar_order=radar)
     # Synthetic classifications come out in rank order already.
-    return RankedDomainList(tuple(classification.domains()))
+    return RankedDomainList(classification.names)
 
 
 def cmd_generate(cfg: dict) -> int:
@@ -206,27 +207,25 @@ def cmd_generate(cfg: dict) -> int:
         counts = load_count_histogram(cfg["histogram"])
     else:
         counts = count_model(_world_config(cfg))
-    users = generate_population(
+    population = generate_population(
         int(cfg["n_users"]), order, TRAFFIC, counts, classification,
         seed=int(cfg["seed"]), T=int(cfg["T"]), taxonomy=taxonomy,
         profile_candidate=int(cfg["profile_index"]),
     )
     out = _out_dir(cfg)
     n_candidates = int(cfg["profile_candidates"])
-    extra = None
+    candidates = None
     if n_candidates > 1:
         # Alternative top-profiles under distinct sub-seeds; experiments
         # pick one via profile_index, downstream files carry them all.
-        per_candidate = [
-            top_profiles(users, taxonomy, int(cfg["T"]), int(cfg["seed"]), candidate=c)
+        candidates = [
+            top_profiles(population, taxonomy, int(cfg["T"]), int(cfg["seed"]), candidate=c)
             for c in range(n_candidates)
         ]
-        extra = {u.user_id: [list(p) for p in profiles]
-                 for u, profiles in zip(users, zip(*per_candidate))}
-    write_population(users, out / "population.ndjson",
+    write_population(population, out / "population.ndjson",
                      header=dict(file_header(cfg), population_hash=population_hash(cfg)),
-                     candidates=extra)
-    stats = summarize_population(users)
+                     candidates=candidates)
+    stats = summarize_population(population)
     for line in stats.lines():
         print(line)
     print(f"wrote {out / 'population.ndjson'}")
@@ -283,7 +282,7 @@ def _check_header(path: Path, key: str, expected: str, produced_by: str) -> None
         )
 
 
-def _rebuild_scenario(cfg: dict) -> tuple[Taxonomy, DomainClassification, list, ObservationLog]:
+def _rebuild_scenario(cfg: dict) -> tuple[Taxonomy, DomainClassification, Population, ObservationLog]:
     """Recreate the in-memory scenario for analysis subcommands.
 
     The NDJSON artifacts are the interchange format; for analysis we
@@ -365,8 +364,7 @@ def cmd_filter(cfg: dict, scores_path: str) -> int:
     dest = out / "filtered_classification.tsv"
     with open(dest, "w", encoding="utf-8") as fh:
         fh.write(csv_header_line(cfg) + "\n")
-        for domain, topics in classification.entries.items():
-            fh.write(f"{domain}\t{','.join(map(str, sorted(topics)))}\n")
+        fh.writelines(classification_lines(classification))
     print(f"filtered {len(vectors)} score vectors -> {dest}")
     return 0
 

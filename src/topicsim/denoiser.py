@@ -37,12 +37,12 @@ Metrics series output: CSV
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 import numpy as np
 
 from .classification import PrevalenceTable
-from .population import UserProfile
+from .population import Population
 from .simulator import SiteLog
 
 
@@ -237,7 +237,7 @@ def denoise_site_trajectory(
     site_log: SiteLog,
     prev: PrevalenceTable,
     config: DenoiserConfig,
-    population: Sequence[UserProfile],
+    population: Population,
     epochs: Optional[Iterable[int]] = None,
 ) -> DenoiseTrajectory:
     """Per-epoch on-the-fly metrics for one site's full log.
@@ -251,12 +251,16 @@ def denoise_site_trajectory(
     omega = int(max(prev.counts.shape[0] - 1, site_log.truth_topics.max()))
     engine = MultiShotEngine(site_log.n_users, omega, prev, config)
 
-    profile_mask = np.zeros((site_log.n_users, omega + 1), dtype=bool)
-    by_id = {u.user_id: u for u in population}
-    for i, uid in enumerate(site_log.user_ids):
-        profile_mask[i, list(by_id[int(uid)].top_profile)] = True
-
+    # Align the population's profiles to the log's users.
+    missing = ~np.isin(site_log.user_ids, population.user_ids)
+    if missing.any():
+        raise ValueError(f"user {site_log.user_ids[missing][0]} of the log is not in the population")
+    by_id = np.argsort(population.user_ids, kind="stable")
+    at = by_id[np.searchsorted(population.user_ids[by_id], site_log.user_ids)]
     rows = np.arange(site_log.n_users)[:, None]
+    profile_mask = np.zeros((site_log.n_users, omega + 1), dtype=bool)
+    profile_mask[rows, population.profiles[at]] = True
+
     tt = site_log.truth_topics.astype(np.int64)
     noisy_eff = site_log.truth_noisy & ~profile_mask[rows, tt]
 

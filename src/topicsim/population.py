@@ -17,7 +17,9 @@ one block of `POPULATION_BLOCK_USERS` at a time, each block's domain
 draws in rounds for the users still short of their count, its observed
 topics gathered from a domain->topic CSR, and its profiles picked by one
 segmented sort of keyed uniforms. The result does not depend on the
-block size.
+block size. A `Population` keeps the users as arrays: ids, an (n, T)
+profile array, and visited positions and observed topics as CSRs over
+the order's domain names; `UserProfile` is the per-user record view.
 
 File formats: rank-bucket CSV `origin,rank_bucket`; rank list CSV
 `rank,domain`; count-histogram CSV `unique_domain_count,user_fraction`;
@@ -35,7 +37,7 @@ import math
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
-from typing import IO, Iterable, Mapping, Optional, Sequence, Union
+from typing import IO, Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
@@ -175,23 +177,36 @@ def build_total_order(
 def load_bucket_file(source: Union[str, Path, IO[str]]) -> dict[str, str]:
     """CSV `origin,rank_bucket` (header optional)."""
     out: dict[str, str] = {}
-    with _open(source) as fh:
-        for row in csv.reader(fh):
-            if not row or row[0].lower() in ("origin", "domain"):
-                continue
-            out[row[0].strip()] = row[1].strip()
+    for _, row in _rows(source, 2):
+        if row[0].lower() in ("origin", "domain"):
+            continue
+        out[row[0].strip()] = row[1].strip()
     return out
 
 
 def load_rank_file(source: Union[str, Path, IO[str]]) -> dict[str, int]:
     """CSV `rank,domain` (header optional)."""
     out: dict[str, int] = {}
-    with _open(source) as fh:
-        for row in csv.reader(fh):
-            if not row or row[0].lower() == "rank":
-                continue
+    for lineno, row in _rows(source, 2):
+        if row[0].lower() == "rank":
+            continue
+        try:
             out[row[1].strip()] = int(row[0])
+        except ValueError:
+            raise PopulationError(f"row {lineno}: rank {row[0]!r} is not an integer") from None
     return out
+
+
+def _rows(source: Union[str, Path, IO[str]], width: int) -> Iterator[tuple[int, list[str]]]:
+    """Non-empty CSV rows with their line numbers; a row of fewer than
+    `width` fields is refused."""
+    with _open(source) as fh:
+        for lineno, row in enumerate(csv.reader(fh), start=1):
+            if not row:
+                continue
+            if len(row) < width:
+                raise PopulationError(f"row {lineno}: expected {width} fields, got {len(row)}: {row!r}")
+            yield lineno, row
 
 
 def _open(source):
@@ -298,13 +313,20 @@ def _erfinv(y: np.ndarray) -> np.ndarray:
 def load_count_histogram(source: Union[str, Path, IO[str]]) -> UniqueDomainCountModel:
     """CSV `unique_domain_count,user_fraction` (header optional)."""
     support, probs = [], []
-    with _open(source) as fh:
-        for row in csv.reader(fh):
-            if not row or not row[0].strip().isdigit():
-                continue
-            support.append(int(row[0]))
-            probs.append(float(row[1]))
+    for lineno, row in _rows(source, 2):
+        if not row[0].strip().isdigit():
+            continue
+        try:
+            fraction = float(row[1])
+        except ValueError:
+            fraction = math.nan
+        if not fraction >= 0:
+            raise PopulationError(f"row {lineno}: fraction {row[1].strip()!r} is not a non-negative number")
+        support.append(int(row[0]))
+        probs.append(fraction)
     total = sum(probs)
+    if not total > 0:
+        raise PopulationError("count histogram has no positive fraction")
     probs = [p / total for p in probs]
     return UniqueDomainCountModel(
         kind="empirical-histogram", support=tuple(support), probabilities=tuple(probs)
@@ -316,39 +338,133 @@ def load_count_histogram(source: Union[str, Path, IO[str]]) -> UniqueDomainCount
 
 @dataclass(frozen=True)
 class UserProfile:
+    """One user as a record: the view `Population` gives per row."""
+
     user_id: int
     visited_domains: frozenset[str]
     observed_topics: frozenset[int]
     top_profile: tuple[int, ...]  # sorted, exactly T entries once derived
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "user_id": self.user_id,
-                "visited_domains": sorted(self.visited_domains),
-                "observed_topics": sorted(self.observed_topics),
-                "top_profile": list(self.top_profile),
-            },
-            separators=(",", ":"),
+
+def _segments(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
+    """Concatenated index ranges [starts[i], starts[i] + lens[i])."""
+    offsets = np.cumsum(lens) - lens
+    return np.repeat(starts - offsets, lens) + np.arange(int(lens.sum()))
+
+
+def _indptr(lens) -> np.ndarray:
+    lens = np.asarray(lens, dtype=np.int64)
+    indptr = np.zeros(lens.size + 1, dtype=np.int64)
+    np.cumsum(lens, out=indptr[1:])
+    return indptr
+
+
+def _sorted_unique(a: np.ndarray) -> np.ndarray:
+    """`np.unique(a)` for a 1-D array, by one sort (numpy's hashing path is slower)."""
+    a = np.sort(a)
+    return a[np.r_[True, a[1:] != a[:-1]]] if a.size else a
+
+
+def _row_ids(indptr: np.ndarray) -> np.ndarray:
+    """Row index of every entry of a CSR with these row bounds."""
+    return np.repeat(np.arange(indptr.size - 1), np.diff(indptr))
+
+
+@dataclass(frozen=True, eq=False)
+class Population:
+    """Users as arrays, one row per user.
+
+    Row i is user `user_ids[i]`, with top-T profile `profiles[i]`. Its
+    visited domains are `domains[p]` for the positions p in
+    `visits[visit_indptr[i]:visit_indptr[i + 1]]`, and its observed
+    topics are `topics[topic_indptr[i]:topic_indptr[i + 1]]`; both rows
+    are sorted and hold no repeats. Indexing and iteration give
+    `UserProfile` records.
+    """
+
+    user_ids: np.ndarray      # (n,) int64
+    profiles: np.ndarray      # (n, T) int64
+    visit_indptr: np.ndarray  # (n + 1,) int64
+    visits: np.ndarray        # positions in `domains`, int32
+    topic_indptr: np.ndarray  # (n + 1,) int64
+    topics: np.ndarray        # observed topic ids, int32
+    domains: tuple[str, ...]
+
+    def __len__(self) -> int:
+        return self.user_ids.size
+
+    def __getitem__(self, i: int) -> UserProfile:
+        if not 0 <= i < len(self):
+            raise IndexError(f"user row {i} out of range for {len(self)} users")
+        visits = self.visits[self.visit_indptr[i]:self.visit_indptr[i + 1]].tolist()
+        return UserProfile(
+            int(self.user_ids[i]),
+            frozenset(self.domains[p] for p in visits),
+            frozenset(self.topics[self.topic_indptr[i]:self.topic_indptr[i + 1]].tolist()),
+            tuple(self.profiles[i].tolist()),
         )
 
+    def __iter__(self) -> Iterator[UserProfile]:
+        return (self[i] for i in range(len(self)))
+
     @classmethod
-    def from_json(cls, line: str) -> "UserProfile":
-        obj = json.loads(line)
-        return cls(
-            user_id=obj["user_id"],
-            visited_domains=frozenset(obj["visited_domains"]),
-            observed_topics=frozenset(obj["observed_topics"]),
-            top_profile=tuple(obj["top_profile"]),
+    def from_records(cls, users: Iterable[UserProfile]) -> "Population":
+        """The population of these records, in their order."""
+        users = list(users)
+        return _from_rows(
+            [u.user_id for u in users],
+            [sorted(u.visited_domains) for u in users],
+            [u.observed_topics for u in users],
+            [u.top_profile for u in users],
         )
+
+
+def _unique_rows(indptr: np.ndarray, values: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """A CSR's rows sorted and without repeats, for values in [0, width)."""
+    rows, values = np.divmod(_sorted_unique(_row_ids(indptr) * width + values), width)
+    return _indptr(np.bincount(rows, minlength=indptr.size - 1)), values
+
+
+def _from_rows(
+    user_ids: Sequence[int],
+    visited: Sequence[Iterable[str]],
+    observed: Sequence[Iterable[int]],
+    profiles: Sequence[Sequence[int]],
+) -> Population:
+    """A population from per-user rows; every profile must be as long as the first."""
+    sizes = np.array([len(p) for p in profiles], dtype=np.int64)
+    T = int(sizes[0]) if sizes.size else 0
+    ragged = np.flatnonzero(sizes != T)
+    if ragged.size:
+        i = int(ragged[0])
+        raise PopulationError(f"user {user_ids[i]} has profile size {sizes[i]}, but user {user_ids[0]} has {T}")
+    names = list(itertools.chain.from_iterable(visited))
+    domains = tuple(dict.fromkeys(names))
+    index = dict(zip(domains, range(len(domains))))
+    visits = np.fromiter(map(index.__getitem__, names), dtype=np.int64, count=len(names))
+    topics = np.fromiter(itertools.chain.from_iterable(observed), dtype=np.int64)
+    visit_indptr, visits = _unique_rows(_indptr([len(r) for r in visited]), visits, max(len(domains), 1))
+    topic_indptr, topics = _unique_rows(
+        _indptr([len(r) for r in observed]), topics, int(topics.max(initial=0)) + 1
+    )
+    return Population(
+        user_ids=np.array(user_ids, dtype=np.int64),
+        profiles=np.array(profiles, dtype=np.int64).reshape(len(profiles), T),
+        visit_indptr=visit_indptr,
+        visits=visits.astype(np.int32),
+        topic_indptr=topic_indptr,
+        topics=topics.astype(np.int32),
+        domains=domains,
+    )
 
 
 # Users per block of array draws in `generate_population` and
-# `top_profiles`; bounds the size of the draw temporaries.
+# `top_profiles`, and per formatted block in `write_population`; bounds
+# the size of the temporaries.
 POPULATION_BLOCK_USERS = 1024
 
 
-def _profile_keys(
+def _profiles(
     uids: np.ndarray,
     observed: np.ndarray,
     width: int,
@@ -357,13 +473,14 @@ def _profile_keys(
     seed: int,
     candidate: int,
 ) -> np.ndarray:
-    """Top-T profile keys row * width + topic, sorted, for users `uids`.
+    """Sorted top-T profiles, shape (len(uids), T), of users `uids`.
 
-    `observed` holds each row's observed topics as sorted keys. A user's
-    picks are its T observed topics of lowest keyed uniform (ties by
-    position in the sorted list), a keyed permutation; users with fewer
-    than T observed topics are padded with distinct uniform taxonomy
-    draws from the fill stream, so T may not exceed the taxonomy's size.
+    `observed` holds each row's observed topics as sorted keys
+    row * width + topic. A user's picks are its T observed topics of
+    lowest keyed uniform (ties by position in the sorted list), a keyed
+    permutation; users with fewer than T observed topics are padded with
+    distinct uniform taxonomy draws from the fill stream, so T may not
+    exceed the taxonomy's size.
     """
     if not 0 <= candidate < 10:
         raise PopulationError(f"candidate index must be in [0, 10), got {candidate}")
@@ -380,52 +497,39 @@ def _profile_keys(
         return all_ids[(u * all_ids.size).astype(np.int64)]
 
     padding = rng.distinct_draws(short, lambda s: np.full_like(s, 16), fill, width, taken=observed)
-    return np.sort(np.concatenate([picks, padding]))
+    return (np.sort(np.concatenate([picks, padding])) % width).reshape(uids.size, T)
 
 
-def _split(keys: np.ndarray, width: int, n_rows: int, values: np.ndarray) -> list[list]:
-    """Per-row lists of the objects `values[key % width]`, for sorted keys."""
-    rows, rest = np.divmod(keys, width)
-    bounds = np.searchsorted(rows, np.arange(n_rows + 1)).tolist()
-    flat = values[rest].tolist()
-    return [flat[a:b] for a, b in zip(bounds, bounds[1:])]
-
-
-def _topic_ids(taxonomy: Taxonomy, topics: np.ndarray) -> tuple[np.ndarray, int, np.ndarray]:
-    """Taxonomy ids, the key width over them and `topics`, and one shared
-    int object per id below that width, so users do not each hold copies."""
+def _topic_ids(taxonomy: Taxonomy, topics: np.ndarray) -> tuple[np.ndarray, int]:
+    """Taxonomy ids, and the key width over them and `topics`."""
     all_ids = np.asarray(taxonomy.ids(), dtype=np.int64)
-    width = int(max(all_ids.max(initial=0), topics.max(initial=0))) + 1
-    return all_ids, width, np.arange(width).astype(object)
+    return all_ids, int(max(all_ids.max(initial=0), topics.max(initial=0))) + 1
 
 
 def top_profiles(
-    users: Sequence[UserProfile],
+    population: Population,
     taxonomy: Taxonomy,
     T: int,
     seed: int,
     candidate: int = 0,
-) -> list[tuple[int, ...]]:
+) -> np.ndarray:
     """Stable top-T profile of each user, as `generate_population` draws it.
 
     Uniform sample of T distinct observed topics; when fewer than T were
     observed, the remainder is drawn uniformly (distinct) from the
     taxonomy, mirroring the noise mechanism's padding. `candidate`
     selects one of up to 10 alternative profiles under distinct
-    sub-seeds.
+    sub-seeds. Returns shape (len(population), T), each row sorted.
     """
-    out: list[tuple[int, ...]] = []
-    for lo in range(0, len(users), POPULATION_BLOCK_USERS):
-        block = users[lo:lo + POPULATION_BLOCK_USERS]
-        uids = np.array([u.user_id for u in block], dtype=np.int64)
-        sizes = [len(u.observed_topics) for u in block]
-        topics = np.fromiter(
-            (t for u in block for t in sorted(u.observed_topics)), dtype=np.int64, count=sum(sizes)
-        )
-        all_ids, width, topic_objs = _topic_ids(taxonomy, topics)
-        observed = np.repeat(np.arange(len(block), dtype=np.int64) * width, sizes) + topics
-        keys = _profile_keys(uids, observed, width, all_ids, T, seed, candidate)
-        out.extend(map(tuple, _split(keys, width, len(block), topic_objs)))
+    all_ids, width = _topic_ids(taxonomy, population.topics)
+    rows = _row_ids(population.topic_indptr)
+    observed = rows * width + population.topics
+    out = np.empty((len(population), T), dtype=np.int64)
+    for lo in range(0, len(population), POPULATION_BLOCK_USERS):
+        hi = min(lo + POPULATION_BLOCK_USERS, len(population))
+        a, b = population.topic_indptr[lo], population.topic_indptr[hi]
+        uids = population.user_ids[lo:hi]
+        out[lo:hi] = _profiles(uids, observed[a:b] - lo * width, width, all_ids, T, seed, candidate)
     return out
 
 
@@ -440,7 +544,7 @@ def generate_population(
     *,
     taxonomy: Taxonomy,
     profile_candidate: int = 0,
-) -> list[UserProfile]:
+) -> Population:
     """Generate n users with visited domains, observed topics, and top-T profiles.
 
     Deterministic for a fixed seed. Every draw is keyed on (seed, tag,
@@ -462,15 +566,16 @@ def generate_population(
         logger.warning("clamped unique-domain count to %d for %d of %d users", m, clamped, n)
     ks = np.minimum(ks, m)
 
-    # Domain -> topic CSR over total-order positions.
-    topic_sets = [classification.topics_of(d) for d in order.domains]
-    indptr = np.zeros(m + 1, dtype=np.int64)
-    np.cumsum([len(ts) for ts in topic_sets], out=indptr[1:])
-    flat = np.fromiter(itertools.chain.from_iterable(topic_sets), dtype=np.int64, count=int(indptr[-1]))
-    domains = np.array(order.domains, dtype=object)
-    all_ids, width, topic_objs = _topic_ids(taxonomy, flat)
+    # Domain -> topic CSR over total-order positions; a domain the
+    # classification lacks has no topics.
+    rows = classification.rows_of(order.domains)
+    lens = np.where(rows >= 0, classification.indptr[rows + 1] - classification.indptr[rows], 0)
+    indptr = _indptr(lens)
+    flat = classification.topics[_segments(classification.indptr[rows], lens)]
+    all_ids, width = _topic_ids(taxonomy, flat)
 
-    users: list[UserProfile] = []
+    visit_parts, topic_parts, visit_lens, topic_lens = [], [], [], []
+    profiles = np.empty((n, T), dtype=np.int64)
     for lo in range(0, n, POPULATION_BLOCK_USERS):
         uids = np.arange(lo, min(lo + POPULATION_BLOCK_USERS, n), dtype=np.int64)
 
@@ -479,58 +584,95 @@ def generate_population(
             return np.minimum(np.searchsorted(cdf, u, side="right"), m - 1)
 
         visits = rng.distinct_draws(ks[uids], lambda short: np.maximum(2 * short, 16), pick, m)
-        rows, pos = np.divmod(visits, m)
-        lens = indptr[pos + 1] - indptr[pos]
-        starts = np.repeat(indptr[pos] - (np.cumsum(lens) - lens), lens)
-        observed = np.unique(
-            np.repeat(rows * width, lens) + flat[starts + np.arange(starts.size)]
-        )
-        profiles = _profile_keys(uids, observed, width, all_ids, T, seed, profile_candidate)
-        # A frozenset made from a dict sizes its hash table once, for the
-        # final count; made from a list it grows fourfold as it fills.
-        users.extend(
-            UserProfile(uid, frozenset(dict.fromkeys(v)), frozenset(dict.fromkeys(o)), tuple(p))
-            for uid, v, o, p in zip(
-                uids.tolist(),
-                _split(visits, m, uids.size, domains),
-                _split(observed, width, uids.size, topic_objs),
-                _split(profiles, width, uids.size, topic_objs),
-            )
-        )
-    return users
+        vrows, pos = np.divmod(visits, m)
+        seg = indptr[pos + 1] - indptr[pos]
+        observed = _sorted_unique(np.repeat(vrows * width, seg) + flat[_segments(indptr[pos], seg)])
+        profiles[uids] = _profiles(uids, observed, width, all_ids, T, seed, profile_candidate)
+        orows, topics = np.divmod(observed, width)
+        visit_parts.append(pos.astype(np.int32))
+        topic_parts.append(topics.astype(np.int32))
+        visit_lens.append(np.bincount(vrows, minlength=uids.size))
+        topic_lens.append(np.bincount(orows, minlength=uids.size))
+    return Population(
+        user_ids=np.arange(n, dtype=np.int64),
+        profiles=profiles,
+        visit_indptr=_indptr(np.concatenate(visit_lens)),
+        visits=np.concatenate(visit_parts),
+        topic_indptr=_indptr(np.concatenate(topic_lens)),
+        topics=np.concatenate(topic_parts),
+        domains=order.domains,
+    )
+
+
+def _ints(values: list) -> str:
+    return ",".join(map(str, values))
 
 
 def write_population(
-    users: Iterable[UserProfile],
+    population: Population,
     path: Union[str, Path],
     header: Optional[dict] = None,
-    candidates: Optional[Mapping[int, list[list[int]]]] = None,
+    candidates: Optional[Sequence[np.ndarray]] = None,
 ) -> None:
-    """NDJSON, one user per line; `candidates` optionally attaches the
-    alternative top-profile sets per user."""
+    """NDJSON, one user per line: `user_id`, `visited_domains` sorted by
+    name, `observed_topics`, `top_profile`, and with `candidates` (one
+    (n, T) profile array per candidate) `top_profile_candidates`.
+
+    Lines are formatted from the arrays one block of
+    `POPULATION_BLOCK_USERS` users at a time, each domain name escaped
+    once; the bytes are those of one compact `json.dumps` per record.
+    """
+    # The visited positions in name order, and each one's rank in it.
+    by_name = sorted(_sorted_unique(population.visits).tolist(), key=population.domains.__getitem__)
+    width = max(len(by_name), 1)
+    name_rank = np.zeros(len(population.domains), dtype=np.int64)
+    name_rank[by_name] = np.arange(len(by_name))
+    escaped = [json.dumps(population.domains[p]) for p in by_name]
+    vrows = _row_ids(population.visit_indptr)
     with open(path, "w", encoding="utf-8") as fh:
         if header is not None:
             fh.write(json.dumps({"header": header}, separators=(",", ":"), sort_keys=True) + "\n")
-        for u in users:
-            if candidates is None:
-                fh.write(u.to_json() + "\n")
-            else:
-                record = json.loads(u.to_json())
-                record["top_profile_candidates"] = candidates[u.user_id]
-                fh.write(json.dumps(record, separators=(",", ":")) + "\n")
+        for lo in range(0, len(population), POPULATION_BLOCK_USERS):
+            hi = min(lo + POPULATION_BLOCK_USERS, len(population))
+            a, b = population.visit_indptr[lo], population.visit_indptr[hi]
+            ranks = np.sort(vrows[a:b] * width + name_rank[population.visits[a:b]]) % width
+            visited = [escaped[r] for r in ranks.tolist()]
+            vb = (population.visit_indptr[lo:hi + 1] - a).tolist()
+            a, b = population.topic_indptr[lo], population.topic_indptr[hi]
+            observed = population.topics[a:b].tolist()
+            tb = (population.topic_indptr[lo:hi + 1] - a).tolist()
+            profiles = population.profiles[lo:hi].tolist()
+            extra = [""] * (hi - lo)
+            if candidates is not None:
+                extra = [
+                    ',"top_profile_candidates":[' + ",".join(f"[{_ints(c)}]" for c in cs) + "]"
+                    for cs in np.stack([c[lo:hi] for c in candidates], axis=1).tolist()
+                ]
+            fh.write("".join(
+                f'{{"user_id":{uid},"visited_domains":[{",".join(visited[vb[j]:vb[j + 1]])}],'
+                f'"observed_topics":[{_ints(observed[tb[j]:tb[j + 1]])}],'
+                f'"top_profile":[{_ints(profiles[j])}]{extra[j]}}}\n'
+                for j, uid in enumerate(population.user_ids[lo:hi].tolist())
+            ))
 
 
-def read_population(path: Union[str, Path]) -> list[UserProfile]:
-    users = []
+def read_population(path: Union[str, Path]) -> Population:
+    """The population of a `write_population` file.
+
+    Refuses a file whose users' `top_profile`s differ in length.
+    """
+    user_ids, visited, observed, profiles = [], [], [], []
     with open(path, "r", encoding="utf-8") as fh:
         for line in fh:
             line = line.strip()
-            if not line:
+            if not line or line.startswith('{"header"'):
                 continue
-            if line.startswith('{"header"'):
-                continue
-            users.append(UserProfile.from_json(line))
-    return users
+            obj = json.loads(line)
+            user_ids.append(obj["user_id"])
+            visited.append(obj["visited_domains"])
+            observed.append(obj["observed_topics"])
+            profiles.append(obj["top_profile"])
+    return _from_rows(user_ids, visited, observed, profiles)
 
 
 @dataclass(frozen=True)
@@ -549,19 +691,11 @@ class PopulationStats:
         ]
 
 
-def summarize_population(users: Sequence[UserProfile]) -> PopulationStats:
-    domains: set[str] = set()
-    topics: set[int] = set()
-    profiles: set[tuple[int, ...]] = set()
-    for u in users:
-        domains.update(u.visited_domains)
-        topics.update(u.observed_topics)
-        # Taxonomy padding counts as observed for reporting purposes.
-        topics.update(u.top_profile)
-        profiles.add(u.top_profile)
+def summarize_population(population: Population) -> PopulationStats:
     return PopulationStats(
-        n_users=len(users),
-        unique_observed_domains=len(domains),
-        unique_observed_topics=len(topics),
-        unique_top_profiles=len(profiles),
+        n_users=len(population),
+        unique_observed_domains=int(_sorted_unique(population.visits).size),
+        # Taxonomy padding counts as observed for reporting purposes.
+        unique_observed_topics=int(np.union1d(population.topics, population.profiles).size),
+        unique_top_profiles=int(np.unique(population.profiles, axis=0).shape[0]),
     )

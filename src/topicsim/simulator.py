@@ -26,12 +26,12 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Sequence, Union
+from typing import Optional, Union
 
 import numpy as np
 
 from . import rng
-from .population import UserProfile
+from .population import Population, UserProfile
 from .taxonomy import Taxonomy
 
 DEFAULT_T = 5
@@ -212,16 +212,6 @@ class SiteLog:
         return self.config.epochs
 
 
-def _profiles_array(population: Sequence[UserProfile], T: int) -> tuple[np.ndarray, np.ndarray]:
-    ids = np.array([u.user_id for u in population], dtype=np.int64)
-    profiles = np.empty((len(population), T), dtype=np.int16)
-    for i, u in enumerate(population):
-        if len(u.top_profile) != T:
-            raise ValueError(f"user {u.user_id} has profile size {len(u.top_profile)}, expected {T}")
-        profiles[i] = u.top_profile
-    return ids, profiles
-
-
 def _draws_for_site(
     site: str,
     user_ids: np.ndarray,
@@ -244,7 +234,7 @@ def _draws_for_site(
 
 
 def run_scenario(
-    population: Sequence[UserProfile],
+    population: Population,
     config: SimConfig,
     taxonomy: Taxonomy,
 ) -> ObservationLog:
@@ -255,9 +245,11 @@ def run_scenario(
     byte-identical results; this implementation batches it through numpy
     in one pass per site.
     """
-    if not population:
+    if not len(population):
         raise ValueError("population must be nonempty")
-    user_ids, profiles = _profiles_array(population, config.T)
+    user_ids, profiles = population.user_ids, population.profiles
+    if profiles.shape[1] != config.T:
+        raise ValueError(f"profiles have size {profiles.shape[1]}, expected T = {config.T}")
     n = len(user_ids)
     n_sites = len(config.sites)
     source_epochs = np.arange(1 - config.tau, config.epochs, dtype=np.int64)

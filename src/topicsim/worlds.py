@@ -24,10 +24,10 @@ from .classification import (
     synthesize_skewed_classification,
 )
 from .population import (
+    Population,
     RankedDomainList,
     TrafficModel,
     UniqueDomainCountModel,
-    UserProfile,
     generate_population,
 )
 from .taxonomy import Taxonomy, bundled_taxonomy
@@ -63,7 +63,7 @@ class World:
     order: RankedDomainList
     traffic: TrafficModel
     counts: UniqueDomainCountModel
-    population: tuple[UserProfile, ...]
+    population: Population
 
 
 def synthetic_classification(
@@ -95,7 +95,7 @@ def build_world(config: WorldConfig = WorldConfig(), taxonomy: Optional[Taxonomy
     """Build a fully wired synthetic world, deterministic in config.seed."""
     tax = taxonomy or bundled_taxonomy()
     classification = synthetic_classification(config, tax)
-    order = RankedDomainList(tuple(classification.domains()))
+    order = RankedDomainList(classification.names)
     counts = count_model(config)
     population = generate_population(
         config.n_users,
@@ -115,7 +115,7 @@ def build_world(config: WorldConfig = WorldConfig(), taxonomy: Optional[Taxonomy
         order=order,
         traffic=TRAFFIC,
         counts=counts,
-        population=tuple(population),
+        population=population,
     )
 
 

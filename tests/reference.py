@@ -5,13 +5,20 @@ faster rewrite can be checked for equal results:
 
 * `distinct_draws_reference` (one row and one value at a time) checks
   `rng.distinct_draws`;
+* `prevalence_reference` (a double loop over the domain -> topic-set
+  mapping) checks `classification.prevalence` (one `np.bincount` over
+  the CSR);
 * `synthesize_skewed_classification_reference` (one topic at a time,
   from a scalar draw-and-skip loop over the whole domain list for head
   topics and `FLOOR_WINDOW` for floor topics) checks
   `classification.synthesize_skewed_classification`;
 * `generate_population_reference` (one user at a time, from the scalar
   draw loops `_sample_distinct_domains` and `derive_top_profile`) checks
-  `population.generate_population` and `population.top_profiles`;
+  `population.generate_population` (its `Population` rows, as
+  `UserProfile` records) and `population.top_profiles`;
+* `write_population_reference` (one `json.dumps` per `UserProfile`
+  record, the candidates variant re-dumping the record with the
+  candidate lists appended) checks `population.write_population`;
 * `call_api` (one API call from per-epoch `epoch_topic_draw`s) with
   `ApiResult`, `log_result` and `log_truth_draw` (object views of an
   `ObservationLog`) checks `simulator.run_scenario`;
@@ -89,6 +96,15 @@ def distinct_draws_reference(
 
 
 # --- classification ----------------------------------------------------------
+
+
+def prevalence_reference(classification: DomainClassification, taxonomy: Taxonomy) -> PrevalenceTable:
+    """`prevalence`, one (domain, topic) pair at a time."""
+    counts = np.zeros(taxonomy.omega + 1, dtype=np.int64)
+    for topics in classification.entries.values():
+        for tid in topics:
+            counts[tid] += 1
+    return PrevalenceTable(counts=counts, total_domains=len(classification))
 
 
 def synthesize_skewed_classification_reference(
@@ -235,6 +251,38 @@ def generate_population_reference(
         base = UserProfile(uid, visited, observed, top_profile=())
         users.append(derive_top_profile(base, taxonomy, T, seed, candidate=profile_candidate))
     return users
+
+
+def user_to_json(user: UserProfile) -> str:
+    return json.dumps(
+        {
+            "user_id": user.user_id,
+            "visited_domains": sorted(user.visited_domains),
+            "observed_topics": sorted(user.observed_topics),
+            "top_profile": list(user.top_profile),
+        },
+        separators=(",", ":"),
+    )
+
+
+def write_population_reference(
+    users: Iterable[UserProfile],
+    path: Union[str, Path],
+    header: Optional[dict] = None,
+    candidates: Optional[Mapping[int, list[list[int]]]] = None,
+) -> None:
+    """`write_population`, one record at a time; `candidates` maps a user
+    id to its alternative top-profile lists."""
+    with open(path, "w", encoding="utf-8") as fh:
+        if header is not None:
+            fh.write(json.dumps({"header": header}, separators=(",", ":"), sort_keys=True) + "\n")
+        for u in users:
+            if candidates is None:
+                fh.write(user_to_json(u) + "\n")
+            else:
+                record = json.loads(user_to_json(u))
+                record["top_profile_candidates"] = candidates[u.user_id]
+                fh.write(json.dumps(record, separators=(",", ":")) + "\n")
 
 
 # --- simulator ---------------------------------------------------------------

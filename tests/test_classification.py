@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 import hypothesis.strategies as st
 
-from reference import synthesize_skewed_classification_reference
+from reference import prevalence_reference, synthesize_skewed_classification_reference
 from topicsim.classification import (
     ClassificationError,
     DomainClassification,
@@ -102,6 +102,32 @@ def test_prevalence_sum_identity(taxonomy, entries):
     table = prevalence(cls, taxonomy)
     assert table.counts[1:].sum() == sum(len(v) for v in entries.values())
     assert table.counts.max(initial=0) <= max(len(entries), 0)
+    assert np.array_equal(table.counts, prevalence_reference(cls, taxonomy).counts)
+
+
+@pytest.mark.parametrize("source", ["static", "aggressive-skew"])
+def test_prevalence_matches_per_pair_oracle(taxonomy, static_mapping, source):
+    """The CSR bincount counts what a loop over the mapping counts."""
+    if source == "static":
+        cls = static_mapping
+    else:
+        cls = synthetic_classification(aggressive_skew_config(n_users=1, seed=1), taxonomy)
+    got, want = prevalence(cls, taxonomy), prevalence_reference(cls, taxonomy)
+    assert np.array_equal(got.counts, want.counts)
+    assert got.total_domains == want.total_domains == len(cls)
+
+
+def test_csr_views(taxonomy):
+    cls = DomainClassification({"b.com": [9, 2, 2], "a.com": (), "c.com": {4}})
+    assert cls.names == ("b.com", "a.com", "c.com")
+    assert cls.indptr.tolist() == [0, 2, 2, 3]
+    assert cls.topics.tolist() == [2, 9, 4]
+    assert cls.entries == {"b.com": {2, 9}, "a.com": frozenset(), "c.com": {4}}
+    assert cls.topics_of("b.com") == {2, 9} and cls.topics_of("zzz") == frozenset()
+    assert "c.com" in cls and "zzz" not in cls
+    assert cls.rows_of(["c.com", "zzz", "b.com"]).tolist() == [2, -1, 0]
+    assert cls.topics_per_domain().tolist() == [2, 0, 1]
+    assert cls.empty_domain_count() == 1
 
 
 def test_static_prevalence_shape(static_prevalence):
@@ -199,8 +225,9 @@ def test_synthesize_matches_per_topic_oracle(taxonomy, case):
         assume(False)  # an infeasible spec or window; the oracle would fail or hang
     want = synthesize_skewed_classification_reference(taxonomy, **case)
     assert got.entries == want.entries
-    # Each domain's topics come in the same order, so the sets iterate alike.
-    assert [list(ts) for ts in got.entries.values()] == [list(ts) for ts in want.entries.values()]
+    assert got.names == want.names
+    assert np.array_equal(got.indptr, want.indptr)
+    assert np.array_equal(got.topics, want.topics)
 
 
 def test_synthesize_refuses_a_count_larger_than_its_window(taxonomy):

@@ -241,6 +241,17 @@ def test_generate_from_rank_bucket_files(tmp_path):
     assert len(lines) == 1 + 25
 
 
+def test_generate_refuses_a_one_column_bucket_row(tmp_path, capsys):
+    crux = tmp_path / "crux.csv"
+    crux.write_text("origin,rank_bucket\na.example,1k\nb.example\n")
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"n_users": 5, "crux": str(crux), "classification": "synthetic:wide-pool",
+                               "n_domains": 500, "out": str(tmp_path / "o")}))
+    assert run_cli("generate", "--config", cfg) == 2
+    assert "row 3: expected 2 fields, got 1" in capsys.readouterr().err
+    assert not (tmp_path / "o" / "population.ndjson").exists()
+
+
 def test_denoise_refuses_log_of_another_seed(tiny_config, capsys):
     cfg, out = tiny_config
     assert run_cli("generate", "--config", cfg) == 0
@@ -335,4 +346,4 @@ def test_generate_builds_the_preset_world(preset, world_config, tmp_path):
     }))
     assert run_cli("generate", "--config", cfg) == 0
     world = build_world(replace(world_config(150, seed=1), n_domains=2000), bundled_taxonomy())
-    assert read_population(tmp_path / "o" / "population.ndjson") == list(world.population)
+    assert list(read_population(tmp_path / "o" / "population.ndjson")) == list(world.population)

@@ -20,8 +20,9 @@ from reference import (
 )
 from topicsim.classification import PrevalenceTable
 from topicsim.denoiser import DenoiseMetrics, DenoiserConfig, MultiShotEngine, denoise_site_trajectory
-from topicsim.population import UserProfile
+from topicsim.population import Population, UserProfile
 from topicsim.simulator import EpochDraw, SimConfig, run_scenario
+from topicsim.taxonomy import Taxonomy, Topic
 
 
 def prevalence_with(above=(), below=(), above_count=50, below_count=3, omega=349):
@@ -303,7 +304,9 @@ def test_confirmed_set_monotone_in_history(calls):
 
 
 def stable_scenario(taxonomy, n_users=400, epochs=12, seed=5):
-    users = [UserProfile(i, frozenset(), frozenset(), make_profile(100 + i)) for i in range(n_users)]
+    users = Population.from_records(
+        UserProfile(i, frozenset(), frozenset(), make_profile(100 + i)) for i in range(n_users)
+    )
     cfg = SimConfig(epochs=epochs, sites=("w",), seed=seed)
     return users, run_scenario(users, cfg, taxonomy)
 
@@ -366,10 +369,34 @@ def test_trajectory_matches_object_evaluation(taxonomy):
         ), point.epoch
 
 
+def test_trajectory_aligns_users_by_id(taxonomy):
+    """Profiles are matched to the log's users by id, not by row; a log
+    user the population lacks is refused."""
+    # Noise over six topics lands in a five-topic profile most of the
+    # time, so the effective-noise truth depends on whose profile is used.
+    small = Taxonomy(Topic(i, f"/t{i}", None) for i in range(1, 7))
+    gen = np.random.default_rng(4)
+    users = Population.from_records(
+        UserProfile(i, frozenset(), frozenset(), tuple(sorted(gen.choice(np.arange(1, 7), 5, replace=False).tolist())))
+        for i in range(40)
+    )
+    log = run_scenario(users, SimConfig(p=0.5, epochs=3, sites=("w",), seed=2), small)
+    prev = PrevalenceTable(counts=np.full(7, 40, dtype=np.int64), total_domains=1000)
+    site = log.site_view("w")
+    want = denoise_site_trajectory(site, prev, DenoiserConfig(), users)
+    reversed_rows = Population.from_records(list(users)[::-1])
+    assert denoise_site_trajectory(site, prev, DenoiserConfig(), reversed_rows) == want
+    fewer = Population.from_records(u for u in users if u.user_id != 13)
+    with pytest.raises(ValueError, match="user 13 of the log is not in the population"):
+        denoise_site_trajectory(site, prev, DenoiserConfig(), fewer)
+
+
 def test_median_user_fully_recovered_after_thirty_epochs(taxonomy):
     """With stable interests, 30 epochs of observation recover the exact
     top profile for the typical user."""
-    users = [UserProfile(i, frozenset(), frozenset(), make_profile(900 + i)) for i in range(400)]
+    users = Population.from_records(
+        UserProfile(i, frozenset(), frozenset(), make_profile(900 + i)) for i in range(400)
+    )
     log = run_scenario(users, SimConfig(epochs=30, sites=("w",), seed=8), taxonomy)
     counts = np.zeros(350, dtype=np.int64)
     counts[1:] = 40

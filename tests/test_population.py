@@ -1,17 +1,19 @@
 import io
 import math
+import re
 
 import hypothesis.strategies as st
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 
-from reference import derive_top_profile, generate_population_reference
+from reference import derive_top_profile, generate_population_reference, write_population_reference
 from topicsim import population
 from topicsim.classification import DomainClassification
 from topicsim.taxonomy import Taxonomy, Topic
 from topicsim.population import (
     DEFAULT_FIXED_TOP,
+    Population,
     PopulationError,
     RankedDomainList,
     TrafficModel,
@@ -214,12 +216,13 @@ def test_generate_deterministic_and_block_size_independent(taxonomy, monkeypatch
     counts = UniqueDomainCountModel(mu=math.log(6), sigma=0.5, minimum=1, maximum=30)
     one = generate_population(200, order, traffic, counts, cls, seed=8, taxonomy=taxonomy)
     two = generate_population(200, order, traffic, counts, cls, seed=8, taxonomy=taxonomy)
-    assert one == two
+    assert list(one) == list(two)
     for block in (1, 7):
         monkeypatch.setattr(population, "POPULATION_BLOCK_USERS", block)
-        assert generate_population(200, order, traffic, counts, cls, seed=8, taxonomy=taxonomy) == one
-        assert top_profiles(one, taxonomy, T=5, seed=8, candidate=3) == [
-            derive_top_profile(u, taxonomy, T=5, seed=8, candidate=3).top_profile for u in one
+        got = generate_population(200, order, traffic, counts, cls, seed=8, taxonomy=taxonomy)
+        assert list(got) == list(one)
+        assert top_profiles(one, taxonomy, T=5, seed=8, candidate=3).tolist() == [
+            list(derive_top_profile(u, taxonomy, T=5, seed=8, candidate=3).top_profile) for u in one
         ]
 
 
@@ -278,10 +281,10 @@ ONE_DOMAIN_EACH = dict(
 def test_generate_matches_per_user_oracle(taxonomy, case, small):
     taxonomy = SMALL_TAXONOMY if small else taxonomy
     got = generate_population(**case, taxonomy=taxonomy)
-    assert got == generate_population_reference(**case, taxonomy=taxonomy)
+    assert list(got) == generate_population_reference(**case, taxonomy=taxonomy)
     other = (case["profile_candidate"] + 1) % 10
-    assert top_profiles(got, taxonomy, case["T"], case["seed"], candidate=other) == [
-        derive_top_profile(u, taxonomy, case["T"], case["seed"], candidate=other).top_profile
+    assert top_profiles(got, taxonomy, case["T"], case["seed"], candidate=other).tolist() == [
+        list(derive_top_profile(u, taxonomy, case["T"], case["seed"], candidate=other).top_profile)
         for u in got
     ]
 
@@ -325,7 +328,7 @@ def test_profile_candidate_range(taxonomy):
     with pytest.raises(PopulationError):
         derive_top_profile(user, taxonomy, T=5, seed=3, candidate=10)
     with pytest.raises(PopulationError):
-        top_profiles([user], taxonomy, T=5, seed=3, candidate=10)
+        top_profiles(Population.from_records([user]), taxonomy, T=5, seed=3, candidate=10)
 
 
 def test_profile_size_above_taxonomy_size_is_refused(taxonomy):
@@ -347,16 +350,106 @@ def test_population_ndjson_roundtrip(tmp_path, taxonomy):
     path = tmp_path / "pop.ndjson"
     write_population(users, path, header={"seed": 2})
     back = read_population(path)
-    assert back == users
+    assert list(back) == list(users)
+    write_population(back, tmp_path / "again.ndjson", header={"seed": 2})
+    assert (tmp_path / "again.ndjson").read_bytes() == path.read_bytes()
 
 
 def test_summarize_population_counts():
-    users = [
+    users = Population.from_records([
         UserProfile(0, frozenset({"a"}), frozenset({1, 2}), (1, 2, 3, 4, 5)),
         UserProfile(1, frozenset({"a", "b"}), frozenset({2}), (1, 2, 3, 4, 6)),
-    ]
+    ])
     stats = summarize_population(users)
     assert stats.n_users == 2
     assert stats.unique_observed_domains == 2
     assert stats.unique_top_profiles == 2
     assert stats.unique_observed_topics == 6  # observed plus profile padding
+
+
+@pytest.mark.parametrize("loader, body, message", [
+    (load_bucket_file, "origin,rank_bucket\na.com,1k\nb.com\n", "row 3: expected 2 fields, got 1"),
+    (load_rank_file, "rank,domain\n1,a.com\n2\n", "row 3: expected 2 fields, got 1"),
+    (load_rank_file, "rank,domain\nfirst,a.com\n", "row 2: rank 'first' is not an integer"),
+    (load_count_histogram, "unique_domain_count,user_fraction\n5,0\n6,0.0\n",
+     "count histogram has no positive fraction"),
+    (load_count_histogram, "5,-0.5\n6,1.5\n", "row 1: fraction '-0.5' is not a non-negative number"),
+    (load_count_histogram, "5,0.5\n6\n", "row 2: expected 2 fields, got 1"),
+], ids=["bucket-one-column", "rank-one-column", "rank-not-integer", "histogram-all-zero",
+        "histogram-negative", "histogram-one-column"])
+def test_csv_loaders_refuse_bad_rows(loader, body, message):
+    with pytest.raises(PopulationError, match=re.escape(message)):
+        loader(io.StringIO(body))
+
+
+# Host names that JSON escapes (quote, backslash, control character),
+# non-ASCII ones, and plain ones whose lexicographic order differs from
+# the rank order `build_total_order` gives them.
+AWKWARD_NAMES = ('z"q.example', "b\\s.example", "tab\t.example", "café.example",
+                 "中文.example", "a.example", "m.example")
+
+
+@st.composite
+def writer_cases(draw):
+    names = draw(st.lists(
+        st.one_of(st.sampled_from(AWKWARD_NAMES), st.text(min_size=1, max_size=6)),
+        min_size=1, max_size=12, unique=True,
+    ))
+    ranked = draw(st.lists(st.sampled_from(names), unique=True))
+    return dict(
+        bins={d: draw(st.sampled_from(["1k", "5k"])) for d in names},
+        ranks={etld_plus_one(d): r for r, d in enumerate(reversed(ranked), start=1)},
+        topics={d: draw(st.frozensets(st.integers(1, 349), max_size=3)) for d in names},
+        n=draw(st.sampled_from([1, 5, 1023, 1024, 1025])),
+        T=draw(st.integers(1, 5)),
+        seed=draw(st.integers(0, 2**32)),
+        n_candidates=draw(st.sampled_from([1, 3])),
+    )
+
+
+AWKWARD_CASE = dict(
+    bins={d: "1k" for d in AWKWARD_NAMES},
+    ranks={etld_plus_one(d): r for r, d in enumerate(reversed(AWKWARD_NAMES), start=1)},
+    topics={d: frozenset({1 + i, 100 + i}) for i, d in enumerate(AWKWARD_NAMES)},
+    n=1025, T=5, seed=3, n_candidates=3,
+)
+
+
+@settings(max_examples=12, deadline=None)
+@given(writer_cases())
+@example(AWKWARD_CASE)
+@example(dict(AWKWARD_CASE, n=1023, n_candidates=1))
+def test_population_ndjson_matches_per_record_oracle(taxonomy, tmp_path_factory, case):
+    """The block writer gives the bytes of one `json.dumps` per record, and
+    reading a file back writes the same bytes."""
+    order = build_total_order(case["bins"], case["ranks"], fixed_top=())
+    users = generate_population(
+        case["n"], order, TrafficModel(exponent=1.0),
+        UniqueDomainCountModel(kind="empirical-histogram", support=(1, 3, 6), probabilities=(0.3, 0.4, 0.3)),
+        DomainClassification(case["topics"]), seed=case["seed"], T=case["T"], taxonomy=taxonomy,
+    )
+    candidates, by_user = None, None
+    if case["n_candidates"] > 1:
+        candidates = [top_profiles(users, taxonomy, case["T"], case["seed"], candidate=c)
+                      for c in range(case["n_candidates"])]
+        by_user = {u: [c[u].tolist() for c in candidates] for u in range(case["n"])}
+    out = tmp_path_factory.mktemp("pop")
+    header = {"seed": case["seed"], "note": "café"}
+    write_population(users, out / "got.ndjson", header=header, candidates=candidates)
+    write_population_reference(users, out / "want.ndjson", header=header, candidates=by_user)
+    assert (out / "got.ndjson").read_bytes() == (out / "want.ndjson").read_bytes()
+
+    write_population(users, out / "plain.ndjson", header=header)
+    back = read_population(out / "plain.ndjson")
+    assert list(back) == list(users)
+    write_population(back, out / "again.ndjson", header=header)
+    assert (out / "again.ndjson").read_bytes() == (out / "plain.ndjson").read_bytes()
+
+
+def test_read_refuses_ragged_profiles(tmp_path):
+    users = [UserProfile(7, frozenset({"a"}), frozenset({1}), (1, 2, 3)),
+             UserProfile(9, frozenset({"b"}), frozenset({2}), (1, 2))]
+    path = tmp_path / "pop.ndjson"
+    write_population_reference(users, path, header={"seed": 1})
+    with pytest.raises(ValueError, match="user 9 has profile size 2, but user 7 has 3"):
+        read_population(path)

@@ -8,7 +8,7 @@ from conftest import make_profile
 from reference import argmax_match_one_way, reidentify_two_calls
 from topicsim.classification import PrevalenceTable
 from topicsim.denoiser import DenoiserConfig
-from topicsim.population import UserProfile
+from topicsim.population import Population, UserProfile
 from topicsim.reidentify import (
     MAX_SUBSET_TOPICS,
     MatchReport,
@@ -95,7 +95,9 @@ def test_k_cdf_monotone():
 
 
 def small_two_site_world(taxonomy, n=150, epochs=8, seed=3):
-    users = [UserProfile(i, frozenset(), frozenset(), make_profile(500 + i)) for i in range(n)]
+    users = Population.from_records(
+        UserProfile(i, frozenset(), frozenset(), make_profile(500 + i)) for i in range(n)
+    )
     cfg = SimConfig(epochs=epochs, sites=("wa", "wb"), seed=seed)
     log = run_scenario(users, cfg, taxonomy)
     counts = np.zeros(350, dtype=np.int64)

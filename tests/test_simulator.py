@@ -15,18 +15,18 @@ from reference import (
     write_log_ndjson_reference,
     write_truth_ndjson_reference,
 )
-from topicsim.population import UserProfile
+from topicsim.population import Population, UserProfile
 from topicsim.simulator import WRITE_BLOCK_USERS, SimConfig, epoch_topic_draw, run_scenario
 
 
 def users_with_random_profiles(n, seed0=0):
-    return [
+    return Population.from_records(
         UserProfile(i, frozenset(), frozenset(), make_profile(seed0 + i)) for i in range(n)
-    ]
+    )
 
 
 def single_profile_users(n, profile=(1, 2, 3, 4, 5)):
-    return [UserProfile(i, frozenset(), frozenset(), tuple(profile)) for i in range(n)]
+    return Population.from_records(UserProfile(i, frozenset(), frozenset(), tuple(profile)) for i in range(n))
 
 
 def test_config_validation():
@@ -146,7 +146,12 @@ def test_scenario_empty_site_list(taxonomy, tmp_path):
 
 def test_scenario_rejects_empty_population(taxonomy):
     with pytest.raises(ValueError):
-        run_scenario([], SimConfig(sites=("w",)), taxonomy)
+        run_scenario(Population.from_records([]), SimConfig(sites=("w",)), taxonomy)
+
+
+def test_scenario_rejects_profiles_of_another_T(taxonomy):
+    with pytest.raises(ValueError, match="profiles have size 3, expected T = 5"):
+        run_scenario(single_profile_users(4, profile=(1, 2, 3)), SimConfig(sites=("w",)), taxonomy)
 
 
 def test_object_api_agrees_with_scenario(taxonomy):
@@ -218,8 +223,8 @@ def test_ndjson_writers_match_reference_bytes(taxonomy, n, id_seed, sites, epoch
     gen = np.random.default_rng(id_seed)
     ids = gen.choice(10**6, size=n, replace=False)  # not 0..n-1, not sorted
     profiles = np.argsort(gen.random((n, 349)), axis=1)[:, :5] + 1
-    users = [UserProfile(int(u), frozenset(), frozenset(), tuple(row.tolist()))
-             for u, row in zip(ids, profiles)]
+    users = Population.from_records(UserProfile(int(u), frozenset(), frozenset(), tuple(row.tolist()))
+                                    for u, row in zip(ids, profiles))
     cfg = SimConfig(tau=tau, p=p, epochs=epochs, sites=tuple(sites), seed=id_seed)
     log = run_scenario(users, cfg, taxonomy)
     with tempfile.TemporaryDirectory() as tmp:
