@@ -69,10 +69,6 @@ class ScoreVector:
             arr[omega if tid == UNKNOWN_TOPIC_ID else tid - 1] = score
         return cls.from_values(arr, omega)
 
-    def score_of(self, topic_id: int) -> float:
-        idx = self.omega if topic_id == UNKNOWN_TOPIC_ID else topic_id - 1
-        return float(self.scores[idx])
-
 
 def chrome_filter(scores: ScoreVector, params: FilterParams = FilterParams()) -> frozenset[int]:
     """Filter a confidence vector down to the predicted topic-id set.
@@ -226,14 +222,10 @@ def load_score_vectors(
     return out
 
 
-def classify_scores(
-    vectors: dict[str, ScoreVector],
-    params: FilterParams = FilterParams(),
-    source_label: str = "filtered-scores",
-) -> DomainClassification:
+def classify_scores(vectors: dict[str, ScoreVector], params: FilterParams = FilterParams()) -> DomainClassification:
     """Run the filter over a batch of score vectors, Unknown becoming the empty set."""
     entries = {}
     for domain, vec in vectors.items():
         topics = chrome_filter(vec, params)
         entries[domain] = frozenset() if topics == {UNKNOWN_TOPIC_ID} else topics
-    return DomainClassification(entries, source_label=source_label)
+    return DomainClassification(entries)

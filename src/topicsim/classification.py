@@ -49,20 +49,17 @@ class DomainClassification:
     per-domain statistics are views derived from these arrays.
     """
 
-    def __init__(self, entries: Mapping[str, Iterable[int]], source_label: str = ""):
+    def __init__(self, entries: Mapping[str, Iterable[int]]):
         rows = [sorted(set(ts)) for ts in entries.values()]
         self.names: tuple[str, ...] = tuple(entries)
         self.indptr = np.zeros(len(rows) + 1, dtype=np.int64)
         np.cumsum([len(r) for r in rows], out=self.indptr[1:])
         self.topics = np.fromiter(itertools.chain.from_iterable(rows), dtype=np.int64, count=int(self.indptr[-1]))
-        self.source_label = source_label
 
     @classmethod
-    def from_csr(
-        cls, names: tuple[str, ...], indptr: np.ndarray, topics: np.ndarray, source_label: str = ""
-    ) -> "DomainClassification":
+    def from_csr(cls, names: tuple[str, ...], indptr: np.ndarray, topics: np.ndarray) -> "DomainClassification":
         """A classification over `names` whose rows are already sorted."""
-        obj = cls({}, source_label)
+        obj = cls({})
         obj.names, obj.indptr, obj.topics = names, indptr, topics
         return obj
 
@@ -94,9 +91,6 @@ class DomainClassification:
     def domains(self) -> list[str]:
         return list(self.names)
 
-    def empty_domain_count(self) -> int:
-        return int(np.count_nonzero(self.topics_per_domain() == 0))
-
     def topics_per_domain(self) -> np.ndarray:
         return np.diff(self.indptr)
 
@@ -108,37 +102,22 @@ class PrevalenceTable:
     counts: np.ndarray  # indexed by topic id, length omega + 1; index 0 unused
     total_domains: int
 
-    def count_of(self, topic_id: int) -> int:
-        return int(self.counts[topic_id])
-
     def zero_count_topics(self) -> int:
         return int(np.sum(self.counts[1:] == 0))
-
-    def median_count(self) -> float:
-        return float(np.median(self.counts[1:]))
 
     def max_count(self) -> int:
         return int(self.counts[1:].max())
 
 
-def load_classification(
-    source: Union[str, Path, IO[str]],
-    taxonomy: Taxonomy,
-    source_label: str = "",
-    max_topics_per_domain: Optional[int] = None,
-) -> DomainClassification:
+def load_classification(source: Union[str, Path, IO[str]], taxonomy: Taxonomy) -> DomainClassification:
     """Load `domain<TAB>id,id,...` rows, validating topic ids against the taxonomy.
 
     Raises ClassificationError on unknown topic ids or duplicate domains.
-    `max_topics_per_domain` optionally enforces the static-mapping-style
-    cap on per-domain topic set size.
     """
     if hasattr(source, "read"):
         lines = source.read().splitlines()
-        label = source_label or getattr(source, "name", "")
     else:
         lines = Path(source).read_text(encoding="utf-8").splitlines()
-        label = source_label or str(source)
 
     entries: dict[str, frozenset[int]] = {}
     for lineno, line in enumerate(lines, start=1):
@@ -160,12 +139,8 @@ def load_classification(
                 if tid not in taxonomy or tid == 0:
                     raise ClassificationError(f"unknown topic id {tid}", row=lineno)
                 ids.add(tid)
-        if max_topics_per_domain is not None and len(ids) > max_topics_per_domain:
-            raise ClassificationError(
-                f"{domain!r} has {len(ids)} topics, cap is {max_topics_per_domain}", row=lineno
-            )
         entries[domain] = frozenset(ids)
-    return DomainClassification(entries, source_label=label)
+    return DomainClassification(entries)
 
 
 def classification_lines(classification: DomainClassification) -> list[str]:
@@ -174,11 +149,6 @@ def classification_lines(classification: DomainClassification) -> list[str]:
         f"{d}\t{','.join(map(str, classification.row(i).tolist()))}\n"
         for i, d in enumerate(classification.names)
     ]
-
-
-def save_classification(classification: DomainClassification, path: Union[str, Path]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines(classification_lines(classification))
 
 
 _BUNDLED_STATIC: Optional[DomainClassification] = None
@@ -190,7 +160,7 @@ def bundled_static_mapping(taxonomy: Taxonomy) -> DomainClassification:
     if _BUNDLED_STATIC is None:
         ref = resources.files("topicsim.data").joinpath("static_mapping.tsv")
         with ref.open("r", encoding="utf-8") as fh:
-            _BUNDLED_STATIC = load_classification(fh, taxonomy, source_label="bundled-static-mapping")
+            _BUNDLED_STATIC = load_classification(fh, taxonomy)
     return _BUNDLED_STATIC
 
 
@@ -283,7 +253,6 @@ def synthesize_skewed_classification(
     seed: int,
     head_topics: int,
     head_floor: int,
-    source_label: str = "synthetic",
 ) -> DomainClassification:
     """Generate a classification whose prevalence matches a skew spec.
 
@@ -340,4 +309,4 @@ def synthesize_skewed_classification(
     np.cumsum(np.bincount(doms, minlength=n_domains), out=indptr[1:])
     width = len(str(n_domains))
     names = tuple(f"site-{i:0{width}d}.example" for i in range(1, n_domains + 1))
-    return DomainClassification.from_csr(names, indptr, tids[by_domain], source_label=source_label)
+    return DomainClassification.from_csr(names, indptr, tids[by_domain])

@@ -40,14 +40,7 @@ from .population import (
 from .reidentify import run_reidentification
 from .simulator import ObservationLog, SimConfig, run_scenario
 from .taxonomy import Taxonomy, bundled_taxonomy, load_taxonomy
-from .worlds import (
-    TRAFFIC,
-    WorldConfig,
-    aggressive_skew_config,
-    count_model,
-    synthetic_classification,
-    wide_pool_config,
-)
+from .worlds import PRESETS, TRAFFIC, WorldConfig, count_model, synthetic_classification
 
 CONFIG_DEFAULTS: dict = {
     "taxonomy": "bundled",          # path to a taxonomy file, or "bundled"
@@ -143,12 +136,6 @@ def _resolve_taxonomy(cfg: dict) -> Taxonomy:
     return load_taxonomy(cfg["taxonomy"])
 
 
-SYNTHETIC_PRESETS = {
-    "aggressive-skew": aggressive_skew_config,
-    "wide-pool": wide_pool_config,
-}
-
-
 def _world_config(cfg: dict) -> WorldConfig:
     """The world a config describes: its synthetic preset, else the defaults.
 
@@ -160,9 +147,9 @@ def _world_config(cfg: dict) -> WorldConfig:
     wc = WorldConfig()
     if isinstance(spec, str) and spec.startswith("synthetic:"):
         preset = spec.split(":", 1)[1]
-        if preset not in SYNTHETIC_PRESETS:
+        if preset not in PRESETS:
             raise ConfigError(f"unknown synthetic classification preset {preset!r}")
-        wc = SYNTHETIC_PRESETS[preset](n_users=1)
+        wc = PRESETS[preset](n_users=1)
     return replace(wc, n_users=int(cfg["n_users"]), n_domains=int(cfg["n_domains"]),
                    seed=int(cfg["seed"]), T=int(cfg["T"]))
 
@@ -170,7 +157,7 @@ def _world_config(cfg: dict) -> WorldConfig:
 def _resolve_classification(cfg: dict, taxonomy: Taxonomy) -> DomainClassification:
     spec = cfg["classification"]
     if isinstance(spec, str) and spec.startswith("synthetic:"):
-        return synthetic_classification(_world_config(cfg), taxonomy, source_label=spec)
+        return synthetic_classification(_world_config(cfg), taxonomy)
     path = Path(spec)
     if not path.exists():
         raise MissingArtifactError(path, "filter (or supply a classification file)")
@@ -240,9 +227,8 @@ def _require(path: Path, produced_by: str) -> Path:
 
 def _sim_config(cfg: dict) -> SimConfig:
     return SimConfig(
-        T=int(cfg["T"]), tau=int(cfg["tau"]), p=float(cfg["p"]),
-        epochs=int(cfg["epochs"]), sites=tuple(cfg["sites"]),
-        seed=int(cfg["seed"]),
+        tau=int(cfg["tau"]), p=float(cfg["p"]), epochs=int(cfg["epochs"]),
+        sites=tuple(cfg["sites"]), seed=int(cfg["seed"]),
     )
 
 
@@ -302,7 +288,16 @@ def _rebuild_scenario(cfg: dict) -> tuple[Taxonomy, DomainClassification, Popula
     return taxonomy, classification, population, log
 
 
+def _check_analysis_keys(cfg: dict, command: str, n_sites: int) -> None:
+    """Refuse `sites` and `epochs` an analysis subcommand cannot use, before any work."""
+    if len(cfg["sites"]) < n_sites:
+        raise ConfigError(f"{command} needs {n_sites} site(s) in `sites`, got {len(cfg['sites'])}")
+    if int(cfg["epochs"]) < 1:
+        raise ConfigError(f"{command} needs `epochs` >= 1, got {cfg['epochs']}")
+
+
 def cmd_denoise(cfg: dict) -> int:
+    _check_analysis_keys(cfg, "denoise", 1)
     taxonomy, classification, population, log = _rebuild_scenario(cfg)
     prev = prevalence(classification, taxonomy)
     out = _out_dir(cfg)
@@ -321,13 +316,12 @@ REPORTED_EPOCHS = (1, 2, 5, 10, 15, 20, 25, 30)
 
 
 def cmd_reidentify(cfg: dict) -> int:
+    _check_analysis_keys(cfg, "reidentify", 2)
     taxonomy, classification, population, log = _rebuild_scenario(cfg)
-    if len(cfg["sites"]) < 2:
-        raise ConfigError("reidentify needs two sites in `sites`")
     prev = prevalence(classification, taxonomy)
     out = _out_dir(cfg)
     site_a, site_b = cfg["sites"][0], cfg["sites"][1]
-    epochs = [e for e in REPORTED_EPOCHS if e <= int(cfg["epochs"])] or [int(cfg["epochs"])]
+    epochs = [e for e in REPORTED_EPOCHS if e <= int(cfg["epochs"])]
     rep = run_reidentification(log, site_a, site_b, prev, _denoiser_config(cfg), report_epochs=epochs)
     lines = [csv_header_line(cfg)] + rep.csv_lines()
     (out / "reid_report.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
@@ -370,7 +364,7 @@ def cmd_filter(cfg: dict, scores_path: str) -> int:
 
 
 def cmd_report(cfg: dict) -> int:
-    """Aggregate plot-ready data: prevalence histogram + copied series."""
+    """Write the prevalence histogram and list it with the series files already in `out`."""
     taxonomy = _resolve_taxonomy(cfg)
     classification = _resolve_classification(cfg, taxonomy)
     prev = prevalence(classification, taxonomy)

@@ -30,6 +30,12 @@ inside the user's top profile counts as genuine for evaluation: the
 adversary's belief about the interest is correct, and the user has no
 deniability to lose.
 
+A `DenoiserConfig` must match the scenario it reads. Its tau must be
+the log's, or the gap rule would count one pinned draw twice;
+`denoise_site_trajectory` and `reidentify.run_reidentification` refuse
+another. `denoise_site_trajectory` also refuses a T other than the
+population's profile width.
+
 Metrics series output: CSV
 `epoch,accuracy,precision,tpr,fpr,min_recovered,median_recovered,max_recovered`.
 """
@@ -37,7 +43,7 @@ Metrics series output: CSV
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -65,6 +71,12 @@ class DenoiserConfig:
         # variant accepts any non-consecutive pair, which can double-count
         # a single pinned draw; it exists for comparison only.
         return 2 if self.aggressive_gap_rule else self.tau
+
+
+def check_tau(config: DenoiserConfig, log_tau: int) -> None:
+    """Refuse a denoiser config made for another log: its gap rule counts in the log's tau."""
+    if config.tau != log_tau:
+        raise ValueError(f"denoiser tau = {config.tau}, but the log was simulated with tau = {log_tau}")
 
 
 @dataclass(frozen=True)
@@ -238,7 +250,6 @@ def denoise_site_trajectory(
     prev: PrevalenceTable,
     config: DenoiserConfig,
     population: Population,
-    epochs: Optional[Iterable[int]] = None,
 ) -> DenoiseTrajectory:
     """Per-epoch on-the-fly metrics for one site's full log.
 
@@ -247,7 +258,15 @@ def denoise_site_trajectory(
     noisy positive, effective-nature truth). Every call returns all tau
     draws of its window, so by epoch e the adversary has seen exactly
     the draws of source epochs before e.
+
+    Refuses a `config` whose tau differs from the log's, or whose T
+    differs from the population's profile width.
     """
+    check_tau(config, site_log.config.tau)
+    if config.T != population.profiles.shape[1]:
+        raise ValueError(
+            f"denoiser T = {config.T}, but the population's profiles hold {population.profiles.shape[1]} topics"
+        )
     omega = int(max(prev.counts.shape[0] - 1, site_log.truth_topics.max()))
     engine = MultiShotEngine(site_log.n_users, omega, prev, config)
 
@@ -264,12 +283,9 @@ def denoise_site_trajectory(
     tt = site_log.truth_topics.astype(np.int64)
     noisy_eff = site_log.truth_noisy & ~profile_mask[rows, tt]
 
-    wanted = set(epochs) if epochs is not None else set(range(1, site_log.epochs + 1))
     points = []
     for epoch in range(1, site_log.epochs + 1):
         engine.observe_epoch(epoch, site_log.topics[:, epoch - 1, :])
-        if epoch not in wanted:
-            continue
         seen = (site_log.source_epochs < epoch)[None, :]
         predicted_noisy = ~engine.genuine_matrix()[rows, tt]
         tp = int(np.sum(seen & noisy_eff & predicted_noisy))

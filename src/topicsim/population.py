@@ -274,22 +274,6 @@ class UniqueDomainCountModel:
         idx = np.minimum(idx, len(self.support) - 1)
         return np.asarray(self.support, dtype=np.int64)[idx]
 
-    def cdf(self, ks: np.ndarray) -> np.ndarray:
-        """P(count <= k), for distribution-convergence checks.
-
-        Clamping piles tail mass onto the boundary values, so inside the
-        clamp range the cdf equals the rounded-lognormal cdf unchanged.
-        """
-        ks = np.atleast_1d(ks)
-        if self.kind == "lognormal":
-            lo = np.log(np.maximum(ks + 0.5, 1e-9))
-            base = 0.5 * (1.0 + _erf((lo - self.mu) / (self.sigma * math.sqrt(2.0))))
-            out = np.where(ks < self.minimum, 0.0, base)
-            return np.where(ks >= self.maximum, 1.0, out)
-        support = np.asarray(self.support)
-        probs = np.asarray(self.probabilities)
-        return np.array([probs[support <= k].sum() for k in ks])
-
 
 def _erf(x):
     from numpy import vectorize
@@ -479,13 +463,10 @@ def _profiles(
     row * width + topic. A user's picks are its T observed topics of
     lowest keyed uniform (ties by position in the sorted list), a keyed
     permutation; users with fewer than T observed topics are padded with
-    distinct uniform taxonomy draws from the fill stream, so T may not
-    exceed the taxonomy's size.
+    distinct uniform taxonomy draws from the fill stream.
     """
     if not 0 <= candidate < 10:
         raise PopulationError(f"candidate index must be in [0, 10), got {candidate}")
-    if T > all_ids.size:
-        raise PopulationError(f"T = {T} exceeds the taxonomy's {all_ids.size} topics")
     rows = observed // width
     j = rng.segment_ranks(rows)
     order = np.lexsort((j, rng.uniform(seed, rng.TAG_PROFILE, uids[rows], candidate, j), rows))
@@ -500,9 +481,17 @@ def _profiles(
     return (np.sort(np.concatenate([picks, padding])) % width).reshape(uids.size, T)
 
 
-def _topic_ids(taxonomy: Taxonomy, topics: np.ndarray) -> tuple[np.ndarray, int]:
-    """Taxonomy ids, and the key width over them and `topics`."""
+def _topic_ids(taxonomy: Taxonomy, topics: np.ndarray, T: int) -> tuple[np.ndarray, int]:
+    """Taxonomy ids, and the key width over them and `topics`.
+
+    Refuses a profile width T outside 1..omega: profiles are padded with
+    distinct taxonomy draws, so T may not exceed the taxonomy's size.
+    """
     all_ids = np.asarray(taxonomy.ids(), dtype=np.int64)
+    if T < 1:
+        raise PopulationError(f"T must be >= 1, got {T}")
+    if T > all_ids.size:
+        raise PopulationError(f"T = {T} exceeds the taxonomy's {all_ids.size} topics")
     return all_ids, int(max(all_ids.max(initial=0), topics.max(initial=0))) + 1
 
 
@@ -521,7 +510,7 @@ def top_profiles(
     selects one of up to 10 alternative profiles under distinct
     sub-seeds. Returns shape (len(population), T), each row sorted.
     """
-    all_ids, width = _topic_ids(taxonomy, population.topics)
+    all_ids, width = _topic_ids(taxonomy, population.topics, T)
     rows = _row_ids(population.topic_indptr)
     observed = rows * width + population.topics
     out = np.empty((len(population), T), dtype=np.int64)
@@ -572,7 +561,7 @@ def generate_population(
     lens = np.where(rows >= 0, classification.indptr[rows + 1] - classification.indptr[rows], 0)
     indptr = _indptr(lens)
     flat = classification.topics[_segments(classification.indptr[rows], lens)]
-    all_ids, width = _topic_ids(taxonomy, flat)
+    all_ids, width = _topic_ids(taxonomy, flat, T)
 
     visit_parts, topic_parts, visit_lens, topic_lens = [], [], [], []
     profiles = np.empty((n, T), dtype=np.int64)

@@ -26,7 +26,7 @@ from typing import Iterable, Mapping, Optional, Sequence
 import numpy as np
 
 from .classification import PrevalenceTable
-from .denoiser import DenoiserConfig, MultiShotEngine
+from .denoiser import DenoiserConfig, MultiShotEngine, check_tau
 from .simulator import ObservationLog
 
 
@@ -268,8 +268,9 @@ def run_reidentification(
     directions (A against B for the headline rates, B against A for the
     symmetry check) with one `_argmax_match` call, whose cost grows with
     the number of users and the subsets of their sets, not with their
-    pairs.
+    pairs. Refuses a `config` whose tau differs from the log's.
     """
+    check_tau(config, log.config.tau)
     la, lb = log.site_view(site_a), log.site_view(site_b)
     omega = int(prev.counts.shape[0] - 1)
     ea = MultiShotEngine(la.n_users, omega, prev, config)

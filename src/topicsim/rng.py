@@ -116,7 +116,12 @@ def distinct_draws(
         keys = r * width + draw(counter, r, segment_ranks(r))
         _, first = np.unique(keys, return_index=True)
         first.sort()
-        first = first[~np.isin(keys[first], seen)]
+        if seen.size:
+            # Membership by `searchsorted` on the sorted keys: `np.isin` hashes,
+            # which is several times slower on these keys.
+            s = np.sort(seen)
+            at = np.minimum(np.searchsorted(s, keys[first]), s.size - 1)
+            first = first[s[at] != keys[first]]
         keep = first[segment_ranks(r[first]) < need[r[first]]]
         seen = np.concatenate([seen, keys[keep]])
         need -= np.bincount(r[keep], minlength=need.size)

@@ -2,7 +2,8 @@
 
 Per (user, site, source epoch) a single pinned draw exists: noisy with
 probability p (uniform over the taxonomy), genuine otherwise (uniform
-over the user's stable top-T profile). A call at epoch e returns the
+over the user's stable top-T profile; T is the width of the population's
+profile array, not a simulation setting). A call at epoch e returns the
 draws for source epochs e-tau .. e-1 in shuffled order. Pinning and
 call-order independence come from keying every draw on
 (seed, user, site, source_epoch) -- there is no shared generator state.
@@ -34,7 +35,6 @@ from . import rng
 from .population import Population, UserProfile
 from .taxonomy import Taxonomy
 
-DEFAULT_T = 5
 DEFAULT_TAU = 3
 DEFAULT_P = 0.05
 
@@ -44,7 +44,8 @@ WRITE_BLOCK_USERS = 1024
 
 @dataclass(frozen=True)
 class SimConfig:
-    T: int = DEFAULT_T
+    """Draw parameters of a scenario. The profile width T is the population's."""
+
     tau: int = DEFAULT_TAU
     p: float = DEFAULT_P
     epochs: int = 1
@@ -54,8 +55,8 @@ class SimConfig:
     def __post_init__(self):
         if not 0.0 <= self.p <= 1.0:
             raise ValueError(f"p must be in [0, 1], got {self.p}")
-        if self.tau < 1 or self.T < 1:
-            raise ValueError("tau and T must be >= 1")
+        if self.tau < 1:
+            raise ValueError(f"tau must be >= 1, got {self.tau}")
         if self.epochs < 0:
             raise ValueError(f"epochs must be >= 0, got {self.epochs}")
         if len(set(self.sites)) != len(self.sites):
@@ -220,13 +221,16 @@ def _draws_for_site(
     config: SimConfig,
     taxonomy_ids: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Pinned draws for all (user, source_epoch) pairs on one site."""
+    """Pinned draws for all (user, source_epoch) pairs on one site.
+
+    A genuine draw picks uniformly among the `profiles.shape[1]` columns.
+    """
     site_key = rng.string_key(site)
     uu = user_ids[:, None]
     ss = source_epochs[None, :]
     noisy = rng.uniform(config.seed, uu, site_key, ss, rng.TAG_NOISE_FLAG) < config.p
     u = rng.uniform(config.seed, uu, site_key, ss, rng.TAG_TOPIC_PICK)
-    genuine_idx = (u * config.T).astype(np.int64)
+    genuine_idx = (u * profiles.shape[1]).astype(np.int64)
     genuine_topic = profiles[np.arange(len(user_ids))[:, None], genuine_idx]
     noisy_topic = taxonomy_ids[(u * len(taxonomy_ids)).astype(np.int64)]
     topics = np.where(noisy, noisy_topic, genuine_topic).astype(np.int16)
@@ -248,8 +252,8 @@ def run_scenario(
     if not len(population):
         raise ValueError("population must be nonempty")
     user_ids, profiles = population.user_ids, population.profiles
-    if profiles.shape[1] != config.T:
-        raise ValueError(f"profiles have size {profiles.shape[1]}, expected T = {config.T}")
+    if not profiles.shape[1]:
+        raise ValueError("profiles are empty: every user needs a top profile of T >= 1 topics")
     n = len(user_ids)
     n_sites = len(config.sites)
     source_epochs = np.arange(1 - config.tau, config.epochs, dtype=np.int64)

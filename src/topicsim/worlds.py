@@ -2,8 +2,12 @@
 
 A world bundles everything an end-to-end run needs: the bundled
 taxonomy, a skew-matched synthetic classification standing in for a real
-top-list classification, the induced total order and traffic model, and
-a generated population with stable top-T profiles.
+top-list classification, its prevalence table, and a generated
+population with stable top-T profiles. Users browse the classification's
+rank order under the shared Zipf traffic model `TRAFFIC`.
+
+`PRESETS` names the two study worlds; the CLI's `synthetic:<name>`
+classifications look them up there.
 
 The default shape matches the published top-1M skew statistics at desk
 scale: 42 topics never observed, the most common topic on ~18.8% of
@@ -14,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 from .classification import (
     DomainClassification,
@@ -60,15 +64,10 @@ class World:
     taxonomy: Taxonomy
     classification: DomainClassification
     prevalence: PrevalenceTable
-    order: RankedDomainList
-    traffic: TrafficModel
-    counts: UniqueDomainCountModel
     population: Population
 
 
-def synthetic_classification(
-    config: WorldConfig, taxonomy: Taxonomy, source_label: str = "synthetic"
-) -> DomainClassification:
+def synthetic_classification(config: WorldConfig, taxonomy: Taxonomy) -> DomainClassification:
     """The world's skew-matched synthetic classification, deterministic in config.seed."""
     return synthesize_skewed_classification(
         taxonomy,
@@ -77,7 +76,6 @@ def synthetic_classification(
         seed=config.seed,
         head_topics=config.head_topics,
         head_floor=config.head_floor,
-        source_label=source_label,
     )
 
 
@@ -95,13 +93,11 @@ def build_world(config: WorldConfig = WorldConfig(), taxonomy: Optional[Taxonomy
     """Build a fully wired synthetic world, deterministic in config.seed."""
     tax = taxonomy or bundled_taxonomy()
     classification = synthetic_classification(config, tax)
-    order = RankedDomainList(classification.names)
-    counts = count_model(config)
     population = generate_population(
         config.n_users,
-        order,
+        RankedDomainList(classification.names),
         TRAFFIC,
-        counts,
+        count_model(config),
         classification,
         seed=config.seed,
         T=config.T,
@@ -112,9 +108,6 @@ def build_world(config: WorldConfig = WorldConfig(), taxonomy: Optional[Taxonomy
         taxonomy=tax,
         classification=classification,
         prevalence=prevalence(classification, tax),
-        order=order,
-        traffic=TRAFFIC,
-        counts=counts,
         population=population,
     )
 
@@ -145,3 +138,10 @@ def wide_pool_config(n_users: int, seed: int = 1) -> WorldConfig:
         head_floor=60,
         count_mu_median=22.0,
     )
+
+
+# Preset name -> WorldConfig factory `(n_users, seed)`.
+PRESETS: dict[str, Callable[..., WorldConfig]] = {
+    "aggressive-skew": aggressive_skew_config,
+    "wide-pool": wide_pool_config,
+}

@@ -114,7 +114,6 @@ def synthesize_skewed_classification_reference(
     seed: int,
     head_topics: int,
     head_floor: int,
-    source_label: str = "synthetic",
 ) -> DomainClassification:
     """`synthesize_skewed_classification`, one topic at a time.
 
@@ -156,7 +155,7 @@ def synthesize_skewed_classification_reference(
         f"site-{str(i + 1).zfill(width)}.example": topics
         for i, topics in enumerate(domain_topics)
     }
-    return DomainClassification(entries, source_label=source_label)
+    return DomainClassification(entries)
 
 
 # --- population --------------------------------------------------------------
@@ -340,7 +339,7 @@ BASIS_STALE = "stale-unconfirmed"
 
 def threshold_classify(topic: int, prev: PrevalenceTable, config: DenoiserConfig) -> str:
     """Genuine iff the topic appears on strictly more than `threshold` domains."""
-    return GENUINE if prev.count_of(topic) > config.threshold else NOISY
+    return GENUINE if prev.counts[topic] > config.threshold else NOISY
 
 
 @dataclass(frozen=True)
@@ -407,7 +406,7 @@ def _recovered_set(states: dict[int, _TopicState], prev: PrevalenceTable, config
     earliest first observation.
     """
     confirmed = [
-        (st.evidence, int(prev.count_of(t) > config.threshold), -st.first_seen, -t)
+        (st.evidence, int(prev.counts[t] > config.threshold), -st.first_seen, -t)
         for t, st in states.items()
         if st.confirmed_at
     ]

@@ -186,7 +186,7 @@ def test_score_vector_file_roundtrip(taxonomy):
     scores[1] = "0.4"
     body = "d1.com\t" + " ".join(scores) + "\n"
     vectors = load_score_vectors(io.StringIO(body), taxonomy)
-    assert vectors["d1.com"].score_of(1) == 0.6
+    assert vectors["d1.com"].scores[0] == 0.6
     cls = classify_scores(vectors)
     assert cls.topics_of("d1.com") == {1, 2}
 

@@ -10,9 +10,9 @@ from topicsim.classification import (
     ClassificationError,
     DomainClassification,
     SkewSpec,
+    classification_lines,
     load_classification,
     prevalence,
-    save_classification,
     synthesize_skewed_classification,
 )
 from topicsim.worlds import SKEW as SKEW_TARGETS, aggressive_skew_config, synthetic_classification
@@ -26,7 +26,7 @@ def test_static_mapping_size(static_mapping):
 
 
 def test_static_mapping_empty_domains(static_mapping):
-    assert static_mapping.empty_domain_count() == 1344
+    assert np.count_nonzero(static_mapping.topics_per_domain() == 0) == 1344
 
 
 def test_static_mapping_median_topics_per_domain(static_mapping):
@@ -59,16 +59,10 @@ def test_load_allows_empty_topic_list(taxonomy):
     assert cls.topics_of("b.com") == {5}
 
 
-def test_load_enforces_optional_cap(taxonomy):
-    body = "a.com\t1,2,3,4,5,6,7,8\n"
-    with pytest.raises(ClassificationError, match="cap"):
-        load_classification(io.StringIO(body), taxonomy, max_topics_per_domain=7)
-
-
 def test_save_load_roundtrip(tmp_path, taxonomy):
-    cls = DomainClassification({"a.com": {3, 1}, "b.com": set()}, source_label="x")
+    cls = DomainClassification({"a.com": {3, 1}, "b.com": set()})
     path = tmp_path / "cls.tsv"
-    save_classification(cls, path)
+    path.write_text("".join(classification_lines(cls)), encoding="utf-8")
     back = load_classification(path, taxonomy)
     assert back.entries == cls.entries
 
@@ -76,7 +70,7 @@ def test_save_load_roundtrip(tmp_path, taxonomy):
 def test_prevalence_singleton(taxonomy):
     cls = DomainClassification({"d.com": {7}})
     table = prevalence(cls, taxonomy)
-    assert table.count_of(7) == 1
+    assert table.counts[7] == 1
     assert table.counts[1:].sum() == 1
     assert table.total_domains == 1
 
@@ -127,7 +121,7 @@ def test_csr_views(taxonomy):
     assert "c.com" in cls and "zzz" not in cls
     assert cls.rows_of(["c.com", "zzz", "b.com"]).tolist() == [2, -1, 0]
     assert cls.topics_per_domain().tolist() == [2, 0, 1]
-    assert cls.empty_domain_count() == 1
+    assert np.count_nonzero(cls.topics_per_domain() == 0) == 1
 
 
 def test_static_prevalence_shape(static_prevalence):
@@ -148,7 +142,7 @@ def test_synthesize_million_domain_targets(taxonomy):
     table = prevalence(cls, taxonomy)
     assert table.zero_count_topics() == 42
     assert table.max_count() == pytest.approx(188_000, rel=0.10)
-    assert table.median_count() == pytest.approx(66, rel=0.10)
+    assert np.median(table.counts[1:]) == pytest.approx(66, rel=0.10)
     assert len(cls) == 1_000_000
 
 
@@ -160,7 +154,7 @@ def test_synthesize_desk_scale_targets(taxonomy):
     table = prevalence(cls, taxonomy)
     assert table.zero_count_topics() == 42
     assert table.max_count() == pytest.approx(0.188 * 50_000, rel=0.10)
-    assert table.median_count() == pytest.approx(4, rel=0.10)
+    assert np.median(table.counts[1:]) == pytest.approx(4, rel=0.10)
 
 
 def test_synthesize_loose_uniform_limit(taxonomy):
@@ -262,4 +256,4 @@ def test_aggressive_skew_world_meets_all_three_targets(taxonomy, seed):
     table = prevalence(cls, taxonomy)
     assert table.zero_count_topics() == SKEW_TARGETS.zero_topics
     assert table.max_count() == pytest.approx(SKEW_TARGETS.top_fraction * len(cls), rel=0.10)
-    assert table.median_count() == pytest.approx(SKEW_TARGETS.median, rel=0.10)
+    assert np.median(table.counts[1:]) == pytest.approx(SKEW_TARGETS.median, rel=0.10)

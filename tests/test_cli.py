@@ -76,11 +76,23 @@ def test_generate_single_user(tmp_path):
     assert len(lines) == 2  # header + one user
 
 
+WRITTEN_BY = {"generate": "population.ndjson", "simulate": "log.ndjson",
+              "denoise": "denoise_metrics.csv", "reidentify": "reid_report.csv"}
+
+
 @pytest.mark.parametrize("stage, overrides, message", [
     ("generate", {"T": 400}, "T = 400 exceeds the taxonomy's 349 topics"),
+    ("generate", {"T": 0}, "T must be >= 1, got 0"),
+    ("generate", {"T": -1}, "T must be >= 1, got -1"),
     ("generate", {"n_domains": 10}, "median target exceeds the top topic's count"),
     ("simulate", {"p": 2.0}, "p must be in [0, 1], got 2.0"),
-], ids=["T-400", "n_domains-10", "p-2"])
+    # The analysis stages refuse these before they read any artifact, so
+    # no upstream stage runs first.
+    ("denoise", {"sites": []}, "denoise needs 1 site(s) in `sites`, got 0"),
+    ("denoise", {"epochs": 0}, "denoise needs `epochs` >= 1, got 0"),
+    ("reidentify", {"sites": ["wa.example"]}, "reidentify needs 2 site(s) in `sites`, got 1"),
+], ids=["T-400", "T-0", "T-minus-1", "n_domains-10", "p-2", "denoise-no-sites", "denoise-epochs-0",
+        "reidentify-one-site"])
 def test_config_value_refusals_exit_2(tmp_path, capsys, stage, overrides, message):
     cfg = tmp_path / "c.json"
     cfg.write_text(json.dumps({"n_users": 5, "n_domains": 500, "out": str(tmp_path / "o"), **overrides}))
@@ -88,8 +100,7 @@ def test_config_value_refusals_exit_2(tmp_path, capsys, stage, overrides, messag
         assert run_cli("generate", "--config", cfg) == 0
     assert run_cli(stage, "--config", cfg) == 2
     assert message in capsys.readouterr().err
-    written = "population.ndjson" if stage == "generate" else "log.ndjson"
-    assert not (tmp_path / "o" / written).exists()
+    assert not (tmp_path / "o" / WRITTEN_BY[stage]).exists()
 
 
 def test_rerun_is_byte_identical(tiny_config):
@@ -331,7 +342,6 @@ def test_synthetic_classification_matches_world(preset, world_config):
     got = _resolve_classification(cfg, taxonomy)
     world = build_world(replace(world_config(1, seed), n_domains=2000), taxonomy)
     assert got.entries == world.classification.entries
-    assert got.source_label == f"synthetic:{preset}"
 
 
 @pytest.mark.parametrize("preset, world_config", [

@@ -323,7 +323,7 @@ def test_threshold_sweep_traces_roc_frontier(taxonomy):
     tprs, fprs = [], []
     for threshold in (0, 1, 2, 5, 10, 20, 50, 100, 500, 1000):
         cfg = DenoiserConfig(threshold=threshold)
-        traj = denoise_site_trajectory(site, prev, cfg, users, epochs=[1])
+        traj = denoise_site_trajectory(site, prev, cfg, users)
         tprs.append(traj.points[0].metrics.tpr)
         fprs.append(traj.points[0].metrics.fpr)
     assert all(b >= a - 1e-9 for a, b in zip(tprs, tprs[1:]))
@@ -389,6 +389,16 @@ def test_trajectory_aligns_users_by_id(taxonomy):
     fewer = Population.from_records(u for u in users if u.user_id != 13)
     with pytest.raises(ValueError, match="user 13 of the log is not in the population"):
         denoise_site_trajectory(site, prev, DenoiserConfig(), fewer)
+
+
+def test_trajectory_refuses_config_of_another_log(taxonomy):
+    """A gap rule in another tau would count one pinned draw twice."""
+    users, log = stable_scenario(taxonomy, n_users=20, epochs=4)
+    site = log.site_view("w")
+    with pytest.raises(ValueError, match="denoiser tau = 2, but the log was simulated with tau = 3"):
+        denoise_site_trajectory(site, prevalence_with(), DenoiserConfig(tau=2), users)
+    with pytest.raises(ValueError, match="denoiser T = 4, but the population's profiles hold 5 topics"):
+        denoise_site_trajectory(site, prevalence_with(), DenoiserConfig(T=4), users)
 
 
 def test_median_user_fully_recovered_after_thirty_epochs(taxonomy):

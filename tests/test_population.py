@@ -6,6 +6,7 @@ import hypothesis.strategies as st
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
+from scipy import stats
 
 from reference import derive_top_profile, generate_population_reference, write_population_reference
 from topicsim import population
@@ -164,18 +165,20 @@ def test_count_model_empirical_convergence_ks():
         probabilities=(0.2, 0.3, 0.25, 0.15, 0.1),
     )
     draws = model.sample(50_000, seed=9)
-    support = np.asarray(model.support)
-    ecdf = np.array([(draws <= k).mean() for k in support])
-    ks = np.abs(ecdf - model.cdf(support)).max()
+    ecdf = np.array([(draws <= k).mean() for k in model.support])
+    ks = np.abs(ecdf - np.cumsum(model.probabilities)).max()
     assert ks < 0.02
 
 
 def test_count_model_lognormal_convergence_ks():
     model = UniqueDomainCountModel(mu=math.log(28), sigma=0.8, minimum=8, maximum=2000)
     draws = model.sample(50_000, seed=13)
+    # Inside the clamp range, P(count <= k) is the lognormal's mass below k + 0.5.
     grid = np.unique(draws)
+    grid = grid[(grid >= model.minimum) & (grid < model.maximum)]
     ecdf = np.array([(draws <= k).mean() for k in grid])
-    ks = np.abs(ecdf - model.cdf(grid)).max()
+    oracle = stats.lognorm.cdf(grid + 0.5, s=model.sigma, scale=math.exp(model.mu))
+    ks = np.abs(ecdf - oracle).max()
     assert ks < 0.02
 
 

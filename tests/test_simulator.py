@@ -149,9 +149,13 @@ def test_scenario_rejects_empty_population(taxonomy):
         run_scenario(Population.from_records([]), SimConfig(sites=("w",)), taxonomy)
 
 
-def test_scenario_rejects_profiles_of_another_T(taxonomy):
-    with pytest.raises(ValueError, match="profiles have size 3, expected T = 5"):
-        run_scenario(single_profile_users(4, profile=(1, 2, 3)), SimConfig(sites=("w",)), taxonomy)
+def test_scenario_draws_over_the_profile_width(taxonomy):
+    """T is the width of the population's profiles; width 0 is refused."""
+    cfg = SimConfig(p=0.0, epochs=4, sites=("w",), seed=3)
+    log = run_scenario(single_profile_users(50, profile=(1, 2, 3)), cfg, taxonomy)
+    assert set(np.unique(log.truth_topics).tolist()) == {1, 2, 3}
+    with pytest.raises(ValueError, match="profiles are empty"):
+        run_scenario(single_profile_users(4, profile=()), cfg, taxonomy)
 
 
 def test_object_api_agrees_with_scenario(taxonomy):
