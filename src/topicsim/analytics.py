@@ -135,7 +135,8 @@ def summary(model: NoiseModel, n: int = 250_000) -> dict:
     coll = expected_collection_epochs(model)
     return {
         "model": {"tau": model.tau, "p": model.p, "q": model.q, "omega": model.omega, "T": model.T},
-        "prob_at_least_2_genuine": prob_genuine_at_least(model, 2),
+        # A one-slot call cannot hold two genuine topics.
+        "prob_at_least_2_genuine": prob_genuine_at_least(model, 2) if model.tau >= 2 else 0.0,
         "repeat_x2_all_noisy": rep2.all_noisy,
         "repeat_x2_genuine_at_least_once": rep2.genuine_at_least_once,
         "expected_collection_epochs": coll.expected_epochs,

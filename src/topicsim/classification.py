@@ -165,8 +165,12 @@ def bundled_static_mapping(taxonomy: Taxonomy) -> DomainClassification:
 
 
 def prevalence(classification: DomainClassification, taxonomy: Taxonomy) -> PrevalenceTable:
-    """Count, per topic, the distinct domains whose topic set contains it."""
-    counts = np.bincount(classification.topics, minlength=taxonomy.omega + 1)
+    """Count, per topic, the distinct domains whose topic set contains it; ids outside 1..omega are refused."""
+    topics = classification.topics
+    outside = (topics < 1) | (topics > taxonomy.omega)
+    if outside.any():
+        raise ClassificationError(f"topic id {topics[outside][0]} is not in the taxonomy's 1..{taxonomy.omega}")
+    counts = np.bincount(topics, minlength=taxonomy.omega + 1)
     return PrevalenceTable(counts=counts, total_domains=len(classification))
 
 

@@ -197,7 +197,6 @@ def cmd_generate(cfg: dict) -> int:
     population = generate_population(
         int(cfg["n_users"]), order, TRAFFIC, counts, classification,
         seed=int(cfg["seed"]), T=int(cfg["T"]), taxonomy=taxonomy,
-        profile_candidate=int(cfg["profile_index"]),
     )
     out = _out_dir(cfg)
     n_candidates = int(cfg["profile_candidates"])
@@ -205,10 +204,11 @@ def cmd_generate(cfg: dict) -> int:
     if n_candidates > 1:
         # Alternative top-profiles under distinct sub-seeds; experiments
         # pick one via profile_index, downstream files carry them all.
-        candidates = [
+        candidates = [population.profiles] + [
             top_profiles(population, taxonomy, int(cfg["T"]), int(cfg["seed"]), candidate=c)
-            for c in range(n_candidates)
+            for c in range(1, n_candidates)
         ]
+        population = replace(population, profiles=candidates[int(cfg["profile_index"])])
     write_population(population, out / "population.ndjson",
                      header=dict(file_header(cfg), population_hash=population_hash(cfg)),
                      candidates=candidates)
@@ -248,8 +248,7 @@ def cmd_simulate(cfg: dict) -> int:
 
 def _denoiser_config(cfg: dict) -> DenoiserConfig:
     return DenoiserConfig(
-        threshold=int(cfg["threshold"]), tau=int(cfg["tau"]), T=int(cfg["T"]),
-        aggressive_gap_rule=bool(cfg["aggressive_gap_rule"]),
+        threshold=int(cfg["threshold"]), T=int(cfg["T"]), aggressive_gap_rule=bool(cfg["aggressive_gap_rule"]),
     )
 
 

@@ -4,7 +4,8 @@ Three mechanisms compose, from strongest to weakest evidence:
 
 * Repetition. Within one call, a repeated topic came from two distinct
   per-epoch draws. Across calls, two observations of a topic in calls at
-  least tau epochs apart cover disjoint source-epoch windows, so they
+  least tau epochs apart (tau, the slots per call, read from the calls)
+  cover disjoint source-epoch windows, so they
   are independent draws. Either way the chance that all repeats were
   noise is (p / omega)^x -- negligible. A topic with two provably
   independent observations is confirmed genuine.
@@ -30,11 +31,9 @@ inside the user's top profile counts as genuine for evaluation: the
 adversary's belief about the interest is correct, and the user has no
 deniability to lose.
 
-A `DenoiserConfig` must match the scenario it reads. Its tau must be
-the log's, or the gap rule would count one pinned draw twice;
-`denoise_site_trajectory` and `reidentify.run_reidentification` refuse
-another. `denoise_site_trajectory` also refuses a T other than the
-population's profile width.
+A `DenoiserConfig` holds only the adversary's choices and assumptions:
+`threshold`, the gap rule, and `T`. `denoise_site_trajectory` refuses a
+T other than the population's profile width.
 
 Metrics series output: CSV
 `epoch,accuracy,precision,tpr,fpr,min_recovered,median_recovered,max_recovered`.
@@ -55,28 +54,14 @@ from .simulator import SiteLog
 @dataclass(frozen=True)
 class DenoiserConfig:
     threshold: int = 10
-    tau: int = 3
     T: int = 5
     aggressive_gap_rule: bool = False
 
     def __post_init__(self):
         if self.threshold < 0:
             raise ValueError(f"threshold must be >= 0, got {self.threshold}")
-        if self.tau < 1 or self.T < 1:
-            raise ValueError("tau and T must be >= 1")
-
-    @property
-    def gap(self) -> int:
-        # Calls >= tau epochs apart share no source epoch. The aggressive
-        # variant accepts any non-consecutive pair, which can double-count
-        # a single pinned draw; it exists for comparison only.
-        return 2 if self.aggressive_gap_rule else self.tau
-
-
-def check_tau(config: DenoiserConfig, log_tau: int) -> None:
-    """Refuse a denoiser config made for another log: its gap rule counts in the log's tau."""
-    if config.tau != log_tau:
-        raise ValueError(f"denoiser tau = {config.tau}, but the log was simulated with tau = {log_tau}")
+        if self.T < 1:
+            raise ValueError(f"T must be >= 1, got {self.T}")
 
 
 @dataclass(frozen=True)
@@ -127,12 +112,16 @@ class MultiShotEngine:
 
     A topic is confirmed when `evidence >= 2`; `conf_count` holds the
     per-user count of confirmed topics. Feed calls epoch by epoch via
-    observe_epoch, then read genuine_matrix / recovered_sizes.
+    observe_epoch, then read genuine_matrix / recovered_sizes. The first
+    call's width is tau; every later call must have as many slots.
     """
 
     def __init__(self, n_users: int, omega: int, prev: PrevalenceTable, config: DenoiserConfig):
+        if prev.counts.shape != (omega + 1,):
+            raise ValueError(f"prevalence table has {prev.counts.size} entries, expected omega + 1 = {omega + 1}")
         self.config = config
         self.omega = omega
+        self.tau = 0  # read from the first call
         shape = (n_users, omega + 1)
         self.first_seen = np.zeros(shape, dtype=np.int16)
         self.last_counted = np.zeros(shape, dtype=np.int16)
@@ -142,6 +131,13 @@ class MultiShotEngine:
         self.threshold_pass = prev.counts > config.threshold  # (omega + 1,)
         self.threshold_pass[0] = False
         self.current_epoch = 0
+
+    @property
+    def gap(self) -> int:
+        # Calls >= tau epochs apart share no source epoch. The aggressive
+        # variant accepts any non-consecutive pair, which can double-count
+        # a single pinned draw; it exists for comparison only.
+        return 2 if self.config.aggressive_gap_rule else self.tau
 
     def observe_epoch(self, epoch: int, call_topics: np.ndarray) -> None:
         """call_topics: (n_users, slots) int topics, -1 for suppressed slots."""
@@ -154,8 +150,12 @@ class MultiShotEngine:
             )
         if call_topics.size and call_topics.max() > self.omega:
             raise ValueError(f"topic id {call_topics.max()} is above omega = {self.omega}")
-        self.current_epoch = epoch
         n, slots = call_topics.shape
+        if epoch == 1:
+            self.tau = slots
+        elif slots != self.tau:
+            raise ValueError(f"call of epoch {epoch} has {slots} slots, but the first call had {self.tau}")
+        self.current_epoch = epoch
         # Topic ids are at most omega, so u * (omega + 1) + t names one
         # (user, topic) pair.
         width = self.omega + 1
@@ -170,7 +170,7 @@ class MultiShotEngine:
         self.last_counted[gu[first], gt[first]] = epoch
         self.greedy_ev[gu[first], gt[first]] = mult[first]
 
-        countable = ~first & (epoch >= self.last_counted[gu, gt] + self.config.gap)
+        countable = ~first & (epoch >= self.last_counted[gu, gt] + self.gap)
         self.last_counted[gu[countable], gt[countable]] = epoch
         self.greedy_ev[gu[countable], gt[countable]] += mult[countable]
 
@@ -205,7 +205,7 @@ class MultiShotEngine:
     def genuine_matrix(self) -> np.ndarray:
         """Current (user, topic) genuine labels; unobserved topics are False."""
         genuine = self.recovered_matrix()
-        if self.current_epoch <= self.config.gap:
+        if self.current_epoch <= self.gap:
             unfrozen = self.conf_count < self.config.T
             genuine |= (self.first_seen > 0) & self.threshold_pass[None, :] & unfrozen[:, None]
         return genuine
@@ -259,15 +259,14 @@ def denoise_site_trajectory(
     draws of its window, so by epoch e the adversary has seen exactly
     the draws of source epochs before e.
 
-    Refuses a `config` whose tau differs from the log's, or whose T
-    differs from the population's profile width.
+    Refuses a `config` whose T differs from the population's profile
+    width: T is the adversary's assumption, which the calls do not reveal.
     """
-    check_tau(config, site_log.config.tau)
     if config.T != population.profiles.shape[1]:
         raise ValueError(
             f"denoiser T = {config.T}, but the population's profiles hold {population.profiles.shape[1]} topics"
         )
-    omega = int(max(prev.counts.shape[0] - 1, site_log.truth_topics.max()))
+    omega = prev.counts.size - 1
     engine = MultiShotEngine(site_log.n_users, omega, prev, config)
 
     # Align the population's profiles to the log's users.

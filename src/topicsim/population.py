@@ -532,7 +532,6 @@ def generate_population(
     T: int = 5,
     *,
     taxonomy: Taxonomy,
-    profile_candidate: int = 0,
 ) -> Population:
     """Generate n users with visited domains, observed topics, and top-T profiles.
 
@@ -543,7 +542,8 @@ def generate_population(
     traffic-weighted positions, drawn with replacement in rounds of
     max(2 * short, 16) keyed uniforms; first occurrences realize
     successive weighted sampling without replacement. Counts exceeding
-    the list length are clamped (logged).
+    the list length are clamped (logged). The profiles are candidate 0;
+    `top_profiles` draws the others from the result.
     """
     if n < 1:
         raise PopulationError(f"population size must be >= 1, got {n}")
@@ -576,7 +576,7 @@ def generate_population(
         vrows, pos = np.divmod(visits, m)
         seg = indptr[pos + 1] - indptr[pos]
         observed = _sorted_unique(np.repeat(vrows * width, seg) + flat[_segments(indptr[pos], seg)])
-        profiles[uids] = _profiles(uids, observed, width, all_ids, T, seed, profile_candidate)
+        profiles[uids] = _profiles(uids, observed, width, all_ids, T, seed, 0)
         orows, topics = np.divmod(observed, width)
         visit_parts.append(pos.astype(np.int32))
         topic_parts.append(topics.astype(np.int32))

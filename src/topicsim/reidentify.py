@@ -1,9 +1,10 @@
 """Two-advertiser collusion: match users across sites by topic overlap.
 
-Each side denoises its own observation log on the fly. A user's matching
-set at epoch e is every topic their side has ever labeled genuine up to
-e (confirmed topics plus threshold-passing first sightings); the union
-is cumulative, so matching sets never shrink. Each user seen on site A
+Each side denoises its own observation log on the fly (its engine reads
+tau from the width of the calls). A user's matching set at epoch e is
+every topic their side has ever labeled genuine up to e (confirmed
+topics plus threshold-passing first sightings); the union is
+cumulative, so matching sets never shrink. Each user seen on site A
 is mapped to the argmax tie set over site-B users by shared-topic count.
 
 A user is uniquely re-identified when that group is exactly their own
@@ -26,7 +27,7 @@ from typing import Iterable, Mapping, Optional, Sequence
 import numpy as np
 
 from .classification import PrevalenceTable
-from .denoiser import DenoiserConfig, MultiShotEngine, check_tau
+from .denoiser import DenoiserConfig, MultiShotEngine
 from .simulator import ObservationLog
 
 
@@ -268,11 +269,10 @@ def run_reidentification(
     directions (A against B for the headline rates, B against A for the
     symmetry check) with one `_argmax_match` call, whose cost grows with
     the number of users and the subsets of their sets, not with their
-    pairs. Refuses a `config` whose tau differs from the log's.
+    pairs.
     """
-    check_tau(config, log.config.tau)
     la, lb = log.site_view(site_a), log.site_view(site_b)
-    omega = int(prev.counts.shape[0] - 1)
+    omega = prev.counts.size - 1
     ea = MultiShotEngine(la.n_users, omega, prev, config)
     eb = MultiShotEngine(lb.n_users, omega, prev, config)
     sticky_a = np.zeros((la.n_users, omega + 1), dtype=bool)

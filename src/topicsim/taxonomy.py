@@ -1,8 +1,9 @@
 """Interest taxonomy: topic ids, slash-path names, parent relations.
 
 The taxonomy file is two tab-separated columns (`id<TAB>name`) with a
-header line, ids ascending, one topic per line. Names are full slash
-paths ("/Arts & Entertainment/Comics"); the parent relation is derived
+header line, one topic per line, ids 1, 2, ..., omega in file order, so
+per-topic arrays are omega + 1 long. Names are full slash paths
+("/Arts & Entertainment/Comics"); the parent relation is derived
 from the path rather than stored, so it cannot go out of sync.
 
 The Unknown sentinel (id 0) is never a file row and never part of the
@@ -43,14 +44,15 @@ UNKNOWN_TOPIC = Topic(UNKNOWN_TOPIC_ID, UNKNOWN_TOPIC_NAME, None)
 
 
 class Taxonomy:
-    """Validated, immutable topic hierarchy."""
+    """Validated, immutable topic hierarchy; topic i is `topics[i - 1]`."""
 
     def __init__(self, topics: Iterable[Topic]):
         self.topics: tuple[Topic, ...] = tuple(topics)
-        self._by_id = {t.id: t for t in self.topics}
+        for expected, t in enumerate(self.topics, start=1):
+            if t.id != expected:
+                raise TaxonomyError(f"topic ids must run 1, 2, ... in order: expected {expected}, got {t.id}")
         self._by_name = {t.name: t for t in self.topics}
         self.unknown = UNKNOWN_TOPIC
-        self.root_ids: tuple[int, ...] = tuple(t.id for t in self.topics if t.parent_id is None)
 
     @property
     def omega(self) -> int:
@@ -58,15 +60,12 @@ class Taxonomy:
         return len(self.topics)
 
     def __contains__(self, topic_id: int) -> bool:
-        return topic_id in self._by_id or topic_id == UNKNOWN_TOPIC_ID
+        return UNKNOWN_TOPIC_ID <= topic_id <= self.omega
 
     def get(self, topic_id: int) -> Topic:
-        if topic_id == UNKNOWN_TOPIC_ID:
-            return self.unknown
-        try:
-            return self._by_id[topic_id]
-        except KeyError:
-            raise TaxonomyError(f"topic id {topic_id} not in taxonomy") from None
+        if topic_id not in self:
+            raise TaxonomyError(f"topic id {topic_id} not in taxonomy")
+        return self.topics[topic_id - 1] if topic_id != UNKNOWN_TOPIC_ID else self.unknown
 
     def by_name(self, name: str) -> Topic:
         try:
@@ -75,10 +74,10 @@ class Taxonomy:
             raise TaxonomyError(f"topic name {name!r} not in taxonomy") from None
 
     def ids(self) -> tuple[int, ...]:
-        return tuple(t.id for t in self.topics)
+        return tuple(range(1, self.omega + 1))
 
     def roots(self) -> tuple[Topic, ...]:
-        return tuple(self._by_id[i] for i in self.root_ids)
+        return tuple(t for t in self.topics if t.parent_id is None)
 
     def subtree_size(self, root: Union[Topic, int]) -> int:
         """Number of topics in the subtree, including the root itself."""
@@ -108,15 +107,16 @@ def _parent_name(name: str) -> Optional[str]:
 def load_taxonomy(source: Union[str, Path, IO[str]]) -> Taxonomy:
     """Load and validate a taxonomy file.
 
-    Raises TaxonomyError naming the offending row on malformed rows,
-    duplicate ids, dangling parents, or an empty file.
+    Raises TaxonomyError naming the offending row on malformed rows, an
+    id other than the next in 1, 2, ..., a duplicate name, a dangling
+    parent, or an empty file.
     """
     if hasattr(source, "read"):
         lines = source.read().splitlines()
     else:
         lines = Path(source).read_text(encoding="utf-8").splitlines()
 
-    rows: list[tuple[int, int, str]] = []  # (lineno, id, name)
+    rows: list[tuple[int, str]] = []  # (lineno, name) of topic id len(rows) + 1
     start = 0
     if lines and lines[0].strip() == TAXONOMY_HEADER:
         start = 1
@@ -131,32 +131,25 @@ def load_taxonomy(source: Union[str, Path, IO[str]]) -> Taxonomy:
             tid = int(raw_id)
         except ValueError:
             raise TaxonomyError(f"non-integer id {raw_id!r}", row=lineno) from None
-        if tid <= 0:
-            raise TaxonomyError(f"id must be >= 1 (0 is the Unknown sentinel), got {tid}", row=lineno)
+        expected = len(rows) + 1
+        if tid != expected:
+            raise TaxonomyError(f"ids must run 1, 2, ... in file order: expected {expected}, got {tid}", row=lineno)
         if not name.startswith("/") or name.endswith("/"):
             raise TaxonomyError(f"name must be a /-rooted path, got {name!r}", row=lineno)
-        rows.append((lineno, tid, name))
+        rows.append((lineno, name))
 
     if not rows:
         raise TaxonomyError("no topics in file")
 
-    seen_ids: dict[int, int] = {}
-    seen_names: dict[str, int] = {}
-    prev_id = 0
-    for lineno, tid, name in rows:
-        if tid in seen_ids:
-            raise TaxonomyError(f"duplicate id {tid} (first seen row {seen_ids[tid]})", row=lineno)
-        if name in seen_names:
-            raise TaxonomyError(f"duplicate name {name!r} (first seen row {seen_names[name]})", row=lineno)
-        if tid <= prev_id:
-            raise TaxonomyError(f"ids must be ascending, got {tid} after {prev_id}", row=lineno)
-        seen_ids[tid] = lineno
-        seen_names[name] = lineno
-        prev_id = tid
+    name_to_id: dict[str, int] = {}
+    for tid, (lineno, name) in enumerate(rows, start=1):
+        if name in name_to_id:
+            first = rows[name_to_id[name] - 1][0]
+            raise TaxonomyError(f"duplicate name {name!r} (first seen row {first})", row=lineno)
+        name_to_id[name] = tid
 
-    name_to_id = {name: tid for _, tid, name in rows}
     topics = []
-    for lineno, tid, name in rows:
+    for tid, (lineno, name) in enumerate(rows, start=1):
         pname = _parent_name(name)
         pid = None
         if pname is not None:

@@ -23,7 +23,8 @@ faster rewrite can be checked for equal results:
   `ApiResult`, `log_result` and `log_truth_draw` (object views of an
   `ObservationLog`) checks `simulator.run_scenario`;
 * `denoise_multi_shot` (per-topic state objects for one user's call
-  history) checks `denoiser.MultiShotEngine`;
+  history, tau passed explicitly where the engine reads it from the
+  call width) checks `denoiser.MultiShotEngine`;
 * `truth_channel` and `evaluate_denoiser` (per-draw scoring of
   `denoise_multi_shot` outcomes) check `denoiser.denoise_site_trajectory`;
 * `argmax_match_one_way` and `reidentify_two_calls` (a blocked float32
@@ -415,11 +416,11 @@ def _recovered_set(states: dict[int, _TopicState], prev: PrevalenceTable, config
 
 
 def _labels(
-    states: dict[int, _TopicState], current_epoch: int, prev: PrevalenceTable, config: DenoiserConfig
+    states: dict[int, _TopicState], current_epoch: int, prev: PrevalenceTable, config: DenoiserConfig, gap: int
 ) -> dict[int, TopicLabel]:
     recovered = set(_recovered_set(states, prev, config))
     frozen = len(recovered) >= config.T and sum(1 for st in states.values() if st.confirmed_at) >= config.T
-    cold = current_epoch <= config.gap
+    cold = current_epoch <= gap
     labels: dict[int, TopicLabel] = {}
     for topic, st in states.items():
         if topic in recovered:
@@ -438,15 +439,18 @@ def _labels(
 
 
 def denoise_multi_shot(
-    history: Sequence[ApiResult], prev: PrevalenceTable, config: DenoiserConfig = DenoiserConfig()
+    history: Sequence[ApiResult], prev: PrevalenceTable, config: DenoiserConfig = DenoiserConfig(), tau: int = 3
 ) -> MultiShotOutcome:
     """On-the-fly multi-shot verdict over one (site, user) history.
 
     History must be epoch-ordered and single-site. The verdict reflects
-    knowledge after the last call.
+    knowledge after the last call. `tau` is the API's slots per call,
+    given explicitly because a history drops suppressed slots, so its
+    calls can be narrower than tau.
     """
     if not history:
         raise ValueError("history must contain at least one call")
+    gap = 2 if config.aggressive_gap_rule else tau
     site = history[0].site
     states: dict[int, _TopicState] = {}
     last_epoch = 0
@@ -456,10 +460,10 @@ def denoise_multi_shot(
         if res.epoch <= last_epoch:
             raise ValueError("history must be strictly epoch-ordered")
         last_epoch = res.epoch
-        _update_topic_states(states, res.epoch, res.topics, config.gap)
+        _update_topic_states(states, res.epoch, res.topics, gap)
     recovered = frozenset(_recovered_set(states, prev, config))
     return MultiShotOutcome(
-        verdict=NoiseVerdict(topic_labels=_labels(states, last_epoch, prev, config)),
+        verdict=NoiseVerdict(topic_labels=_labels(states, last_epoch, prev, config, gap)),
         recovered=recovered,
         frozen=len(recovered) >= config.T,
     )

@@ -75,6 +75,12 @@ def test_prevalence_singleton(taxonomy):
     assert table.total_domains == 1
 
 
+def test_prevalence_refuses_a_topic_outside_the_taxonomy(taxonomy):
+    cls = DomainClassification({"a.com": {7}, "b.com": {3, 400}})
+    with pytest.raises(ClassificationError, match="topic id 400 is not in the taxonomy's 1..349"):
+        prevalence(cls, taxonomy)
+
+
 def test_prevalence_rename_invariance(taxonomy):
     entries = {"a.com": {1, 2}, "b.com": {2}, "c.com": set()}
     renamed = {f"x-{k}": v for k, v in entries.items()}

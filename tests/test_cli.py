@@ -187,6 +187,26 @@ def test_analytics_prints_expected_tail_probability(tmp_path, capsys):
     assert payload["consecutive_api_calls"] == 11
 
 
+def test_analytics_at_tau_1_reports_no_chance_of_two_genuine_topics(tmp_path, capsys):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"tau": 1, "out": str(tmp_path / "a")}))
+    assert run_cli("analytics", "--config", cfg) == 0
+    payload = json.loads((tmp_path / "a" / "analytics.json").read_text())
+    assert payload["model"]["tau"] == 1
+    assert payload["prob_at_least_2_genuine"] == 0.0
+
+
+def test_generate_refuses_a_taxonomy_with_an_id_gap(tmp_path, capsys):
+    taxonomy = tmp_path / "gapped.tsv"
+    taxonomy.write_text("id\tname\n" + "".join(f"{i}\t/t{i}\n" for i in [*range(1, 21), 40]))
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"n_users": 5, "n_domains": 500, "taxonomy": str(taxonomy),
+                               "out": str(tmp_path / "o")}))
+    assert run_cli("generate", "--config", cfg) == 2
+    assert "row 22: ids must run 1, 2, ... in file order: expected 21, got 40" in capsys.readouterr().err
+    assert not (tmp_path / "o" / "population.ndjson").exists()
+
+
 def test_filter_subcommand_reproduces_golden_fixtures(tmp_path, capsys):
     scores = tmp_path / "scores.tsv"
     rows = []

@@ -41,14 +41,15 @@ def res(topics, epoch=1, user=0):
 def engine_genuine(history, prev, cfg=DenoiserConfig()):
     """The engine's genuine topics for one user after `history`.
 
-    Epochs the history skips are fed as calls with every slot suppressed.
+    Each call is padded with suppressed slots to tau = 3, the width the
+    engine reads tau from; epochs the history skips are fed as calls with
+    every slot suppressed.
     """
-    width = max(len(r.topics) for r in history)
     calls = {r.epoch: r.topics for r in history}
     engine = MultiShotEngine(1, 349, prev, cfg)
     for epoch in range(1, history[-1].epoch + 1):
-        row = list(calls.get(epoch, ())) + [-1] * width
-        engine.observe_epoch(epoch, np.array([row[:width]], dtype=np.int16))
+        row = (list(calls.get(epoch, ())) + [-1] * 3)[:3]
+        engine.observe_epoch(epoch, np.array([row], dtype=np.int16))
     return set(np.nonzero(engine.genuine_matrix()[0])[0].tolist())
 
 
@@ -250,7 +251,7 @@ def test_engine_matches_object_denoiser(case, T, threshold, aggressive):
     counts[1:15] = 50
     counts[15:25] = 3
     prev = PrevalenceTable(counts=counts, total_domains=1000)
-    cfg = DenoiserConfig(threshold=threshold, tau=tau, T=T, aggressive_gap_rule=aggressive)
+    cfg = DenoiserConfig(threshold=threshold, T=T, aggressive_gap_rule=aggressive)
 
     engine = MultiShotEngine(len(users), 349, prev, cfg)
     for e in range(len(users[0])):
@@ -259,7 +260,7 @@ def test_engine_matches_object_denoiser(case, T, threshold, aggressive):
 
     for u, calls in enumerate(users):
         history = [res([t for t in topics if t >= 0], epoch=e + 1) for e, topics in enumerate(calls)]
-        outcome = denoise_multi_shot(history, prev, cfg)
+        outcome = denoise_multi_shot(history, prev, cfg, tau)
         assert set(np.nonzero(genuine[u])[0].tolist()) == set(outcome.verdict.genuine_topics()), u
         assert set(np.nonzero(recovered[u])[0].tolist()) == set(outcome.recovered), u
         assert sizes[u] == len(outcome.recovered), u
@@ -273,6 +274,24 @@ def test_observe_epoch_rejects_topic_above_omega():
     # Any negative id is a suppressed slot.
     engine.observe_epoch(1, np.array([[7, 7, -1], [-5, 349, 349]], dtype=np.int16))
     assert np.nonzero(engine.recovered_matrix())[1].tolist() == [7, 349]
+
+
+def test_engine_refuses_a_prevalence_table_of_another_taxonomy():
+    with pytest.raises(ValueError, match=r"prevalence table has 350 entries, expected omega \+ 1 = 22"):
+        MultiShotEngine(2, 21, prevalence_with(), DenoiserConfig())
+
+
+@pytest.mark.parametrize("aggressive", [False, True])
+def test_engine_reads_tau_from_the_first_call(aggressive):
+    """The first call's width is tau; a call of another width is refused."""
+    engine = MultiShotEngine(1, 349, prevalence_with(), DenoiserConfig(aggressive_gap_rule=aggressive))
+    engine.observe_epoch(1, np.array([[5, -1, -1, -1]], dtype=np.int16))
+    assert (engine.tau, engine.gap) == (4, 2 if aggressive else 4)
+    with pytest.raises(ValueError, match="call of epoch 2 has 3 slots, but the first call had 4"):
+        engine.observe_epoch(2, np.array([[5, 6, 7]], dtype=np.int16))
+    assert engine.current_epoch == 1
+    engine.observe_epoch(2, np.array([[5, 6, 7, -1]], dtype=np.int16))
+    assert engine.current_epoch == 2
 
 
 @pytest.mark.parametrize("rows", [1, 4])
@@ -392,11 +411,9 @@ def test_trajectory_aligns_users_by_id(taxonomy):
 
 
 def test_trajectory_refuses_config_of_another_log(taxonomy):
-    """A gap rule in another tau would count one pinned draw twice."""
+    """T is the adversary's assumption, which the calls do not reveal."""
     users, log = stable_scenario(taxonomy, n_users=20, epochs=4)
     site = log.site_view("w")
-    with pytest.raises(ValueError, match="denoiser tau = 2, but the log was simulated with tau = 3"):
-        denoise_site_trajectory(site, prevalence_with(), DenoiserConfig(tau=2), users)
     with pytest.raises(ValueError, match="denoiser T = 4, but the population's profiles hold 5 topics"):
         denoise_site_trajectory(site, prevalence_with(), DenoiserConfig(T=4), users)
 

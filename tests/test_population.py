@@ -256,7 +256,7 @@ def generation_cases(draw):
         classification=DomainClassification(entries),
         seed=draw(st.integers(0, 2**32)),
         T=draw(st.integers(1, 6)),
-        profile_candidate=draw(st.integers(0, 9)),
+        candidate=draw(st.integers(0, 9)),
     )
 
 
@@ -274,7 +274,7 @@ ONE_DOMAIN_EACH = dict(
     classification=DomainClassification({"d0.example": (), "d1.example": (), "d2.example": (3,)}),
     seed=5,
     T=6,
-    profile_candidate=9,
+    candidate=9,
 )
 
 
@@ -283,11 +283,12 @@ ONE_DOMAIN_EACH = dict(
 @example(ONE_DOMAIN_EACH, True)
 def test_generate_matches_per_user_oracle(taxonomy, case, small):
     taxonomy = SMALL_TAXONOMY if small else taxonomy
+    case = dict(case)
+    candidate = case.pop("candidate")
     got = generate_population(**case, taxonomy=taxonomy)
     assert list(got) == generate_population_reference(**case, taxonomy=taxonomy)
-    other = (case["profile_candidate"] + 1) % 10
-    assert top_profiles(got, taxonomy, case["T"], case["seed"], candidate=other).tolist() == [
-        list(derive_top_profile(u, taxonomy, case["T"], case["seed"], candidate=other).top_profile)
+    assert top_profiles(got, taxonomy, case["T"], case["seed"], candidate=candidate).tolist() == [
+        list(derive_top_profile(u, taxonomy, case["T"], case["seed"], candidate=candidate).top_profile)
         for u in got
     ]
 

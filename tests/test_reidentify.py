@@ -127,12 +127,6 @@ def test_run_reidentification_more_epochs_help(taxonomy):
     assert rep.unique_rate_at(10) > 0.3
 
 
-def test_run_reidentification_refuses_config_of_another_tau(taxonomy):
-    users, log, prev = small_two_site_world(taxonomy, n=20, epochs=4)
-    with pytest.raises(ValueError, match="denoiser tau = 2, but the log was simulated with tau = 3"):
-        run_reidentification(log, "wa", "wb", prev, DenoiserConfig(tau=2))
-
-
 def test_reid_report_requires_input():
     with pytest.raises(ValueError):
         reid_report([])

@@ -4,7 +4,9 @@ import pytest
 
 from topicsim.taxonomy import (
     TAXONOMY_HEADER,
+    Taxonomy,
     TaxonomyError,
+    Topic,
     UNKNOWN_TOPIC_ID,
     load_taxonomy,
     parent_of,
@@ -99,10 +101,22 @@ def test_empty_file_rejected():
         load_taxonomy(io.StringIO(TAXONOMY_HEADER + "\n"))
 
 
-def test_duplicate_id_rejected():
-    body = f"{TAXONOMY_HEADER}\n1\t/A\n1\t/B\n"
-    with pytest.raises(TaxonomyError, match="duplicate id"):
+@pytest.mark.parametrize("ids, message", [
+    ((1, 2, 4), "row 4: ids must run 1, 2, ... in file order: expected 3, got 4"),
+    ((1, 1), "row 3: ids must run 1, 2, ... in file order: expected 2, got 1"),
+    ((0,), "row 2: ids must run 1, 2, ... in file order: expected 1, got 0"),
+    ((2, 1), "row 2: ids must run 1, 2, ... in file order: expected 1, got 2"),
+], ids=["gap", "duplicate", "zero", "out-of-order"])
+def test_ids_must_run_one_to_omega_in_file_order(ids, message):
+    body = TAXONOMY_HEADER + "\n" + "".join(f"{tid}\t/T{row}\n" for row, tid in enumerate(ids))
+    with pytest.raises(TaxonomyError) as err:
         load_taxonomy(io.StringIO(body))
+    assert str(err.value) == message
+
+
+def test_directly_built_taxonomy_refuses_an_id_gap():
+    with pytest.raises(TaxonomyError, match="expected 3, got 4"):
+        Taxonomy(Topic(i, f"/t{i}", None) for i in (1, 2, 4))
 
 
 def test_dangling_parent_rejected():
@@ -111,19 +125,7 @@ def test_dangling_parent_rejected():
         load_taxonomy(io.StringIO(body))
 
 
-def test_non_ascending_ids_rejected():
-    body = f"{TAXONOMY_HEADER}\n2\t/A\n1\t/B\n"
-    with pytest.raises(TaxonomyError, match="ascending"):
-        load_taxonomy(io.StringIO(body))
-
-
 def test_malformed_row_names_line():
     body = f"{TAXONOMY_HEADER}\n1\t/A\nnot a row\n"
     with pytest.raises(TaxonomyError, match="row 3"):
-        load_taxonomy(io.StringIO(body))
-
-
-def test_id_zero_reserved():
-    body = f"{TAXONOMY_HEADER}\n0\t/A\n"
-    with pytest.raises(TaxonomyError, match="sentinel"):
         load_taxonomy(io.StringIO(body))
