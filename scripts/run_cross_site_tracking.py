@@ -22,12 +22,11 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from topicsim.cli import REPORTED_EPOCHS
 from topicsim.denoiser import DenoiserConfig
 from topicsim.reidentify import run_reidentification
 from topicsim.simulator import SimConfig, run_scenario
 from topicsim.worlds import build_world, wide_pool_config
-
-REPORT_EPOCHS = (1, 2, 5, 10, 15, 20, 25, 30)
 
 
 def _peak_rss_mib() -> float:
@@ -46,7 +45,7 @@ def main() -> None:
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    epochs = [e for e in REPORT_EPOCHS if e <= args.epochs] or [args.epochs]
+    epochs = [e for e in REPORTED_EPOCHS if e <= args.epochs] or [args.epochs]
 
     summary = ["n_users,epoch,unique_rate,better_than_random_rate"]
     for n in args.sizes:

@@ -75,6 +75,8 @@ class DomainClassification:
 
     def rows_of(self, domains: Sequence[str]) -> np.ndarray:
         """Row index of each domain, -1 for a domain not classified here."""
+        if domains is self.names:
+            return np.arange(len(self), dtype=np.int64)
         return np.fromiter((self._row_of.get(d, -1) for d in domains), dtype=np.int64, count=len(domains))
 
     def row(self, i: int) -> np.ndarray:
@@ -151,17 +153,12 @@ def classification_lines(classification: DomainClassification) -> list[str]:
     ]
 
 
-_BUNDLED_STATIC: Optional[DomainClassification] = None
-
-
+@functools.cache
 def bundled_static_mapping(taxonomy: Taxonomy) -> DomainClassification:
-    """The bundled ~9.25k-domain hand-annotation-style mapping."""
-    global _BUNDLED_STATIC
-    if _BUNDLED_STATIC is None:
-        ref = resources.files("topicsim.data").joinpath("static_mapping.tsv")
-        with ref.open("r", encoding="utf-8") as fh:
-            _BUNDLED_STATIC = load_classification(fh, taxonomy)
-    return _BUNDLED_STATIC
+    """The bundled ~9.25k-domain hand-annotation-style mapping, validated against `taxonomy`."""
+    ref = resources.files("topicsim.data").joinpath("static_mapping.tsv")
+    with ref.open("r", encoding="utf-8") as fh:
+        return load_classification(fh, taxonomy)
 
 
 def prevalence(classification: DomainClassification, taxonomy: Taxonomy) -> PrevalenceTable:

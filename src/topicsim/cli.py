@@ -6,7 +6,8 @@ the tool version, a hash of the resolved configuration, and the master
 seed, so byte-identical reruns are checkable with `cmp`.
 
 Config files are flat JSON. Unknown keys are rejected (catching typos in
-sweep scripts); omitted keys take the documented defaults.
+sweep scripts), and so is a value of another JSON type than its key's
+default; omitted keys take the documented defaults.
 """
 
 from __future__ import annotations
@@ -53,16 +54,26 @@ CONFIG_DEFAULTS: dict = {
     "n_domains": 50_000,
     "sites": ["site-a.example", "site-b.example"],
     "epochs": 30,
-    "T": 5,
-    "tau": 3,
-    "p": 0.05,
+    "T": analytics.DEFAULT_T,
+    "tau": analytics.DEFAULT_TAU,
+    "p": analytics.DEFAULT_P,
     "threshold": 10,
     "aggressive_gap_rule": False,
     "profile_candidates": 1,        # candidate profiles per user (1..10)
     "profile_index": 0,             # which candidate the experiments use
     "seed": 0,
     "out": "out",
-    "workers": 0,                   # accepted, unused: no stage forks
+}
+
+# What each key's value must be, by the type of its default; values are
+# kept as given, so config hashes see exactly what the file holds.
+_KINDS = {
+    bool: ("true or false", lambda v: type(v) is bool),
+    int: ("an integer", lambda v: type(v) is int),
+    float: ("a number", lambda v: type(v) in (int, float)),
+    list: ("a list of strings", lambda v: type(v) is list and all(type(x) is str for x in v)),
+    type(None): ("a string or null", lambda v: v is None or type(v) is str),
+    str: ("a string", lambda v: type(v) is str),
 }
 
 
@@ -81,6 +92,8 @@ def load_config(path: Optional[str], overrides: dict) -> dict:
     cfg = dict(CONFIG_DEFAULTS)
     if path is not None:
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
+        if type(raw) is not dict:
+            raise ConfigError(f"{path} must hold a JSON object, got {json.dumps(raw)}")
         unknown = set(raw) - set(CONFIG_DEFAULTS)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
@@ -88,15 +101,19 @@ def load_config(path: Optional[str], overrides: dict) -> dict:
     for key, value in overrides.items():
         if value is not None:
             cfg[key] = value
-    if not 1 <= int(cfg["profile_candidates"]) <= 10:
+    for key, value in cfg.items():
+        kind, ok = _KINDS[type(CONFIG_DEFAULTS[key])]
+        if not ok(value):
+            raise ConfigError(f"config key {key!r} must be {kind}, got {json.dumps(value)}")
+    if not 1 <= cfg["profile_candidates"] <= 10:
         raise ConfigError("profile_candidates must be in 1..10")
-    if not 0 <= int(cfg["profile_index"]) < int(cfg["profile_candidates"]):
+    if not 0 <= cfg["profile_index"] < cfg["profile_candidates"]:
         raise ConfigError("profile_index must be < profile_candidates")
     return cfg
 
 
 # Keys read only by the analysis stages (denoise, reidentify) or by none.
-ANALYSIS_ONLY_KEYS = ("threshold", "aggressive_gap_rule", "workers", "out")
+ANALYSIS_ONLY_KEYS = ("threshold", "aggressive_gap_rule", "out")
 
 
 def _hash_without(cfg: dict, skipped: tuple[str, ...]) -> str:
@@ -106,9 +123,9 @@ def _hash_without(cfg: dict, skipped: tuple[str, ...]) -> str:
 
 
 def config_hash(cfg: dict) -> str:
-    # workers and out do not affect results, so they are not part of the
-    # content identity; equal hashes must mean byte-identical outputs.
-    return _hash_without(cfg, ("workers", "out"))
+    # out does not affect results, so it is not part of the content
+    # identity; equal hashes must mean byte-identical outputs.
+    return _hash_without(cfg, ("out",))
 
 
 def scenario_hash(cfg: dict) -> str:
@@ -122,7 +139,7 @@ def population_hash(cfg: dict) -> str:
 
 
 def file_header(cfg: dict) -> dict:
-    return {"topicsim": __version__, "config_hash": config_hash(cfg), "seed": int(cfg["seed"])}
+    return {"topicsim": __version__, "config_hash": config_hash(cfg), "seed": cfg["seed"]}
 
 
 def csv_header_line(cfg: dict) -> str:
@@ -145,18 +162,17 @@ def _world_config(cfg: dict) -> WorldConfig:
     """
     spec = cfg["classification"]
     wc = WorldConfig()
-    if isinstance(spec, str) and spec.startswith("synthetic:"):
+    if spec.startswith("synthetic:"):
         preset = spec.split(":", 1)[1]
         if preset not in PRESETS:
             raise ConfigError(f"unknown synthetic classification preset {preset!r}")
         wc = PRESETS[preset](n_users=1)
-    return replace(wc, n_users=int(cfg["n_users"]), n_domains=int(cfg["n_domains"]),
-                   seed=int(cfg["seed"]), T=int(cfg["T"]))
+    return replace(wc, n_users=cfg["n_users"], n_domains=cfg["n_domains"], seed=cfg["seed"], T=cfg["T"])
 
 
 def _resolve_classification(cfg: dict, taxonomy: Taxonomy) -> DomainClassification:
     spec = cfg["classification"]
-    if isinstance(spec, str) and spec.startswith("synthetic:"):
+    if spec.startswith("synthetic:"):
         return synthetic_classification(_world_config(cfg), taxonomy)
     path = Path(spec)
     if not path.exists():
@@ -195,20 +211,20 @@ def cmd_generate(cfg: dict) -> int:
     else:
         counts = count_model(_world_config(cfg))
     population = generate_population(
-        int(cfg["n_users"]), order, TRAFFIC, counts, classification,
-        seed=int(cfg["seed"]), T=int(cfg["T"]), taxonomy=taxonomy,
+        cfg["n_users"], order, TRAFFIC, counts, classification,
+        seed=cfg["seed"], T=cfg["T"], taxonomy=taxonomy,
     )
     out = _out_dir(cfg)
-    n_candidates = int(cfg["profile_candidates"])
+    n_candidates = cfg["profile_candidates"]
     candidates = None
     if n_candidates > 1:
         # Alternative top-profiles under distinct sub-seeds; experiments
         # pick one via profile_index, downstream files carry them all.
         candidates = [population.profiles] + [
-            top_profiles(population, taxonomy, int(cfg["T"]), int(cfg["seed"]), candidate=c)
+            top_profiles(population, taxonomy, cfg["T"], cfg["seed"], candidate=c)
             for c in range(1, n_candidates)
         ]
-        population = replace(population, profiles=candidates[int(cfg["profile_index"])])
+        population = replace(population, profiles=candidates[cfg["profile_index"]])
     write_population(population, out / "population.ndjson",
                      header=dict(file_header(cfg), population_hash=population_hash(cfg)),
                      candidates=candidates)
@@ -227,8 +243,7 @@ def _require(path: Path, produced_by: str) -> Path:
 
 def _sim_config(cfg: dict) -> SimConfig:
     return SimConfig(
-        tau=int(cfg["tau"]), p=float(cfg["p"]), epochs=int(cfg["epochs"]),
-        sites=tuple(cfg["sites"]), seed=int(cfg["seed"]),
+        tau=cfg["tau"], p=cfg["p"], epochs=cfg["epochs"], sites=tuple(cfg["sites"]), seed=cfg["seed"],
     )
 
 
@@ -248,7 +263,7 @@ def cmd_simulate(cfg: dict) -> int:
 
 def _denoiser_config(cfg: dict) -> DenoiserConfig:
     return DenoiserConfig(
-        threshold=int(cfg["threshold"]), T=int(cfg["T"]), aggressive_gap_rule=bool(cfg["aggressive_gap_rule"]),
+        threshold=cfg["threshold"], T=cfg["T"], aggressive_gap_rule=cfg["aggressive_gap_rule"],
     )
 
 
@@ -291,7 +306,7 @@ def _check_analysis_keys(cfg: dict, command: str, n_sites: int) -> None:
     """Refuse `sites` and `epochs` an analysis subcommand cannot use, before any work."""
     if len(cfg["sites"]) < n_sites:
         raise ConfigError(f"{command} needs {n_sites} site(s) in `sites`, got {len(cfg['sites'])}")
-    if int(cfg["epochs"]) < 1:
+    if cfg["epochs"] < 1:
         raise ConfigError(f"{command} needs `epochs` >= 1, got {cfg['epochs']}")
 
 
@@ -320,7 +335,7 @@ def cmd_reidentify(cfg: dict) -> int:
     prev = prevalence(classification, taxonomy)
     out = _out_dir(cfg)
     site_a, site_b = cfg["sites"][0], cfg["sites"][1]
-    epochs = [e for e in REPORTED_EPOCHS if e <= int(cfg["epochs"])]
+    epochs = [e for e in REPORTED_EPOCHS if e <= cfg["epochs"]]
     rep = run_reidentification(log, site_a, site_b, prev, _denoiser_config(cfg), report_epochs=epochs)
     lines = [csv_header_line(cfg)] + rep.csv_lines()
     (out / "reid_report.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
@@ -338,10 +353,9 @@ def cmd_reidentify(cfg: dict) -> int:
 
 def cmd_analytics(cfg: dict) -> int:
     model = analytics.NoiseModel(
-        tau=int(cfg["tau"]), p=float(cfg["p"]),
-        omega=_resolve_taxonomy(cfg).omega, T=int(cfg["T"]),
+        tau=cfg["tau"], p=float(cfg["p"]), omega=_resolve_taxonomy(cfg).omega, T=cfg["T"],
     )
-    payload = {"header": file_header(cfg), **analytics.summary(model, n=int(cfg["n_users"]))}
+    payload = {"header": file_header(cfg), **analytics.summary(model, n=cfg["n_users"])}
     out = _out_dir(cfg)
     text = json.dumps(payload, indent=2, sort_keys=True)
     (out / "analytics.json").write_text(text + "\n", encoding="utf-8")
@@ -393,8 +407,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="flat JSON config file")
         p.add_argument("--seed", type=int, help="master seed (overrides config)")
         p.add_argument("--workers", type=int,
-                       help="accepted for older configs and scripts; no stage forks, "
-                            "and the value does not change any output")
+                       help="accepted and ignored, for older scripts; no stage forks")
         p.add_argument("--out", help="output directory (overrides config)")
 
     for name in ("generate", "simulate", "denoise", "reidentify", "analytics", "report"):
@@ -407,7 +420,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    overrides = {"seed": args.seed, "workers": args.workers, "out": args.out}
+    overrides = {"seed": args.seed, "out": args.out}
     try:
         cfg = load_config(args.config, overrides)
         handlers = {

@@ -46,6 +46,7 @@ from typing import Optional
 
 import numpy as np
 
+from .analytics import DEFAULT_T
 from .classification import PrevalenceTable
 from .population import Population
 from .simulator import SiteLog
@@ -54,7 +55,7 @@ from .simulator import SiteLog
 @dataclass(frozen=True)
 class DenoiserConfig:
     threshold: int = 10
-    T: int = 5
+    T: int = DEFAULT_T
     aggressive_gap_rule: bool = False
 
     def __post_init__(self):

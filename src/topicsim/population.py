@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import functools
 import itertools
 import json
 import logging
@@ -42,6 +43,7 @@ from typing import IO, Iterable, Iterator, Mapping, Optional, Sequence, Union
 import numpy as np
 
 from . import rng
+from .analytics import DEFAULT_T
 from .classification import DomainClassification
 from .taxonomy import Taxonomy
 
@@ -82,18 +84,11 @@ class RankedDomainList:
 
 # --- eTLD+1 ------------------------------------------------------------
 
-_SUFFIXES: Optional[frozenset[str]] = None
-
-
+@functools.cache
 def _public_suffixes() -> frozenset[str]:
-    global _SUFFIXES
-    if _SUFFIXES is None:
-        ref = resources.files("topicsim.data").joinpath("public_suffixes.dat")
-        lines = ref.read_text(encoding="utf-8").splitlines()
-        _SUFFIXES = frozenset(
-            ln.strip() for ln in lines if ln.strip() and not ln.startswith("#")
-        )
-    return _SUFFIXES
+    ref = resources.files("topicsim.data").joinpath("public_suffixes.dat")
+    lines = ref.read_text(encoding="utf-8").splitlines()
+    return frozenset(ln.strip() for ln in lines if ln.strip() and not ln.startswith("#"))
 
 
 def etld_plus_one(hostname: str) -> str:
@@ -265,33 +260,20 @@ class UniqueDomainCountModel:
     def sample(self, n: int, seed: int) -> np.ndarray:
         u = rng.counter_stream(n, seed, rng.TAG_DOMAIN_COUNT)
         if self.kind == "lognormal":
-            # Inverse-CDF via the probit; u is strictly inside (0, 1).
-            z = np.sqrt(2.0) * _erfinv(2.0 * np.clip(u, 1e-12, 1 - 1e-12) - 1.0)
+            # Imported here, not at module level: `statistics` pulls in
+            # `fractions` and `decimal`, a cost every stage that only reads
+            # a population would otherwise pay.
+            from statistics import NormalDist
+
+            # Inverse-CDF via the probit; the clip keeps u inside (0, 1).
+            probit = NormalDist().inv_cdf
+            z = np.fromiter(map(probit, np.clip(u, 1e-12, 1 - 1e-12).tolist()), dtype=np.float64, count=n)
             k = np.rint(np.exp(self.mu + self.sigma * z)).astype(np.int64)
             return np.clip(k, self.minimum, self.maximum)
         cdf = np.cumsum(np.asarray(self.probabilities, dtype=np.float64))
         idx = np.searchsorted(cdf, u, side="right")
         idx = np.minimum(idx, len(self.support) - 1)
         return np.asarray(self.support, dtype=np.int64)[idx]
-
-
-def _erf(x):
-    from numpy import vectorize
-
-    return vectorize(math.erf)(x)
-
-
-def _erfinv(y: np.ndarray) -> np.ndarray:
-    # Winitzki's approximation refined by two Newton steps; plenty for
-    # sampling integer counts.
-    a = 0.147
-    ln1my2 = np.log(1.0 - y * y)
-    t1 = 2.0 / (math.pi * a) + ln1my2 / 2.0
-    x = np.sign(y) * np.sqrt(np.sqrt(t1 * t1 - ln1my2 / a) - t1)
-    for _ in range(2):
-        err = _erf(x) - y
-        x = x - err / (2.0 / math.sqrt(math.pi) * np.exp(-x * x))
-    return x
 
 
 def load_count_histogram(source: Union[str, Path, IO[str]]) -> UniqueDomainCountModel:
@@ -443,8 +425,8 @@ def _from_rows(
 
 
 # Users per block of array draws in `generate_population` and
-# `top_profiles`, and per formatted block in `write_population`; bounds
-# the size of the temporaries.
+# `top_profiles`, and per formatted block in `write_population` and the
+# simulator's log writers; bounds the size of the temporaries.
 POPULATION_BLOCK_USERS = 1024
 
 
@@ -529,7 +511,7 @@ def generate_population(
     counts: UniqueDomainCountModel,
     classification: DomainClassification,
     seed: int,
-    T: int = 5,
+    T: int = DEFAULT_T,
     *,
     taxonomy: Taxonomy,
 ) -> Population:
@@ -597,6 +579,12 @@ def _ints(values: list) -> str:
     return ",".join(map(str, values))
 
 
+def write_header(fh: IO[str], header: Optional[dict]) -> None:
+    """The optional first line of an NDJSON artifact: `{"header": ...}`, compact, keys sorted."""
+    if header is not None:
+        fh.write(json.dumps({"header": header}, separators=(",", ":"), sort_keys=True) + "\n")
+
+
 def write_population(
     population: Population,
     path: Union[str, Path],
@@ -619,8 +607,7 @@ def write_population(
     escaped = [json.dumps(population.domains[p]) for p in by_name]
     vrows = _row_ids(population.visit_indptr)
     with open(path, "w", encoding="utf-8") as fh:
-        if header is not None:
-            fh.write(json.dumps({"header": header}, separators=(",", ":"), sort_keys=True) + "\n")
+        write_header(fh, header)
         for lo in range(0, len(population), POPULATION_BLOCK_USERS):
             hi = min(lo + POPULATION_BLOCK_USERS, len(population))
             a, b = population.visit_indptr[lo], population.visit_indptr[hi]

@@ -89,26 +89,27 @@ def match_users(
     profiles_a: Mapping[int, Iterable[int]],
     profiles_b: Mapping[int, Iterable[int]],
     epoch: int = 1,
-    omega: int = 349,
+    omega: Optional[int] = None,
 ) -> MatchReport:
     """Match every A-side user to the argmax-overlap group of B-side users.
 
     Both mappings must cover the same user universe; correctness is
-    judged against the identity mapping.
+    judged against the identity mapping. Topic ids index columns
+    0..omega; by default omega is the largest topic either side holds.
     """
     if set(profiles_a) != set(profiles_b):
         raise ValueError("A and B must observe the same user universe")
     users = sorted(profiles_a)
-    a = _sets_to_matrix(profiles_a, users, omega)
-    b = _sets_to_matrix(profiles_b, users, omega)
-    k, contains, _, _ = _argmax_match(a, b)
+    rows_a, rows_b = ([list(profiles[u]) for u in users] for profiles in (profiles_a, profiles_b))
+    if omega is None:
+        omega = max((max(r, default=0) for r in rows_a + rows_b), default=0)
+    k, contains, _, _ = _argmax_match(_sets_to_matrix(rows_a, omega), _sets_to_matrix(rows_b, omega))
     return MatchReport(epoch=epoch, k=k, contains_truth=contains, n_users=len(users))
 
 
-def _sets_to_matrix(profiles: Mapping[int, Iterable[int]], users: Sequence[int], omega: int) -> np.ndarray:
-    mat = np.zeros((len(users), omega + 1), dtype=bool)
-    for i, uid in enumerate(users):
-        topics = list(profiles[uid])
+def _sets_to_matrix(rows: Sequence[list[int]], omega: int) -> np.ndarray:
+    mat = np.zeros((len(rows), omega + 1), dtype=bool)
+    for i, topics in enumerate(rows):
         if topics:
             mat[i, topics] = True
     return mat

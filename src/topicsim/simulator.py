@@ -18,7 +18,7 @@ Log output: NDJSON, one record per call `{site, user, epoch, topics}`;
 truth channel NDJSON `{site, user, source_epoch, topic, noisy}`. Both
 are compact JSON in that key order, after an optional `{"header": ...}`
 line. Records are formatted straight from the arrays, one block of
-`WRITE_BLOCK_USERS` users at a time, so memory stays flat as the
+`POPULATION_BLOCK_USERS` users at a time, so memory stays flat as the
 population grows; the bytes are those of `json.dumps` per record.
 """
 
@@ -32,14 +32,9 @@ from typing import Optional, Union
 import numpy as np
 
 from . import rng
-from .population import Population, UserProfile
+from .analytics import DEFAULT_P, DEFAULT_TAU
+from .population import POPULATION_BLOCK_USERS, Population, UserProfile, write_header
 from .taxonomy import Taxonomy
-
-DEFAULT_TAU = 3
-DEFAULT_P = 0.05
-
-# Users per formatted block in the NDJSON writers.
-WRITE_BLOCK_USERS = 1024
 
 
 @dataclass(frozen=True)
@@ -87,14 +82,14 @@ def epoch_topic_draw(
     noisy = bool(rng.uniform(*key, rng.TAG_NOISE_FLAG) < config.p)
     u = float(rng.uniform(*key, rng.TAG_TOPIC_PICK))
     if noisy:
-        ids = taxonomy.ids()
-        topic = ids[int(u * len(ids))]
+        topic = 1 + int(u * taxonomy.omega)
     else:
         profile = user.top_profile
         topic = profile[int(u * len(profile))]
     return EpochDraw(topic=int(topic), noisy=noisy)
 
 
+@dataclass(frozen=True, eq=False)
 class ObservationLog:
     """Complete per-(site, user, epoch) API results plus the truth channel.
 
@@ -103,24 +98,13 @@ class ObservationLog:
     to exactly one truth draw.
     """
 
-    def __init__(
-        self,
-        config: SimConfig,
-        user_ids: np.ndarray,
-        topics: np.ndarray,        # (site, user, epoch, tau) int16
-        slot_sources: np.ndarray,  # (site, user, epoch, tau) int16, source epoch per slot
-        truth_topics: np.ndarray,  # (site, user, source) int16
-        truth_noisy: np.ndarray,   # (site, user, source) bool
-        source_epochs: np.ndarray,  # (n_sources,) the source-epoch axis labels
-    ):
-        self.config = config
-        self.user_ids = user_ids
-        self.topics = topics
-        self.slot_sources = slot_sources
-        self.truth_topics = truth_topics
-        self.truth_noisy = truth_noisy
-        self.source_epochs = source_epochs
-        self._site_index = {s: i for i, s in enumerate(config.sites)}
+    config: SimConfig
+    user_ids: np.ndarray
+    topics: np.ndarray         # (site, user, epoch, tau) int16
+    slot_sources: np.ndarray   # (site, user, epoch, tau) int16, source epoch per slot
+    truth_topics: np.ndarray   # (site, user, source) int16
+    truth_noisy: np.ndarray    # (site, user, source) bool
+    source_epochs: np.ndarray  # (n_sources,) the source-epoch axis labels
 
     @property
     def sites(self) -> tuple[str, ...]:
@@ -140,7 +124,7 @@ class ObservationLog:
         return float(flags.mean()) if flags.size else 0.0
 
     def site_view(self, site: str) -> "SiteLog":
-        s = self._site_index[site]
+        s = self.sites.index(site)
         return SiteLog(
             site=site,
             config=self.config,
@@ -154,11 +138,11 @@ class ObservationLog:
 
     def write_ndjson(self, path: Union[str, Path], header: Optional[dict] = None) -> None:
         with open(path, "w", encoding="utf-8") as fh:
-            _write_header(fh, header)
+            write_header(fh, header)
             for si, site in enumerate(self.sites):
                 head = f'{{"site":{json.dumps(site)},"user":'
-                for lo in range(0, len(self.user_ids), WRITE_BLOCK_USERS):
-                    hi = lo + WRITE_BLOCK_USERS
+                for lo in range(0, len(self.user_ids), POPULATION_BLOCK_USERS):
+                    hi = lo + POPULATION_BLOCK_USERS
                     users = self.user_ids[lo:hi].tolist()
                     calls = self.topics[si, lo:hi].tolist()
                     fh.write("".join(
@@ -170,11 +154,11 @@ class ObservationLog:
     def write_truth_ndjson(self, path: Union[str, Path], header: Optional[dict] = None) -> None:
         sources = self.source_epochs.tolist()
         with open(path, "w", encoding="utf-8") as fh:
-            _write_header(fh, header)
+            write_header(fh, header)
             for si, site in enumerate(self.sites):
                 head = f'{{"site":{json.dumps(site)},"user":'
-                for lo in range(0, len(self.user_ids), WRITE_BLOCK_USERS):
-                    hi = lo + WRITE_BLOCK_USERS
+                for lo in range(0, len(self.user_ids), POPULATION_BLOCK_USERS):
+                    hi = lo + POPULATION_BLOCK_USERS
                     users = self.user_ids[lo:hi].tolist()
                     topics = self.truth_topics[si, lo:hi].tolist()
                     noisy = self.truth_noisy[si, lo:hi].tolist()
@@ -184,11 +168,6 @@ class ObservationLog:
                         for uid, trow, nrow in zip(users, topics, noisy)
                         for src, topic, flag in zip(sources, trow, nrow)
                     ))
-
-
-def _write_header(fh, header: Optional[dict]) -> None:
-    if header is not None:
-        fh.write(json.dumps({"header": header}, separators=(",", ":"), sort_keys=True) + "\n")
 
 
 @dataclass

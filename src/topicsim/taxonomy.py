@@ -12,6 +12,7 @@ uniform sample space for noise draws.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -160,14 +161,9 @@ def load_taxonomy(source: Union[str, Path, IO[str]]) -> Taxonomy:
     return Taxonomy(topics)
 
 
-_BUNDLED: Optional[Taxonomy] = None
-
-
+@functools.cache
 def bundled_taxonomy() -> Taxonomy:
     """The bundled v1-style taxonomy (349 topics under 24 root categories)."""
-    global _BUNDLED
-    if _BUNDLED is None:
-        ref = resources.files("topicsim.data").joinpath("taxonomy_v1.tsv")
-        with ref.open("r", encoding="utf-8") as fh:
-            _BUNDLED = load_taxonomy(fh)
-    return _BUNDLED
+    ref = resources.files("topicsim.data").joinpath("taxonomy_v1.tsv")
+    with ref.open("r", encoding="utf-8") as fh:
+        return load_taxonomy(fh)

@@ -20,6 +20,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
+from .analytics import DEFAULT_T
 from .classification import (
     DomainClassification,
     PrevalenceTable,
@@ -52,7 +53,7 @@ class WorldConfig:
     n_users: int = 10_000
     n_domains: int = 50_000
     seed: int = 0
-    T: int = 5
+    T: int = DEFAULT_T
     head_topics: int = 42
     head_floor: int = 600
     count_mu_median: float = 28.0

@@ -10,11 +10,13 @@ from topicsim.classification import (
     ClassificationError,
     DomainClassification,
     SkewSpec,
+    bundled_static_mapping,
     classification_lines,
     load_classification,
     prevalence,
     synthesize_skewed_classification,
 )
+from topicsim.taxonomy import Taxonomy, Topic
 from topicsim.worlds import SKEW as SKEW_TARGETS, aggressive_skew_config, synthetic_classification
 
 # Per-domain topic-count histogram of the bundled hand-annotation fixture.
@@ -23,6 +25,13 @@ STATIC_HISTOGRAM = {0: 1344, 1: 4135, 2: 2350, 3: 1073, 4: 270, 5: 59, 6: 20, 7:
 
 def test_static_mapping_size(static_mapping):
     assert len(static_mapping) == 9254
+
+
+def test_static_mapping_is_validated_against_each_taxonomy(static_mapping, taxonomy):
+    assert bundled_static_mapping(taxonomy) is static_mapping
+    small = Taxonomy([Topic(i, f"/t{i}", None) for i in range(1, 21)])
+    with pytest.raises(ClassificationError, match="unknown topic id"):
+        bundled_static_mapping(small)
 
 
 def test_static_mapping_empty_domains(static_mapping):
@@ -126,6 +135,7 @@ def test_csr_views(taxonomy):
     assert cls.topics_of("b.com") == {2, 9} and cls.topics_of("zzz") == frozenset()
     assert "c.com" in cls and "zzz" not in cls
     assert cls.rows_of(["c.com", "zzz", "b.com"]).tolist() == [2, -1, 0]
+    assert cls.rows_of(cls.names).tolist() == cls.rows_of(list(cls.names)).tolist() == [0, 1, 2]
     assert cls.topics_per_domain().tolist() == [2, 0, 1]
     assert np.count_nonzero(cls.topics_per_domain() == 0) == 1
 

@@ -103,6 +103,38 @@ def test_config_value_refusals_exit_2(tmp_path, capsys, stage, overrides, messag
     assert not (tmp_path / "o" / WRITTEN_BY[stage]).exists()
 
 
+@pytest.mark.parametrize("key, value, kind", [
+    ("aggressive_gap_rule", "false", "true or false"),
+    ("sites", "ab", "a list of strings"),
+    ("sites", None, "a list of strings"),
+    ("sites", ["wa.example", 7], "a list of strings"),
+    ("taxonomy", None, "a string"),
+    ("classification", 5, "a string"),
+    ("crux", 5, "a string or null"),
+    ("n_users", [3], "an integer"),
+    ("n_users", True, "an integer"),
+    ("epochs", 2.5, "an integer"),
+    ("p", True, "a number"),
+], ids=["gap-rule-string", "sites-string", "sites-null", "sites-mixed", "taxonomy-null",
+        "classification-int", "crux-int", "n_users-list", "n_users-bool", "epochs-float", "p-bool"])
+def test_config_value_of_wrong_type_exits_2(tmp_path, capsys, key, value, kind):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"n_users": 5, "n_domains": 500, "out": str(tmp_path / "o"), key: value}))
+    for stage in ("generate", "simulate", "denoise"):
+        assert run_cli(stage, "--config", cfg) == 2
+        assert f"config key {key!r} must be {kind}, got {json.dumps(value)}" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("text", ["null", "3", '"out"'])
+def test_config_file_must_hold_an_object(tmp_path, capsys, text):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(text)
+    assert run_cli("analytics", "--config", cfg, "--out", tmp_path / "o") == 2
+    assert f"must hold a JSON object, got {text}" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_rerun_is_byte_identical(tiny_config):
     cfg, out = tiny_config
     run_cli("generate", "--config", cfg)
@@ -167,6 +199,15 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
     cfg.write_text(json.dumps({"not_a_key": 1}))
     assert run_cli("analytics", "--config", cfg) == 2
     assert "unknown config keys" in capsys.readouterr().err
+
+
+def test_workers_key_is_unknown(tmp_path, capsys):
+    # No stage forks; `--workers` is still parsed but stays out of the config.
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"workers": 2, "out": str(tmp_path / "o")}))
+    assert run_cli("analytics", "--config", cfg) == 2
+    assert "unknown config keys: ['workers']" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_missing_upstream_artifact_names_subcommand(tmp_path, capsys):

@@ -1,4 +1,4 @@
-"""Golden bytes: two small CLI chains write exactly the recorded artifacts.
+"""Golden bytes: small CLI chains write exactly the recorded artifacts.
 
 A change meant to keep behaviour (ROADMAP aim 2) must keep every
 artifact byte for byte. Each chain runs generate, simulate, denoise,
@@ -6,6 +6,12 @@ reidentify, report and analytics in-process; the test compares the
 sha256 of every file the chain writes against the digests below and
 names each artifact that differs. A change meant to alter output
 updates these digests in the same commit and says why.
+
+Two chains use the synthetic presets. The third reads every file input:
+a classification TSV, rank-bucket, rank, tie-breaker and count-histogram
+files, and a score-vector file that `filter` reads. It runs in its
+temporary directory with relative paths, because config hashes include
+the file paths.
 """
 
 import hashlib
@@ -64,13 +70,89 @@ def run_chain(config: dict, tmp_path) -> dict[str, str]:
     path.write_text(json.dumps(dict(config, out=str(out))))
     for stage in STAGES:
         assert main([stage, "--config", str(path)]) == 0, stage
+    return digests(out)
+
+
+def digests(out) -> dict[str, str]:
     return {f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in sorted(out.iterdir())}
+
+
+def assert_golden(got: dict[str, str], want: dict[str, str]) -> None:
+    assert sorted(got) == sorted(want), "artifact set changed"
+    changed = [name for name in want if got[name] != want[name]]
+    assert not changed, f"artifacts changed: {changed}"
 
 
 @pytest.mark.parametrize("chain", sorted(CHAINS))
 def test_chain_artifacts_match_golden_digests(chain, tmp_path):
-    got = run_chain(CHAINS[chain], tmp_path)
-    want = GOLDEN[chain]
-    assert sorted(got) == sorted(want), "artifact set changed"
-    changed = [name for name in want if got[name] != want[name]]
-    assert not changed, f"artifacts changed: {changed}"
+    assert_golden(run_chain(CHAINS[chain], tmp_path), GOLDEN[chain])
+
+
+SUFFIXES = ("com", "co.uk", "org", "io")
+BUCKETS = ("1k", "5k", "10k", "50000")
+
+
+def write_file_inputs(root) -> None:
+    """Deterministic input files for the file-input chain, written under `root`."""
+    hosts = ["www.google.com", "www.youtube.com"] + [
+        f"www.site{i}.{SUFFIXES[i % 4]}" for i in range(600)
+    ]
+    cls = []
+    for i, host in enumerate(hosts):
+        ids = set() if i % 7 == 0 else {(i * 37) % 349 + 1}
+        if i % 3 == 0:
+            ids.add((i * 11) % 349 + 1)
+        cls.append(f"{host}\t{','.join(map(str, sorted(ids)))}")
+    (root / "classification.tsv").write_text("\n".join(cls) + "\n")
+    # Every tenth host is left out of the bucket file; 30 bucketed hosts
+    # have no classification row.
+    crux = [f"{h},{BUCKETS[i % 4]}" for i, h in enumerate(hosts) if i % 10 != 9]
+    crux += [f"orphan{i}.net,{BUCKETS[i % 3]}" for i in range(30)]
+    (root / "crux.csv").write_text("origin,rank_bucket\n" + "\n".join(crux) + "\n")
+    tranco = [f"{(i * 53) % 1000 + 1},site{i}.{SUFFIXES[i % 4]}" for i in range(0, 600, 2)]
+    (root / "tranco.csv").write_text("rank,domain\n" + "\n".join(tranco) + "\n")
+    radar = [f"site{i}.{SUFFIXES[i % 4]}" for i in reversed(range(0, 600, 3))]
+    (root / "radar.txt").write_text("\n".join(radar) + "\n")
+    (root / "histogram.csv").write_text(
+        "unique_domain_count,user_fraction\n5,0.2\n10,0.3\n20,0.3\n40,0.2\n"
+    )
+    scores = []
+    for j in range(20):
+        v = [0.0] * 350
+        v[(j * 17) % 349] = 0.2 + 0.03 * j
+        v[(j * 29) % 349] = 0.1 + 0.01 * j
+        v[349] = 0.05 * (j % 5)
+        scores.append(f"scored{j}.example\t" + " ".join(f"{x:g}" for x in v))
+    (root / "scores.tsv").write_text("\n".join(scores) + "\n")
+
+
+FILE_CHAIN = {
+    "n_users": 250, "classification": "classification.tsv", "crux": "crux.csv",
+    "tranco": "tranco.csv", "radar": "radar.txt", "histogram": "histogram.csv",
+    "sites": ["wa.example", "wb.example"], "epochs": 6, "seed": 3, "threshold": 3,
+    "out": "out",
+}
+
+GOLDEN_FILES = {
+    "analytics.json": "f400f628bf957c49610731d3145cf117b6b3a9b14bd4b9ca7ae6bb6f422f1437",
+    "denoise_metrics.csv": "41f25a1eaa20514b0c91abedeb759a9252face91565ea4564f1c13510acd458b",
+    "filtered_classification.tsv": "040e79fa56930b3e5fe885249584ea9bf4bf1f31cc0f64a8fa010701ffbbe493",
+    "log.ndjson": "e925271d8c8ffe6819815e74269878a32c2a9337b274139072c6f78eb1cee4b8",
+    "population.ndjson": "a86dabc01377ef1d212cf33d3ab465d94be7407847330ed823a842037be83b42",
+    "prevalence_hist.csv": "2fe49ceb55b46d44ebebd9eb63b5c283277d8f3abb9770cfded84df83fef790a",
+    "reid_kcdf_epoch_01.csv": "6148918b27ddf7f9d321bba10508c234d77d7b61513b06174ae51be5909e4f11",
+    "reid_kcdf_epoch_02.csv": "69e471caa9a01c55439d9efae424c3fc96639555c785d72c2c30a07d2a3909ec",
+    "reid_kcdf_epoch_05.csv": "9e991cb79a2db5112f67d37b139912a426743eddbb8be79e9d00040470d2aab2",
+    "reid_report.csv": "01ebb046bdd3fdf04306047f7b7609b1f58c2f326bea9adcc119a4f70b5e2d76",
+    "truth.ndjson": "9a2f9951476e0f712a7b5443e00e1be35081ed153502ca1d2d2b3014f8ca989a",
+}
+
+
+def test_file_input_chain_artifacts_match_golden_digests(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    write_file_inputs(tmp_path)
+    (tmp_path / "cfg.json").write_text(json.dumps(FILE_CHAIN))
+    for stage in STAGES:
+        assert main([stage, "--config", "cfg.json"]) == 0, stage
+    assert main(["filter", "--config", "cfg.json", "--scores", "scores.tsv"]) == 0
+    assert_golden(digests(tmp_path / "out"), GOLDEN_FILES)

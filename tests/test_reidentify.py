@@ -72,6 +72,17 @@ def test_match_users_requires_same_universe():
         match_users({0: {1}}, {1: {1}})
 
 
+def test_match_users_default_width_is_the_largest_topic():
+    rng = np.random.default_rng(4)
+    a = {u: set(rng.choice(np.arange(1, 50), size=3, replace=False).tolist()) for u in range(100)}
+    b = {u: set(rng.choice(np.arange(1, 50), size=3, replace=False).tolist()) for u in range(100)}
+    default, wide = match_users(a, b), match_users(a, b, omega=349)
+    assert np.array_equal(default.k, wide.k)
+    assert np.array_equal(default.contains_truth, wide.contains_truth)
+    # Ids above the bundled taxonomy's 349 need no width argument.
+    assert match_users({0: {500}, 1: {2}}, {0: {500}, 1: {3}}).k.tolist() == [1, 2]
+
+
 def test_match_report_invariants_random_sets():
     rng = np.random.default_rng(5)
     a = {u: set(rng.choice(50, size=3, replace=False).tolist()) for u in range(200)}

@@ -15,8 +15,8 @@ from reference import (
     write_log_ndjson_reference,
     write_truth_ndjson_reference,
 )
-from topicsim.population import Population, UserProfile
-from topicsim.simulator import WRITE_BLOCK_USERS, SimConfig, epoch_topic_draw, run_scenario
+from topicsim.population import POPULATION_BLOCK_USERS, Population, UserProfile
+from topicsim.simulator import SimConfig, epoch_topic_draw, run_scenario
 
 
 def users_with_random_profiles(n, seed0=0):
@@ -208,7 +208,7 @@ def test_truth_channel_separate_from_results(taxonomy, tmp_path):
 
 @settings(max_examples=30, deadline=None)
 @given(
-    n=st.one_of(st.integers(1, 12), st.integers(WRITE_BLOCK_USERS - 2, WRITE_BLOCK_USERS + 30)),
+    n=st.one_of(st.integers(1, 12), st.integers(POPULATION_BLOCK_USERS - 2, POPULATION_BLOCK_USERS + 30)),
     id_seed=st.integers(0, 2**16),
     sites=st.lists(st.sampled_from(["wa", 'a"b', "a\\b", "\u00fc.example", "tab\tnl\n"]),
                    unique=True, max_size=3),
@@ -220,7 +220,7 @@ def test_truth_channel_separate_from_results(taxonomy, tmp_path):
         st.dictionaries(st.text(max_size=4), st.one_of(st.integers(), st.text(max_size=4)), max_size=3),
     ),
 )
-@example(n=WRITE_BLOCK_USERS + 1, id_seed=0, sites=["wa", 'a"b'], epochs=2, tau=3, p=0.3,
+@example(n=POPULATION_BLOCK_USERS + 1, id_seed=0, sites=["wa", 'a"b'], epochs=2, tau=3, p=0.3,
          header={"seed": 1})
 def test_ndjson_writers_match_reference_bytes(taxonomy, n, id_seed, sites, epochs, tau, p, header):
     """Both block writers give the bytes of one `json.dumps` per record."""
