@@ -65,8 +65,8 @@ CONFIG_DEFAULTS: dict = {
     "out": "out",
 }
 
-# What each key's value must be, by the type of its default; values are
-# kept as given, so config hashes see exactly what the file holds.
+# What each key's value must be, by the type of its default. An integer
+# given for a number is kept as a float, so `1` and `1.0` hash alike.
 _KINDS = {
     bool: ("true or false", lambda v: type(v) is bool),
     int: ("an integer", lambda v: type(v) is int),
@@ -105,6 +105,8 @@ def load_config(path: Optional[str], overrides: dict) -> dict:
         kind, ok = _KINDS[type(CONFIG_DEFAULTS[key])]
         if not ok(value):
             raise ConfigError(f"config key {key!r} must be {kind}, got {json.dumps(value)}")
+        if type(CONFIG_DEFAULTS[key]) is float:
+            cfg[key] = float(value)
     if not 1 <= cfg["profile_candidates"] <= 10:
         raise ConfigError("profile_candidates must be in 1..10")
     if not 0 <= cfg["profile_index"] < cfg["profile_candidates"]:
@@ -320,8 +322,8 @@ def cmd_denoise(cfg: dict) -> int:
     lines = [csv_header_line(cfg)] + traj.csv_lines()
     (out / "denoise_metrics.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
     last = traj.points[-1]
-    print(f"site {site}: epoch {last.epoch} tpr={last.metrics.tpr:.4f} fpr={last.metrics.fpr:.4f} "
-          f"median_recovered={last.median_recovered:g}")
+    tpr, fpr = ("n/a" if r is None else f"{r:.4f}" for r in (last.metrics.tpr, last.metrics.fpr))
+    print(f"site {site}: epoch {last.epoch} tpr={tpr} fpr={fpr} median_recovered={last.median_recovered:g}")
     print(f"wrote {out / 'denoise_metrics.csv'}")
     return 0
 
@@ -353,7 +355,7 @@ def cmd_reidentify(cfg: dict) -> int:
 
 def cmd_analytics(cfg: dict) -> int:
     model = analytics.NoiseModel(
-        tau=cfg["tau"], p=float(cfg["p"]), omega=_resolve_taxonomy(cfg).omega, T=cfg["T"],
+        tau=cfg["tau"], p=cfg["p"], omega=_resolve_taxonomy(cfg).omega, T=cfg["T"],
     )
     payload = {"header": file_header(cfg), **analytics.summary(model, n=cfg["n_users"])}
     out = _out_dir(cfg)

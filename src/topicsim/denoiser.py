@@ -98,23 +98,36 @@ class DenoiseMetrics:
         return self.fp / negatives if negatives else None
 
 
+# Slots per user of a new engine. A user observed with more distinct
+# topics doubles every slot table's width; results do not depend on it.
+INITIAL_SLOTS = 8
+
+
 class MultiShotEngine:
     """Incremental multi-shot denoiser over all users of one site.
 
     Mirrors the object-level oracle `denoise_multi_shot` in
-    `tests/reference.py` exactly (property-tested equivalence), keeping
-    (user, topic) state in four dense `(n_users, omega + 1)` int16
-    arrays so 10k+ user populations stay cheap:
+    `tests/reference.py` exactly (property-tested equivalence). A user
+    sees a handful of distinct topics, so state lives in per-user slot
+    tables of shape `(n_users, K)`, not in omega + 1 topic columns:
 
-    * `first_seen`: epoch of the first observation, 0 if never seen;
+    * `topic`: the user's distinct observed topics, in order of first
+      observation, -1 for an empty slot (`n_seen` slots are filled);
+    * `first_seen`: epoch of the slot topic's first observation;
     * `last_counted`: epoch of the last call counted as independent;
     * `greedy_ev`: multiplicity summed over calls at least `gap` apart;
     * `evidence`: max(greedy_ev, largest within-call multiplicity).
 
+    A slot keeps its topic for the engine's life, so a mask over slots
+    stays valid from epoch to epoch. K starts at `INITIAL_SLOTS` and
+    doubles whenever a user's new topics do not fit.
+
     A topic is confirmed when `evidence >= 2`; `conf_count` holds the
     per-user count of confirmed topics. Feed calls epoch by epoch via
-    observe_epoch, then read genuine_matrix / recovered_sizes. The first
-    call's width is tau; every later call must have as many slots.
+    observe_epoch, then read genuine_slots / recovered_sizes (or the
+    dense `(n_users, omega + 1)` views genuine_matrix / recovered_matrix).
+    The first call's width is tau; every later call must have as many
+    slots.
     """
 
     def __init__(self, n_users: int, omega: int, prev: PrevalenceTable, config: DenoiserConfig):
@@ -123,7 +136,9 @@ class MultiShotEngine:
         self.config = config
         self.omega = omega
         self.tau = 0  # read from the first call
-        shape = (n_users, omega + 1)
+        shape = (n_users, INITIAL_SLOTS)
+        self.topic = np.full(shape, -1, dtype=np.int16)
+        self.n_seen = np.zeros(n_users, dtype=np.int32)
         self.first_seen = np.zeros(shape, dtype=np.int16)
         self.last_counted = np.zeros(shape, dtype=np.int16)
         self.greedy_ev = np.zeros(shape, dtype=np.int16)
@@ -144,10 +159,10 @@ class MultiShotEngine:
         """call_topics: (n_users, slots) int topics, -1 for suppressed slots."""
         if epoch != self.current_epoch + 1:
             raise ValueError(f"epochs must be observed in order, got {epoch} after {self.current_epoch}")
-        if call_topics.ndim != 2 or call_topics.shape[0] != self.first_seen.shape[0]:
+        if call_topics.ndim != 2 or call_topics.shape[0] != self.topic.shape[0]:
             raise ValueError(
                 f"call_topics has shape {call_topics.shape}, expected one row per user "
-                f"({self.first_seen.shape[0]})"
+                f"({self.topic.shape[0]})"
             )
         if call_topics.size and call_topics.max() > self.omega:
             raise ValueError(f"topic id {call_topics.max()} is above omega = {self.omega}")
@@ -158,35 +173,63 @@ class MultiShotEngine:
             raise ValueError(f"call of epoch {epoch} has {slots} slots, but the first call had {self.tau}")
         self.current_epoch = epoch
         # Topic ids are at most omega, so u * (omega + 1) + t names one
-        # (user, topic) pair.
+        # (user, topic) pair; the groups come out sorted by user.
         width = self.omega + 1
         flat_t = call_topics.ravel()
         keys = np.repeat(np.arange(n, dtype=np.int64) * width, slots) + flat_t
         keys, mult = np.unique(keys[flat_t >= 0], return_counts=True)
         gu, gt = np.divmod(keys, width)
+        gt = gt.astype(np.int16)
         mult = mult.astype(np.int16)
 
-        first = self.first_seen[gu, gt] == 0
-        self.first_seen[gu[first], gt[first]] = epoch
-        self.last_counted[gu[first], gt[first]] = epoch
-        self.greedy_ev[gu[first], gt[first]] = mult[first]
+        # Each group's slot: the user's slot holding its topic, or a new one.
+        # State is read and written through flat (user * K + slot) indices.
+        k = self.topic.shape[1]
+        topics, row = self.topic.reshape(-1), gu * k
+        slot = np.full(gu.size, -1, dtype=np.int64)
+        for s in range(k):
+            slot[topics[row + s] == gt] = s
+        first = slot < 0
+        slot[first] = self._add_topics(gu[first], gt[first])
+        at = gu * self.topic.shape[1] + slot  # the tables may have widened
+        first_seen, last_counted, greedy_ev, evidence = (
+            a.reshape(-1) for a in (self.first_seen, self.last_counted, self.greedy_ev, self.evidence)
+        )
+        first_seen[at[first]] = epoch
+        last_counted[at[first]] = epoch
+        greedy_ev[at[first]] = mult[first]
 
-        countable = ~first & (epoch >= self.last_counted[gu, gt] + self.gap)
-        self.last_counted[gu[countable], gt[countable]] = epoch
-        self.greedy_ev[gu[countable], gt[countable]] += mult[countable]
+        countable = ~first & (epoch >= last_counted[at] + self.gap)
+        last_counted[at[countable]] = epoch
+        greedy_ev[at[countable]] += mult[countable]
 
         # Greedy evidence and the largest multiplicity only grow, so the
         # running maximum equals max(greedy, largest multiplicity).
-        before = self.evidence[gu, gt]
-        after = np.maximum(np.maximum(before, mult), self.greedy_ev[gu, gt])
-        self.evidence[gu, gt] = after
+        before = evidence[at]
+        after = np.maximum(np.maximum(before, mult), greedy_ev[at])
+        evidence[at] = after
         np.add.at(self.conf_count, gu[(before < 2) & (after >= 2)], 1)
+
+    def _add_topics(self, u: np.ndarray, t: np.ndarray) -> np.ndarray:
+        """Slots for new topics `t` of users `u` (sorted): each user's next free ones."""
+        slot = self.n_seen[u] + (np.arange(u.size) - np.searchsorted(u, u))
+        k = self.topic.shape[1]
+        while k <= slot.max(initial=-1):
+            k *= 2
+        if k > self.topic.shape[1]:
+            pad = ((0, 0), (0, k - self.topic.shape[1]))
+            self.topic = np.pad(self.topic, pad, constant_values=-1)
+            for name in ("first_seen", "last_counted", "greedy_ev", "evidence"):
+                setattr(self, name, np.pad(getattr(self, name), pad))
+        self.topic[u, slot] = t
+        self.n_seen += np.bincount(u, minlength=self.n_seen.size)
+        return slot
 
     def recovered_sizes(self) -> np.ndarray:
         return np.minimum(self.conf_count, self.config.T)
 
-    def recovered_matrix(self) -> np.ndarray:
-        """Confirmed-genuine (user, topic) mask, capped at T by eviction.
+    def recovered_slots(self) -> np.ndarray:
+        """Confirmed-genuine `(user, slot)` mask, capped at T by eviction.
 
         Users with more than T confirmed topics keep the T best, ranked
         by evidence, then the prevalence prior, then earliest first
@@ -194,22 +237,38 @@ class MultiShotEngine:
         """
         recovered = self.evidence >= 2
         over = np.nonzero(self.conf_count > self.config.T)[0]
-        rows, t = np.nonzero(recovered[over])
+        rows, s = np.nonzero(recovered[over])
         u = over[rows]
-        order = np.lexsort((t, self.first_seen[u, t], ~self.threshold_pass[t], -self.evidence[u, t], u))
-        u, t = u[order], t[order]
+        t = self.topic[u, s]
+        order = np.lexsort((t, self.first_seen[u, s], ~self.threshold_pass[t], -self.evidence[u, s], u))
+        u, s = u[order], s[order]
         rank = np.arange(u.size) - np.searchsorted(u, u)  # minus the user's segment offset
         demoted = rank >= self.config.T
-        recovered[u[demoted], t[demoted]] = False
+        recovered[u[demoted], s[demoted]] = False
         return recovered
 
-    def genuine_matrix(self) -> np.ndarray:
-        """Current (user, topic) genuine labels; unobserved topics are False."""
-        genuine = self.recovered_matrix()
+    def genuine_slots(self) -> np.ndarray:
+        """Current `(user, slot)` genuine labels; empty slots are False."""
+        genuine = self.recovered_slots()
         if self.current_epoch <= self.gap:
             unfrozen = self.conf_count < self.config.T
-            genuine |= (self.first_seen > 0) & self.threshold_pass[None, :] & unfrozen[:, None]
+            # An empty slot's -1 reads the last entry; `topic >= 0` masks it.
+            genuine |= (self.topic >= 0) & self.threshold_pass[self.topic] & unfrozen[:, None]
         return genuine
+
+    def _dense(self, slots: np.ndarray) -> np.ndarray:
+        out = np.zeros((self.topic.shape[0], self.omega + 1), dtype=bool)
+        u, s = np.nonzero(slots)
+        out[u, self.topic[u, s]] = True
+        return out
+
+    def recovered_matrix(self) -> np.ndarray:
+        """`recovered_slots` as a dense `(user, topic)` mask."""
+        return self._dense(self.recovered_slots())
+
+    def genuine_matrix(self) -> np.ndarray:
+        """`genuine_slots` as a dense `(user, topic)` mask; unobserved topics are False."""
+        return self._dense(self.genuine_slots())
 
 
 @dataclass(frozen=True)
@@ -275,23 +334,45 @@ def denoise_site_trajectory(
     if missing.any():
         raise ValueError(f"user {site_log.user_ids[missing][0]} of the log is not in the population")
     by_id = np.argsort(population.user_ids, kind="stable")
-    at = by_id[np.searchsorted(population.user_ids[by_id], site_log.user_ids)]
-    rows = np.arange(site_log.n_users)[:, None]
-    profile_mask = np.zeros((site_log.n_users, omega + 1), dtype=bool)
-    profile_mask[rows, population.profiles[at]] = True
+    profiles = population.profiles[by_id[np.searchsorted(population.user_ids[by_id], site_log.user_ids)]]
 
-    tt = site_log.truth_topics.astype(np.int64)
-    noisy_eff = site_log.truth_noisy & ~profile_mask[rows, tt]
+    tt = site_log.truth_topics
+    in_profile = np.zeros(tt.shape, dtype=bool)
+    for c in range(profiles.shape[1]):
+        in_profile |= tt == profiles[:, c, None]
+    noisy_eff = site_log.truth_noisy & ~in_profile
+    noisy_per_source = np.count_nonzero(noisy_eff, axis=0)
 
+    # Seen draws are tallied on their topic's slot, all draws and the
+    # effectively noisy ones apart. Slots never move, so each draw is
+    # tallied once, in the epoch that first shows it.
+    n = site_log.n_users
+    draws = np.zeros((n, 0), dtype=np.int32)
+    noisy = np.zeros((n, 0), dtype=np.int32)
+    seen_before = np.zeros(tt.shape[1], dtype=bool)
     points = []
     for epoch in range(1, site_log.epochs + 1):
         engine.observe_epoch(epoch, site_log.topics[:, epoch - 1, :])
-        seen = (site_log.source_epochs < epoch)[None, :]
-        predicted_noisy = ~engine.genuine_matrix()[rows, tt]
-        tp = int(np.sum(seen & noisy_eff & predicted_noisy))
-        fn = int(np.sum(seen & noisy_eff & ~predicted_noisy))
-        fp = int(np.sum(seen & ~noisy_eff & predicted_noisy))
-        tn = int(np.sum(seen & ~noisy_eff & ~predicted_noisy))
+        seen = site_log.source_epochs < epoch
+        new = np.flatnonzero(seen & ~seen_before)
+        u, d = np.repeat(np.arange(n), new.size), np.tile(new, n)
+        slot = np.full(u.size, -1, dtype=np.int64)
+        for s in range(engine.topic.shape[1]):
+            slot[engine.topic[u, s] == tt[u, d]] = s
+        if np.any(slot < 0):
+            raise ValueError(f"a draw seen by epoch {epoch} is missing from the calls")
+        if draws.shape[1] < engine.topic.shape[1]:
+            pad = ((0, 0), (0, engine.topic.shape[1] - draws.shape[1]))
+            draws, noisy = np.pad(draws, pad), np.pad(noisy, pad)
+        np.add.at(draws, (u, slot), 1)
+        np.add.at(noisy, (u, slot), noisy_eff[u, d])
+        seen_before = seen
+
+        genuine = engine.genuine_slots()
+        fn = int(noisy[genuine].sum())
+        tn = int(draws[genuine].sum()) - fn
+        tp = int(noisy_per_source[seen].sum()) - fn
+        fp = n * int(np.count_nonzero(seen)) - tp - fn - tn
         sizes = engine.recovered_sizes()
         points.append(
             TrajectoryPoint(

@@ -94,67 +94,73 @@ def match_users(
     """Match every A-side user to the argmax-overlap group of B-side users.
 
     Both mappings must cover the same user universe; correctness is
-    judged against the identity mapping. Topic ids index columns
-    0..omega; by default omega is the largest topic either side holds.
+    judged against the identity mapping. If `omega` is given, a topic id
+    above it is refused.
     """
     if set(profiles_a) != set(profiles_b):
         raise ValueError("A and B must observe the same user universe")
     users = sorted(profiles_a)
-    rows_a, rows_b = ([list(profiles[u]) for u in users] for profiles in (profiles_a, profiles_b))
-    if omega is None:
-        omega = max((max(r, default=0) for r in rows_a + rows_b), default=0)
-    k, contains, _, _ = _argmax_match(_sets_to_matrix(rows_a, omega), _sets_to_matrix(rows_b, omega))
+    rows_a, rows_b = ([sorted(set(profiles[u])) for u in users] for profiles in (profiles_a, profiles_b))
+    top = max((max(r, default=0) for r in rows_a + rows_b), default=0)
+    if omega is not None and top > omega:
+        raise ValueError(f"topic id {top} is above omega = {omega}")
+    k, contains, _, _ = _argmax_match(_topic_table(rows_a), _topic_table(rows_b))
     return MatchReport(epoch=epoch, k=k, contains_truth=contains, n_users=len(users))
 
 
-def _sets_to_matrix(rows: Sequence[list[int]], omega: int) -> np.ndarray:
-    mat = np.zeros((len(rows), omega + 1), dtype=bool)
+def _topic_table(rows: Sequence[list[int]]) -> np.ndarray:
+    table = np.full((len(rows), max(map(len, rows), default=0)), -1, dtype=np.int64)
     for i, topics in enumerate(rows):
-        if topics:
-            mat[i, topics] = True
-    return mat
+        table[i, : len(topics)] = topics
+    return table
 
 
 # Sets of at most this many topics are matched by counting their 2^|S|
-# subsets; over 351 topic columns every such subset has an exact int64
-# key. Pairs involving a wider set are compared by a dense product.
+# subsets; with topic ids below 351 every such subset has an exact int64
+# key. Pairs involving a wider set are compared by counting shared topics
+# against that set's dense row.
 MAX_SUBSET_TOPICS = 10
 
 
 def _argmax_match(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Argmax-overlap groups in both directions, by counting shared subsets.
 
-    Row i of the `(n, w)` 0/1 matrices `a` and `b` is the same identity.
-    Returns `(k_ab, contains_ab, k_ba, contains_ba)`: group size and
-    self-containment for each A-side user matched against B, and for
-    each B-side user matched against A. A user is in their own group when
-    their overlap with themselves is the maximum overlap.
+    `a` and `b` are topic tables: row i of each is the same identity's
+    set, its distinct topic ids in any order, -1 in empty slots (the two
+    tables may differ in width). Returns `(k_ab, contains_ab, k_ba,
+    contains_ba)`: group size and self-containment for each A-side user
+    matched against B, and for each B-side user matched against A. A
+    user is in their own group when their overlap with themselves is the
+    maximum overlap.
     """
     n = a.shape[0]
     if b.shape[0] != n:
         raise ValueError(f"A has {n} users and B has {b.shape[0]}: matching needs the same users")
-    a, b = np.asarray(a, dtype=bool), np.asarray(b, dtype=bool)
-    self_overlap = np.count_nonzero(a & b, axis=1)
-    m_ab, k_ab = _max_overlap_groups(a, b)
-    m_ba, k_ba = _max_overlap_groups(b, a)
+    a, b = np.sort(a, axis=1), np.sort(b, axis=1)  # empty slots first, then ascending ids
+    both = np.sort(np.concatenate([a, b], axis=1), axis=1)
+    self_overlap = np.count_nonzero((both[:, 1:] == both[:, :-1]) & (both[:, 1:] >= 0), axis=1)
+    width = int(max(a.max(initial=0), b.max(initial=0))) + 1
+    m_ab, k_ab = _max_overlap_groups(a, b, width)
+    m_ba, k_ba = _max_overlap_groups(b, a, width)
     return k_ab, self_overlap == m_ab, k_ba, self_overlap == m_ba
 
 
-def _max_overlap_groups(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _max_overlap_groups(x: np.ndarray, y: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
     """Each row's maximum overlap m with the rows of `y`, and how many reach it.
 
+    `x` and `y` are row-sorted topic tables whose ids lie below `width`.
     m is the largest j such that some j-subset of the row's set lies in
     some set of `y`, and the count sums, over the m-subsets X of the row's
     set, the sets of `y` that contain X (m = 0 counts every row of `y`).
     Levels j are scanned downwards; a row leaves the scan at its first hit.
     """
     cap = MAX_SUBSET_TOPICS
-    while math.comb(x.shape[1], cap) >= 2**63:  # j-subset keys lie below C(w, j)
+    while math.comb(width, cap) >= 2**63:  # j-subset keys lie below C(width, j)
         cap -= 1
     # binom[t, i] = C(t, i). A j-subset's key is sum_i C(t_i, i + 1) over
     # its ascending topic ids t_i: its rank among the j-subsets.
-    binom = np.array([[math.comb(t, i) for i in range(cap + 1)] for t in range(x.shape[1])], dtype=np.int64)
-    size_x, size_y = np.count_nonzero(x, axis=1), np.count_nonzero(y, axis=1)
+    binom = np.array([[math.comb(t, i) for i in range(cap + 1)] for t in range(width)], dtype=np.int64)
+    size_x, size_y = np.count_nonzero(x >= 0, axis=1), np.count_nonzero(y >= 0, axis=1)
     queries, sets_y = _sets_by_size(x, size_x, cap), _sets_by_size(y, size_y, cap)
     m = np.zeros(x.shape[0], dtype=np.int64)
     k = np.full(x.shape[0], np.count_nonzero(size_y <= cap), dtype=np.int64)
@@ -172,22 +178,20 @@ def _max_overlap_groups(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.nd
             queries[s] = rows[~hit], topics[~hit]
     wide_x, wide_y = size_x > cap, size_y > cap
     if wide_x.any():
-        m[wide_x], k[wide_x] = _dense_max_count(x[wide_x], y[~wide_y])
+        m[wide_x], k[wide_x] = _max_count(_overlaps(y[~wide_y], x[wide_x], width).T)
     if wide_y.any():
-        m_wide, k_wide = _dense_max_count(x, y[wide_y])
+        m_wide, k_wide = _max_count(_overlaps(x, y[wide_y], width))
         best = np.maximum(m, m_wide)
         m, k = best, k * (m == best) + k_wide * (m_wide == best)
     return m, k
 
 
-def _sets_by_size(mat: np.ndarray, size: np.ndarray, cap: int) -> dict:
-    """`{s: (row ids, (rows, s) ascending topic ids)}` for rows of 1 to `cap` topics."""
-    topics = np.flatnonzero(mat) % mat.shape[1]  # row by row, ascending within a row
-    start = np.cumsum(size) - size
+def _sets_by_size(table: np.ndarray, size: np.ndarray, cap: int) -> dict:
+    """`{s: (row ids, (rows, s) ascending topic ids)}` for rows of 1 to `cap` topics of a row-sorted table."""
     groups = {}
     for s in np.unique(size[(size > 0) & (size <= cap)]).tolist():
         rows = np.flatnonzero(size == s)
-        groups[s] = rows, topics[start[rows, None] + np.arange(s)]
+        groups[s] = rows, table[rows, table.shape[1] - s:]
     return groups
 
 
@@ -200,9 +204,23 @@ def _subset_keys(topics: np.ndarray, j: int, binom: np.ndarray) -> np.ndarray:
     return keys
 
 
-def _dense_max_count(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each row's maximum overlap with the rows of `y` and how many reach it; (-1, 0) if `y` is empty."""
-    overlap = x.astype(np.float32) @ y.T.astype(np.float32)  # small ints, exact in float32
+def _overlaps(tables: np.ndarray, few: np.ndarray, width: int) -> np.ndarray:
+    """Shared-topic counts of each row of `tables` with each row of `few`, shape `(len(tables), len(few))`.
+
+    Only `few` is made dense, one column per row; its last topic row
+    stays zero, so an empty slot's -1 counts nothing.
+    """
+    dense = np.zeros((width + 1, len(few)), dtype=np.int16)
+    rows, slots = np.nonzero(few >= 0)
+    dense[few[rows, slots], rows] = 1
+    overlap = np.zeros((len(tables), len(few)), dtype=np.int16)
+    for s in range(tables.shape[1]):
+        overlap += dense[tables[:, s]]
+    return overlap
+
+
+def _max_count(overlap: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's maximum and how many entries reach it; (-1, 0) for a row of no entries."""
     mx = overlap.max(axis=1, initial=-1)
     return mx.astype(np.int64), np.count_nonzero(overlap == mx[:, None], axis=1)
 
@@ -265,19 +283,21 @@ def run_reidentification(
 ) -> ReidReport:
     """Full two-site attack over an observation log (vectorized).
 
-    Denoises both sites incrementally, accumulates sticky genuine sets,
-    and matches the boolean sticky sets at each requested epoch in both
-    directions (A against B for the headline rates, B against A for the
-    symmetry check) with one `_argmax_match` call, whose cost grows with
-    the number of users and the subsets of their sets, not with their
-    pairs.
+    Denoises both sites incrementally and accumulates each side's sticky
+    genuine set as a mask over its engine's slots (slots never move, so
+    the mask is only padded when the engine's tables widen). At each
+    requested epoch the two sides' sticky topic tables are matched in
+    both directions (A against B for the headline rates, B against A for
+    the symmetry check) with one `_argmax_match` call, whose cost grows
+    with the number of users and the subsets of their sets, not with
+    their pairs.
     """
     la, lb = log.site_view(site_a), log.site_view(site_b)
     omega = prev.counts.size - 1
     ea = MultiShotEngine(la.n_users, omega, prev, config)
     eb = MultiShotEngine(lb.n_users, omega, prev, config)
-    sticky_a = np.zeros((la.n_users, omega + 1), dtype=bool)
-    sticky_b = np.zeros((lb.n_users, omega + 1), dtype=bool)
+    sticky_a = np.zeros((la.n_users, 0), dtype=bool)
+    sticky_b = np.zeros((lb.n_users, 0), dtype=bool)
 
     wanted = sorted(set(report_epochs)) if report_epochs is not None else list(
         range(1, log.epochs + 1)
@@ -287,11 +307,19 @@ def run_reidentification(
     for epoch in range(1, log.epochs + 1):
         ea.observe_epoch(epoch, la.topics[:, epoch - 1, :])
         eb.observe_epoch(epoch, lb.topics[:, epoch - 1, :])
-        sticky_a |= ea.genuine_matrix()
-        sticky_b |= eb.genuine_matrix()
+        sticky_a = _sticky_union(sticky_a, ea.genuine_slots())
+        sticky_b = _sticky_union(sticky_b, eb.genuine_slots())
         if epoch not in wanted:
             continue
-        k_ab, c_ab, k_ba, c_ba = _argmax_match(sticky_a, sticky_b)
+        k_ab, c_ab, k_ba, c_ba = _argmax_match(np.where(sticky_a, ea.topic, -1), np.where(sticky_b, eb.topic, -1))
         forward.append(MatchReport(epoch=epoch, k=k_ab, contains_truth=c_ab, n_users=la.n_users))
         reverse.append(MatchReport(epoch=epoch, k=k_ba, contains_truth=c_ba, n_users=lb.n_users))
     return reid_report(forward, reverse)
+
+
+def _sticky_union(sticky: np.ndarray, genuine: np.ndarray) -> np.ndarray:
+    """`sticky | genuine` over slots, `sticky` first padded to the engine's current width."""
+    if sticky.shape[1] < genuine.shape[1]:
+        sticky = np.pad(sticky, ((0, 0), (0, genuine.shape[1] - sticky.shape[1])))
+    sticky |= genuine
+    return sticky

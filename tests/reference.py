@@ -28,7 +28,8 @@ faster rewrite can be checked for equal results:
 * `truth_channel` and `evaluate_denoiser` (per-draw scoring of
   `denoise_multi_shot` outcomes) check `denoiser.denoise_site_trajectory`;
 * `argmax_match_one_way` and `reidentify_two_calls` (a blocked float32
-  overlap product per direction, over every pair of users) check
+  overlap product per direction, over every pair of users, of sticky
+  sets built from the engines' dense `genuine_matrix` views) check
   `reidentify._argmax_match` (subset counting, both directions) and
   `reidentify.run_reidentification`;
 * `write_log_ndjson_reference` and `write_truth_ndjson_reference` (one

@@ -165,6 +165,26 @@ def test_simulate_writes_reference_bytes(tmp_path):
     assert (out / "truth.ndjson").read_bytes() == (tmp_path / "truth_ref.ndjson").read_bytes()
 
 
+def test_integer_and_float_p_name_one_scenario(tmp_path):
+    """`"p": 1` and `"p": 1.0` load as the same float, hash alike and give the same artifacts."""
+    outs = {}
+    for name, p in (("int", 1), ("float", 1.0)):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({"n_users": 30, "n_domains": 2000, "epochs": 3, "seed": 4, "p": p,
+                                    "out": str(tmp_path / name)}))
+        cfg = load_config(str(path), {})
+        assert type(cfg["p"]) is float and cfg["p"] == 1.0
+        outs[name] = (scenario_hash(cfg), tmp_path / name)
+        for stage in ("generate", "simulate", "denoise"):
+            assert run_cli(stage, "--config", path) == 0
+    (hash_int, dir_int), (hash_float, dir_float) = outs["int"], outs["float"]
+    assert hash_int == hash_float
+    names = sorted(f.name for f in dir_int.iterdir())
+    assert names == sorted(f.name for f in dir_float.iterdir()) and "denoise_metrics.csv" in names
+    for name in names:
+        assert (dir_int / name).read_bytes() == (dir_float / name).read_bytes(), name
+
+
 def test_workers_flag_does_not_change_outputs(tiny_config):
     cfg, out = tiny_config
     run_cli("generate", "--config", cfg, "--workers", 1)

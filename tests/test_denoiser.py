@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -19,10 +21,17 @@ from reference import (
     truth_channel,
 )
 from topicsim.classification import PrevalenceTable
-from topicsim.denoiser import DenoiseMetrics, DenoiserConfig, MultiShotEngine, denoise_site_trajectory
+from topicsim.denoiser import (
+    INITIAL_SLOTS,
+    DenoiseMetrics,
+    DenoiserConfig,
+    MultiShotEngine,
+    denoise_site_trajectory,
+)
 from topicsim.population import Population, UserProfile
 from topicsim.simulator import EpochDraw, SimConfig, run_scenario
 from topicsim.taxonomy import Taxonomy, Topic
+from topicsim.worlds import build_world, wide_pool_config
 
 
 def prevalence_with(above=(), below=(), above_count=50, below_count=3, omega=349):
@@ -266,6 +275,49 @@ def test_engine_matches_object_denoiser(case, T, threshold, aggressive):
         assert sizes[u] == len(outcome.recovered), u
 
 
+def test_slot_tables_grow_when_a_user_sees_more_topics_than_slots():
+    """User 0 meets two new topics per epoch, so the tables widen mid-run;
+    the engine still equals the object-level denoiser at every epoch."""
+    counts = np.zeros(350, dtype=np.int64)
+    counts[1:40] = 50
+    prev = PrevalenceTable(counts=counts, total_domains=1000)
+    calls = [
+        [[2 * e + 1, 2 * e + 2, 2 * e + 1] for e in range(12)],  # 24 distinct topics
+        [[5, 6, 5]] * 12,
+    ]
+    engine = MultiShotEngine(2, 349, prev, DenoiserConfig())
+    widths = []
+    for e in range(12):
+        engine.observe_epoch(e + 1, np.array([user[e] for user in calls], dtype=np.int16))
+        widths.append(engine.topic.shape[1])
+        genuine, recovered = engine.genuine_matrix(), engine.recovered_matrix()
+        for u, user in enumerate(calls):
+            outcome = denoise_multi_shot([res(c, epoch=i + 1) for i, c in enumerate(user[: e + 1])], prev)
+            assert set(np.nonzero(genuine[u])[0].tolist()) == set(outcome.verdict.genuine_topics()), (e, u)
+            assert set(np.nonzero(recovered[u])[0].tolist()) == set(outcome.recovered), (e, u)
+            assert engine.recovered_sizes()[u] == len(outcome.recovered), (e, u)
+    assert widths[0] == INITIAL_SLOTS < widths[-1] == 32
+    assert engine.n_seen.tolist() == [24, 2]
+    assert sorted(engine.topic[0, :24].tolist()) == list(range(1, 25))
+
+
+def test_engine_state_has_no_topic_columns():
+    """After 30 epochs at 2k users, every per-user table is K slots wide, not omega + 1."""
+    world = build_world(wide_pool_config(n_users=2_000, seed=1))
+    omega = world.taxonomy.omega
+    log = run_scenario(world.population, SimConfig(epochs=30, sites=("w",), seed=101), world.taxonomy)
+    site = log.site_view("w")
+    engine = MultiShotEngine(site.n_users, omega, world.prevalence, DenoiserConfig())
+    for e in range(1, 31):
+        engine.observe_epoch(e, site.topics[:, e - 1, :])
+    tables = {name: v for name, v in vars(engine).items() if isinstance(v, np.ndarray) and v.ndim == 2}
+    assert set(tables) == {"topic", "first_seen", "last_counted", "greedy_ev", "evidence"}
+    k = engine.topic.shape[1]
+    assert all(v.shape == (2_000, k) for v in tables.values())
+    assert k < omega + 1
+    assert int(engine.n_seen.max()) <= k
+
+
 def test_observe_epoch_rejects_topic_above_omega():
     engine = MultiShotEngine(2, 349, prevalence_with(), DenoiserConfig())
     with pytest.raises(ValueError, match="above omega"):
@@ -310,15 +362,15 @@ def test_observe_epoch_rejects_row_count_mismatch(rows):
 def test_confirmed_set_monotone_in_history(calls):
     prev = prevalence_with(above=tuple(range(1, 10)))
     engine = MultiShotEngine(1, 349, prev, DenoiserConfig())
-    confirmed_before = np.zeros(350, dtype=bool)
+    confirmed_before: set[int] = set()
     size_before = 0
     for e, topics in enumerate(calls):
         engine.observe_epoch(e + 1, np.array([topics], dtype=np.int16))
-        confirmed = engine.evidence[0] >= 2
-        assert np.all(confirmed[confirmed_before])  # never un-confirm
+        confirmed = {int(t) for t, ev in zip(engine.topic[0], engine.evidence[0]) if t >= 0 and ev >= 2}
+        assert confirmed >= confirmed_before  # never un-confirm
         size = int(engine.recovered_sizes()[0])
         assert size >= size_before
-        confirmed_before = confirmed.copy()
+        confirmed_before = confirmed
         size_before = size
 
 
@@ -416,6 +468,17 @@ def test_trajectory_refuses_config_of_another_log(taxonomy):
     site = log.site_view("w")
     with pytest.raises(ValueError, match="denoiser T = 4, but the population's profiles hold 5 topics"):
         denoise_site_trajectory(site, prevalence_with(), DenoiserConfig(T=4), users)
+
+
+def test_trajectory_refuses_a_log_whose_calls_miss_seen_draws(taxonomy):
+    """Every draw seen by epoch e was returned by a call up to e; a log
+    without that property is refused rather than scored short."""
+    users, log = stable_scenario(taxonomy, n_users=20, epochs=4)
+    site = log.site_view("w")
+    topics = site.topics.copy()
+    topics[3, 0, :] = -1  # user 3's first call, all warm-start draws
+    with pytest.raises(ValueError, match="a draw seen by epoch 1 is missing from the calls"):
+        denoise_site_trajectory(replace(site, topics=topics), prevalence_with(), DenoiserConfig(), users)
 
 
 def test_median_user_fully_recovered_after_thirty_epochs(taxonomy):

@@ -79,8 +79,11 @@ def test_match_users_default_width_is_the_largest_topic():
     default, wide = match_users(a, b), match_users(a, b, omega=349)
     assert np.array_equal(default.k, wide.k)
     assert np.array_equal(default.contains_truth, wide.contains_truth)
-    # Ids above the bundled taxonomy's 349 need no width argument.
+    # Ids above the bundled taxonomy's 349 need no width argument; a
+    # given omega refuses them.
     assert match_users({0: {500}, 1: {2}}, {0: {500}, 1: {3}}).k.tolist() == [1, 2]
+    with pytest.raises(ValueError, match="topic id 500 is above omega = 349"):
+        match_users({0: {500}, 1: {2}}, {0: {500}, 1: {3}}, omega=349)
 
 
 def test_match_report_invariants_random_sets():
@@ -153,7 +156,7 @@ def overlap_inputs(draw):
     """Two 0/1 matrices over the same users: empty, equal, 8-10-topic and over-cap rows.
 
     `wide` names the sides that get rows over `MAX_SUBSET_TOPICS`, which
-    the matcher compares by its dense product.
+    the matcher compares against their dense form.
     """
     wide = draw(st.sampled_from([(), ("a",), ("b",), ("a", "b")]))
     n = draw(st.integers(min_value=1, max_value=40))
@@ -181,16 +184,25 @@ def overlap_inputs(draw):
     return tuple(out)
 
 
+def topic_table(mat: np.ndarray, seed: int = 0) -> np.ndarray:
+    """The topic table of a 0/1 matrix: each row's column ids and a spare -1 slot, in shuffled order."""
+    mat = np.asarray(mat, dtype=bool)
+    table = np.full((mat.shape[0], int(np.count_nonzero(mat, axis=1).max(initial=0)) + 1), -1, dtype=np.int64)
+    rows, cols = np.nonzero(mat)
+    table[rows, np.arange(rows.size) - np.searchsorted(rows, rows)] = cols
+    return np.random.default_rng(seed).permuted(table, axis=1)
+
+
 @pytest.mark.parametrize("first_topic", [1, 7, 1024])
 @settings(max_examples=400, deadline=None)
 @example(mats=(np.zeros((1, 0), bool), np.zeros((1, 0), bool)))
 @given(mats=overlap_inputs())
 def test_argmax_match_both_directions_equal_one_way_oracle(first_topic, mats):
-    # Drawn topics start at column `first_topic`, as taxonomy ids start at 1.
-    # Past 1000 columns the subset cap falls to 7, so 8-10-topic rows on
-    # either side also go through the dense product.
+    # Drawn topics start at id `first_topic`, as taxonomy ids start at 1.
+    # Past id 1000 the subset cap falls to 7, so 8-10-topic rows on
+    # either side are also compared against their dense form.
     a, b = (np.pad(m, ((0, 0), (first_topic, 0))) for m in mats)
-    k_ab, c_ab, k_ba, c_ba = _argmax_match(a, b)
+    k_ab, c_ab, k_ba, c_ba = _argmax_match(topic_table(a), topic_table(b, seed=1))
     fa, fb = a.astype(np.float32), b.astype(np.float32)
     ref_k_ab, ref_c_ab = argmax_match_one_way(fa, fb)
     ref_k_ba, ref_c_ba = argmax_match_one_way(fb, fa)
@@ -199,14 +211,14 @@ def test_argmax_match_both_directions_equal_one_way_oracle(first_topic, mats):
 
 
 def test_argmax_match_lowers_subset_cap_for_wide_topic_spaces():
-    # Over 2000 columns, 10-topic subset keys would overflow int64, so
-    # 8-10-topic rows must go to the dense product to stay exact.
+    # With ids up to 2000, 10-topic subset keys would overflow int64, so
+    # 8-10-topic rows must be compared against their dense form to stay exact.
     rng = np.random.default_rng(3)
     a = rng.random((30, 2000)) < 0.003
     b = rng.random((30, 2000)) < 0.003
     a[:6, :9] = True
     b[4:10, 3:13] = True
-    got = _argmax_match(a, b)
+    got = _argmax_match(topic_table(a), topic_table(b, seed=1))
     fa, fb = a.astype(np.float32), b.astype(np.float32)
     for g, want in zip(got, (*argmax_match_one_way(fa, fb), *argmax_match_one_way(fb, fa))):
         assert np.array_equal(g, want)
@@ -230,6 +242,36 @@ def test_run_reidentification_equals_two_call_oracle():
         for got, want in zip(rep.k_cdfs[e], ref.k_cdfs[e]):
             assert np.array_equal(got, want)
     assert rep.miss_counts == ref.miss_counts
+
+
+def test_run_reidentification_does_not_depend_on_initial_slots(monkeypatch):
+    """One slot to start with (the tables double many times) or the default:
+    equal reports, and the matcher is fed K-wide topic tables, not omega + 1 columns."""
+    import topicsim.denoiser
+    import topicsim.reidentify
+
+    world = build_world(wide_pool_config(n_users=2_000, seed=1))
+    log = run_scenario(world.population, SimConfig(epochs=30, sites=("wa", "wb"), seed=101), world.taxonomy)
+    fed = []
+
+    def spy(a, b):
+        fed.append((a.shape, b.shape))
+        return _argmax_match(a, b)
+
+    monkeypatch.setattr(topicsim.reidentify, "_argmax_match", spy)
+    reports = []
+    for slots in (1, topicsim.denoiser.INITIAL_SLOTS):
+        monkeypatch.setattr(topicsim.denoiser, "INITIAL_SLOTS", slots)
+        reports.append(run_reidentification(log, "wa", "wb", world.prevalence, DenoiserConfig(),
+                                            report_epochs=[1, 2, 5, 30]))
+    one, default = reports
+    assert (one.unique_rates, one.better_than_random_rates, one.reverse_unique_rates, one.miss_counts) == (
+        default.unique_rates, default.better_than_random_rates, default.reverse_unique_rates, default.miss_counts)
+    for e in default.epochs:
+        for got, want in zip(one.k_cdfs[e], default.k_cdfs[e]):
+            assert np.array_equal(got, want)
+    assert len(fed) == 8
+    assert all(shape[1] < world.taxonomy.omega + 1 for pair in fed for shape in pair)
 
 
 def test_miss_counts_partition_non_unique_users():
