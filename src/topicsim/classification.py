@@ -5,7 +5,8 @@ externally produced top-list classifications, and synthetic skew-matched
 classifications that stand in for a real top-1M classification at desk
 scale. A `DomainClassification` is a CSR of domain rows to sorted topic
 ids; synthesis builds it directly, and prevalence is one bincount over
-its topic column.
+its topic column. A synthetic classification's prevalence also follows
+from its per-topic targets alone (`skewed_prevalence`).
 
 Classification file format: UTF-8, tab-separated,
 `domain<TAB>comma-separated-topic-ids`, empty id list allowed (a domain
@@ -247,32 +248,20 @@ def _target_counts(
     return counts, head
 
 
-def synthesize_skewed_classification(
+def _skew_targets(
     taxonomy: Taxonomy,
     n_domains: int,
     skew_spec: SkewSpec,
     seed: int,
     head_topics: int,
     head_floor: int,
-) -> DomainClassification:
-    """Generate a classification whose prevalence matches a skew spec.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Each nonzero topic's id, target domain count and window [lo, hi) of the domain list.
 
-    Domains are emitted in popularity-rank order under synthetic names.
-    The `head_topics` most common topics follow a power law down to
-    `head_floor` domains and draw uniformly from the whole list; the
-    rest form a floor band around the median target and draw from
-    `FLOOR_WINDOW`, which controls how often they show up in sampled
-    browsing histories. A topic whose count does not fit its window is
-    refused.
-
-    A topic's domains are the first distinct values of its keyed draw
-    stream (tag TAG_SYNTH_CLASSIFICATION, topic id, round, position),
-    drawn for all topics at once in rounds of max(2 * short, 16).
-
-    The realized PrevalenceTable has exactly `zero_topics` zero-count
-    topics and hits top_fraction within 10%. It hits the median within
-    10% only when the floor band covers the median rank (see SkewSpec).
-    Fixed seed gives identical output.
+    Validates the spec. The topic ids take the popularity ranks of
+    `_target_counts` in a seeded permutation. The `head_topics` most
+    common topics draw from the whole list, the rest from `FLOOR_WINDOW`;
+    a topic whose count does not fit its window is refused.
     """
     omega = taxonomy.omega
     skew_spec.validate(omega, n_domains)
@@ -284,7 +273,6 @@ def synthesize_skewed_classification(
     topic_ids = np.arange(1, omega + 1, dtype=np.int64)[topic_perm]
     nonzero_ids = topic_ids[: len(counts)]
 
-    # Each topic draws from its window [lo, hi) of the domain list.
     floor_lo, floor_hi = (int(f * n_domains) for f in FLOOR_WINDOW)
     lo = np.full(len(counts), floor_lo, dtype=np.int64)
     hi = np.full(len(counts), floor_hi, dtype=np.int64)
@@ -296,6 +284,59 @@ def synthesize_skewed_classification(
             f"topic {nonzero_ids[i]} needs {counts[i]} domains, more than the "
             f"{hi[i] - lo[i]} of its window"
         )
+    return nonzero_ids, counts, lo, hi
+
+
+def skewed_prevalence(
+    taxonomy: Taxonomy,
+    n_domains: int,
+    skew_spec: SkewSpec,
+    seed: int,
+    head_topics: int,
+    head_floor: int,
+) -> PrevalenceTable:
+    """The prevalence of `synthesize_skewed_classification` under the same
+    arguments, without drawing a domain.
+
+    Synthesis gives each topic exactly its target count of distinct
+    domains, so the table is the targets of `_skew_targets`; it refuses
+    what synthesis refuses.
+    """
+    topic_ids, targets, _, _ = _skew_targets(taxonomy, n_domains, skew_spec, seed, head_topics, head_floor)
+    counts = np.zeros(taxonomy.omega + 1, dtype=np.int64)
+    counts[topic_ids] = targets
+    return PrevalenceTable(counts=counts, total_domains=n_domains)
+
+
+def synthesize_skewed_classification(
+    taxonomy: Taxonomy,
+    n_domains: int,
+    skew_spec: SkewSpec,
+    seed: int,
+    head_topics: int,
+    head_floor: int,
+) -> DomainClassification:
+    """Generate a classification whose prevalence matches a skew spec.
+
+    Domains are emitted in popularity-rank order under synthetic names.
+    `_skew_targets` sets each topic's domain count and window, and
+    `skewed_prevalence` reads the same targets: the `head_topics` most
+    common topics follow a power law down to `head_floor` domains and
+    draw uniformly from the whole list; the rest form a floor band
+    around the median target and draw from `FLOOR_WINDOW`, which
+    controls how often they show up in sampled browsing histories. A
+    topic whose count does not fit its window is refused.
+
+    A topic's domains are the first distinct values of its keyed draw
+    stream (tag TAG_SYNTH_CLASSIFICATION, topic id, round, position),
+    drawn for all topics at once in rounds of max(2 * short, 16).
+
+    The realized PrevalenceTable has exactly `zero_topics` zero-count
+    topics and hits top_fraction within 10%. It hits the median within
+    10% only when the floor band covers the median rank (see SkewSpec).
+    Fixed seed gives identical output.
+    """
+    nonzero_ids, counts, lo, hi = _skew_targets(taxonomy, n_domains, skew_spec, seed, head_topics, head_floor)
 
     def draw(counter, r, j):
         u = rng.uniform(seed, rng.TAG_SYNTH_CLASSIFICATION, nonzero_ids[r], counter, j)

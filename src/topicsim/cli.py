@@ -22,18 +22,18 @@ from typing import Optional
 
 from . import __version__, analytics
 from .chrome_filter import FilterParams, classify_scores, load_score_vectors
-from .classification import DomainClassification, classification_lines, load_classification, prevalence
+from .classification import DomainClassification, PrevalenceTable, classification_lines, load_classification, prevalence
 from .denoiser import DenoiserConfig, denoise_site_trajectory
 from .population import (
     DEFAULT_FIXED_TOP,
-    Population,
+    Profiles,
     RankedDomainList,
     build_total_order,
     generate_population,
     load_bucket_file,
     load_count_histogram,
     load_rank_file,
-    read_population,
+    read_profiles,
     summarize_population,
     top_profiles,
     write_population,
@@ -41,7 +41,7 @@ from .population import (
 from .reidentify import run_reidentification
 from .simulator import ObservationLog, SimConfig, run_scenario
 from .taxonomy import Taxonomy, bundled_taxonomy, load_taxonomy
-from .worlds import PRESETS, TRAFFIC, WorldConfig, count_model, synthetic_classification
+from .worlds import PRESETS, TRAFFIC, WorldConfig, count_model, synthetic_classification, synthetic_prevalence
 
 CONFIG_DEFAULTS: dict = {
     "taxonomy": "bundled",          # path to a taxonomy file, or "bundled"
@@ -182,6 +182,14 @@ def _resolve_classification(cfg: dict, taxonomy: Taxonomy) -> DomainClassificati
     return load_classification(path, taxonomy)
 
 
+def _resolve_prevalence(cfg: dict, taxonomy: Taxonomy) -> PrevalenceTable:
+    """The classification's prevalence; a synthetic preset's comes from its
+    targets, without drawing its domains."""
+    if cfg["classification"].startswith("synthetic:"):
+        return synthetic_prevalence(_world_config(cfg), taxonomy)
+    return prevalence(_resolve_classification(cfg, taxonomy), taxonomy)
+
+
 def _out_dir(cfg: dict) -> Path:
     out = Path(cfg["out"])
     out.mkdir(parents=True, exist_ok=True)
@@ -254,7 +262,7 @@ def cmd_simulate(cfg: dict) -> int:
     out = _out_dir(cfg)
     population_path = _require(out / "population.ndjson", "generate")
     _check_header(population_path, "population_hash", population_hash(cfg), "generate")
-    population = read_population(population_path)
+    population = read_profiles(population_path)
     log = run_scenario(population, _sim_config(cfg), taxonomy)
     log.write_ndjson(out / "log.ndjson", header=dict(file_header(cfg), scenario_hash=scenario_hash(cfg)))
     log.write_truth_ndjson(out / "truth.ndjson", header=file_header(cfg))
@@ -284,9 +292,10 @@ def _check_header(path: Path, key: str, expected: str, produced_by: str) -> None
         )
 
 
-def _rebuild_scenario(cfg: dict) -> tuple[Taxonomy, DomainClassification, Population, ObservationLog]:
-    """Recreate the in-memory scenario for analysis subcommands.
+def _rebuild_scenario(cfg: dict, taxonomy: Taxonomy) -> tuple[Profiles, ObservationLog]:
+    """The users' profiles and the simulated log, for the analysis subcommands.
 
+    Only the user ids and profiles are read from `population.ndjson`.
     The NDJSON artifacts are the interchange format; for analysis we
     re-derive the identical log from the recorded seed (draws are keyed,
     so this is byte-exact) rather than reparsing gigabytes. The log's
@@ -297,11 +306,8 @@ def _rebuild_scenario(cfg: dict) -> tuple[Taxonomy, DomainClassification, Popula
     population_path = _require(out / "population.ndjson", "generate")
     _check_header(_require(out / "log.ndjson", "simulate"), "scenario_hash", scenario_hash(cfg), "simulate")
     _check_header(population_path, "population_hash", population_hash(cfg), "generate")
-    taxonomy = _resolve_taxonomy(cfg)
-    classification = _resolve_classification(cfg, taxonomy)
-    population = read_population(population_path)
-    log = run_scenario(population, _sim_config(cfg), taxonomy)
-    return taxonomy, classification, population, log
+    profiles = read_profiles(population_path)
+    return profiles, run_scenario(profiles, _sim_config(cfg), taxonomy)
 
 
 def _check_analysis_keys(cfg: dict, command: str, n_sites: int) -> None:
@@ -314,11 +320,12 @@ def _check_analysis_keys(cfg: dict, command: str, n_sites: int) -> None:
 
 def cmd_denoise(cfg: dict) -> int:
     _check_analysis_keys(cfg, "denoise", 1)
-    taxonomy, classification, population, log = _rebuild_scenario(cfg)
-    prev = prevalence(classification, taxonomy)
+    taxonomy = _resolve_taxonomy(cfg)
+    prev = _resolve_prevalence(cfg, taxonomy)
+    profiles, log = _rebuild_scenario(cfg, taxonomy)
     out = _out_dir(cfg)
     site = cfg["sites"][0]
-    traj = denoise_site_trajectory(log.site_view(site), prev, _denoiser_config(cfg), population)
+    traj = denoise_site_trajectory(log.site_view(site), prev, _denoiser_config(cfg), profiles)
     lines = [csv_header_line(cfg)] + traj.csv_lines()
     (out / "denoise_metrics.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
     last = traj.points[-1]
@@ -333,8 +340,9 @@ REPORTED_EPOCHS = (1, 2, 5, 10, 15, 20, 25, 30)
 
 def cmd_reidentify(cfg: dict) -> int:
     _check_analysis_keys(cfg, "reidentify", 2)
-    taxonomy, classification, population, log = _rebuild_scenario(cfg)
-    prev = prevalence(classification, taxonomy)
+    taxonomy = _resolve_taxonomy(cfg)
+    prev = _resolve_prevalence(cfg, taxonomy)
+    _, log = _rebuild_scenario(cfg, taxonomy)
     out = _out_dir(cfg)
     site_a, site_b = cfg["sites"][0], cfg["sites"][1]
     epochs = [e for e in REPORTED_EPOCHS if e <= cfg["epochs"]]
@@ -381,8 +389,7 @@ def cmd_filter(cfg: dict, scores_path: str) -> int:
 def cmd_report(cfg: dict) -> int:
     """Write the prevalence histogram and list it with the series files already in `out`."""
     taxonomy = _resolve_taxonomy(cfg)
-    classification = _resolve_classification(cfg, taxonomy)
-    prev = prevalence(classification, taxonomy)
+    prev = _resolve_prevalence(cfg, taxonomy)
     out = _out_dir(cfg)
     lines = [csv_header_line(cfg), "topic_id,domain_count"]
     lines += [f"{tid},{int(prev.counts[tid])}" for tid in range(1, taxonomy.omega + 1)]

@@ -48,7 +48,7 @@ import numpy as np
 
 from .analytics import DEFAULT_T
 from .classification import PrevalenceTable
-from .population import Population
+from .population import Profiles
 from .simulator import SiteLog
 
 
@@ -309,7 +309,7 @@ def denoise_site_trajectory(
     site_log: SiteLog,
     prev: PrevalenceTable,
     config: DenoiserConfig,
-    population: Population,
+    population: Profiles,
 ) -> DenoiseTrajectory:
     """Per-epoch on-the-fly metrics for one site's full log.
 

@@ -20,6 +20,9 @@ segmented sort of keyed uniforms. The result does not depend on the
 block size. A `Population` keeps the users as arrays: ids, an (n, T)
 profile array, and visited positions and observed topics as CSRs over
 the order's domain names; `UserProfile` is the per-user record view.
+Its base `Profiles` holds only the ids and profiles, all that the
+simulator and the denoiser read, and `read_profiles` loads just those
+from a population file.
 
 File formats: rank-bucket CSV `origin,rank_bucket`; rank list CSV
 `rank,domain`; count-histogram CSV `unique_domain_count,user_fraction`;
@@ -337,27 +340,35 @@ def _row_ids(indptr: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class Population:
-    """Users as arrays, one row per user.
+class Profiles:
+    """Users' ids and top-T profiles: all the simulator and the denoiser read of a population.
 
-    Row i is user `user_ids[i]`, with top-T profile `profiles[i]`. Its
-    visited domains are `domains[p]` for the positions p in
+    Row i is user `user_ids[i]`, with top-T profile `profiles[i]`.
+    """
+
+    user_ids: np.ndarray      # (n,) int64
+    profiles: np.ndarray      # (n, T) int64
+
+    def __len__(self) -> int:
+        return self.user_ids.size
+
+
+@dataclass(frozen=True, eq=False)
+class Population(Profiles):
+    """Users as arrays, one row per user: profiles plus what was visited and observed.
+
+    Row i's visited domains are `domains[p]` for the positions p in
     `visits[visit_indptr[i]:visit_indptr[i + 1]]`, and its observed
     topics are `topics[topic_indptr[i]:topic_indptr[i + 1]]`; both rows
     are sorted and hold no repeats. Indexing and iteration give
     `UserProfile` records.
     """
 
-    user_ids: np.ndarray      # (n,) int64
-    profiles: np.ndarray      # (n, T) int64
     visit_indptr: np.ndarray  # (n + 1,) int64
     visits: np.ndarray        # positions in `domains`, int32
     topic_indptr: np.ndarray  # (n + 1,) int64
     topics: np.ndarray        # observed topic ids, int32
     domains: tuple[str, ...]
-
-    def __len__(self) -> int:
-        return self.user_ids.size
 
     def __getitem__(self, i: int) -> UserProfile:
         if not 0 <= i < len(self):
@@ -391,6 +402,20 @@ def _unique_rows(indptr: np.ndarray, values: np.ndarray, width: int) -> tuple[np
     return _indptr(np.bincount(rows, minlength=indptr.size - 1)), values
 
 
+def _profiles_of(user_ids: Sequence[int], profiles: Sequence[Sequence[int]]) -> Profiles:
+    """Ids and profiles as arrays; every profile must be as long as the first."""
+    sizes = np.array([len(p) for p in profiles], dtype=np.int64)
+    T = int(sizes[0]) if sizes.size else 0
+    ragged = np.flatnonzero(sizes != T)
+    if ragged.size:
+        i = int(ragged[0])
+        raise PopulationError(f"user {user_ids[i]} has profile size {sizes[i]}, but user {user_ids[0]} has {T}")
+    return Profiles(
+        user_ids=np.array(user_ids, dtype=np.int64),
+        profiles=np.array(profiles, dtype=np.int64).reshape(len(profiles), T),
+    )
+
+
 def _from_rows(
     user_ids: Sequence[int],
     visited: Sequence[Iterable[str]],
@@ -398,12 +423,7 @@ def _from_rows(
     profiles: Sequence[Sequence[int]],
 ) -> Population:
     """A population from per-user rows; every profile must be as long as the first."""
-    sizes = np.array([len(p) for p in profiles], dtype=np.int64)
-    T = int(sizes[0]) if sizes.size else 0
-    ragged = np.flatnonzero(sizes != T)
-    if ragged.size:
-        i = int(ragged[0])
-        raise PopulationError(f"user {user_ids[i]} has profile size {sizes[i]}, but user {user_ids[0]} has {T}")
+    base = _profiles_of(user_ids, profiles)
     names = list(itertools.chain.from_iterable(visited))
     domains = tuple(dict.fromkeys(names))
     index = dict(zip(domains, range(len(domains))))
@@ -414,8 +434,8 @@ def _from_rows(
         _indptr([len(r) for r in observed]), topics, int(topics.max(initial=0)) + 1
     )
     return Population(
-        user_ids=np.array(user_ids, dtype=np.int64),
-        profiles=np.array(profiles, dtype=np.int64).reshape(len(profiles), T),
+        user_ids=base.user_ids,
+        profiles=base.profiles,
         visit_indptr=visit_indptr,
         visits=visits.astype(np.int32),
         topic_indptr=topic_indptr,
@@ -632,23 +652,35 @@ def write_population(
             ))
 
 
-def read_population(path: Union[str, Path]) -> Population:
-    """The population of a `write_population` file.
-
-    Refuses a file whose users' `top_profile`s differ in length.
-    """
-    user_ids, visited, observed, profiles = [], [], [], []
+def _records(path: Union[str, Path], keys: tuple[str, ...]) -> tuple[list, ...]:
+    """The values of `keys` in each user record of a `write_population` file, one list per key."""
+    columns = tuple([] for _ in keys)
     with open(path, "r", encoding="utf-8") as fh:
         for line in fh:
             line = line.strip()
             if not line or line.startswith('{"header"'):
                 continue
             obj = json.loads(line)
-            user_ids.append(obj["user_id"])
-            visited.append(obj["visited_domains"])
-            observed.append(obj["observed_topics"])
-            profiles.append(obj["top_profile"])
-    return _from_rows(user_ids, visited, observed, profiles)
+            for column, key in zip(columns, keys):
+                column.append(obj[key])
+    return columns
+
+
+def read_population(path: Union[str, Path]) -> Population:
+    """The population of a `write_population` file.
+
+    Refuses a file whose users' `top_profile`s differ in length.
+    """
+    return _from_rows(*_records(path, ("user_id", "visited_domains", "observed_topics", "top_profile")))
+
+
+def read_profiles(path: Union[str, Path]) -> Profiles:
+    """The user ids and `top_profile`s of a `write_population` file, without the
+    visited domains and observed topics that `read_population` also keeps.
+
+    Refuses a file whose users' `top_profile`s differ in length.
+    """
+    return _profiles_of(*_records(path, ("user_id", "top_profile")))
 
 
 @dataclass(frozen=True)

@@ -19,6 +19,7 @@ per-epoch `k,cdf` files.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -152,23 +153,25 @@ def _max_overlap_groups(x: np.ndarray, y: np.ndarray, width: int) -> tuple[np.nd
     m is the largest j such that some j-subset of the row's set lies in
     some set of `y`, and the count sums, over the m-subsets X of the row's
     set, the sets of `y` that contain X (m = 0 counts every row of `y`).
-    Levels j are scanned downwards; a row leaves the scan at its first hit.
+    Levels j are scanned downwards; a row leaves the scan at its first hit,
+    and a level that no row is left to query builds no table.
     """
     cap = MAX_SUBSET_TOPICS
     while math.comb(width, cap) >= 2**63:  # j-subset keys lie below C(width, j)
         cap -= 1
-    # binom[t, i] = C(t, i). A j-subset's key is sum_i C(t_i, i + 1) over
-    # its ascending topic ids t_i: its rank among the j-subsets.
-    binom = np.array([[math.comb(t, i) for i in range(cap + 1)] for t in range(width)], dtype=np.int64)
+    binom = _binom(width, cap)
     size_x, size_y = np.count_nonzero(x >= 0, axis=1), np.count_nonzero(y >= 0, axis=1)
     queries, sets_y = _sets_by_size(x, size_x, cap), _sets_by_size(y, size_y, cap)
     m = np.zeros(x.shape[0], dtype=np.int64)
     k = np.full(x.shape[0], np.count_nonzero(size_y <= cap), dtype=np.int64)
     for j in range(max(queries, default=0), 0, -1):
+        live = [s for s, (rows, _) in queries.items() if s >= j and rows.size]
+        if not live:
+            continue
         # The int64 maximum lies above every key, so `searchsorted` stays in the table.
         keys = [_subset_keys(topics, j, binom).ravel() for s, (_, topics) in sets_y.items() if s >= j]
         table, counts = np.unique(np.concatenate([*keys, [np.iinfo(np.int64).max]]), return_counts=True)
-        for s in [s for s in queries if s >= j]:
+        for s in live:
             rows, topics = queries[s]
             query = _subset_keys(topics, j, binom)
             idx = np.searchsorted(table, query)
@@ -184,6 +187,18 @@ def _max_overlap_groups(x: np.ndarray, y: np.ndarray, width: int) -> tuple[np.nd
         best = np.maximum(m, m_wide)
         m, k = best, k * (m == best) + k_wide * (m_wide == best)
     return m, k
+
+
+@functools.cache
+def _binom(width: int, cap: int) -> np.ndarray:
+    """`binom[t, i] = C(t, i)` for t < width and i <= cap, read-only.
+
+    A j-subset's key is sum_i C(t_i, i + 1) over its ascending topic ids
+    t_i: its rank among the j-subsets.
+    """
+    binom = np.array([[math.comb(t, i) for i in range(cap + 1)] for t in range(width)], dtype=np.int64)
+    binom.flags.writeable = False
+    return binom
 
 
 def _sets_by_size(table: np.ndarray, size: np.ndarray, cap: int) -> dict:

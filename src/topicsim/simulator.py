@@ -33,7 +33,7 @@ import numpy as np
 
 from . import rng
 from .analytics import DEFAULT_P, DEFAULT_TAU
-from .population import POPULATION_BLOCK_USERS, Population, UserProfile, write_header
+from .population import POPULATION_BLOCK_USERS, Profiles, UserProfile, write_header
 from .taxonomy import Taxonomy
 
 
@@ -217,7 +217,7 @@ def _draws_for_site(
 
 
 def run_scenario(
-    population: Population,
+    population: Profiles,
     config: SimConfig,
     taxonomy: Taxonomy,
 ) -> ObservationLog:

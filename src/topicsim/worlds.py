@@ -26,6 +26,7 @@ from .classification import (
     PrevalenceTable,
     SkewSpec,
     prevalence,
+    skewed_prevalence,
     synthesize_skewed_classification,
 )
 from .population import (
@@ -71,6 +72,18 @@ class World:
 def synthetic_classification(config: WorldConfig, taxonomy: Taxonomy) -> DomainClassification:
     """The world's skew-matched synthetic classification, deterministic in config.seed."""
     return synthesize_skewed_classification(
+        taxonomy,
+        config.n_domains,
+        SKEW,
+        seed=config.seed,
+        head_topics=config.head_topics,
+        head_floor=config.head_floor,
+    )
+
+
+def synthetic_prevalence(config: WorldConfig, taxonomy: Taxonomy) -> PrevalenceTable:
+    """The prevalence of `synthetic_classification(config, taxonomy)`, without drawing its domains."""
+    return skewed_prevalence(
         taxonomy,
         config.n_domains,
         SKEW,

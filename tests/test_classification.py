@@ -1,4 +1,5 @@
 import io
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,10 +15,21 @@ from topicsim.classification import (
     classification_lines,
     load_classification,
     prevalence,
+    skewed_prevalence,
     synthesize_skewed_classification,
 )
 from topicsim.taxonomy import Taxonomy, Topic
-from topicsim.worlds import SKEW as SKEW_TARGETS, aggressive_skew_config, synthetic_classification
+from topicsim.worlds import (
+    PRESETS,
+    SKEW as SKEW_TARGETS,
+    aggressive_skew_config,
+    synthetic_classification,
+    synthetic_prevalence,
+)
+
+# The two ways to a synthetic classification's prevalence: draw its
+# domains and count them, or read its per-topic targets.
+BUILDERS = (synthesize_skewed_classification, skewed_prevalence)
 
 # Per-domain topic-count histogram of the bundled hand-annotation fixture.
 STATIC_HISTOGRAM = {0: 1344, 1: 4135, 2: 2350, 3: 1073, 4: 270, 5: 59, 6: 20, 7: 3}
@@ -193,16 +205,17 @@ def test_synthesize_deterministic(taxonomy):
 
 
 def test_synthesize_rejects_infeasible_spec(taxonomy):
-    with pytest.raises(ClassificationError):
-        synthesize_skewed_classification(
-            taxonomy, 1_000, SkewSpec(zero_topics=42, top_fraction=0.01, median=500), seed=0,
-            head_topics=42, head_floor=10,
-        )
-    with pytest.raises(ClassificationError):
-        synthesize_skewed_classification(
-            taxonomy, 1_000, SkewSpec(zero_topics=400, top_fraction=0.1, median=2), seed=0,
-            head_topics=42, head_floor=10,
-        )
+    for build in BUILDERS:
+        with pytest.raises(ClassificationError):
+            build(
+                taxonomy, 1_000, SkewSpec(zero_topics=42, top_fraction=0.01, median=500), seed=0,
+                head_topics=42, head_floor=10,
+            )
+        with pytest.raises(ClassificationError):
+            build(
+                taxonomy, 1_000, SkewSpec(zero_topics=400, top_fraction=0.1, median=2), seed=0,
+                head_topics=42, head_floor=10,
+            )
 
 
 @st.composite
@@ -238,21 +251,23 @@ def test_synthesize_matches_per_topic_oracle(taxonomy, case):
     assert got.names == want.names
     assert np.array_equal(got.indptr, want.indptr)
     assert np.array_equal(got.topics, want.topics)
+    assert np.array_equal(skewed_prevalence(taxonomy, **case).counts, prevalence(got, taxonomy).counts)
 
 
 def test_synthesize_refuses_a_count_larger_than_its_window(taxonomy):
     # At 10 domains the floor window (0.4, 1.0) holds 6; a median of 5
     # jitters floor counts over 2..8.
     spec = SkewSpec(zero_topics=0, top_fraction=0.5, median=5)
-    for seed in (0, 1, 2):
-        with pytest.raises(ClassificationError, match=r"needs [78] domains, more than the 6 of its window"):
-            synthesize_skewed_classification(taxonomy, 10, spec, seed=seed, head_topics=5, head_floor=1)
-    # One over: a median of 4.6 jitters floor counts over 2..7.
-    with pytest.raises(ClassificationError, match="needs 7 domains, more than the 6 of its window"):
-        synthesize_skewed_classification(
-            taxonomy, 10, SkewSpec(zero_topics=0, top_fraction=0.5, median=4.6), seed=0,
-            head_topics=1, head_floor=1,
-        )
+    for build in BUILDERS:
+        for seed in (0, 1, 2):
+            with pytest.raises(ClassificationError, match=r"needs [78] domains, more than the 6 of its window"):
+                build(taxonomy, 10, spec, seed=seed, head_topics=5, head_floor=1)
+        # One over: a median of 4.6 jitters floor counts over 2..7.
+        with pytest.raises(ClassificationError, match="needs 7 domains, more than the 6 of its window"):
+            build(
+                taxonomy, 10, SkewSpec(zero_topics=0, top_fraction=0.5, median=4.6), seed=0,
+                head_topics=1, head_floor=1,
+            )
     # A window exactly as large as the count is filled completely.
     cls = synthesize_skewed_classification(
         taxonomy, 10, SkewSpec(zero_topics=0, top_fraction=0.5, median=4), seed=0,
@@ -273,3 +288,16 @@ def test_aggressive_skew_world_meets_all_three_targets(taxonomy, seed):
     assert table.zero_count_topics() == SKEW_TARGETS.zero_topics
     assert table.max_count() == pytest.approx(SKEW_TARGETS.top_fraction * len(cls), rel=0.10)
     assert np.median(table.counts[1:]) == pytest.approx(SKEW_TARGETS.median, rel=0.10)
+
+
+@pytest.mark.parametrize("n_domains", [2_000, 5_000, 50_000])
+@pytest.mark.parametrize("seed", [0, 1, 2, 7])
+@pytest.mark.parametrize("preset", sorted(PRESETS))
+def test_skewed_prevalence_matches_synthesis(taxonomy, preset, seed, n_domains):
+    config = replace(PRESETS[preset](n_users=1, seed=seed), n_domains=n_domains)
+    args = dict(skew_spec=SKEW_TARGETS, seed=seed, head_topics=config.head_topics, head_floor=config.head_floor)
+    want = prevalence(synthesize_skewed_classification(taxonomy, n_domains, **args), taxonomy)
+    for got in (skewed_prevalence(taxonomy, n_domains, **args), synthetic_prevalence(config, taxonomy)):
+        assert got.counts.dtype == want.counts.dtype
+        assert np.array_equal(got.counts, want.counts)
+        assert got.total_domains == want.total_domains == n_domains

@@ -77,7 +77,8 @@ def test_generate_single_user(tmp_path):
 
 
 WRITTEN_BY = {"generate": "population.ndjson", "simulate": "log.ndjson",
-              "denoise": "denoise_metrics.csv", "reidentify": "reid_report.csv"}
+              "denoise": "denoise_metrics.csv", "reidentify": "reid_report.csv",
+              "report": "prevalence_hist.csv"}
 
 
 @pytest.mark.parametrize("stage, overrides, message", [
@@ -91,8 +92,12 @@ WRITTEN_BY = {"generate": "population.ndjson", "simulate": "log.ndjson",
     ("denoise", {"sites": []}, "denoise needs 1 site(s) in `sites`, got 0"),
     ("denoise", {"epochs": 0}, "denoise needs `epochs` >= 1, got 0"),
     ("reidentify", {"sites": ["wa.example"]}, "reidentify needs 2 site(s) in `sites`, got 1"),
+    ("denoise", {"classification": "synthetic:nope"}, "unknown synthetic classification preset 'nope'"),
+    ("reidentify", {"classification": "synthetic:nope"}, "unknown synthetic classification preset 'nope'"),
+    ("report", {"classification": "synthetic:nope"}, "unknown synthetic classification preset 'nope'"),
 ], ids=["T-400", "T-0", "T-minus-1", "n_domains-10", "p-2", "denoise-no-sites", "denoise-epochs-0",
-        "reidentify-one-site"])
+        "reidentify-one-site", "denoise-unknown-preset", "reidentify-unknown-preset",
+        "report-unknown-preset"])
 def test_config_value_refusals_exit_2(tmp_path, capsys, stage, overrides, message):
     cfg = tmp_path / "c.json"
     cfg.write_text(json.dumps({"n_users": 5, "n_domains": 500, "out": str(tmp_path / "o"), **overrides}))

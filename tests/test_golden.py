@@ -19,6 +19,10 @@ import json
 
 import pytest
 
+import topicsim.classification
+import topicsim.cli
+import topicsim.population
+import topicsim.worlds
 from topicsim.cli import main
 
 STAGES = ("generate", "simulate", "denoise", "reidentify", "report", "analytics")
@@ -64,11 +68,11 @@ GOLDEN = {
 }
 
 
-def run_chain(config: dict, tmp_path) -> dict[str, str]:
+def run_chain(config: dict, tmp_path, stages=STAGES) -> dict[str, str]:
     out = tmp_path / "out"
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(dict(config, out=str(out))))
-    for stage in STAGES:
+    for stage in stages:
         assert main([stage, "--config", str(path)]) == 0, stage
     return digests(out)
 
@@ -86,6 +90,23 @@ def assert_golden(got: dict[str, str], want: dict[str, str]) -> None:
 @pytest.mark.parametrize("chain", sorted(CHAINS))
 def test_chain_artifacts_match_golden_digests(chain, tmp_path):
     assert_golden(run_chain(CHAINS[chain], tmp_path), GOLDEN[chain])
+
+
+@pytest.mark.parametrize("chain", sorted(CHAINS))
+def test_later_stages_read_no_domains(chain, tmp_path, monkeypatch):
+    """After `generate`, no stage reads visited domains from the population
+    file or draws the synthetic classification's domains, and the artifacts
+    keep their bytes."""
+    run_chain(CHAINS[chain], tmp_path, stages=STAGES[:1])
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a stage after generate called a full reader or synthesis")
+
+    for module in (topicsim.population, topicsim.classification, topicsim.worlds, topicsim.cli):
+        for name in ("read_population", "synthesize_skewed_classification"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
+    assert_golden(run_chain(CHAINS[chain], tmp_path, stages=STAGES[1:]), GOLDEN[chain])
 
 
 SUFFIXES = ("com", "co.uk", "org", "io")

@@ -1,6 +1,7 @@
 import io
 import math
 import re
+from dataclasses import replace
 
 import hypothesis.strategies as st
 import numpy as np
@@ -27,6 +28,7 @@ from topicsim.population import (
     load_count_histogram,
     load_rank_file,
     read_population,
+    read_profiles,
     summarize_population,
     top_profiles,
     write_population,
@@ -455,5 +457,24 @@ def test_read_refuses_ragged_profiles(tmp_path):
              UserProfile(9, frozenset({"b"}), frozenset({2}), (1, 2))]
     path = tmp_path / "pop.ndjson"
     write_population_reference(users, path, header={"seed": 1})
-    with pytest.raises(ValueError, match="user 9 has profile size 2, but user 7 has 3"):
-        read_population(path)
+    for read in (read_population, read_profiles):
+        with pytest.raises(PopulationError, match="user 9 has profile size 2, but user 7 has 3"):
+            read(path)
+
+
+def test_read_profiles_keeps_top_profile_not_candidates(tmp_path, taxonomy):
+    order, traffic, cls = tiny_world(taxonomy)
+    counts = UniqueDomainCountModel(kind="empirical-histogram", support=(4,), probabilities=(1.0,))
+    users = generate_population(10, order, traffic, counts, cls, seed=2, taxonomy=taxonomy)
+    # As `generate` writes `profile_candidates: 3, profile_index: 1`.
+    candidates = [top_profiles(users, taxonomy, users.profiles.shape[1], seed=2, candidate=c) for c in range(3)]
+    users = replace(users, profiles=candidates[1])
+    path = tmp_path / "pop.ndjson"
+    write_population(users, path, header={"seed": 2}, candidates=candidates)
+    full, profiles = read_population(path), read_profiles(path)
+    assert np.array_equal(profiles.user_ids, full.user_ids)
+    assert np.array_equal(profiles.profiles, full.profiles)
+    assert profiles.user_ids.dtype == full.user_ids.dtype and profiles.profiles.dtype == full.profiles.dtype
+    assert np.array_equal(profiles.profiles, candidates[1])
+    assert not np.array_equal(profiles.profiles, candidates[0])
+    assert len(profiles) == len(full) == 10
