@@ -51,7 +51,7 @@ def main() -> None:
 
     cfg = SimConfig(epochs=args.epochs, sites=("observer.example",), seed=args.sim_seed)
     log = run_scenario(world.population, cfg, world.taxonomy)
-    print(f"simulated {log.total_slots()} returned topics "
+    print(f"simulated {log.topics.size} returned topics "
           f"({log.noisy_slot_fraction():.2%} noisy)")
 
     traj = denoise_site_trajectory(

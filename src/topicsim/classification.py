@@ -94,9 +94,6 @@ class DomainClassification:
     def domains(self) -> list[str]:
         return list(self.names)
 
-    def topics_per_domain(self) -> np.ndarray:
-        return np.diff(self.indptr)
-
 
 @dataclass(frozen=True)
 class PrevalenceTable:

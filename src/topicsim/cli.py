@@ -292,22 +292,22 @@ def _check_header(path: Path, key: str, expected: str, produced_by: str) -> None
         )
 
 
-def _rebuild_scenario(cfg: dict, taxonomy: Taxonomy) -> tuple[Profiles, ObservationLog]:
-    """The users' profiles and the simulated log, for the analysis subcommands.
+def _rebuild_scenario(cfg: dict, taxonomy: Taxonomy, n_sites: int) -> tuple[Profiles, ObservationLog]:
+    """The users' profiles and the simulated log of the first `n_sites` sites, for the analysis subcommands.
 
     Only the user ids and profiles are read from `population.ndjson`.
     The NDJSON artifacts are the interchange format; for analysis we
-    re-derive the identical log from the recorded seed (draws are keyed,
-    so this is byte-exact) rather than reparsing gigabytes. The log's
-    header must carry this config's scenario hash and the population's
-    header its population hash.
+    re-derive the identical log from the recorded seed (draws are keyed
+    per site, so this is byte-exact for the sites simulated) rather than
+    reparsing gigabytes. The log's header must carry this config's
+    scenario hash and the population's header its population hash.
     """
     out = _out_dir(cfg)
     population_path = _require(out / "population.ndjson", "generate")
     _check_header(_require(out / "log.ndjson", "simulate"), "scenario_hash", scenario_hash(cfg), "simulate")
     _check_header(population_path, "population_hash", population_hash(cfg), "generate")
     profiles = read_profiles(population_path)
-    return profiles, run_scenario(profiles, _sim_config(cfg), taxonomy)
+    return profiles, run_scenario(profiles, _sim_config(dict(cfg, sites=cfg["sites"][:n_sites])), taxonomy)
 
 
 def _check_analysis_keys(cfg: dict, command: str, n_sites: int) -> None:
@@ -322,7 +322,7 @@ def cmd_denoise(cfg: dict) -> int:
     _check_analysis_keys(cfg, "denoise", 1)
     taxonomy = _resolve_taxonomy(cfg)
     prev = _resolve_prevalence(cfg, taxonomy)
-    profiles, log = _rebuild_scenario(cfg, taxonomy)
+    profiles, log = _rebuild_scenario(cfg, taxonomy, 1)
     out = _out_dir(cfg)
     site = cfg["sites"][0]
     traj = denoise_site_trajectory(log.site_view(site), prev, _denoiser_config(cfg), profiles)
@@ -342,7 +342,7 @@ def cmd_reidentify(cfg: dict) -> int:
     _check_analysis_keys(cfg, "reidentify", 2)
     taxonomy = _resolve_taxonomy(cfg)
     prev = _resolve_prevalence(cfg, taxonomy)
-    _, log = _rebuild_scenario(cfg, taxonomy)
+    _, log = _rebuild_scenario(cfg, taxonomy, 2)
     out = _out_dir(cfg)
     site_a, site_b = cfg["sites"][0], cfg["sites"][1]
     epochs = [e for e in REPORTED_EPOCHS if e <= cfg["epochs"]]

@@ -111,20 +111,20 @@ class MultiShotEngine:
     sees a handful of distinct topics, so state lives in per-user slot
     tables of shape `(n_users, K)`, not in omega + 1 topic columns:
 
-    * `topic`: the user's distinct observed topics, in order of first
-      observation, -1 for an empty slot (`n_seen` slots are filled);
-    * `first_seen`: epoch of the slot topic's first observation;
-    * `last_counted`: epoch of the last call counted as independent;
+    * `topic`: the user's distinct observed topics, -1 for an empty slot;
+    * `next_count`: first epoch at which a call counts again, 0 for a
+      fresh slot;
     * `greedy_ev`: multiplicity summed over calls at least `gap` apart;
     * `evidence`: max(greedy_ev, largest within-call multiplicity).
 
-    A slot keeps its topic for the engine's life, so a mask over slots
-    stays valid from epoch to epoch. K starts at `INITIAL_SLOTS` and
-    doubles whenever a user's new topics do not fit.
+    A user's topics take the next free slots, the topics of one call in
+    ascending id, so slot order is order of first observation with ties
+    by id. A slot keeps its topic for the engine's life, so a mask over
+    slots stays valid from epoch to epoch once `widen`ed. K starts at
+    `INITIAL_SLOTS` and doubles whenever a user's new topics do not fit.
 
-    A topic is confirmed when `evidence >= 2`; `conf_count` holds the
-    per-user count of confirmed topics. Feed calls epoch by epoch via
-    observe_epoch, then read genuine_slots / recovered_sizes (or the
+    A topic is confirmed when `evidence >= 2`. Feed calls epoch by epoch
+    via observe_epoch, then read genuine_slots / recovered_sizes (or the
     dense `(n_users, omega + 1)` views genuine_matrix / recovered_matrix).
     The first call's width is tau; every later call must have as many
     slots.
@@ -138,12 +138,9 @@ class MultiShotEngine:
         self.tau = 0  # read from the first call
         shape = (n_users, INITIAL_SLOTS)
         self.topic = np.full(shape, -1, dtype=np.int16)
-        self.n_seen = np.zeros(n_users, dtype=np.int32)
-        self.first_seen = np.zeros(shape, dtype=np.int16)
-        self.last_counted = np.zeros(shape, dtype=np.int16)
+        self.next_count = np.zeros(shape, dtype=np.int16)
         self.greedy_ev = np.zeros(shape, dtype=np.int16)
         self.evidence = np.zeros(shape, dtype=np.int16)
-        self.conf_count = np.zeros(n_users, dtype=np.int32)
         self.threshold_pass = prev.counts > config.threshold  # (omega + 1,)
         self.threshold_pass[0] = False
         self.current_epoch = 0
@@ -173,7 +170,7 @@ class MultiShotEngine:
             raise ValueError(f"call of epoch {epoch} has {slots} slots, but the first call had {self.tau}")
         self.current_epoch = epoch
         # Topic ids are at most omega, so u * (omega + 1) + t names one
-        # (user, topic) pair; the groups come out sorted by user.
+        # (user, topic) pair; the groups come out sorted by user, then topic.
         width = self.omega + 1
         flat_t = call_topics.ravel()
         keys = np.repeat(np.arange(n, dtype=np.int64) * width, slots) + flat_t
@@ -184,63 +181,66 @@ class MultiShotEngine:
 
         # Each group's slot: the user's slot holding its topic, or a new one.
         # State is read and written through flat (user * K + slot) indices.
-        k = self.topic.shape[1]
-        topics, row = self.topic.reshape(-1), gu * k
-        slot = np.full(gu.size, -1, dtype=np.int64)
-        for s in range(k):
-            slot[topics[row + s] == gt] = s
-        first = slot < 0
-        slot[first] = self._add_topics(gu[first], gt[first])
+        slot = self.slots_of(gu, gt)
+        new = slot < 0
+        slot[new] = self._add_topics(gu[new], gt[new])
         at = gu * self.topic.shape[1] + slot  # the tables may have widened
-        first_seen, last_counted, greedy_ev, evidence = (
-            a.reshape(-1) for a in (self.first_seen, self.last_counted, self.greedy_ev, self.evidence)
-        )
-        first_seen[at[first]] = epoch
-        last_counted[at[first]] = epoch
-        greedy_ev[at[first]] = mult[first]
-
-        countable = ~first & (epoch >= last_counted[at] + self.gap)
-        last_counted[at[countable]] = epoch
+        next_count, greedy_ev, evidence = (a.reshape(-1) for a in (self.next_count, self.greedy_ev, self.evidence))
+        countable = epoch >= next_count[at]
+        next_count[at[countable]] = epoch + self.gap
         greedy_ev[at[countable]] += mult[countable]
-
         # Greedy evidence and the largest multiplicity only grow, so the
         # running maximum equals max(greedy, largest multiplicity).
-        before = evidence[at]
-        after = np.maximum(np.maximum(before, mult), greedy_ev[at])
-        evidence[at] = after
-        np.add.at(self.conf_count, gu[(before < 2) & (after >= 2)], 1)
+        evidence[at] = np.maximum(np.maximum(evidence[at], mult), greedy_ev[at])
+
+    def slots_of(self, u: np.ndarray, t: np.ndarray) -> np.ndarray:
+        """The slot holding topic `t` in user `u`'s row, per pair; -1 where there is none."""
+        k = self.topic.shape[1]
+        topics, row = self.topic.reshape(-1), u * k
+        slot = np.full(u.size, -1, dtype=np.int64)
+        for s in range(k):
+            slot[topics[row + s] == t] = s
+        return slot
+
+    def widen(self, a: np.ndarray) -> np.ndarray:
+        """Per-slot table `a` zero-padded on the right to K slots; `a` itself if it is K wide."""
+        k = self.topic.shape[1]
+        return a if a.shape[1] == k else np.pad(a, ((0, 0), (0, k - a.shape[1])))
 
     def _add_topics(self, u: np.ndarray, t: np.ndarray) -> np.ndarray:
         """Slots for new topics `t` of users `u` (sorted): each user's next free ones."""
-        slot = self.n_seen[u] + (np.arange(u.size) - np.searchsorted(u, u))
+        slot = np.count_nonzero(self.topic[u] >= 0, axis=1) + (np.arange(u.size) - np.searchsorted(u, u))
         k = self.topic.shape[1]
         while k <= slot.max(initial=-1):
             k *= 2
         if k > self.topic.shape[1]:
-            pad = ((0, 0), (0, k - self.topic.shape[1]))
-            self.topic = np.pad(self.topic, pad, constant_values=-1)
-            for name in ("first_seen", "last_counted", "greedy_ev", "evidence"):
-                setattr(self, name, np.pad(getattr(self, name), pad))
+            self.topic = np.pad(self.topic, ((0, 0), (0, k - self.topic.shape[1])), constant_values=-1)
+            self.next_count, self.greedy_ev, self.evidence = map(
+                self.widen, (self.next_count, self.greedy_ev, self.evidence)
+            )
         self.topic[u, slot] = t
-        self.n_seen += np.bincount(u, minlength=self.n_seen.size)
         return slot
 
+    def _confirmed(self) -> tuple[np.ndarray, np.ndarray]:
+        """Confirmed `(user, slot)` mask and each user's count of confirmed topics."""
+        confirmed = self.evidence >= 2
+        return confirmed, np.count_nonzero(confirmed, axis=1)
+
     def recovered_sizes(self) -> np.ndarray:
-        return np.minimum(self.conf_count, self.config.T)
+        return np.minimum(self._confirmed()[1], self.config.T)
 
     def recovered_slots(self) -> np.ndarray:
         """Confirmed-genuine `(user, slot)` mask, capped at T by eviction.
 
         Users with more than T confirmed topics keep the T best, ranked
-        by evidence, then the prevalence prior, then earliest first
-        observation, then topic id.
+        by evidence, then the prevalence prior, then slot (earliest first
+        observation, then topic id).
         """
-        recovered = self.evidence >= 2
-        over = np.nonzero(self.conf_count > self.config.T)[0]
+        recovered, count = self._confirmed()
+        over = np.nonzero(count > self.config.T)[0]
         rows, s = np.nonzero(recovered[over])
         u = over[rows]
-        t = self.topic[u, s]
-        order = np.lexsort((t, self.first_seen[u, s], ~self.threshold_pass[t], -self.evidence[u, s], u))
+        order = np.lexsort((s, ~self.threshold_pass[self.topic[u, s]], -self.evidence[u, s], u))
         u, s = u[order], s[order]
         rank = np.arange(u.size) - np.searchsorted(u, u)  # minus the user's segment offset
         demoted = rank >= self.config.T
@@ -251,7 +251,7 @@ class MultiShotEngine:
         """Current `(user, slot)` genuine labels; empty slots are False."""
         genuine = self.recovered_slots()
         if self.current_epoch <= self.gap:
-            unfrozen = self.conf_count < self.config.T
+            unfrozen = self._confirmed()[1] < self.config.T
             # An empty slot's -1 reads the last entry; `topic >= 0` masks it.
             genuine |= (self.topic >= 0) & self.threshold_pass[self.topic] & unfrozen[:, None]
         return genuine
@@ -356,14 +356,10 @@ def denoise_site_trajectory(
         seen = site_log.source_epochs < epoch
         new = np.flatnonzero(seen & ~seen_before)
         u, d = np.repeat(np.arange(n), new.size), np.tile(new, n)
-        slot = np.full(u.size, -1, dtype=np.int64)
-        for s in range(engine.topic.shape[1]):
-            slot[engine.topic[u, s] == tt[u, d]] = s
+        slot = engine.slots_of(u, tt[u, d])
         if np.any(slot < 0):
             raise ValueError(f"a draw seen by epoch {epoch} is missing from the calls")
-        if draws.shape[1] < engine.topic.shape[1]:
-            pad = ((0, 0), (0, engine.topic.shape[1] - draws.shape[1]))
-            draws, noisy = np.pad(draws, pad), np.pad(noisy, pad)
+        draws, noisy = engine.widen(draws), engine.widen(noisy)
         np.add.at(draws, (u, slot), 1)
         np.add.at(noisy, (u, slot), noisy_eff[u, d])
         seen_before = seen

@@ -299,13 +299,13 @@ def run_reidentification(
     """Full two-site attack over an observation log (vectorized).
 
     Denoises both sites incrementally and accumulates each side's sticky
-    genuine set as a mask over its engine's slots (slots never move, so
-    the mask is only padded when the engine's tables widen). At each
-    requested epoch the two sides' sticky topic tables are matched in
-    both directions (A against B for the headline rates, B against A for
-    the symmetry check) with one `_argmax_match` call, whose cost grows
-    with the number of users and the subsets of their sets, not with
-    their pairs.
+    genuine set as a mask over its engine's slots. Slots never move, so
+    the mask only needs padding with False when the engine's tables
+    widen, which the engine's `widen` does. At each requested epoch the
+    two sides' sticky topic tables are matched in both directions (A
+    against B for the headline rates, B against A for the symmetry
+    check) with one `_argmax_match` call, whose cost grows with the
+    number of users and the subsets of their sets, not with their pairs.
     """
     la, lb = log.site_view(site_a), log.site_view(site_b)
     omega = prev.counts.size - 1
@@ -322,8 +322,9 @@ def run_reidentification(
     for epoch in range(1, log.epochs + 1):
         ea.observe_epoch(epoch, la.topics[:, epoch - 1, :])
         eb.observe_epoch(epoch, lb.topics[:, epoch - 1, :])
-        sticky_a = _sticky_union(sticky_a, ea.genuine_slots())
-        sticky_b = _sticky_union(sticky_b, eb.genuine_slots())
+        sticky_a, sticky_b = ea.widen(sticky_a), eb.widen(sticky_b)
+        sticky_a |= ea.genuine_slots()
+        sticky_b |= eb.genuine_slots()
         if epoch not in wanted:
             continue
         k_ab, c_ab, k_ba, c_ba = _argmax_match(np.where(sticky_a, ea.topic, -1), np.where(sticky_b, eb.topic, -1))
@@ -331,10 +332,3 @@ def run_reidentification(
         reverse.append(MatchReport(epoch=epoch, k=k_ba, contains_truth=c_ba, n_users=lb.n_users))
     return reid_report(forward, reverse)
 
-
-def _sticky_union(sticky: np.ndarray, genuine: np.ndarray) -> np.ndarray:
-    """`sticky | genuine` over slots, `sticky` first padded to the engine's current width."""
-    if sticky.shape[1] < genuine.shape[1]:
-        sticky = np.pad(sticky, ((0, 0), (0, genuine.shape[1] - sticky.shape[1])))
-    sticky |= genuine
-    return sticky

@@ -114,9 +114,6 @@ class ObservationLog:
     def epochs(self) -> int:
         return self.config.epochs
 
-    def total_slots(self) -> int:
-        return int(self.topics.size)
-
     def noisy_slot_fraction(self) -> float:
         """Fraction of returned slots whose pinned draw was the noise branch."""
         src_pos = (self.slot_sources - int(self.source_epochs[0])).astype(np.int64)

@@ -77,28 +77,6 @@ class Taxonomy:
     def ids(self) -> tuple[int, ...]:
         return tuple(range(1, self.omega + 1))
 
-    def roots(self) -> tuple[Topic, ...]:
-        return tuple(t for t in self.topics if t.parent_id is None)
-
-    def subtree_size(self, root: Union[Topic, int]) -> int:
-        """Number of topics in the subtree, including the root itself."""
-        root = root if isinstance(root, Topic) else self.get(root)
-        prefix = root.name + "/"
-        return 1 + sum(1 for t in self.topics if t.name.startswith(prefix))
-
-
-def parent_of(taxonomy: Taxonomy, topic: Union[Topic, int]) -> Optional[Topic]:
-    """Immediate parent of a topic; None for root categories and Unknown."""
-    tid = topic.id if isinstance(topic, Topic) else topic
-    if tid == UNKNOWN_TOPIC_ID:
-        return None
-    t = taxonomy.get(tid)
-    if isinstance(topic, Topic) and taxonomy.get(tid) != topic:
-        raise TaxonomyError(f"topic {topic!r} does not belong to this taxonomy")
-    if t.parent_id is None:
-        return None
-    return taxonomy.get(t.parent_id)
-
 
 def _parent_name(name: str) -> Optional[str]:
     head, _, _ = name.rpartition("/")

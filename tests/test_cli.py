@@ -385,6 +385,24 @@ def test_analysis_only_keys_do_not_need_a_new_log(tiny_config, tmp_path, capsys)
         assert label in summary
 
 
+def test_analysis_stages_simulate_only_the_sites_they_read(tiny_config, tmp_path, monkeypatch):
+    cfg, out = tiny_config
+    three = tmp_path / "three.json"
+    three.write_text(json.dumps(dict(json.loads(cfg.read_text()), sites=["wa.example", "wb.example", "wc.example"])))
+    assert run_cli("generate", "--config", three) == 0
+    assert run_cli("simulate", "--config", three) == 0
+    simulated = []
+
+    def recording(population, config, taxonomy):
+        simulated.append(config.sites)
+        return run_scenario(population, config, taxonomy)
+
+    monkeypatch.setattr("topicsim.cli.run_scenario", recording)
+    assert run_cli("denoise", "--config", three) == 0
+    assert run_cli("reidentify", "--config", three) == 0
+    assert simulated == [("wa.example",), ("wa.example", "wb.example")]
+
+
 def test_denoise_refuses_population_of_another_generate(tiny_config, capsys):
     cfg, out = tiny_config
     assert run_cli("generate", "--config", cfg) == 0

@@ -161,6 +161,28 @@ def test_eviction_tie_break_prefers_prevalent_topics():
     assert engine_genuine(history, prev, DenoiserConfig(T=5)) == {1, 2, 3, 4, 30}
 
 
+@pytest.mark.parametrize(
+    "calls, kept",
+    [
+        # Both confirmed within their call: the earlier sighting stays.
+        ([[40, 40, -1], [7, 7, -1]], 40),
+        # Both confirmed within one call: the lower id stays.
+        ([[40, 40, 7, 7]], 7),
+    ],
+)
+def test_eviction_tie_break_prefers_earlier_sighting_then_lower_id(calls, kept):
+    """Equal evidence and prior: the engine ranks by slot, the oracle by first sighting and id."""
+    prev = prevalence_with(above=(7, 40))
+    cfg = DenoiserConfig(T=1)
+    engine = MultiShotEngine(1, 349, prev, cfg)
+    for e, call in enumerate(calls):
+        engine.observe_epoch(e + 1, np.array([call], dtype=np.int16))
+    history = [res([t for t in call if t >= 0], epoch=e + 1) for e, call in enumerate(calls)]
+    outcome = denoise_multi_shot(history, prev, cfg, tau=len(calls[0]))
+    assert np.nonzero(engine.recovered_matrix()[0])[0].tolist() == [kept]
+    assert outcome.recovered == {kept}
+
+
 def test_multi_shot_requires_single_ordered_site():
     prev = prevalence_with()
     with pytest.raises(ValueError, match="sites"):
@@ -297,7 +319,7 @@ def test_slot_tables_grow_when_a_user_sees_more_topics_than_slots():
             assert set(np.nonzero(recovered[u])[0].tolist()) == set(outcome.recovered), (e, u)
             assert engine.recovered_sizes()[u] == len(outcome.recovered), (e, u)
     assert widths[0] == INITIAL_SLOTS < widths[-1] == 32
-    assert engine.n_seen.tolist() == [24, 2]
+    assert np.count_nonzero(engine.topic >= 0, axis=1).tolist() == [24, 2]
     assert sorted(engine.topic[0, :24].tolist()) == list(range(1, 25))
 
 
@@ -311,11 +333,11 @@ def test_engine_state_has_no_topic_columns():
     for e in range(1, 31):
         engine.observe_epoch(e, site.topics[:, e - 1, :])
     tables = {name: v for name, v in vars(engine).items() if isinstance(v, np.ndarray) and v.ndim == 2}
-    assert set(tables) == {"topic", "first_seen", "last_counted", "greedy_ev", "evidence"}
+    assert set(tables) == {"topic", "next_count", "greedy_ev", "evidence"}
     k = engine.topic.shape[1]
     assert all(v.shape == (2_000, k) for v in tables.values())
     assert k < omega + 1
-    assert int(engine.n_seen.max()) <= k
+    assert int(np.count_nonzero(engine.topic >= 0, axis=1).max()) <= k
 
 
 def test_observe_epoch_rejects_topic_above_omega():

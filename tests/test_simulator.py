@@ -129,8 +129,8 @@ def test_scenario_complete_logs_and_noise_rate(taxonomy):
     users = users_with_random_profiles(2500)
     cfg = SimConfig(epochs=10, sites=("wa", "wb"), seed=23)
     log = run_scenario(users, cfg, taxonomy)
-    assert log.total_slots() == 2500 * 2 * 10 * 3
-    m = log.total_slots()
+    assert log.topics.size == 2500 * 2 * 10 * 3
+    m = log.topics.size
     sd = np.sqrt(0.05 * 0.95 / m)
     assert abs(log.noisy_slot_fraction() - 0.05) < 4 * sd
 

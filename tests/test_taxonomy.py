@@ -9,7 +9,6 @@ from topicsim.taxonomy import (
     Topic,
     UNKNOWN_TOPIC_ID,
     load_taxonomy,
-    parent_of,
 )
 
 # Root category -> subtree size (root included) for the bundled v1-style file.
@@ -45,17 +44,23 @@ def test_bundled_omega(taxonomy):
     assert taxonomy.omega == 349
 
 
+def root_subtree_sizes(taxonomy):
+    """Root name -> topics whose name is the root's or starts with it plus `/`."""
+    roots = [t.name for t in taxonomy.topics if t.name.count("/") == 1]
+    return {r: sum(t.name == r or t.name.startswith(r + "/") for t in taxonomy.topics) for r in roots}
+
+
 def test_bundled_has_24_roots(taxonomy):
-    assert len(taxonomy.roots()) == 24
+    assert len(root_subtree_sizes(taxonomy)) == 24
+    assert {t.name for t in taxonomy.topics if t.parent_id is None} == set(ROOT_SUBTREE_SIZES)
 
 
 def test_bundled_root_subtree_sizes(taxonomy):
-    sizes = {r.name: taxonomy.subtree_size(r) for r in taxonomy.roots()}
-    assert sizes == ROOT_SUBTREE_SIZES
+    assert root_subtree_sizes(taxonomy) == ROOT_SUBTREE_SIZES
 
 
 def test_root_subtrees_partition_taxonomy(taxonomy):
-    assert sum(taxonomy.subtree_size(r) for r in taxonomy.roots()) == taxonomy.omega
+    assert sum(root_subtree_sizes(taxonomy).values()) == taxonomy.omega
 
 
 def test_ids_are_contiguous_from_one(taxonomy):
@@ -64,19 +69,19 @@ def test_ids_are_contiguous_from_one(taxonomy):
 
 def test_parent_chain_example(taxonomy):
     sales = taxonomy.by_name("/Business & Industrial/Advertising & Marketing/Sales")
-    parent = parent_of(taxonomy, sales)
+    parent = taxonomy.get(sales.parent_id)
     assert parent.name == "/Business & Industrial/Advertising & Marketing"
-    grandparent = parent_of(taxonomy, parent)
+    grandparent = taxonomy.get(parent.parent_id)
     assert grandparent.name == "/Business & Industrial"
-    assert parent_of(taxonomy, grandparent) is None
+    assert grandparent.parent_id is None
 
 
 def test_root_has_no_parent(taxonomy):
-    assert parent_of(taxonomy, taxonomy.by_name("/News")) is None
+    assert taxonomy.by_name("/News").parent_id is None
 
 
 def test_unknown_sentinel(taxonomy):
-    assert parent_of(taxonomy, UNKNOWN_TOPIC_ID) is None
+    assert taxonomy.get(UNKNOWN_TOPIC_ID).parent_id is None
     assert taxonomy.get(UNKNOWN_TOPIC_ID).name == "Unknown"
     assert UNKNOWN_TOPIC_ID in taxonomy
     # The sentinel is never one of the omega real topics.
@@ -85,8 +90,8 @@ def test_unknown_sentinel(taxonomy):
 
 def test_parent_name_is_proper_prefix(taxonomy):
     for topic in taxonomy.topics:
-        parent = parent_of(taxonomy, topic)
-        if parent is not None:
+        if topic.parent_id is not None:
+            parent = taxonomy.get(topic.parent_id)
             assert topic.name.startswith(parent.name + "/")
             assert len(parent.name) < len(topic.name)
 
