@@ -109,7 +109,8 @@ class MultiShotEngine:
     Mirrors the object-level oracle `denoise_multi_shot` in
     `tests/reference.py` exactly (property-tested equivalence). A user
     sees a handful of distinct topics, so state lives in per-user slot
-    tables of shape `(n_users, K)`, not in omega + 1 topic columns:
+    tables of shape `(K, n_users)`, one row per slot, not in omega + 1
+    topic columns:
 
     * `topic`: the user's distinct observed topics, -1 for an empty slot;
     * `next_count`: first epoch at which a call counts again, 0 for a
@@ -122,6 +123,13 @@ class MultiShotEngine:
     by id. A slot keeps its topic for the engine's life, so a mask over
     slots stays valid from epoch to epoch once `widen`ed. K starts at
     `INITIAL_SLOTS` and doubles whenever a user's new topics do not fit.
+
+    Every user makes one tau-slot call per epoch, so `observe_epoch`
+    needs no grouping sort: it transposes the call to `(tau, n_users)`
+    once, compares each slot row of `topic` with each call row, which
+    gives the call's multiplicity of every held topic, and updates all
+    four tables with whole-table arithmetic. Only the users that meet a
+    new topic are gathered, to place it in their next free slot.
 
     A topic is confirmed when `evidence >= 2`. Feed calls epoch by epoch
     via observe_epoch, then read genuine_slots / recovered_sizes (or the
@@ -136,7 +144,7 @@ class MultiShotEngine:
         self.config = config
         self.omega = omega
         self.tau = 0  # read from the first call
-        shape = (n_users, INITIAL_SLOTS)
+        shape = (INITIAL_SLOTS, n_users)
         self.topic = np.full(shape, -1, dtype=np.int16)
         self.next_count = np.zeros(shape, dtype=np.int16)
         self.greedy_ev = np.zeros(shape, dtype=np.int16)
@@ -153,84 +161,107 @@ class MultiShotEngine:
         return 2 if self.config.aggressive_gap_rule else self.tau
 
     def observe_epoch(self, epoch: int, call_topics: np.ndarray) -> None:
-        """call_topics: (n_users, slots) int topics, -1 for suppressed slots."""
+        """call_topics: (n_users, slots) int topics, any negative id for a suppressed slot."""
         if epoch != self.current_epoch + 1:
             raise ValueError(f"epochs must be observed in order, got {epoch} after {self.current_epoch}")
-        if call_topics.ndim != 2 or call_topics.shape[0] != self.topic.shape[0]:
+        if call_topics.ndim != 2 or call_topics.shape[0] != self.topic.shape[1]:
             raise ValueError(
                 f"call_topics has shape {call_topics.shape}, expected one row per user "
-                f"({self.topic.shape[0]})"
+                f"({self.topic.shape[1]})"
             )
-        if call_topics.size and call_topics.max() > self.omega:
-            raise ValueError(f"topic id {call_topics.max()} is above omega = {self.omega}")
-        n, slots = call_topics.shape
+        # One row per call slot: a single pass over a strided view.
+        call = np.ascontiguousarray(call_topics.T)
+        if call.size and call.max() > self.omega:
+            raise ValueError(f"topic id {call.max()} is above omega = {self.omega}")
+        slots = call.shape[0]
         if epoch == 1:
             self.tau = slots
         elif slots != self.tau:
             raise ValueError(f"call of epoch {epoch} has {slots} slots, but the first call had {self.tau}")
         self.current_epoch = epoch
-        # Topic ids are at most omega, so u * (omega + 1) + t names one
-        # (user, topic) pair; the groups come out sorted by user, then topic.
-        width = self.omega + 1
-        flat_t = call_topics.ravel()
-        keys = np.repeat(np.arange(n, dtype=np.int64) * width, slots) + flat_t
-        keys, mult = np.unique(keys[flat_t >= 0], return_counts=True)
-        gu, gt = np.divmod(keys, width)
-        gt = gt.astype(np.int16)
-        mult = mult.astype(np.int16)
+        # A suppressed entry becomes -2, which no slot holds (an empty slot
+        # holds -1), before the cast to int16.
+        call = np.where(call < 0, -2, call).astype(np.int16, copy=False)
 
-        # Each group's slot: the user's slot holding its topic, or a new one.
-        # State is read and written through flat (user * K + slot) indices.
-        slot = self.slots_of(gu, gt)
-        new = slot < 0
-        slot[new] = self._add_topics(gu[new], gt[new])
-        at = gu * self.topic.shape[1] + slot  # the tables may have widened
-        next_count, greedy_ev, evidence = (a.reshape(-1) for a in (self.next_count, self.greedy_ev, self.evidence))
-        countable = epoch >= next_count[at]
-        next_count[at[countable]] = epoch + self.gap
-        greedy_ev[at[countable]] += mult[countable]
+        # m: this call's multiplicity of every held slot's topic. An entry
+        # is new where no slot holds it and no earlier entry repeats it.
+        m = np.zeros(self.topic.shape, dtype=np.int16)
+        new = call >= 0
+        for i, row in enumerate(call):
+            held = self.topic == row
+            m += held
+            new[i] &= ~held.any(axis=0)
+            for j in range(i):
+                new[i] &= row != call[j]
+        users = np.flatnonzero(new.any(axis=0))
+        if users.size:
+            slot, u, mult = self._add_topics(call[:, users], new[:, users], users)
+            m = self.widen(m)
+            m[slot, u] = mult
+
         # Greedy evidence and the largest multiplicity only grow, so the
         # running maximum equals max(greedy, largest multiplicity).
-        evidence[at] = np.maximum(np.maximum(evidence[at], mult), greedy_ev[at])
+        np.maximum(self.evidence, m, out=self.evidence)
+        # Unmasked arithmetic, several times faster than `where=` writes: a
+        # countable slot's next_count is at most `epoch`, so setting it to
+        # `epoch + gap` is a maximum.
+        countable = (m > 0) & (self.next_count <= epoch)
+        m *= countable
+        self.greedy_ev += m
+        np.maximum(self.evidence, self.greedy_ev, out=self.evidence)
+        np.maximum(self.next_count, countable * np.int16(epoch + self.gap), out=self.next_count)
 
     def slots_of(self, u: np.ndarray, t: np.ndarray) -> np.ndarray:
-        """The slot holding topic `t` in user `u`'s row, per pair; -1 where there is none."""
-        k = self.topic.shape[1]
-        topics, row = self.topic.reshape(-1), u * k
-        slot = np.full(u.size, -1, dtype=np.int64)
-        for s in range(k):
-            slot[topics[row + s] == t] = s
-        return slot
+        """The slot holding topic `t >= 0` in user `u`'s column, per pair; -1 where there is none."""
+        # A user holds a topic in at most one slot, so at most one term is nonzero.
+        hit = np.zeros(u.size, dtype=np.int64)
+        for s, row in enumerate(self.topic):
+            hit += (row[u] == t) * (s + 1)
+        return hit - 1
 
     def widen(self, a: np.ndarray) -> np.ndarray:
-        """Per-slot table `a` zero-padded on the right to K slots; `a` itself if it is K wide."""
-        k = self.topic.shape[1]
-        return a if a.shape[1] == k else np.pad(a, ((0, 0), (0, k - a.shape[1])))
+        """Per-slot table `a` zero-padded at the bottom to K slot rows; `a` itself if it has K rows."""
+        k = self.topic.shape[0]
+        return a if a.shape[0] == k else np.pad(a, ((0, k - a.shape[0]), (0, 0)))
 
-    def _add_topics(self, u: np.ndarray, t: np.ndarray) -> np.ndarray:
-        """Slots for new topics `t` of users `u` (sorted): each user's next free ones."""
-        slot = np.count_nonzero(self.topic[u] >= 0, axis=1) + (np.arange(u.size) - np.searchsorted(u, u))
-        k = self.topic.shape[1]
-        while k <= slot.max(initial=-1):
+    def _add_topics(
+        self, call: np.ndarray, new: np.ndarray, users: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Slots for the new entries of `call` (the calls of `users`, one column each).
+
+        Each user's new topics take the next free slots in ascending id.
+        Returns `(slot, user, multiplicity in the call)` per new topic.
+        """
+        rank = np.zeros(call.shape, dtype=np.int64)
+        mult = np.zeros(call.shape, dtype=np.int16)
+        for row, row_new in zip(call, new):
+            rank += row_new & (row < call)  # rank[i] counts the new ids below call[i]
+            mult += row == call
+        i, col = np.nonzero(new)
+        free = np.count_nonzero(self.topic[:, users] >= 0, axis=0)
+        slot = free[col] + rank[i, col]
+        k = self.topic.shape[0]
+        while k <= slot.max():
             k *= 2
-        if k > self.topic.shape[1]:
-            self.topic = np.pad(self.topic, ((0, 0), (0, k - self.topic.shape[1])), constant_values=-1)
+        if k > self.topic.shape[0]:
+            self.topic = np.pad(self.topic, ((0, k - self.topic.shape[0]), (0, 0)), constant_values=-1)
             self.next_count, self.greedy_ev, self.evidence = map(
                 self.widen, (self.next_count, self.greedy_ev, self.evidence)
             )
-        self.topic[u, slot] = t
-        return slot
+        u = users[col]
+        self.topic[slot, u] = call[i, col]
+        return slot, u, mult[i, col]
 
     def _confirmed(self) -> tuple[np.ndarray, np.ndarray]:
-        """Confirmed `(user, slot)` mask and each user's count of confirmed topics."""
+        """Confirmed `(slot, user)` mask and each user's count of confirmed topics."""
         confirmed = self.evidence >= 2
-        return confirmed, np.count_nonzero(confirmed, axis=1)
+        return confirmed, np.count_nonzero(confirmed, axis=0)
 
     def recovered_sizes(self) -> np.ndarray:
         return np.minimum(self._confirmed()[1], self.config.T)
 
     def recovered_slots(self) -> np.ndarray:
-        """Confirmed-genuine `(user, slot)` mask, capped at T by eviction.
+        """Confirmed-genuine `(slot, user)` mask, capped at T by eviction.
 
         Users with more than T confirmed topics keep the T best, ranked
         by evidence, then the prevalence prior, then slot (earliest first
@@ -238,28 +269,28 @@ class MultiShotEngine:
         """
         recovered, count = self._confirmed()
         over = np.nonzero(count > self.config.T)[0]
-        rows, s = np.nonzero(recovered[over])
-        u = over[rows]
-        order = np.lexsort((s, ~self.threshold_pass[self.topic[u, s]], -self.evidence[u, s], u))
+        s, cols = np.nonzero(recovered[:, over])
+        u = over[cols]
+        order = np.lexsort((s, ~self.threshold_pass[self.topic[s, u]], -self.evidence[s, u], u))
         u, s = u[order], s[order]
         rank = np.arange(u.size) - np.searchsorted(u, u)  # minus the user's segment offset
         demoted = rank >= self.config.T
-        recovered[u[demoted], s[demoted]] = False
+        recovered[s[demoted], u[demoted]] = False
         return recovered
 
     def genuine_slots(self) -> np.ndarray:
-        """Current `(user, slot)` genuine labels; empty slots are False."""
+        """Current `(slot, user)` genuine labels; empty slots are False."""
         genuine = self.recovered_slots()
         if self.current_epoch <= self.gap:
             unfrozen = self._confirmed()[1] < self.config.T
             # An empty slot's -1 reads the last entry; `topic >= 0` masks it.
-            genuine |= (self.topic >= 0) & self.threshold_pass[self.topic] & unfrozen[:, None]
+            genuine |= (self.topic >= 0) & self.threshold_pass[self.topic] & unfrozen
         return genuine
 
     def _dense(self, slots: np.ndarray) -> np.ndarray:
-        out = np.zeros((self.topic.shape[0], self.omega + 1), dtype=bool)
-        u, s = np.nonzero(slots)
-        out[u, self.topic[u, s]] = True
+        out = np.zeros((self.topic.shape[1], self.omega + 1), dtype=bool)
+        s, u = np.nonzero(slots)
+        out[u, self.topic[s, u]] = True
         return out
 
     def recovered_matrix(self) -> np.ndarray:
@@ -344,11 +375,11 @@ def denoise_site_trajectory(
     noisy_per_source = np.count_nonzero(noisy_eff, axis=0)
 
     # Seen draws are tallied on their topic's slot, all draws and the
-    # effectively noisy ones apart. Slots never move, so each draw is
-    # tallied once, in the epoch that first shows it.
+    # effectively noisy ones apart, as `(slot, user)` tables. Slots never
+    # move, so each draw is tallied once, in the epoch that first shows it.
     n = site_log.n_users
-    draws = np.zeros((n, 0), dtype=np.int32)
-    noisy = np.zeros((n, 0), dtype=np.int32)
+    draws = np.zeros((0, n), dtype=np.int64)
+    noisy = np.zeros((0, n), dtype=np.int64)
     seen_before = np.zeros(tt.shape[1], dtype=bool)
     points = []
     for epoch in range(1, site_log.epochs + 1):
@@ -360,8 +391,9 @@ def denoise_site_trajectory(
         if np.any(slot < 0):
             raise ValueError(f"a draw seen by epoch {epoch} is missing from the calls")
         draws, noisy = engine.widen(draws), engine.widen(noisy)
-        np.add.at(draws, (u, slot), 1)
-        np.add.at(noisy, (u, slot), noisy_eff[u, d])
+        key = slot * n + u
+        draws += np.bincount(key, minlength=draws.size).reshape(draws.shape)
+        noisy += np.bincount(key[noisy_eff[u, d]], minlength=noisy.size).reshape(noisy.shape)
         seen_before = seen
 
         genuine = engine.genuine_slots()

@@ -299,20 +299,21 @@ def run_reidentification(
     """Full two-site attack over an observation log (vectorized).
 
     Denoises both sites incrementally and accumulates each side's sticky
-    genuine set as a mask over its engine's slots. Slots never move, so
-    the mask only needs padding with False when the engine's tables
-    widen, which the engine's `widen` does. At each requested epoch the
-    two sides' sticky topic tables are matched in both directions (A
-    against B for the headline rates, B against A for the symmetry
-    check) with one `_argmax_match` call, whose cost grows with the
-    number of users and the subsets of their sets, not with their pairs.
+    genuine set as a `(slot, user)` mask over its engine's slot rows.
+    Slots never move, so the mask only needs False rows appended when
+    the engine's tables widen, which the engine's `widen` does. At each
+    requested epoch the two sides' sticky topic tables, transposed to
+    `(user, slot)`, are matched in both directions (A against B for the
+    headline rates, B against A for the symmetry check) with one
+    `_argmax_match` call, whose cost grows with the number of users and
+    the subsets of their sets, not with their pairs.
     """
     la, lb = log.site_view(site_a), log.site_view(site_b)
     omega = prev.counts.size - 1
     ea = MultiShotEngine(la.n_users, omega, prev, config)
     eb = MultiShotEngine(lb.n_users, omega, prev, config)
-    sticky_a = np.zeros((la.n_users, 0), dtype=bool)
-    sticky_b = np.zeros((lb.n_users, 0), dtype=bool)
+    sticky_a = np.zeros((0, la.n_users), dtype=bool)
+    sticky_b = np.zeros((0, lb.n_users), dtype=bool)
 
     wanted = sorted(set(report_epochs)) if report_epochs is not None else list(
         range(1, log.epochs + 1)
@@ -327,7 +328,7 @@ def run_reidentification(
         sticky_b |= eb.genuine_slots()
         if epoch not in wanted:
             continue
-        k_ab, c_ab, k_ba, c_ba = _argmax_match(np.where(sticky_a, ea.topic, -1), np.where(sticky_b, eb.topic, -1))
+        k_ab, c_ab, k_ba, c_ba = _argmax_match(np.where(sticky_a, ea.topic, -1).T, np.where(sticky_b, eb.topic, -1).T)
         forward.append(MatchReport(epoch=epoch, k=k_ab, contains_truth=c_ab, n_users=la.n_users))
         reverse.append(MatchReport(epoch=epoch, k=k_ba, contains_truth=c_ba, n_users=lb.n_users))
     return reid_report(forward, reverse)

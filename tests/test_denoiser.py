@@ -311,7 +311,7 @@ def test_slot_tables_grow_when_a_user_sees_more_topics_than_slots():
     widths = []
     for e in range(12):
         engine.observe_epoch(e + 1, np.array([user[e] for user in calls], dtype=np.int16))
-        widths.append(engine.topic.shape[1])
+        widths.append(engine.topic.shape[0])
         genuine, recovered = engine.genuine_matrix(), engine.recovered_matrix()
         for u, user in enumerate(calls):
             outcome = denoise_multi_shot([res(c, epoch=i + 1) for i, c in enumerate(user[: e + 1])], prev)
@@ -319,8 +319,51 @@ def test_slot_tables_grow_when_a_user_sees_more_topics_than_slots():
             assert set(np.nonzero(recovered[u])[0].tolist()) == set(outcome.recovered), (e, u)
             assert engine.recovered_sizes()[u] == len(outcome.recovered), (e, u)
     assert widths[0] == INITIAL_SLOTS < widths[-1] == 32
-    assert np.count_nonzero(engine.topic >= 0, axis=1).tolist() == [24, 2]
-    assert sorted(engine.topic[0, :24].tolist()) == list(range(1, 25))
+    assert np.count_nonzero(engine.topic >= 0, axis=0).tolist() == [24, 2]
+    assert sorted(engine.topic[:24, 0].tolist()) == list(range(1, 25))
+
+
+ENGINE_TABLES = ("topic", "next_count", "greedy_ev", "evidence")
+
+
+@st.composite
+def suppressed_cases(draw):
+    """tau plus one call list per user, each slot a topic or a suppressed id."""
+    tau = draw(st.integers(min_value=1, max_value=4))
+    epochs = draw(st.integers(min_value=1, max_value=8))
+    slot = st.one_of(st.sampled_from([-1, -5, -40_000]), st.integers(min_value=1, max_value=30))
+    user = st.lists(st.lists(slot, min_size=tau, max_size=tau), min_size=epochs, max_size=epochs)
+    return tau, draw(st.lists(user, min_size=1, max_size=3))
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=suppressed_cases(), aggressive=st.booleans())
+def test_suppressed_entries_never_match_an_empty_slot(case, aggressive):
+    """With one initial slot every user's tables widen, so empty slots (-1)
+    sit next to calls of suppressed ids; the engine equals the object-level
+    denoiser at every epoch, and a call of only -1 changes no table."""
+    import topicsim.denoiser
+
+    tau, users = case
+    prev = prevalence_with(above=range(1, 15), below=range(15, 25))
+    cfg = DenoiserConfig(T=3, aggressive_gap_rule=aggressive)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(topicsim.denoiser, "INITIAL_SLOTS", 1)
+        engine = MultiShotEngine(len(users), 349, prev, cfg)
+    epochs = len(users[0])
+    for e in range(epochs):
+        engine.observe_epoch(e + 1, np.array([calls[e] for calls in users], dtype=np.int64))
+        genuine, recovered, sizes = engine.genuine_matrix(), engine.recovered_matrix(), engine.recovered_sizes()
+        for u, calls in enumerate(users):
+            history = [res([t for t in topics if t >= 0], epoch=i + 1) for i, topics in enumerate(calls[: e + 1])]
+            outcome = denoise_multi_shot(history, prev, cfg, tau)
+            assert set(np.nonzero(genuine[u])[0].tolist()) == set(outcome.verdict.genuine_topics()), (e, u)
+            assert set(np.nonzero(recovered[u])[0].tolist()) == set(outcome.recovered), (e, u)
+            assert sizes[u] == len(outcome.recovered), (e, u)
+    before = [getattr(engine, name).copy() for name in ENGINE_TABLES]
+    engine.observe_epoch(epochs + 1, np.full((len(users), tau), -1, dtype=np.int16))
+    for name, table in zip(ENGINE_TABLES, before):
+        assert np.array_equal(getattr(engine, name), table), name
 
 
 def test_engine_state_has_no_topic_columns():
@@ -333,11 +376,11 @@ def test_engine_state_has_no_topic_columns():
     for e in range(1, 31):
         engine.observe_epoch(e, site.topics[:, e - 1, :])
     tables = {name: v for name, v in vars(engine).items() if isinstance(v, np.ndarray) and v.ndim == 2}
-    assert set(tables) == {"topic", "next_count", "greedy_ev", "evidence"}
-    k = engine.topic.shape[1]
-    assert all(v.shape == (2_000, k) for v in tables.values())
+    assert set(tables) == set(ENGINE_TABLES)
+    k = engine.topic.shape[0]
+    assert all(v.shape == (k, 2_000) for v in tables.values())
     assert k < omega + 1
-    assert int(np.count_nonzero(engine.topic >= 0, axis=1).max()) <= k
+    assert int(np.count_nonzero(engine.topic >= 0, axis=0).max()) <= k
 
 
 def test_observe_epoch_rejects_topic_above_omega():
@@ -388,7 +431,7 @@ def test_confirmed_set_monotone_in_history(calls):
     size_before = 0
     for e, topics in enumerate(calls):
         engine.observe_epoch(e + 1, np.array([topics], dtype=np.int16))
-        confirmed = {int(t) for t, ev in zip(engine.topic[0], engine.evidence[0]) if t >= 0 and ev >= 2}
+        confirmed = {int(t) for t, ev in zip(engine.topic[:, 0], engine.evidence[:, 0]) if t >= 0 and ev >= 2}
         assert confirmed >= confirmed_before  # never un-confirm
         size = int(engine.recovered_sizes()[0])
         assert size >= size_before
@@ -402,6 +445,23 @@ def stable_scenario(taxonomy, n_users=400, epochs=12, seed=5):
     )
     cfg = SimConfig(epochs=epochs, sites=("w",), seed=seed)
     return users, run_scenario(users, cfg, taxonomy)
+
+
+def test_observe_epoch_reads_strided_and_int64_calls_alike(taxonomy):
+    """A call read as a strided view of the log and as a C-contiguous
+    int64 copy gives equal tables at every epoch."""
+    _, log = stable_scenario(taxonomy, n_users=300, epochs=8)
+    site = log.site_view("w")
+    prev = prevalence_with(above=range(1, 200))
+    view_fed, copy_fed = (MultiShotEngine(site.n_users, 349, prev, DenoiserConfig()) for _ in range(2))
+    for e in range(1, 9):
+        call = site.topics[:, e - 1, :]
+        assert not call.flags.c_contiguous
+        view_fed.observe_epoch(e, call)
+        copy_fed.observe_epoch(e, np.ascontiguousarray(call, dtype=np.int64))
+        for name in ENGINE_TABLES:
+            assert np.array_equal(getattr(view_fed, name), getattr(copy_fed, name)), (e, name)
+    assert np.count_nonzero(view_fed.evidence >= 2) > 0
 
 
 def test_threshold_sweep_traces_roc_frontier(taxonomy):
