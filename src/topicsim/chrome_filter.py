@@ -15,13 +15,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from pathlib import Path
-from typing import IO, Iterable, Sequence, Union
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .classification import ClassificationError, DomainClassification
-from .taxonomy import UNKNOWN_TOPIC_ID, Taxonomy
+from .taxonomy import UNKNOWN_TOPIC_ID, Taxonomy, TextSource, read_lines
 
 DEFAULT_MAX_TOPICS = 5
 DEFAULT_MIN_UNKNOWN_SCORE = 0.8
@@ -197,16 +196,10 @@ def compare_classifications(
     )
 
 
-def load_score_vectors(
-    source: Union[str, Path, IO[str]], taxonomy: Taxonomy
-) -> dict[str, ScoreVector]:
+def load_score_vectors(source: TextSource, taxonomy: Taxonomy) -> dict[str, ScoreVector]:
     """Load `domain<TAB>350 space-separated floats` rows."""
-    if hasattr(source, "read"):
-        lines = source.read().splitlines()
-    else:
-        lines = Path(source).read_text(encoding="utf-8").splitlines()
     out: dict[str, ScoreVector] = {}
-    for lineno, line in enumerate(lines, start=1):
+    for lineno, line in enumerate(read_lines(source), start=1):
         if not line.strip():
             continue
         domain, _, raw = line.partition("\t")

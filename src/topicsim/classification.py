@@ -1,12 +1,12 @@
 """Domain -> topics assignments and topic-prevalence statistics.
 
-Covers three inputs: the bundled hand-annotation-style static mapping,
-externally produced top-list classifications, and synthetic skew-matched
-classifications that stand in for a real top-1M classification at desk
-scale. A `DomainClassification` is a CSR of domain rows to sorted topic
-ids; synthesis builds it directly, and prevalence is one bincount over
-its topic column. A synthetic classification's prevalence also follows
-from its per-topic targets alone (`skewed_prevalence`).
+Covers two inputs: externally produced top-list classifications, and
+synthetic skew-matched classifications that stand in for a real top-1M
+classification at desk scale. A `DomainClassification` is a CSR of
+domain rows to sorted topic ids; synthesis builds it directly, and
+prevalence is one bincount over its topic column. A synthetic
+classification's prevalence also follows from its per-topic targets
+alone (`skewed_prevalence`).
 
 Classification file format: UTF-8, tab-separated,
 `domain<TAB>comma-separated-topic-ids`, empty id list allowed (a domain
@@ -19,14 +19,12 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from importlib import resources
-from pathlib import Path
-from typing import IO, Iterable, Mapping, Optional, Sequence, Union
+from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
 from . import rng
-from .taxonomy import Taxonomy
+from .taxonomy import Taxonomy, TextSource, read_lines
 
 
 class ClassificationError(ValueError):
@@ -109,18 +107,13 @@ class PrevalenceTable:
         return int(self.counts[1:].max())
 
 
-def load_classification(source: Union[str, Path, IO[str]], taxonomy: Taxonomy) -> DomainClassification:
+def load_classification(source: TextSource, taxonomy: Taxonomy) -> DomainClassification:
     """Load `domain<TAB>id,id,...` rows, validating topic ids against the taxonomy.
 
     Raises ClassificationError on unknown topic ids or duplicate domains.
     """
-    if hasattr(source, "read"):
-        lines = source.read().splitlines()
-    else:
-        lines = Path(source).read_text(encoding="utf-8").splitlines()
-
     entries: dict[str, frozenset[int]] = {}
-    for lineno, line in enumerate(lines, start=1):
+    for lineno, line in enumerate(read_lines(source), start=1):
         if not line.strip() or line.startswith("#"):
             continue
         domain, _, raw_ids = line.partition("\t")
@@ -149,14 +142,6 @@ def classification_lines(classification: DomainClassification) -> list[str]:
         f"{d}\t{','.join(map(str, classification.row(i).tolist()))}\n"
         for i, d in enumerate(classification.names)
     ]
-
-
-@functools.cache
-def bundled_static_mapping(taxonomy: Taxonomy) -> DomainClassification:
-    """The bundled ~9.25k-domain hand-annotation-style mapping, validated against `taxonomy`."""
-    ref = resources.files("topicsim.data").joinpath("static_mapping.tsv")
-    with ref.open("r", encoding="utf-8") as fh:
-        return load_classification(fh, taxonomy)
 
 
 def prevalence(classification: DomainClassification, taxonomy: Taxonomy) -> PrevalenceTable:

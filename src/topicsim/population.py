@@ -224,10 +224,7 @@ class TrafficModel:
 
     def weights(self, m: int) -> np.ndarray:
         w = np.arange(1, m + 1, dtype=np.float64) ** -self.exponent
-        w /= w.sum()
-        if abs(w.sum() - 1.0) > 1e-9:
-            raise PopulationError("traffic weights do not normalize")
-        return w
+        return w / w.sum()
 
 
 @dataclass(frozen=True)
@@ -550,6 +547,8 @@ def generate_population(
     if n < 1:
         raise PopulationError(f"population size must be >= 1, got {n}")
     m = len(order)
+    if m < 1:
+        raise PopulationError("the ranked domain list is empty")
     cdf = np.cumsum(traffic.weights(m))
     ks = counts.sample(n, seed)
     clamped = int(np.sum(ks > m))

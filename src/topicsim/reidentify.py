@@ -81,9 +81,8 @@ class MatchReport:
 
     def k_cdf(self) -> tuple[np.ndarray, np.ndarray]:
         """(group sizes, cumulative user fraction with k <= size)."""
-        ks = np.sort(self.k)
-        sizes, counts = np.unique(ks, return_counts=True)
-        return sizes, np.cumsum(counts) / len(ks)
+        sizes, counts = np.unique(self.k, return_counts=True)
+        return sizes, np.cumsum(counts) / len(self.k)
 
 
 def match_users(

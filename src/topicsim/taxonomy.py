@@ -83,18 +83,24 @@ def _parent_name(name: str) -> Optional[str]:
     return head or None
 
 
-def load_taxonomy(source: Union[str, Path, IO[str]]) -> Taxonomy:
+TextSource = Union[str, Path, IO[str]]
+
+
+def read_lines(source: TextSource) -> list[str]:
+    """The lines of a UTF-8 text file, given as a path or an open text file."""
+    if hasattr(source, "read"):
+        return source.read().splitlines()
+    return Path(source).read_text(encoding="utf-8").splitlines()
+
+
+def load_taxonomy(source: TextSource) -> Taxonomy:
     """Load and validate a taxonomy file.
 
     Raises TaxonomyError naming the offending row on malformed rows, an
     id other than the next in 1, 2, ..., a duplicate name, a dangling
     parent, or an empty file.
     """
-    if hasattr(source, "read"):
-        lines = source.read().splitlines()
-    else:
-        lines = Path(source).read_text(encoding="utf-8").splitlines()
-
+    lines = read_lines(source)
     rows: list[tuple[int, str]] = []  # (lineno, name) of topic id len(rows) + 1
     start = 0
     if lines and lines[0].strip() == TAXONOMY_HEADER:

@@ -1,23 +1,12 @@
 import numpy as np
 import pytest
 
-from topicsim.classification import bundled_static_mapping, prevalence
 from topicsim.taxonomy import bundled_taxonomy
 
 
 @pytest.fixture(scope="session")
 def taxonomy():
     return bundled_taxonomy()
-
-
-@pytest.fixture(scope="session")
-def static_mapping(taxonomy):
-    return bundled_static_mapping(taxonomy)
-
-
-@pytest.fixture(scope="session")
-def static_prevalence(taxonomy, static_mapping):
-    return prevalence(static_mapping, taxonomy)
 
 
 def make_profile(seed: int, omega: int = 349, T: int = 5) -> tuple[int, ...]:

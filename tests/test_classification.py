@@ -11,14 +11,12 @@ from topicsim.classification import (
     ClassificationError,
     DomainClassification,
     SkewSpec,
-    bundled_static_mapping,
     classification_lines,
     load_classification,
     prevalence,
     skewed_prevalence,
     synthesize_skewed_classification,
 )
-from topicsim.taxonomy import Taxonomy, Topic
 from topicsim.worlds import (
     PRESETS,
     SKEW as SKEW_TARGETS,
@@ -30,38 +28,6 @@ from topicsim.worlds import (
 # The two ways to a synthetic classification's prevalence: draw its
 # domains and count them, or read its per-topic targets.
 BUILDERS = (synthesize_skewed_classification, skewed_prevalence)
-
-# Per-domain topic-count histogram of the bundled hand-annotation fixture.
-STATIC_HISTOGRAM = {0: 1344, 1: 4135, 2: 2350, 3: 1073, 4: 270, 5: 59, 6: 20, 7: 3}
-
-
-def test_static_mapping_size(static_mapping):
-    assert len(static_mapping) == 9254
-
-
-def test_static_mapping_is_validated_against_each_taxonomy(static_mapping, taxonomy):
-    assert bundled_static_mapping(taxonomy) is static_mapping
-    small = Taxonomy([Topic(i, f"/t{i}", None) for i in range(1, 21)])
-    with pytest.raises(ClassificationError, match="unknown topic id"):
-        bundled_static_mapping(small)
-
-
-def test_static_mapping_empty_domains(static_mapping):
-    assert np.count_nonzero(np.diff(static_mapping.indptr) == 0) == 1344
-
-
-def test_static_mapping_median_topics_per_domain(static_mapping):
-    assert float(np.median(np.diff(static_mapping.indptr))) == 1.0
-
-
-def test_static_mapping_histogram(static_mapping):
-    sizes = np.diff(static_mapping.indptr)
-    got = {int(k): int(v) for k, v in zip(*np.unique(sizes, return_counts=True))}
-    assert got == STATIC_HISTOGRAM
-
-
-def test_static_mapping_respects_topic_cap(static_mapping):
-    assert int(np.diff(static_mapping.indptr).max()) <= 7
 
 
 def test_load_rejects_unknown_topic_id(taxonomy):
@@ -126,13 +92,10 @@ def test_prevalence_sum_identity(taxonomy, entries):
     assert np.array_equal(table.counts, prevalence_reference(cls, taxonomy).counts)
 
 
-@pytest.mark.parametrize("source", ["static", "aggressive-skew"])
-def test_prevalence_matches_per_pair_oracle(taxonomy, static_mapping, source):
+@pytest.mark.parametrize("preset", ["wide-pool", "aggressive-skew"])
+def test_prevalence_matches_per_pair_oracle(taxonomy, preset):
     """The CSR bincount counts what a loop over the mapping counts."""
-    if source == "static":
-        cls = static_mapping
-    else:
-        cls = synthetic_classification(aggressive_skew_config(n_users=1, seed=1), taxonomy)
+    cls = synthetic_classification(PRESETS[preset](n_users=1, seed=1), taxonomy)
     got, want = prevalence(cls, taxonomy), prevalence_reference(cls, taxonomy)
     assert np.array_equal(got.counts, want.counts)
     assert got.total_domains == want.total_domains == len(cls)
@@ -148,13 +111,6 @@ def test_csr_views(taxonomy):
     assert "c.com" in cls and "zzz" not in cls
     assert cls.rows_of(["c.com", "zzz", "b.com"]).tolist() == [2, -1, 0]
     assert cls.rows_of(cls.names).tolist() == cls.rows_of(list(cls.names)).tolist() == [0, 1, 2]
-
-
-def test_static_prevalence_shape(static_prevalence):
-    # The bundled fixture mirrors published hand-annotation skew: a bulk
-    # of never-observed topics and a small-median long tail.
-    assert static_prevalence.zero_count_topics() == 95
-    assert static_prevalence.total_domains == 9254
 
 
 SKEW = SkewSpec(zero_topics=42, top_fraction=0.188, median=66)

@@ -349,6 +349,17 @@ def test_generate_refuses_a_one_column_bucket_row(tmp_path, capsys):
     assert not (tmp_path / "o" / "population.ndjson").exists()
 
 
+def test_generate_refuses_a_bucket_file_without_domains(tmp_path, capsys):
+    crux = tmp_path / "crux.csv"
+    crux.write_text("origin,rank_bucket\n")
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"n_users": 5, "crux": str(crux), "classification": "synthetic:wide-pool",
+                               "n_domains": 500, "out": str(tmp_path / "o")}))
+    assert run_cli("generate", "--config", cfg) == 2
+    assert "the ranked domain list is empty" in capsys.readouterr().err
+    assert not (tmp_path / "o" / "population.ndjson").exists()
+
+
 def test_denoise_refuses_log_of_another_seed(tiny_config, capsys):
     cfg, out = tiny_config
     assert run_cli("generate", "--config", cfg) == 0

@@ -1,4 +1,6 @@
+import hashlib
 import io
+from importlib import resources
 
 import pytest
 
@@ -10,6 +12,10 @@ from topicsim.taxonomy import (
     UNKNOWN_TOPIC_ID,
     load_taxonomy,
 )
+
+# The bundled file is the only statement of the taxonomy's names, and no
+# golden artifact carries a topic name, so this pin is what notices an edit.
+TAXONOMY_SHA256 = "f52029da88389a00e17a703f032c2420842d8a810998ed731e1f0b4b1bb919d2"
 
 # Root category -> subtree size (root included) for the bundled v1-style file.
 ROOT_SUBTREE_SIZES = {
@@ -38,6 +44,11 @@ ROOT_SUBTREE_SIZES = {
     "/Sports": 33,
     "/Travel & Transportation": 18,
 }
+
+
+def test_bundled_file_is_pinned():
+    data = resources.files("topicsim.data").joinpath("taxonomy_v1.tsv").read_bytes()
+    assert hashlib.sha256(data).hexdigest() == TAXONOMY_SHA256
 
 
 def test_bundled_omega(taxonomy):
