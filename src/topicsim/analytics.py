@@ -7,7 +7,7 @@ number here has a matching Monte-Carlo estimate in the test suite.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 DEFAULT_TAU = 3
 DEFAULT_P = 0.05
@@ -60,10 +60,10 @@ class RepeatNoisyResult:
     """Chance that a topic repeated x times was noisy every single time."""
 
     all_noisy: float
-    genuine_at_least_once: float = field(init=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "genuine_at_least_once", 1.0 - self.all_noisy)
+    @property
+    def genuine_at_least_once(self) -> float:
+        return 1.0 - self.all_noisy
 
 
 def repeat_noisy_probability(model: NoiseModel, x: int) -> RepeatNoisyResult:

@@ -1,4 +1,4 @@
-"""Output filtering of classifier confidence scores, plus set-comparison metrics.
+"""Output filtering of classifier confidence scores, and the set similarity of two topic sets.
 
 The filter reproduces the browser's post-processing of a 350-entry
 confidence vector (one score per taxonomy topic plus Unknown): keep the
@@ -13,7 +13,6 @@ with Unknown last.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -133,66 +132,6 @@ def set_similarity(actual: Iterable[int], predicted: Iterable[int]) -> Similarit
         overlap=overlap,
         exact_match=(a == b),
         at_least_one=inter >= 1,
-    )
-
-
-@dataclass(frozen=True)
-class ClassificationComparison:
-    """Aggregate agreement between a ground-truth and a predicted classification."""
-
-    n_domains: int
-    mean_jaccard: float
-    mean_dice: float
-    mean_overlap: float
-    all_correct_ratio: float
-    at_least_one_ratio: float
-    accuracy: float
-    balanced_accuracy: float
-
-
-def compare_classifications(
-    truth: DomainClassification, predicted: DomainClassification, taxonomy: Taxonomy
-) -> ClassificationComparison:
-    """Compare predictions to ground truth over the shared domain set.
-
-    accuracy is the micro-averaged recall over (domain, topic) truth
-    pairs; balanced_accuracy is the unweighted mean of per-topic recalls
-    over topics present in the truth at least once.
-    """
-    shared = [d for d in truth.entries if d in predicted]
-    if not shared:
-        raise ClassificationError("no shared domains between truth and prediction")
-
-    jaccards, dices, overlaps = [], [], []
-    n_exact = n_any = 0
-    per_topic_tp = np.zeros(taxonomy.omega + 1, dtype=np.int64)
-    per_topic_truth = np.zeros(taxonomy.omega + 1, dtype=np.int64)
-
-    for d in shared:
-        a, b = truth.topics_of(d), predicted.topics_of(d)
-        rep = set_similarity(a, b)
-        jaccards.append(rep.jaccard)
-        dices.append(rep.dice)
-        overlaps.append(rep.overlap)
-        n_exact += rep.exact_match
-        n_any += rep.at_least_one
-        for tid in a:
-            per_topic_truth[tid] += 1
-            if tid in b:
-                per_topic_tp[tid] += 1
-
-    total_truth = int(per_topic_truth.sum())
-    present = per_topic_truth > 0
-    recalls = per_topic_tp[present] / per_topic_truth[present]
-    return ClassificationComparison(
-        n_domains=len(shared),
-        mean_jaccard=float(np.mean(jaccards)),
-        mean_dice=float(np.mean(dices)),
-        mean_overlap=float(np.mean(overlaps)),
-        all_correct_ratio=n_exact / len(shared),
-        at_least_one_ratio=n_any / len(shared),
-        accuracy=float(per_topic_tp.sum() / total_truth) if total_truth else math.nan,
-        balanced_accuracy=float(recalls.mean()) if len(recalls) else math.nan,
     )
 
 

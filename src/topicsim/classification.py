@@ -69,9 +69,6 @@ class DomainClassification:
     def __len__(self) -> int:
         return len(self.names)
 
-    def __contains__(self, domain: str) -> bool:
-        return domain in self._row_of
-
     def rows_of(self, domains: Sequence[str]) -> np.ndarray:
         """Row index of each domain, -1 for a domain not classified here."""
         if domains is self.names:

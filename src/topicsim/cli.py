@@ -25,7 +25,6 @@ from .chrome_filter import FilterParams, classify_scores, load_score_vectors
 from .classification import DomainClassification, PrevalenceTable, classification_lines, load_classification, prevalence
 from .denoiser import DenoiserConfig, denoise_site_trajectory
 from .population import (
-    DEFAULT_FIXED_TOP,
     Profiles,
     RankedDomainList,
     build_total_order,
@@ -40,7 +39,7 @@ from .population import (
 )
 from .reidentify import run_reidentification
 from .simulator import ObservationLog, SimConfig, run_scenario
-from .taxonomy import Taxonomy, bundled_taxonomy, load_taxonomy
+from .taxonomy import Taxonomy, bundled_taxonomy, load_taxonomy, read_lines
 from .worlds import PRESETS, TRAFFIC, WorldConfig, count_model, synthetic_classification, synthetic_prevalence
 
 CONFIG_DEFAULTS: dict = {
@@ -200,14 +199,8 @@ def _build_order(cfg: dict, classification: DomainClassification) -> RankedDomai
     if cfg["crux"] is not None:
         bins = load_bucket_file(cfg["crux"])
         ranks = load_rank_file(cfg["tranco"]) if cfg["tranco"] else {}
-        radar = ()
-        if cfg["radar"]:
-            radar = tuple(
-                ln.strip() for ln in Path(cfg["radar"]).read_text(encoding="utf-8").splitlines()
-                if ln.strip()
-            )
-        fixed = tuple(d for d in DEFAULT_FIXED_TOP if d in bins)
-        return build_total_order(bins, ranks, fixed_top=fixed, radar_order=radar)
+        radar = [ln.strip() for ln in read_lines(cfg["radar"]) if ln.strip()] if cfg["radar"] else ()
+        return build_total_order(bins, ranks, radar_order=radar)
     # Synthetic classifications come out in rank order already.
     return RankedDomainList(classification.names)
 
@@ -251,22 +244,28 @@ def _require(path: Path, produced_by: str) -> Path:
     return path
 
 
-def _sim_config(cfg: dict) -> SimConfig:
-    return SimConfig(
-        tau=cfg["tau"], p=cfg["p"], epochs=cfg["epochs"], sites=tuple(cfg["sites"]), seed=cfg["seed"],
+def _simulate(cfg: dict, taxonomy: Taxonomy, population_path: Path, n_sites: int) -> tuple[Profiles, ObservationLog]:
+    """The users' profiles and the simulated log of the first `n_sites` sites.
+
+    Only the user ids and profiles are read from the population file,
+    whose header must carry this config's population hash.
+    """
+    _check_header(population_path, "population_hash", population_hash(cfg), "generate")
+    profiles = read_profiles(population_path)
+    config = SimConfig(
+        tau=cfg["tau"], p=cfg["p"], epochs=cfg["epochs"], sites=tuple(cfg["sites"][:n_sites]), seed=cfg["seed"],
     )
+    return profiles, run_scenario(profiles, config, taxonomy)
 
 
 def cmd_simulate(cfg: dict) -> int:
     taxonomy = _resolve_taxonomy(cfg)
     out = _out_dir(cfg)
     population_path = _require(out / "population.ndjson", "generate")
-    _check_header(population_path, "population_hash", population_hash(cfg), "generate")
-    population = read_profiles(population_path)
-    log = run_scenario(population, _sim_config(cfg), taxonomy)
+    profiles, log = _simulate(cfg, taxonomy, population_path, len(cfg["sites"]))
     log.write_ndjson(out / "log.ndjson", header=dict(file_header(cfg), scenario_hash=scenario_hash(cfg)))
     log.write_truth_ndjson(out / "truth.ndjson", header=file_header(cfg))
-    print(f"simulated {len(population)} users x {len(cfg['sites'])} sites x {cfg['epochs']} epochs")
+    print(f"simulated {len(profiles)} users x {len(cfg['sites'])} sites x {cfg['epochs']} epochs")
     print(f"wrote {out / 'log.ndjson'} and {out / 'truth.ndjson'}")
     return 0
 
@@ -293,21 +292,18 @@ def _check_header(path: Path, key: str, expected: str, produced_by: str) -> None
 
 
 def _rebuild_scenario(cfg: dict, taxonomy: Taxonomy, n_sites: int) -> tuple[Profiles, ObservationLog]:
-    """The users' profiles and the simulated log of the first `n_sites` sites, for the analysis subcommands.
+    """`_simulate` for the analysis subcommands, once `log.ndjson` is checked.
 
-    Only the user ids and profiles are read from `population.ndjson`.
     The NDJSON artifacts are the interchange format; for analysis we
     re-derive the identical log from the recorded seed (draws are keyed
     per site, so this is byte-exact for the sites simulated) rather than
     reparsing gigabytes. The log's header must carry this config's
-    scenario hash and the population's header its population hash.
+    scenario hash.
     """
     out = _out_dir(cfg)
     population_path = _require(out / "population.ndjson", "generate")
     _check_header(_require(out / "log.ndjson", "simulate"), "scenario_hash", scenario_hash(cfg), "simulate")
-    _check_header(population_path, "population_hash", population_hash(cfg), "generate")
-    profiles = read_profiles(population_path)
-    return profiles, run_scenario(profiles, _sim_config(dict(cfg, sites=cfg["sites"][:n_sites])), taxonomy)
+    return _simulate(cfg, taxonomy, population_path, n_sites)
 
 
 def _check_analysis_keys(cfg: dict, command: str, n_sites: int) -> None:

@@ -1,12 +1,14 @@
 """Synthetic user populations over a totally ordered top-domain list.
 
-The total order concatenates: a fixed head of globally dominant sites,
-then each rank bucket of the source top list in ascending bucket order,
-sorted inside the bucket by the registrable-domain (eTLD+1) rank of a
-second list, unranked domains after ranked ones, ties lexicographic.
+The total order concatenates: the globally dominant sites of
+`DEFAULT_FIXED_TOP` that the source top list holds, then each rank
+bucket of that list in ascending bucket order, sorted inside the bucket
+by the registrable-domain (eTLD+1) rank of a second list, unranked
+domains after ranked ones, ties lexicographic.
 
-Users draw a unique-domain count from a configurable model, then that
-many distinct domains weighted by a traffic model. Observed topics are
+Users draw a unique-domain count from a log-normal model
+(`UniqueDomainCountModel`) or an empirical one (`CountHistogram`), then
+that many distinct domains weighted by a traffic model. Observed topics are
 the union of the classification sets of the visited domains; the stable
 top-T interest profile samples uniformly from observed topics, padded
 with uniform taxonomy draws when fewer than T were observed.
@@ -24,7 +26,8 @@ Its base `Profiles` holds only the ids and profiles, all that the
 simulator and the denoiser read, and `read_profiles` loads just those
 from a population file.
 
-File formats: rank-bucket CSV `origin,rank_bucket`; rank list CSV
+File formats: rank-bucket CSV `origin,rank_bucket`, an origin with or
+without its scheme, keyed by its host; rank list CSV
 `rank,domain`; count-histogram CSV `unique_domain_count,user_fraction`;
 population output NDJSON, one user per line.
 """
@@ -94,14 +97,18 @@ def _public_suffixes() -> frozenset[str]:
     return frozenset(ln.strip() for ln in lines if ln.strip() and not ln.startswith("#"))
 
 
+def _host(origin: str) -> str:
+    """The host of an origin or URL (`https://www.a.com:443/x` gives
+    `www.a.com`); a bare host is returned as it is."""
+    return origin.strip().split("://", 1)[-1].split("/", 1)[0].split(":", 1)[0]
+
+
 def etld_plus_one(hostname: str) -> str:
     """Registrable domain under the bundled suffix snapshot.
 
     Falls back to the last two labels when no suffix matches.
     """
-    host = hostname.strip().lower().rstrip(".")
-    if host.startswith(("http://", "https://")):
-        host = host.split("://", 1)[1].split("/", 1)[0]
+    host = _host(hostname.lower()).rstrip(".")
     labels = host.split(".")
     if len(labels) <= 1:
         return host
@@ -130,34 +137,32 @@ def _normalize_bucket(raw: Union[str, int]) -> str:
     raise PopulationError(f"unknown rank bucket {raw!r}")
 
 
+def _bucket_rank(raw: Union[str, int]) -> int:
+    """Position of a bucket in `BUCKET_LABELS`, most popular first."""
+    return BUCKET_LABELS.index(_normalize_bucket(raw))
+
+
 def build_total_order(
     crux_bins: Mapping[str, Union[str, int]],
     tranco_ranks: Mapping[str, int],
-    fixed_top: Sequence[str] = DEFAULT_FIXED_TOP,
     radar_order: Sequence[str] = (),
 ) -> RankedDomainList:
     """Total order over bucketed domains.
 
-    crux_bins maps each origin to its rank bucket; tranco_ranks maps
-    eTLD+1 to rank. fixed_top domains must be present in crux_bins and
-    take positions 1..len(fixed_top) in the given order. radar_order is
-    an optional secondary tie-breaker (position in a global eTLD+1
-    ranking) applied after the primary rank and before the lexicographic
-    fallback.
+    crux_bins maps each host to its rank bucket; tranco_ranks maps
+    eTLD+1 to rank. The `DEFAULT_FIXED_TOP` hosts present in crux_bins
+    come first, in that order. radar_order is an optional secondary
+    tie-breaker (position in a global eTLD+1 ranking) applied after the
+    primary rank and before the lexicographic fallback.
     """
+    ordered = [d for d in DEFAULT_FIXED_TOP if d in crux_bins]
+    fixed = set(ordered)
     buckets: dict[str, list[str]] = {label: [] for label in BUCKET_LABELS}
-    seen: dict[str, str] = {}
     for domain, raw_bucket in crux_bins.items():
         label = _normalize_bucket(raw_bucket)
-        if domain in seen:
-            raise PopulationError(f"domain {domain!r} appears in multiple buckets")
-        seen[domain] = label
-        buckets[label].append(domain)
+        if domain not in fixed:
+            buckets[label].append(domain)
 
-    for d in fixed_top:
-        if d not in seen:
-            raise PopulationError(f"fixed_top domain {d!r} not present in the input")
-    fixed_set = set(fixed_top)
     radar_pos = {d: i for i, d in enumerate(radar_order)}
     big = 1 << 60
 
@@ -165,20 +170,25 @@ def build_total_order(
         e = etld_plus_one(domain)
         return (tranco_ranks.get(e, big), radar_pos.get(e, big), domain)
 
-    ordered: list[str] = list(fixed_top)
     for label in BUCKET_LABELS:
-        members = [d for d in buckets[label] if d not in fixed_set]
-        ordered.extend(sorted(members, key=sort_key))
+        ordered.extend(sorted(buckets[label], key=sort_key))
     return RankedDomainList(domains=tuple(ordered))
 
 
 def load_bucket_file(source: Union[str, Path, IO[str]]) -> dict[str, str]:
-    """CSV `origin,rank_bucket` (header optional)."""
+    """CSV `origin,rank_bucket` (header optional), keyed by each origin's host.
+
+    An origin may carry a scheme (`https://www.a.com`). A host that
+    appears more than once keeps its most popular bucket.
+    """
     out: dict[str, str] = {}
     for _, row in _rows(source, 2):
         if row[0].lower() in ("origin", "domain"):
             continue
-        out[row[0].strip()] = row[1].strip()
+        host, bucket = _host(row[0]), row[1].strip()
+        if host in out and _bucket_rank(out[host]) <= _bucket_rank(bucket):
+            continue
+        out[host] = bucket
     return out
 
 
@@ -229,54 +239,53 @@ class TrafficModel:
 
 @dataclass(frozen=True)
 class UniqueDomainCountModel:
-    """Distribution of the number of unique domains a user visits per epoch.
+    """Log-normal number of unique domains a user visits per epoch:
+    exp(N(mu, sigma)) rounded, clamped to [minimum, maximum]."""
 
-    kind "lognormal": exp(N(mu, sigma)) rounded, clamped to [minimum,
-    maximum]. kind "empirical-histogram": integer support with explicit
-    probabilities. The lognormal defaults approximate the published
-    week-scale shape: median around 30 unique domains, long right tail.
-    """
+    mu: float
+    sigma: float
+    minimum: int
+    maximum: int
 
-    kind: str = "lognormal"
-    mu: float = math.log(30.0)
-    sigma: float = 0.85
-    minimum: int = 1
-    maximum: int = 10_000
-    support: tuple[int, ...] = ()
-    probabilities: tuple[float, ...] = ()
+    def sample(self, n: int, seed: int) -> np.ndarray:
+        # Imported here, not at module level: `statistics` pulls in
+        # `fractions` and `decimal`, a cost every stage that only reads
+        # a population would otherwise pay.
+        from statistics import NormalDist
+
+        u = rng.counter_stream(n, seed, rng.TAG_DOMAIN_COUNT)
+        # Inverse-CDF via the probit; the clip keeps u inside (0, 1).
+        probit = NormalDist().inv_cdf
+        z = np.fromiter(map(probit, np.clip(u, 1e-12, 1 - 1e-12).tolist()), dtype=np.float64, count=n)
+        k = np.rint(np.exp(self.mu + self.sigma * z)).astype(np.int64)
+        return np.clip(k, self.minimum, self.maximum)
+
+
+@dataclass(frozen=True)
+class CountHistogram:
+    """Empirical number of unique domains a user visits per epoch: each
+    count in `support` with its probability."""
+
+    support: tuple[int, ...]
+    probabilities: tuple[float, ...]
 
     def __post_init__(self):
-        if self.kind == "empirical-histogram":
-            if len(self.support) != len(self.probabilities) or not self.support:
-                raise PopulationError("histogram model needs matching support/probabilities")
-            if any(k < 1 for k in self.support):
-                raise PopulationError("histogram support must be positive integers")
-            total = float(sum(self.probabilities))
-            if abs(total - 1.0) > 1e-6:
-                raise PopulationError(f"histogram probabilities sum to {total}, expected 1")
-        elif self.kind != "lognormal":
-            raise PopulationError(f"unknown count model kind {self.kind!r}")
+        if len(self.support) != len(self.probabilities) or not self.support:
+            raise PopulationError("histogram model needs matching support/probabilities")
+        if any(k < 1 for k in self.support):
+            raise PopulationError("histogram support must be positive integers")
+        total = float(sum(self.probabilities))
+        if abs(total - 1.0) > 1e-6:
+            raise PopulationError(f"histogram probabilities sum to {total}, expected 1")
 
     def sample(self, n: int, seed: int) -> np.ndarray:
         u = rng.counter_stream(n, seed, rng.TAG_DOMAIN_COUNT)
-        if self.kind == "lognormal":
-            # Imported here, not at module level: `statistics` pulls in
-            # `fractions` and `decimal`, a cost every stage that only reads
-            # a population would otherwise pay.
-            from statistics import NormalDist
-
-            # Inverse-CDF via the probit; the clip keeps u inside (0, 1).
-            probit = NormalDist().inv_cdf
-            z = np.fromiter(map(probit, np.clip(u, 1e-12, 1 - 1e-12).tolist()), dtype=np.float64, count=n)
-            k = np.rint(np.exp(self.mu + self.sigma * z)).astype(np.int64)
-            return np.clip(k, self.minimum, self.maximum)
         cdf = np.cumsum(np.asarray(self.probabilities, dtype=np.float64))
-        idx = np.searchsorted(cdf, u, side="right")
-        idx = np.minimum(idx, len(self.support) - 1)
+        idx = np.minimum(np.searchsorted(cdf, u, side="right"), len(self.support) - 1)
         return np.asarray(self.support, dtype=np.int64)[idx]
 
 
-def load_count_histogram(source: Union[str, Path, IO[str]]) -> UniqueDomainCountModel:
+def load_count_histogram(source: Union[str, Path, IO[str]]) -> CountHistogram:
     """CSV `unique_domain_count,user_fraction` (header optional)."""
     support, probs = [], []
     for lineno, row in _rows(source, 2):
@@ -294,9 +303,7 @@ def load_count_histogram(source: Union[str, Path, IO[str]]) -> UniqueDomainCount
     if not total > 0:
         raise PopulationError("count histogram has no positive fraction")
     probs = [p / total for p in probs]
-    return UniqueDomainCountModel(
-        kind="empirical-histogram", support=tuple(support), probabilities=tuple(probs)
-    )
+    return CountHistogram(tuple(support), tuple(probs))
 
 
 # --- users ---------------------------------------------------------------
@@ -525,7 +532,7 @@ def generate_population(
     n: int,
     order: RankedDomainList,
     traffic: TrafficModel,
-    counts: UniqueDomainCountModel,
+    counts: Union[UniqueDomainCountModel, CountHistogram],
     classification: DomainClassification,
     seed: int,
     T: int = DEFAULT_T,

@@ -46,8 +46,6 @@ def string_key(s: str) -> int:
 
 
 def _as_u64(word) -> np.ndarray:
-    if isinstance(word, str):
-        word = string_key(word)
     if isinstance(word, (int, np.integer)):
         return np.uint64(int(word) & 0xFFFFFFFFFFFFFFFF)
     arr = np.asarray(word)
@@ -57,7 +55,8 @@ def _as_u64(word) -> np.ndarray:
 
 
 def hash_u64(*words) -> np.ndarray:
-    """Hash a key tuple to uint64. Integer array words broadcast together."""
+    """Hash a key tuple of integers to uint64; a string enters as its `string_key`.
+    Integer array words broadcast together."""
     with np.errstate(over="ignore"):
         h = _GOLDEN
         for w in words:

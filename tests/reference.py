@@ -57,6 +57,7 @@ from topicsim.classification import (
 )
 from topicsim.denoiser import DenoiseMetrics, DenoiserConfig, MultiShotEngine
 from topicsim.population import (
+    CountHistogram,
     PopulationError,
     RankedDomainList,
     TrafficModel,
@@ -233,7 +234,7 @@ def generate_population_reference(
     n: int,
     order: RankedDomainList,
     traffic: TrafficModel,
-    counts: UniqueDomainCountModel,
+    counts: UniqueDomainCountModel | CountHistogram,
     classification: DomainClassification,
     seed: int,
     T: int,

@@ -11,11 +11,10 @@ from topicsim.chrome_filter import (
     SimilarityReport,
     chrome_filter,
     classify_scores,
-    compare_classifications,
     load_score_vectors,
     set_similarity,
 )
-from topicsim.classification import ClassificationError, DomainClassification
+from topicsim.classification import ClassificationError
 from topicsim.taxonomy import UNKNOWN_TOPIC_ID
 
 OMEGA = 349
@@ -143,41 +142,6 @@ def test_jaccard_leq_dice_bulk_random_pairs():
         b = frozenset(rng.choice(60, size=rng.integers(0, 7), replace=False).tolist())
         rep = set_similarity(a, b)
         assert rep.jaccard <= rep.dice + 1e-12
-
-
-def test_compare_identity_classification(taxonomy):
-    cls = DomainClassification({"a.com": {1, 2}, "b.com": {3}, "c.com": set()})
-    rep = compare_classifications(cls, cls, taxonomy)
-    assert rep.all_correct_ratio == 1.0
-    assert rep.at_least_one_ratio == 1.0
-    assert rep.mean_jaccard == 1.0
-    assert rep.accuracy == 1.0
-    assert rep.balanced_accuracy == 1.0
-
-
-def test_compare_counting_two_domains(taxonomy):
-    truth = DomainClassification({"a.com": {1, 2}, "b.com": {3}})
-    pred = DomainClassification({"a.com": {1, 2}, "b.com": {9}})
-    rep = compare_classifications(truth, pred, taxonomy)
-    assert rep.all_correct_ratio == 0.5
-    assert rep.at_least_one_ratio == 0.5
-    assert rep.n_domains == 2
-
-
-def test_compare_requires_shared_domains(taxonomy):
-    truth = DomainClassification({"a.com": {1}})
-    pred = DomainClassification({"b.com": {1}})
-    with pytest.raises(ClassificationError):
-        compare_classifications(truth, pred, taxonomy)
-
-
-def test_balanced_accuracy_is_mean_per_topic_recall(taxonomy):
-    # Topic 1: recalled 1 of 2; topic 2: recalled 1 of 1 -> mean 0.75.
-    truth = DomainClassification({"a.com": {1}, "b.com": {1, 2}})
-    pred = DomainClassification({"a.com": set(), "b.com": {1, 2}})
-    rep = compare_classifications(truth, pred, taxonomy)
-    assert rep.balanced_accuracy == pytest.approx((0.5 + 1.0) / 2)
-    assert rep.accuracy == pytest.approx(2 / 3)
 
 
 def test_score_vector_file_roundtrip(taxonomy):

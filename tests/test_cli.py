@@ -7,16 +7,16 @@ import pytest
 from reference import derive_top_profile, write_log_ndjson_reference, write_truth_ndjson_reference
 from topicsim.cli import (
     CONFIG_DEFAULTS,
+    _build_order,
     _resolve_classification,
     _resolve_taxonomy,
-    _sim_config,
     file_header,
     load_config,
     main,
     scenario_hash,
 )
 from topicsim.population import read_population
-from topicsim.simulator import run_scenario
+from topicsim.simulator import SimConfig, run_scenario
 from topicsim.taxonomy import bundled_taxonomy
 from topicsim.worlds import aggressive_skew_config, build_world, wide_pool_config
 
@@ -162,7 +162,8 @@ def test_simulate_writes_reference_bytes(tmp_path):
     assert run_cli("simulate", "--config", cfg_path) == 0
     cfg = load_config(str(cfg_path), {})
     out = Path(cfg["out"])
-    log = run_scenario(read_population(out / "population.ndjson"), _sim_config(cfg), _resolve_taxonomy(cfg))
+    sim = SimConfig(tau=cfg["tau"], p=cfg["p"], epochs=cfg["epochs"], sites=tuple(cfg["sites"]), seed=cfg["seed"])
+    log = run_scenario(read_population(out / "population.ndjson"), sim, _resolve_taxonomy(cfg))
     write_log_ndjson_reference(log, tmp_path / "log_ref.ndjson",
                                dict(file_header(cfg), scenario_hash=scenario_hash(cfg)))
     write_truth_ndjson_reference(log, tmp_path / "truth_ref.ndjson", file_header(cfg))
@@ -336,6 +337,40 @@ def test_generate_from_rank_bucket_files(tmp_path):
     assert run_cli("generate", "--config", cfg) == 0
     lines = (tmp_path / "o" / "population.ndjson").read_text().splitlines()
     assert len(lines) == 1 + 25
+
+
+def test_generate_keys_scheme_origins_by_host(tmp_path):
+    """A bucket file of `https://` origins, as the public top lists write
+    them, gives the population of the same file with bare hosts."""
+    hosts = ["www.google.com", "www.youtube.com"] + [f"host-{i}.example" for i in range(40)]
+    classification = tmp_path / "cls.tsv"
+    classification.write_text("".join(f"{h}\t{i % 9 + 1},{i % 4 + 20}\n" for i, h in enumerate(hosts)))
+    bodies = {}
+    for name, prefix in (("bare", ""), ("scheme", "https://")):
+        crux = tmp_path / name / "crux.csv"
+        crux.parent.mkdir()
+        # The last row repeats a host in a less popular bucket.
+        crux.write_text("origin,rank_bucket\n" + "".join(f"{prefix}{h},1k\n" for h in hosts)
+                        + f"{prefix}host-0.example,5k\n")
+        cfg = tmp_path / name / "c.json"
+        cfg.write_text(json.dumps({"n_users": 30, "crux": str(crux), "classification": str(classification),
+                                   "seed": 4, "out": str(tmp_path / name / "o")}))
+        assert run_cli("generate", "--config", cfg) == 0
+        bodies[name] = (tmp_path / name / "o" / "population.ndjson").read_text().splitlines()[1:]
+    assert bodies["scheme"] == bodies["bare"]
+    users = [json.loads(line) for line in bodies["scheme"]]
+    assert sum(len(u["observed_topics"]) for u in users) > 0
+    assert all(set(u["visited_domains"]) <= set(hosts) for u in users)
+
+
+def test_radar_file_ignores_blank_and_indented_lines(tmp_path):
+    crux = tmp_path / "crux.csv"
+    crux.write_text("origin,rank_bucket\n" + "".join(f"{c}.example,1k\n" for c in "abcd"))
+    radar = tmp_path / "radar.txt"
+    radar.write_text("\n  d.example\n\n\tb.example  \n   \nc.example\n")
+    cfg = dict(CONFIG_DEFAULTS, crux=str(crux), radar=str(radar))
+    order = _build_order(cfg, None)
+    assert order.domains == ("d.example", "b.example", "c.example", "a.example")
 
 
 def test_generate_refuses_a_one_column_bucket_row(tmp_path, capsys):

@@ -19,6 +19,7 @@ from topicsim.population import (
     PopulationError,
     RankedDomainList,
     TrafficModel,
+    CountHistogram,
     UniqueDomainCountModel,
     UserProfile,
     build_total_order,
@@ -49,14 +50,14 @@ def test_default_fixed_top_list():
 def test_total_order_sorts_bucket_by_rank():
     bins = {"b.com": "1k", "a.com": "1k", "c.com": "5k"}
     ranks = {"a.com": 1, "b.com": 2}
-    order = build_total_order(bins, ranks, fixed_top=())
+    order = build_total_order(bins, ranks)
     assert order.domains == ("a.com", "b.com", "c.com")
 
 
 def test_total_order_unranked_after_ranked():
     bins = {"x.com": "1k", "y.com": "1k", "z.com": "1k"}
     ranks = {"z.com": 5}
-    order = build_total_order(bins, ranks, fixed_top=())
+    order = build_total_order(bins, ranks)
     assert order.domains == ("z.com", "x.com", "y.com")  # then lexicographic
 
 
@@ -71,30 +72,32 @@ def test_total_order_fixed_top_first():
 def test_total_order_rank_applies_to_etld1():
     bins = {"news.site-a.co.uk": "1k", "www.site-b.com": "1k"}
     ranks = {"site-a.co.uk": 1, "site-b.com": 2}
-    order = build_total_order(bins, ranks, fixed_top=())
+    order = build_total_order(bins, ranks)
     assert order.domains == ("news.site-a.co.uk", "www.site-b.com")
 
 
 def test_total_order_radar_breaks_rank_ties():
     bins = {"a.example": "1k", "b.example": "1k"}
-    order = build_total_order(bins, {}, fixed_top=(), radar_order=("b.example",))
+    order = build_total_order(bins, {}, radar_order=("b.example",))
     assert order.domains == ("b.example", "a.example")
 
 
 def test_total_order_integer_bucket_labels():
     bins = {"a.com": 1000, "b.com": 5000}
-    order = build_total_order(bins, {}, fixed_top=())
+    order = build_total_order(bins, {})
     assert order.domains == ("a.com", "b.com")
 
 
 def test_total_order_rejects_unknown_bucket():
     with pytest.raises(PopulationError, match="bucket"):
-        build_total_order({"a.com": "2k"}, {}, fixed_top=())
+        build_total_order({"a.com": "2k"}, {})
 
 
-def test_total_order_requires_fixed_top_presence():
-    with pytest.raises(PopulationError, match="fixed_top"):
-        build_total_order({"a.com": "1k"}, {}, fixed_top=("missing.com",))
+def test_total_order_places_the_fixed_head_present():
+    # Only two of the fixed hosts are listed, one of them in a later bucket.
+    bins = {"a.com": "1k", "www.amazon.com": "5k", "www.youtube.com": "1k", "b.com": "5k"}
+    order = build_total_order(bins, {"a.com": 1, "b.com": 2})
+    assert order.domains == ("www.youtube.com", "www.amazon.com", "a.com", "b.com")
 
 
 def test_ranked_list_rejects_duplicates():
@@ -120,6 +123,13 @@ def test_etld_plus_one(hostname, expected):
 def test_bucket_and_rank_file_parsing():
     bins = load_bucket_file(io.StringIO("origin,rank_bucket\na.com,1k\nb.com,5000\n"))
     assert bins == {"a.com": "1k", "b.com": "5000"}
+    # Origins as the public lists write them: with a scheme, sometimes a
+    # port, and one host under two schemes in two buckets.
+    bins = load_bucket_file(io.StringIO(
+        "origin,rank_bucket\nhttps://www.google.com,1000\nhttp://a.com,10k\n"
+        "https://a.com,5000\nhttps://b.com:8443,1k\nhttp://a.com,50k\n"
+    ))
+    assert bins == {"www.google.com": "1000", "a.com": "5000", "b.com": "1k"}
     ranks = load_rank_file(io.StringIO("rank,domain\n1,a.com\n2,b.com\n"))
     assert ranks == {"a.com": 1, "b.com": 2}
 
@@ -161,8 +171,7 @@ def test_count_model_lognormal_bounds_and_determinism():
 
 
 def test_count_model_empirical_convergence_ks():
-    model = UniqueDomainCountModel(
-        kind="empirical-histogram",
+    model = CountHistogram(
         support=(2, 5, 9, 20, 60),
         probabilities=(0.2, 0.3, 0.25, 0.15, 0.1),
     )
@@ -186,11 +195,13 @@ def test_count_model_lognormal_convergence_ks():
 
 def test_count_model_validation():
     with pytest.raises(PopulationError):
-        UniqueDomainCountModel(kind="empirical-histogram", support=(1, 2), probabilities=(0.5,))
+        CountHistogram(support=(1, 2), probabilities=(0.5,))
     with pytest.raises(PopulationError):
-        UniqueDomainCountModel(kind="empirical-histogram", support=(0,), probabilities=(1.0,))
+        CountHistogram(support=(0,), probabilities=(1.0,))
     with pytest.raises(PopulationError):
-        UniqueDomainCountModel(kind="no-such-kind")
+        CountHistogram(support=(), probabilities=())
+    with pytest.raises(PopulationError, match="sum to 0.5"):
+        CountHistogram(support=(1,), probabilities=(0.5,))
 
 
 def tiny_world(taxonomy):
@@ -202,14 +213,14 @@ def tiny_world(taxonomy):
 
 def test_generate_single_domain_user(taxonomy):
     order, traffic, cls = tiny_world(taxonomy)
-    counts = UniqueDomainCountModel(kind="empirical-histogram", support=(1,), probabilities=(1.0,))
+    counts = CountHistogram(support=(1,), probabilities=(1.0,))
     users = generate_population(20, order, traffic, counts, cls, seed=4, taxonomy=taxonomy)
     assert all(len(u.visited_domains) == 1 for u in users)
 
 
 def test_generate_observed_topics_are_union(taxonomy):
     order, traffic, cls = tiny_world(taxonomy)
-    counts = UniqueDomainCountModel(kind="empirical-histogram", support=(8,), probabilities=(1.0,))
+    counts = CountHistogram(support=(8,), probabilities=(1.0,))
     users = generate_population(30, order, traffic, counts, cls, seed=4, taxonomy=taxonomy)
     for u in users:
         expected = frozenset().union(*(cls.topics_of(d) for d in u.visited_domains))
@@ -246,8 +257,8 @@ def generation_cases(draw):
         )
     else:
         support = tuple(sorted(draw(st.sets(st.integers(1, 60), min_size=1, max_size=4))))
-        counts = UniqueDomainCountModel(
-            kind="empirical-histogram", support=support,
+        counts = CountHistogram(
+            support=support,
             probabilities=tuple(1.0 / len(support) for _ in support),
         )
     return dict(
@@ -272,7 +283,7 @@ ONE_DOMAIN_EACH = dict(
     n=1025,
     order=RankedDomainList(("d0.example", "d1.example", "d2.example")),
     traffic=TrafficModel(exponent=1.0),
-    counts=UniqueDomainCountModel(kind="empirical-histogram", support=(1,), probabilities=(1.0,)),
+    counts=CountHistogram(support=(1,), probabilities=(1.0,)),
     classification=DomainClassification({"d0.example": (), "d1.example": (), "d2.example": (3,)}),
     seed=5,
     T=6,
@@ -297,7 +308,7 @@ def test_generate_matches_per_user_oracle(taxonomy, case, small):
 
 def test_generate_clamps_counts_to_list_length(taxonomy, caplog):
     order, traffic, cls = tiny_world(taxonomy)
-    counts = UniqueDomainCountModel(kind="empirical-histogram", support=(500,), probabilities=(1.0,))
+    counts = CountHistogram(support=(500,), probabilities=(1.0,))
     with caplog.at_level("WARNING"):
         users = generate_population(3, order, traffic, counts, cls, seed=1, taxonomy=taxonomy)
     assert all(len(u.visited_domains) == len(order) for u in users)
@@ -339,7 +350,7 @@ def test_profile_candidate_range(taxonomy):
 
 def test_profile_size_above_taxonomy_size_is_refused(taxonomy):
     order, traffic, cls = tiny_world(taxonomy)
-    counts = UniqueDomainCountModel(kind="empirical-histogram", support=(2,), probabilities=(1.0,))
+    counts = CountHistogram(support=(2,), probabilities=(1.0,))
     T = len(taxonomy.ids()) + 1
     with pytest.raises(PopulationError, match=f"T = {T} exceeds the taxonomy's {T - 1} topics"):
         generate_population(3, order, traffic, counts, cls, seed=1, T=T, taxonomy=taxonomy)
@@ -351,7 +362,7 @@ def test_profile_size_above_taxonomy_size_is_refused(taxonomy):
 
 def test_population_ndjson_roundtrip(tmp_path, taxonomy):
     order, traffic, cls = tiny_world(taxonomy)
-    counts = UniqueDomainCountModel(kind="empirical-histogram", support=(4,), probabilities=(1.0,))
+    counts = CountHistogram(support=(4,), probabilities=(1.0,))
     users = generate_population(10, order, traffic, counts, cls, seed=2, taxonomy=taxonomy)
     path = tmp_path / "pop.ndjson"
     write_population(users, path, header={"seed": 2})
@@ -428,10 +439,10 @@ AWKWARD_CASE = dict(
 def test_population_ndjson_matches_per_record_oracle(taxonomy, tmp_path_factory, case):
     """The block writer gives the bytes of one `json.dumps` per record, and
     reading a file back writes the same bytes."""
-    order = build_total_order(case["bins"], case["ranks"], fixed_top=())
+    order = build_total_order(case["bins"], case["ranks"])
     users = generate_population(
         case["n"], order, TrafficModel(exponent=1.0),
-        UniqueDomainCountModel(kind="empirical-histogram", support=(1, 3, 6), probabilities=(0.3, 0.4, 0.3)),
+        CountHistogram(support=(1, 3, 6), probabilities=(0.3, 0.4, 0.3)),
         DomainClassification(case["topics"]), seed=case["seed"], T=case["T"], taxonomy=taxonomy,
     )
     candidates, by_user = None, None
@@ -464,7 +475,7 @@ def test_read_refuses_ragged_profiles(tmp_path):
 
 def test_read_profiles_keeps_top_profile_not_candidates(tmp_path, taxonomy):
     order, traffic, cls = tiny_world(taxonomy)
-    counts = UniqueDomainCountModel(kind="empirical-histogram", support=(4,), probabilities=(1.0,))
+    counts = CountHistogram(support=(4,), probabilities=(1.0,))
     users = generate_population(10, order, traffic, counts, cls, seed=2, taxonomy=taxonomy)
     # As `generate` writes `profile_candidates: 3, profile_index: 1`.
     candidates = [top_profiles(users, taxonomy, users.profiles.shape[1], seed=2, candidate=c) for c in range(3)]
