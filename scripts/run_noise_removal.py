@@ -51,7 +51,8 @@ def main() -> None:
 
     cfg = SimConfig(epochs=args.epochs, sites=("observer.example",), seed=args.sim_seed)
     log = run_scenario(world.population, cfg, world.taxonomy)
-    print(f"simulated {log.topics.size} returned topics "
+    returned = len(log.sites) * len(log.user_ids) * log.epochs * cfg.tau
+    print(f"simulated {returned} returned topics "
           f"({log.noisy_slot_fraction():.2%} noisy)")
 
     traj = denoise_site_trajectory(

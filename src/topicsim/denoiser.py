@@ -383,7 +383,7 @@ def denoise_site_trajectory(
     seen_before = np.zeros(tt.shape[1], dtype=bool)
     points = []
     for epoch in range(1, site_log.epochs + 1):
-        engine.observe_epoch(epoch, site_log.topics[:, epoch - 1, :])
+        engine.observe_epoch(epoch, site_log.call(epoch))
         seen = site_log.source_epochs < epoch
         new = np.flatnonzero(seen & ~seen_before)
         u, d = np.repeat(np.arange(n), new.size), np.tile(new, n)

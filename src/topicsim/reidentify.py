@@ -211,11 +211,19 @@ def _sets_by_size(table: np.ndarray, size: np.ndarray, cap: int) -> dict:
 
 def _subset_keys(topics: np.ndarray, j: int, binom: np.ndarray) -> np.ndarray:
     """Exact keys of every j-subset of each row of ascending topic ids."""
-    combos = np.array(list(itertools.combinations(range(topics.shape[1]), j)))
+    combos = _combinations(topics.shape[1], j)
     keys = np.zeros((len(topics), len(combos)), dtype=np.int64)
     for i in range(j):
         keys += binom[topics[:, combos[:, i]], i + 1]
     return keys
+
+
+@functools.cache
+def _combinations(s: int, j: int) -> np.ndarray:
+    """`(C(s, j), j)` positions of every j-subset of s slots, in lexicographic order, read-only."""
+    combos = np.array(list(itertools.combinations(range(s), j)))
+    combos.flags.writeable = False
+    return combos
 
 
 def _overlaps(tables: np.ndarray, few: np.ndarray, width: int) -> np.ndarray:
@@ -320,8 +328,8 @@ def run_reidentification(
     forward: list[MatchReport] = []
     reverse: list[MatchReport] = []
     for epoch in range(1, log.epochs + 1):
-        ea.observe_epoch(epoch, la.topics[:, epoch - 1, :])
-        eb.observe_epoch(epoch, lb.topics[:, epoch - 1, :])
+        ea.observe_epoch(epoch, la.call(epoch))
+        eb.observe_epoch(epoch, lb.call(epoch))
         sticky_a, sticky_b = ea.widen(sticky_a), eb.widen(sticky_b)
         sticky_a |= ea.genuine_slots()
         sticky_b |= eb.genuine_slots()

@@ -14,16 +14,21 @@ epochs before epoch 1, so every call returns exactly tau topics.
 Ground-truth noise flags live in a separate truth channel never consumed
 by adversary-side code; evaluation functions take it explicitly.
 
+The log stores only the truth draws, (site, user, source epoch) arrays.
+A call is formed when it is read (`SiteLog.call`): its window of tau
+draws in the keyed shuffle's order, so nothing keeps the calls.
+
 Log output: NDJSON, one record per call `{site, user, epoch, topics}`;
 truth channel NDJSON `{site, user, source_epoch, topic, noisy}`. Both
 are compact JSON in that key order, after an optional `{"header": ...}`
-line. Records are formatted straight from the arrays, one block of
-`POPULATION_BLOCK_USERS` users at a time, so memory stays flat as the
-population grows; the bytes are those of `json.dumps` per record.
+line. Records are formatted one site at a time, from that site's calls,
+in blocks of `POPULATION_BLOCK_USERS` users; the bytes are those of
+`json.dumps` per record.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -91,17 +96,16 @@ def epoch_topic_draw(
 
 @dataclass(frozen=True, eq=False)
 class ObservationLog:
-    """Complete per-(site, user, epoch) API results plus the truth channel.
+    """The truth draws of every (site, user, source epoch), from which each call is formed.
 
-    Results are dense arrays. `slot_sources` records which source epoch
-    produced each returned slot, making every returned topic traceable
-    to exactly one truth draw.
+    `topics` and `slot_sources` are every call and the source epoch of its
+    every slot, `(site, user, epoch, tau)` int16; both are read-only, built
+    in full when first read and then kept. An analysis reads one call per
+    epoch through `site_view(site).call(epoch)` instead.
     """
 
     config: SimConfig
     user_ids: np.ndarray
-    topics: np.ndarray         # (site, user, epoch, tau) int16
-    slot_sources: np.ndarray   # (site, user, epoch, tau) int16, source epoch per slot
     truth_topics: np.ndarray   # (site, user, source) int16
     truth_noisy: np.ndarray    # (site, user, source) bool
     source_epochs: np.ndarray  # (n_sources,) the source-epoch axis labels
@@ -114,11 +118,33 @@ class ObservationLog:
     def epochs(self) -> int:
         return self.config.epochs
 
+    @functools.cached_property
+    def topics(self) -> np.ndarray:
+        return self._by_site("topics")
+
+    @functools.cached_property
+    def slot_sources(self) -> np.ndarray:
+        return self._by_site("slot_sources")
+
+    def _by_site(self, view: str) -> np.ndarray:
+        out = np.empty((len(self.sites), len(self.user_ids), self.epochs, self.config.tau), dtype=np.int16)
+        for s, site in enumerate(self.sites):
+            out[s] = getattr(self.site_view(site), view)
+        out.flags.writeable = False
+        return out
+
     def noisy_slot_fraction(self) -> float:
-        """Fraction of returned slots whose pinned draw was the noise branch."""
-        src_pos = (self.slot_sources - int(self.source_epochs[0])).astype(np.int64)
-        flags = np.take_along_axis(self.truth_noisy[:, :, None, :], src_pos, axis=3)
-        return float(flags.mean()) if flags.size else 0.0
+        """Fraction of returned slots whose pinned draw was the noise branch.
+
+        A draw fills one slot of every call whose window covers it: the
+        calls of epochs s + 1 .. s + tau, up to the last epoch.
+        """
+        slots = len(self.sites) * len(self.user_ids) * self.epochs * self.config.tau
+        if not slots:
+            return 0.0
+        s = self.source_epochs
+        covering = np.minimum(s + self.config.tau, self.epochs) - np.maximum(s + 1, 1) + 1
+        return int(np.count_nonzero(self.truth_noisy, axis=(0, 1)) @ covering) / slots
 
     def site_view(self, site: str) -> "SiteLog":
         s = self.sites.index(site)
@@ -126,8 +152,6 @@ class ObservationLog:
             site=site,
             config=self.config,
             user_ids=self.user_ids,
-            topics=self.topics[s],
-            slot_sources=self.slot_sources[s],
             truth_topics=self.truth_topics[s],
             truth_noisy=self.truth_noisy[s],
             source_epochs=self.source_epochs,
@@ -136,12 +160,13 @@ class ObservationLog:
     def write_ndjson(self, path: Union[str, Path], header: Optional[dict] = None) -> None:
         with open(path, "w", encoding="utf-8") as fh:
             write_header(fh, header)
-            for si, site in enumerate(self.sites):
+            for site in self.sites:
                 head = f'{{"site":{json.dumps(site)},"user":'
+                site_calls = self.site_view(site).topics
                 for lo in range(0, len(self.user_ids), POPULATION_BLOCK_USERS):
                     hi = lo + POPULATION_BLOCK_USERS
                     users = self.user_ids[lo:hi].tolist()
-                    calls = self.topics[si, lo:hi].tolist()
+                    calls = site_calls[lo:hi].tolist()
                     fh.write("".join(
                         f'{head}{uid},"epoch":{epoch},"topics":[{",".join(map(str, row))}]}}\n'
                         for uid, rows in zip(users, calls)
@@ -169,13 +194,16 @@ class ObservationLog:
 
 @dataclass
 class SiteLog:
-    """One site's slice of an ObservationLog (adversary-facing arrays)."""
+    """One site's slice of an ObservationLog: its truth draws and the calls formed from them.
+
+    `topics` and `slot_sources` are every call and the source epoch of its
+    every slot, `(user, epoch, tau)` int16, read-only and built in full
+    when first read.
+    """
 
     site: str
     config: SimConfig
     user_ids: np.ndarray
-    topics: np.ndarray        # (user, epoch, tau)
-    slot_sources: np.ndarray  # (user, epoch, tau)
     truth_topics: np.ndarray  # (user, source)
     truth_noisy: np.ndarray   # (user, source)
     source_epochs: np.ndarray
@@ -187,6 +215,37 @@ class SiteLog:
     @property
     def epochs(self) -> int:
         return self.config.epochs
+
+    def call(self, epoch: int) -> np.ndarray:
+        """Every user's call at `epoch`, `(user, tau)` int16: their window of draws in shuffled order."""
+        return np.take_along_axis(self.truth_topics, self._slot_sources(epoch) - self.source_epochs[0], axis=1)
+
+    def _slot_sources(self, epoch: int) -> np.ndarray:
+        """The source epoch of each slot of every user's call at `epoch`, `(user, tau)`."""
+        if not 1 <= epoch <= self.epochs:
+            raise ValueError(f"epoch must be in 1..{self.epochs}, got {epoch}")
+        tau = self.config.tau
+        window = np.arange(epoch - tau, epoch)  # source epochs, ascending
+        shuffle_keys = rng.uniform(
+            self.config.seed, self.user_ids[:, None], rng.string_key(self.site), epoch,
+            rng.TAG_SHUFFLE, np.arange(tau)[None, :],
+        )
+        return window[np.argsort(shuffle_keys, axis=1, kind="stable")]
+
+    @functools.cached_property
+    def topics(self) -> np.ndarray:
+        return self._by_epoch(self.call)
+
+    @functools.cached_property
+    def slot_sources(self) -> np.ndarray:
+        return self._by_epoch(self._slot_sources)
+
+    def _by_epoch(self, per_epoch) -> np.ndarray:
+        out = np.empty((self.n_users, self.epochs, self.config.tau), dtype=np.int16)
+        for epoch in range(1, self.epochs + 1):
+            out[:, epoch - 1] = per_epoch(epoch)
+        out.flags.writeable = False
+        return out
 
 
 def _draws_for_site(
@@ -220,10 +279,10 @@ def run_scenario(
 ) -> ObservationLog:
     """Simulate every user visiting every site at every epoch.
 
-    One API call per (site, user, epoch). Draws are keyed rather than
-    streamed, so any partitioning of the (user x site) work produces
-    byte-identical results; this implementation batches it through numpy
-    in one pass per site.
+    One API call per (site, user, epoch). Only the truth draws are made
+    here, one block of `POPULATION_BLOCK_USERS` users at a time per site;
+    the log forms each call when it is read. Draws are keyed rather than
+    streamed, so the blocks change no value.
     """
     if not len(population):
         raise ValueError("population must be nonempty")
@@ -231,41 +290,22 @@ def run_scenario(
     if not profiles.shape[1]:
         raise ValueError("profiles are empty: every user needs a top profile of T >= 1 topics")
     n = len(user_ids)
-    n_sites = len(config.sites)
     source_epochs = np.arange(1 - config.tau, config.epochs, dtype=np.int64)
-    n_src = len(source_epochs)
     taxonomy_ids = np.asarray(taxonomy.ids(), dtype=np.int16)
 
-    truth_topics = np.zeros((n_sites, n, n_src), dtype=np.int16)
-    truth_noisy = np.zeros((n_sites, n, n_src), dtype=bool)
-    topics = np.empty((n_sites, n, config.epochs, config.tau), dtype=np.int16)
-    slot_sources = np.zeros((n_sites, n, config.epochs, config.tau), dtype=np.int16)
-
+    truth_topics = np.zeros((len(config.sites), n, len(source_epochs)), dtype=np.int16)
+    truth_noisy = np.zeros(truth_topics.shape, dtype=bool)
     for si, site in enumerate(config.sites):
-        t, nz = _draws_for_site(site, user_ids, profiles, source_epochs, config, taxonomy_ids)
-        truth_topics[si], truth_noisy[si] = t, nz
-        site_key = rng.string_key(site)
-        for epoch in range(1, config.epochs + 1):
-            window = np.arange(epoch - config.tau, epoch)  # source epochs, ascending
-            src_pos = window - int(source_epochs[0])
-            # Per-call shuffle of the returned array.
-            shuffle_keys = rng.uniform(
-                config.seed, user_ids[:, None], site_key, epoch,
-                rng.TAG_SHUFFLE, np.arange(config.tau)[None, :],
+        for lo in range(0, n, POPULATION_BLOCK_USERS):
+            hi = lo + POPULATION_BLOCK_USERS
+            truth_topics[si, lo:hi], truth_noisy[si, lo:hi] = _draws_for_site(
+                site, user_ids[lo:hi], profiles[lo:hi], source_epochs, config, taxonomy_ids
             )
-            perm = np.argsort(shuffle_keys, axis=1, kind="stable")
-            topics[si, :, epoch - 1, :] = np.take_along_axis(
-                t[:, src_pos], perm, axis=1
-            )
-            slot_sources[si, :, epoch - 1, :] = window[perm]
 
     return ObservationLog(
         config=config,
         user_ids=user_ids,
-        topics=topics,
-        slot_sources=slot_sources,
         truth_topics=truth_topics,
         truth_noisy=truth_noisy,
         source_epochs=source_epochs,
     )
-

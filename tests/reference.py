@@ -21,7 +21,7 @@ faster rewrite can be checked for equal results:
   candidate lists appended) checks `population.write_population`;
 * `call_api` (one API call from per-epoch `epoch_topic_draw`s) with
   `ApiResult`, `log_result` and `log_truth_draw` (object views of an
-  `ObservationLog`) checks `simulator.run_scenario`;
+  `ObservationLog`) checks `simulator.run_scenario` and `SiteLog.call`;
 * `denoise_multi_shot` (per-topic state objects for one user's call
   history, tau passed explicitly where the engine reads it from the
   call width) checks `denoiser.MultiShotEngine`;

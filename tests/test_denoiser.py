@@ -1,4 +1,4 @@
-from dataclasses import replace
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -29,7 +29,7 @@ from topicsim.denoiser import (
     denoise_site_trajectory,
 )
 from topicsim.population import Population, UserProfile
-from topicsim.simulator import EpochDraw, SimConfig, run_scenario
+from topicsim.simulator import EpochDraw, SimConfig, SiteLog, run_scenario
 from topicsim.taxonomy import Taxonomy, Topic
 from topicsim.worlds import build_world, wide_pool_config
 
@@ -556,11 +556,18 @@ def test_trajectory_refuses_a_log_whose_calls_miss_seen_draws(taxonomy):
     """Every draw seen by epoch e was returned by a call up to e; a log
     without that property is refused rather than scored short."""
     users, log = stable_scenario(taxonomy, n_users=20, epochs=4)
+
+    class BlankedFirstCall(SiteLog):
+        def call(self, epoch):
+            topics = super().call(epoch)
+            if epoch == 1:
+                topics[3] = -1  # user 3's first call, all warm-start draws
+            return topics
+
     site = log.site_view("w")
-    topics = site.topics.copy()
-    topics[3, 0, :] = -1  # user 3's first call, all warm-start draws
+    blanked = BlankedFirstCall(**{f.name: getattr(site, f.name) for f in fields(SiteLog)})
     with pytest.raises(ValueError, match="a draw seen by epoch 1 is missing from the calls"):
-        denoise_site_trajectory(replace(site, topics=topics), prevalence_with(), DenoiserConfig(), users)
+        denoise_site_trajectory(blanked, prevalence_with(), DenoiserConfig(), users)
 
 
 def test_median_user_fully_recovered_after_thirty_epochs(taxonomy):

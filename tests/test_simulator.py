@@ -181,6 +181,78 @@ def test_slots_trace_to_truth_draws(taxonomy):
                 assert draw.topic == topic
 
 
+def test_call_equals_object_api_for_every_user_and_epoch(taxonomy):
+    """`SiteLog.call` forms each call from the stored draws exactly as the
+    object path assembles it from per-epoch draws and the keyed shuffle."""
+    ids = np.random.default_rng(8).choice(10**6, size=25, replace=False)  # not 0..n-1, not sorted
+    users = Population.from_records(UserProfile(int(u), frozenset(), frozenset(), make_profile(i))
+                                    for i, u in enumerate(ids))
+    for tau in (1, 3, 4):
+        cfg = SimConfig(tau=tau, p=0.3, epochs=6, sites=("wa", "wb"), seed=11)
+        log = run_scenario(users, cfg, taxonomy)
+        for site in cfg.sites:
+            view = log.site_view(site)
+            for epoch in range(1, cfg.epochs + 1):
+                call = view.call(epoch)
+                assert call.shape == (25, tau) and call.dtype == np.int16
+                for row, user in enumerate(users):
+                    assert tuple(call[row].tolist()) == call_api(user, site, epoch, cfg, taxonomy).topics
+
+
+def test_truth_draws_across_a_user_block_boundary(taxonomy):
+    """Draws are made one block of users at a time; the blocks change no draw."""
+    users = users_with_random_profiles(POPULATION_BLOCK_USERS + 3)
+    cfg = SimConfig(p=0.3, epochs=3, sites=("wa", "wb"), seed=5)
+    log = run_scenario(users, cfg, taxonomy)
+    rows = list(range(3)) + list(range(POPULATION_BLOCK_USERS - 3, POPULATION_BLOCK_USERS + 3))
+    for si, site in enumerate(cfg.sites):
+        call = log.site_view(site).call(3)
+        for row in rows:
+            for k, src in enumerate(log.source_epochs.tolist()):
+                draw = epoch_topic_draw(users[row], site, src, cfg, taxonomy)
+                assert (draw.topic, draw.noisy) == (log.truth_topics[si, row, k], log.truth_noisy[si, row, k])
+            assert call_api(users[row], site, 3, cfg, taxonomy).topics == tuple(call[row].tolist())
+
+
+def test_calls_read_in_any_epoch_order_are_equal(taxonomy):
+    """A call is a pure function of the draws: reading epochs in descending
+    order gives the arrays of the ascending read and of the full view."""
+    users = users_with_random_profiles(40)
+    cfg = SimConfig(epochs=7, sites=("wa",), seed=19)
+    view = run_scenario(users, cfg, taxonomy).site_view("wa")
+    descending = {e: view.call(e) for e in range(cfg.epochs, 0, -1)}
+    for e in range(1, cfg.epochs + 1):
+        assert np.array_equal(view.call(e), descending[e])
+        assert np.array_equal(view.topics[:, e - 1], descending[e])
+    assert not view.topics.flags.writeable
+    for epoch in (0, cfg.epochs + 1):
+        with pytest.raises(ValueError, match="epoch must be in 1..7"):
+            view.call(epoch)
+
+
+def test_log_holds_only_the_truth_draws(taxonomy):
+    """The log keeps no call: after every call is read, its arrays are
+    still only the user ids, the truth draws and the source-epoch labels."""
+    users = users_with_random_profiles(50)
+    cfg = SimConfig(epochs=6, sites=("wa", "wb"), seed=29)
+    log = run_scenario(users, cfg, taxonomy)
+    for site in cfg.sites:
+        view = log.site_view(site)
+        for e in range(1, cfg.epochs + 1):
+            view.call(e)
+    held = sum(v.nbytes for v in vars(log).values() if isinstance(v, np.ndarray))
+    assert held == sum(a.nbytes for a in (log.user_ids, log.truth_topics, log.truth_noisy, log.source_epochs))
+
+
+@pytest.mark.parametrize("tau, epochs", [(3, 10), (1, 4), (4, 2), (2, 1), (3, 0)])
+def test_noisy_slot_fraction_equals_the_slot_level_fraction(taxonomy, tau, epochs):
+    users = users_with_random_profiles(60)
+    log = run_scenario(users, SimConfig(tau=tau, p=0.3, epochs=epochs, sites=("wa", "wb"), seed=31), taxonomy)
+    src = log.slot_sources.astype(np.int64) - log.source_epochs[0]
+    flags = np.take_along_axis(log.truth_noisy[:, :, None, :], src, axis=3)
+    assert log.noisy_slot_fraction() == (float(flags.mean()) if flags.size else 0.0)
+
+
 def test_scenario_deterministic(taxonomy):
     users = users_with_random_profiles(40)
     cfg = SimConfig(epochs=5, sites=("wa", "wb"), seed=77)
