@@ -605,10 +605,11 @@ def _ints(values: list) -> str:
     return ",".join(map(str, values))
 
 
-def write_header(fh: IO[str], header: Optional[dict]) -> None:
-    """The optional first line of an NDJSON artifact: `{"header": ...}`, compact, keys sorted."""
-    if header is not None:
-        fh.write(json.dumps({"header": header}, separators=(",", ":"), sort_keys=True) + "\n")
+def header_line(header: Optional[dict]) -> str:
+    """The optional first line of an NDJSON artifact: `{"header": ...}`, compact, keys sorted; "" without one."""
+    if header is None:
+        return ""
+    return json.dumps({"header": header}, separators=(",", ":"), sort_keys=True) + "\n"
 
 
 def write_population(
@@ -633,7 +634,7 @@ def write_population(
     escaped = [json.dumps(population.domains[p]) for p in by_name]
     vrows = _row_ids(population.visit_indptr)
     with open(path, "w", encoding="utf-8") as fh:
-        write_header(fh, header)
+        fh.write(header_line(header))
         for lo in range(0, len(population), POPULATION_BLOCK_USERS):
             hi = min(lo + POPULATION_BLOCK_USERS, len(population))
             a, b = population.visit_indptr[lo], population.visit_indptr[hi]

@@ -203,7 +203,7 @@ def _binom(width: int, cap: int) -> np.ndarray:
 def _sets_by_size(table: np.ndarray, size: np.ndarray, cap: int) -> dict:
     """`{s: (row ids, (rows, s) ascending topic ids)}` for rows of 1 to `cap` topics of a row-sorted table."""
     groups = {}
-    for s in np.unique(size[(size > 0) & (size <= cap)]).tolist():
+    for s in np.flatnonzero(np.bincount(size[(size > 0) & (size <= cap)])).tolist():
         rows = np.flatnonzero(size == s)
         groups[s] = rows, table[rows, table.shape[1] - s:]
     return groups

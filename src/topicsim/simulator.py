@@ -21,9 +21,14 @@ draws in the keyed shuffle's order, so nothing keeps the calls.
 Log output: NDJSON, one record per call `{site, user, epoch, topics}`;
 truth channel NDJSON `{site, user, source_epoch, topic, noisy}`. Both
 are compact JSON in that key order, after an optional `{"header": ...}`
-line. Records are formatted one site at a time, from that site's calls,
-in blocks of `POPULATION_BLOCK_USERS` users; the bytes are those of
-`json.dumps` per record.
+line; the bytes are those of `json.dumps` per record. Records are
+formatted one site and one block of `POPULATION_BLOCK_USERS` users at a
+time, as the rows of a `(records, width)` uint8 matrix: the constant
+JSON fragments are broadcast, and every number (user id, epoch, source
+epoch, topic) and flag is gathered from a small zero-padded text table.
+One mask drops the zero fill, and the block is written as bytes. The
+log writer forms each block's calls through `SiteLog.call` on a view of
+that block's users.
 """
 
 from __future__ import annotations
@@ -38,7 +43,7 @@ import numpy as np
 
 from . import rng
 from .analytics import DEFAULT_P, DEFAULT_TAU
-from .population import POPULATION_BLOCK_USERS, Profiles, UserProfile, write_header
+from .population import POPULATION_BLOCK_USERS, Profiles, UserProfile, header_line
 from .taxonomy import Taxonomy
 
 
@@ -98,10 +103,12 @@ def epoch_topic_draw(
 class ObservationLog:
     """The truth draws of every (site, user, source epoch), from which each call is formed.
 
-    `topics` and `slot_sources` are every call and the source epoch of its
-    every slot, `(site, user, epoch, tau)` int16; both are read-only, built
-    in full when first read and then kept. An analysis reads one call per
-    epoch through `site_view(site).call(epoch)` instead.
+    An analysis reads one call per epoch through `site_view(site).call(epoch)`,
+    and the NDJSON writers read the calls of one block of users at a time
+    through `site_view(site, rows)`. `topics` and `slot_sources` are every
+    call and the source epoch of its every slot, `(site, user, epoch, tau)`
+    int16, read-only, built in full when first read and then kept; nothing
+    in the package reads them, only `tests/` and `perfbench/` do.
     """
 
     config: SimConfig
@@ -146,59 +153,105 @@ class ObservationLog:
         covering = np.minimum(s + self.config.tau, self.epochs) - np.maximum(s + 1, 1) + 1
         return int(np.count_nonzero(self.truth_noisy, axis=(0, 1)) @ covering) / slots
 
-    def site_view(self, site: str) -> "SiteLog":
+    def site_view(self, site: str, rows: slice = slice(None)) -> "SiteLog":
+        """One site's log, of every user or of the users in `rows`; a call is keyed per user, so a
+        view of some users forms those rows of the whole population's call."""
         s = self.sites.index(site)
         return SiteLog(
             site=site,
             config=self.config,
-            user_ids=self.user_ids,
-            truth_topics=self.truth_topics[s],
-            truth_noisy=self.truth_noisy[s],
+            user_ids=self.user_ids[rows],
+            truth_topics=self.truth_topics[s, rows],
+            truth_noisy=self.truth_noisy[s, rows],
             source_epochs=self.source_epochs,
         )
 
+    def _topic_text(self) -> tuple[np.ndarray, int]:
+        """The text table of every topic id from the log's least to its greatest, and that least id."""
+        t = self.truth_topics
+        least, most = (int(t.min()), int(t.max())) if t.size else (0, 0)
+        return _text_table(np.arange(least, most + 1)), least
+
     def write_ndjson(self, path: Union[str, Path], header: Optional[dict] = None) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            write_header(fh, header)
+        tau, epochs = self.config.tau, self.epochs
+        epoch_text = _text_table(np.arange(1, epochs + 1))
+        topic_text, least = self._topic_text()
+        with open(path, "wb") as fh:
+            fh.write(header_line(header).encode())
             for site in self.sites:
-                head = f'{{"site":{json.dumps(site)},"user":'
-                site_calls = self.site_view(site).topics
+                head = f'{{"site":{json.dumps(site)},"user":'.encode()
                 for lo in range(0, len(self.user_ids), POPULATION_BLOCK_USERS):
-                    hi = lo + POPULATION_BLOCK_USERS
-                    users = self.user_ids[lo:hi].tolist()
-                    calls = site_calls[lo:hi].tolist()
-                    fh.write("".join(
-                        f'{head}{uid},"epoch":{epoch},"topics":[{",".join(map(str, row))}]}}\n'
-                        for uid, rows in zip(users, calls)
-                        for epoch, row in enumerate(rows, 1)
-                    ))
+                    view = self.site_view(site, slice(lo, lo + POPULATION_BLOCK_USERS))
+                    n = view.n_users
+                    calls = np.empty((n, epochs, tau), dtype=np.int16)
+                    for epoch in range(1, epochs + 1):
+                        calls[:, epoch - 1] = view.call(epoch)
+                    topics = calls.reshape(n * epochs, tau) - least
+                    fields = [head, (_text_table(view.user_ids), np.repeat(np.arange(n), epochs)),
+                              b',"epoch":', (epoch_text, np.tile(np.arange(epochs), n)),
+                              b',"topics":[', (topic_text, topics[:, 0])]
+                    for k in range(1, tau):
+                        fields += [b",", (topic_text, topics[:, k])]
+                    fh.write(_records(n * epochs, fields + [b"]}\n"]))
 
     def write_truth_ndjson(self, path: Union[str, Path], header: Optional[dict] = None) -> None:
-        sources = self.source_epochs.tolist()
-        with open(path, "w", encoding="utf-8") as fh:
-            write_header(fh, header)
-            for si, site in enumerate(self.sites):
-                head = f'{{"site":{json.dumps(site)},"user":'
+        n_sources = len(self.source_epochs)
+        source_text = _text_table(self.source_epochs)
+        topic_text, least = self._topic_text()
+        with open(path, "wb") as fh:
+            fh.write(header_line(header).encode())
+            for site in self.sites:
+                head = f'{{"site":{json.dumps(site)},"user":'.encode()
                 for lo in range(0, len(self.user_ids), POPULATION_BLOCK_USERS):
-                    hi = lo + POPULATION_BLOCK_USERS
-                    users = self.user_ids[lo:hi].tolist()
-                    topics = self.truth_topics[si, lo:hi].tolist()
-                    noisy = self.truth_noisy[si, lo:hi].tolist()
-                    fh.write("".join(
-                        f'{head}{uid},"source_epoch":{src},"topic":{topic},'
-                        f'"noisy":{"true" if flag else "false"}}}\n'
-                        for uid, trow, nrow in zip(users, topics, noisy)
-                        for src, topic, flag in zip(sources, trow, nrow)
-                    ))
+                    view = self.site_view(site, slice(lo, lo + POPULATION_BLOCK_USERS))
+                    n = view.n_users
+                    fh.write(_records(n * n_sources, [
+                        head, (_text_table(view.user_ids), np.repeat(np.arange(n), n_sources)),
+                        b',"source_epoch":', (source_text, np.tile(np.arange(n_sources), n)),
+                        b',"topic":', (topic_text, view.truth_topics.ravel() - least),
+                        b',"noisy":', (_BOOL_TEXT, view.truth_noisy.ravel().view(np.uint8)),
+                        b"}\n",
+                    ]))
+
+
+def _text_table(values: np.ndarray) -> np.ndarray:
+    """`str` of each integer as one row of ASCII bytes, zero-padded to the longest: `(len(values), width)` uint8."""
+    values = np.asarray(values, dtype=np.int64)
+    width = max(len(str(values.min())), len(str(values.max()))) if values.size else 1
+    return values.astype(f"S{width}").view(np.uint8).reshape(len(values), width)
+
+
+_BOOL_TEXT = np.frombuffer(b"false" + b"true\0", dtype=np.uint8).reshape(2, 5)
+
+
+def _records(n: int, fields: list) -> bytes:
+    """`n` records as text, one per row of a `(n, width)` uint8 matrix filled field by field.
+
+    A field is constant bytes, broadcast to every row, or a `(table, index)`
+    pair, whose row i is `table[index[i]]`: text zero-padded to the table's
+    width. JSON text holds no NUL byte, so dropping every zero byte drops
+    only that fill (`bytes.replace` does it about twice as fast as a mask).
+    """
+    widths = [len(f) if isinstance(f, bytes) else f[0].shape[1] for f in fields]
+    template = b"".join(f if isinstance(f, bytes) else bytes(w) for f, w in zip(fields, widths))
+    out = np.empty((n, len(template)), dtype=np.uint8)
+    out[:] = np.frombuffer(template, dtype=np.uint8)
+    stop = 0
+    for field, width in zip(fields, widths):
+        start, stop = stop, stop + width
+        if not isinstance(field, bytes):
+            out[:, start:stop] = np.take(*field, axis=0)
+    return out.tobytes().replace(b"\0", b"")
 
 
 @dataclass
 class SiteLog:
-    """One site's slice of an ObservationLog: its truth draws and the calls formed from them.
+    """One site's slice of an ObservationLog, of all its users or of one block of them:
+    their truth draws and the calls formed from them.
 
     `topics` and `slot_sources` are every call and the source epoch of its
     every slot, `(user, epoch, tau)` int16, read-only and built in full
-    when first read.
+    when first read; only `tests/` and `perfbench/` read them.
     """
 
     site: str

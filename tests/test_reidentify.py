@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import hypothesis.strategies as st
 import numpy as np
 import pytest
@@ -6,6 +11,7 @@ from hypothesis.extra.numpy import arrays
 
 from conftest import make_profile
 from reference import argmax_match_one_way, reidentify_two_calls
+import topicsim
 from topicsim.classification import PrevalenceTable
 from topicsim.denoiser import DenoiserConfig
 from topicsim.population import Population, UserProfile
@@ -282,3 +288,31 @@ def test_miss_counts_partition_non_unique_users():
     rep = match_users(a, b)
     assert (rep.n_whole_population, rep.n_tied, rep.n_wrong_argmax) == (1, 2, 1)
     assert int(rep.unique_correct.sum()) == 2
+
+
+_MA_PROBE = """
+import sys
+import numpy
+print("numpy" if "numpy.ma" in sys.modules else "", flush=True)
+from topicsim.denoiser import DenoiserConfig
+from topicsim.reidentify import run_reidentification
+from topicsim.simulator import SimConfig, run_scenario
+from topicsim.worlds import build_world, wide_pool_config
+world = build_world(wide_pool_config(n_users=300, seed=1))
+log = run_scenario(world.population, SimConfig(epochs=8, sites=("wa", "wb"), seed=2), world.taxonomy)
+run_reidentification(log, "wa", "wb", world.prevalence, DenoiserConfig())
+print("study" if "numpy.ma" in sys.modules else "")
+"""
+
+
+def test_reidentification_does_not_import_numpy_ma():
+    """`numpy.ma` costs tens of milliseconds to import, and nothing in the
+    study needs it; `np.unique` without counts would import it."""
+    env = dict(os.environ, PYTHONPATH=str(Path(topicsim.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-c", _MA_PROBE], env=env, capture_output=True, text=True,
+                          timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    after_numpy, after_study = proc.stdout.split("\n")[:2]
+    if after_numpy:
+        pytest.skip("`import numpy` alone loads numpy.ma here")
+    assert not after_study, "run_reidentification imported numpy.ma"

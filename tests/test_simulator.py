@@ -15,7 +15,7 @@ from reference import (
     write_log_ndjson_reference,
     write_truth_ndjson_reference,
 )
-from topicsim.population import POPULATION_BLOCK_USERS, Population, UserProfile
+from topicsim.population import POPULATION_BLOCK_USERS, Population, Profiles, UserProfile
 from topicsim.simulator import SimConfig, epoch_topic_draw, run_scenario
 
 
@@ -276,6 +276,56 @@ def test_truth_channel_separate_from_results(taxonomy, tmp_path):
     assert len(truth_lines) == 1 + 5 * (2 + 3 - 1)
     assert "noisy" not in log_lines[1]
     assert "noisy" in truth_lines[1]
+
+
+def _profiles(ids, seed=0):
+    gen = np.random.default_rng(seed)
+    profiles = np.argsort(gen.random((len(ids), 349)), axis=1)[:, :5] + 1
+    return Profiles(user_ids=np.asarray(ids, dtype=np.int64), profiles=profiles.astype(np.int64))
+
+
+_SCATTERED_IDS = [9_876_543, 12, 1_000_000, 7, 123_456_789_012, 3, 4_200_000, 99]
+
+
+@pytest.mark.parametrize("ids, tau, epochs, sites", [
+    (np.arange(POPULATION_BLOCK_USERS + 7), 3, 3, ("wa", "wb")),
+    (_SCATTERED_IDS, 3, 4, ("wa",)),
+    (_SCATTERED_IDS, 1, 5, ("wa", "wb")),
+    (_SCATTERED_IDS, 4, 2, ("wa",)),
+    (_SCATTERED_IDS, 3, 0, ("wa", "wb")),
+    (_SCATTERED_IDS, 3, 2, ('\u00e9"x.example',)),
+], ids=["two-blocks", "scattered-ids", "tau-1", "tau-4", "no-epochs", "escaped-site"])
+def test_ndjson_writers_match_reference_bytes_at_edge_shapes(taxonomy, tmp_path, ids, tau, epochs, sites):
+    """Past one user block, ids of 7 to 12 digits in no order, tau 1 and 4, no
+    epochs (a header-only log and a truth file of negative source epochs) and a
+    site name `json.dumps` escapes: both writers give the oracles' bytes."""
+    log = run_scenario(_profiles(ids), SimConfig(tau=tau, p=0.3, epochs=epochs, sites=sites, seed=6), taxonomy)
+    header = {"seed": 6}
+    log.write_ndjson(tmp_path / "log.ndjson", header)
+    write_log_ndjson_reference(log, tmp_path / "log_ref.ndjson", header)
+    log.write_truth_ndjson(tmp_path / "truth.ndjson", header)
+    write_truth_ndjson_reference(log, tmp_path / "truth_ref.ndjson", header)
+    assert (tmp_path / "log.ndjson").read_bytes() == (tmp_path / "log_ref.ndjson").read_bytes()
+    assert (tmp_path / "truth.ndjson").read_bytes() == (tmp_path / "truth_ref.ndjson").read_bytes()
+    if not epochs:
+        assert (tmp_path / "log.ndjson").read_text().splitlines() == ['{"header":{"seed":6}}']
+        assert '"source_epoch":-2,' in (tmp_path / "truth.ndjson").read_text()
+
+
+def test_user_block_view_calls_equal_the_whole_population_rows(taxonomy):
+    """A call is keyed per user, so a view of some users' rows forms those
+    rows of the whole population's call at every epoch."""
+    n = 2 * POPULATION_BLOCK_USERS + 5
+    log = run_scenario(users_with_random_profiles(n), SimConfig(p=0.3, epochs=6, sites=("wa", "wb"), seed=4),
+                       taxonomy)
+    for site in log.sites:
+        whole = log.site_view(site)
+        for lo in range(0, n, POPULATION_BLOCK_USERS):
+            rows = slice(lo, lo + POPULATION_BLOCK_USERS)
+            block = log.site_view(site, rows)
+            assert np.array_equal(block.user_ids, log.user_ids[rows])
+            for epoch in range(1, log.epochs + 1):
+                assert np.array_equal(block.call(epoch), whole.call(epoch)[rows])
 
 
 @settings(max_examples=30, deadline=None)
