@@ -126,7 +126,7 @@ def load_classification(source: TextSource, taxonomy: Taxonomy) -> DomainClassif
                     tid = int(token)
                 except ValueError:
                     raise ClassificationError(f"non-integer topic id {token!r}", row=lineno) from None
-                if tid not in taxonomy or tid == 0:
+                if not 1 <= tid <= taxonomy.omega:
                     raise ClassificationError(f"unknown topic id {tid}", row=lineno)
                 ids.add(tid)
         entries[domain] = frozenset(ids)

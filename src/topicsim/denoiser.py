@@ -133,7 +133,7 @@ class MultiShotEngine:
 
     A topic is confirmed when `evidence >= 2`. Feed calls epoch by epoch
     via observe_epoch, then read genuine_slots / recovered_sizes (or the
-    dense `(n_users, omega + 1)` views genuine_matrix / recovered_matrix).
+    dense `(n_users, omega + 1)` view genuine_matrix).
     The first call's width is tau; every later call must have as many
     slots.
     """
@@ -287,19 +287,12 @@ class MultiShotEngine:
             genuine |= (self.topic >= 0) & self.threshold_pass[self.topic] & unfrozen
         return genuine
 
-    def _dense(self, slots: np.ndarray) -> np.ndarray:
-        out = np.zeros((self.topic.shape[1], self.omega + 1), dtype=bool)
-        s, u = np.nonzero(slots)
-        out[u, self.topic[s, u]] = True
-        return out
-
-    def recovered_matrix(self) -> np.ndarray:
-        """`recovered_slots` as a dense `(user, topic)` mask."""
-        return self._dense(self.recovered_slots())
-
     def genuine_matrix(self) -> np.ndarray:
         """`genuine_slots` as a dense `(user, topic)` mask; unobserved topics are False."""
-        return self._dense(self.genuine_slots())
+        out = np.zeros((self.topic.shape[1], self.omega + 1), dtype=bool)
+        s, u = np.nonzero(self.genuine_slots())
+        out[u, self.topic[s, u]] = True
+        return out
 
 
 @dataclass(frozen=True)

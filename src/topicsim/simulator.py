@@ -15,8 +15,9 @@ Ground-truth noise flags live in a separate truth channel never consumed
 by adversary-side code; evaluation functions take it explicitly.
 
 The log stores only the truth draws, (site, user, source epoch) arrays.
-A call is formed when it is read (`SiteLog.call`): its window of tau
-draws in the keyed shuffle's order, so nothing keeps the calls.
+A call is formed when it is read, by one former for any array of epochs
+(`SiteLog.calls`): its window of tau draws in the keyed shuffle's order,
+so nothing keeps the calls.
 
 Log output: NDJSON, one record per call `{site, user, epoch, topics}`;
 truth channel NDJSON `{site, user, source_epoch, topic, noisy}`. Both
@@ -26,9 +27,9 @@ formatted one site and one block of `POPULATION_BLOCK_USERS` users at a
 time, as the rows of a `(records, width)` uint8 matrix: the constant
 JSON fragments are broadcast, and every number (user id, epoch, source
 epoch, topic) and flag is gathered from a small zero-padded text table.
-One mask drops the zero fill, and the block is written as bytes. The
-log writer forms each block's calls through `SiteLog.call` on a view of
-that block's users.
+The zero fill is dropped with `bytes.replace`, and the block is written
+as bytes. The log writer forms every call of each block at once through
+`SiteLog.calls` on a view of that block's users.
 """
 
 from __future__ import annotations
@@ -104,11 +105,10 @@ class ObservationLog:
     """The truth draws of every (site, user, source epoch), from which each call is formed.
 
     An analysis reads one call per epoch through `site_view(site).call(epoch)`,
-    and the NDJSON writers read the calls of one block of users at a time
-    through `site_view(site, rows)`. `topics` and `slot_sources` are every
-    call and the source epoch of its every slot, `(site, user, epoch, tau)`
-    int16, read-only, built in full when first read and then kept; nothing
-    in the package reads them, only `tests/` and `perfbench/` do.
+    and the NDJSON writer reads the calls of one block of users at a time
+    through `site_view(site, rows)`. `topics` is every call, `(site, user,
+    epoch, tau)` int16, read-only, built in full when first read and then
+    kept; nothing in the package reads it, only `tests/` and `perfbench/` do.
     """
 
     config: SimConfig
@@ -127,18 +127,8 @@ class ObservationLog:
 
     @functools.cached_property
     def topics(self) -> np.ndarray:
-        return self._by_site("topics")
-
-    @functools.cached_property
-    def slot_sources(self) -> np.ndarray:
-        return self._by_site("slot_sources")
-
-    def _by_site(self, view: str) -> np.ndarray:
-        out = np.empty((len(self.sites), len(self.user_ids), self.epochs, self.config.tau), dtype=np.int16)
-        for s, site in enumerate(self.sites):
-            out[s] = getattr(self.site_view(site), view)
-        out.flags.writeable = False
-        return out
+        out = np.array([self.site_view(site).topics for site in self.sites], dtype=np.int16)
+        return _read_only(out.reshape(len(self.sites), len(self.user_ids), self.epochs, self.config.tau))
 
     def noisy_slot_fraction(self) -> float:
         """Fraction of returned slots whose pinned draw was the noise branch.
@@ -183,10 +173,7 @@ class ObservationLog:
                 for lo in range(0, len(self.user_ids), POPULATION_BLOCK_USERS):
                     view = self.site_view(site, slice(lo, lo + POPULATION_BLOCK_USERS))
                     n = view.n_users
-                    calls = np.empty((n, epochs, tau), dtype=np.int16)
-                    for epoch in range(1, epochs + 1):
-                        calls[:, epoch - 1] = view.call(epoch)
-                    topics = calls.reshape(n * epochs, tau) - least
+                    topics = view.calls(np.arange(1, epochs + 1)).reshape(n * epochs, tau) - least
                     fields = [head, (_text_table(view.user_ids), np.repeat(np.arange(n), epochs)),
                               b',"epoch":', (epoch_text, np.tile(np.arange(epochs), n)),
                               b',"topics":[', (topic_text, topics[:, 0])]
@@ -249,9 +236,10 @@ class SiteLog:
     """One site's slice of an ObservationLog, of all its users or of one block of them:
     their truth draws and the calls formed from them.
 
-    `topics` and `slot_sources` are every call and the source epoch of its
-    every slot, `(user, epoch, tau)` int16, read-only and built in full
-    when first read; only `tests/` and `perfbench/` read them.
+    `call(epoch)` and the views go through `calls`. `topics` and
+    `slot_sources` are every call and the source epoch of its every slot,
+    `(user, epoch, tau)` int16, read-only and built in full when first
+    read; only `tests/` and `perfbench/` read them.
     """
 
     site: str
@@ -270,35 +258,43 @@ class SiteLog:
         return self.config.epochs
 
     def call(self, epoch: int) -> np.ndarray:
-        """Every user's call at `epoch`, `(user, tau)` int16: their window of draws in shuffled order."""
-        return np.take_along_axis(self.truth_topics, self._slot_sources(epoch) - self.source_epochs[0], axis=1)
+        """Every user's call at `epoch`, `(user, tau)` int16."""
+        return self.calls(np.array([epoch]))[:, 0]
 
-    def _slot_sources(self, epoch: int) -> np.ndarray:
-        """The source epoch of each slot of every user's call at `epoch`, `(user, tau)`."""
-        if not 1 <= epoch <= self.epochs:
-            raise ValueError(f"epoch must be in 1..{self.epochs}, got {epoch}")
+    def calls(self, epochs: np.ndarray) -> np.ndarray:
+        """Every user's call at each of `epochs`, `(user, len(epochs), tau)` int16:
+        their window of draws in shuffled order."""
+        n, n_sources = self.truth_topics.shape
+        # Where each user's draws start in the flat array, less the first source epoch, 1 - tau.
+        starts = np.arange(n)[:, None, None] * n_sources + self.config.tau - 1
+        return self.truth_topics.ravel()[starts + self._slot_sources(epochs)]
+
+    def _slot_sources(self, epochs: np.ndarray) -> np.ndarray:
+        """The source epoch of each slot of every user's call at each of `epochs`,
+        `(user, len(epochs), tau)`: e - tau .. e - 1 in the order of one keyed shuffle."""
+        bad = epochs[(epochs < 1) | (epochs > self.epochs)]
+        if bad.size:
+            raise ValueError(f"epoch must be in 1..{self.epochs}, got {bad[0]}")
         tau = self.config.tau
-        window = np.arange(epoch - tau, epoch)  # source epochs, ascending
         shuffle_keys = rng.uniform(
-            self.config.seed, self.user_ids[:, None], rng.string_key(self.site), epoch,
-            rng.TAG_SHUFFLE, np.arange(tau)[None, :],
+            self.config.seed, self.user_ids[:, None, None], rng.string_key(self.site), epochs[:, None],
+            rng.TAG_SHUFFLE, np.arange(tau),
         )
-        return window[np.argsort(shuffle_keys, axis=1, kind="stable")]
+        order = np.argsort(shuffle_keys.reshape(-1, tau), axis=1, kind="stable").reshape(shuffle_keys.shape)
+        return epochs[:, None] - tau + order
 
     @functools.cached_property
     def topics(self) -> np.ndarray:
-        return self._by_epoch(self.call)
+        return _read_only(self.calls(np.arange(1, self.epochs + 1)))
 
     @functools.cached_property
     def slot_sources(self) -> np.ndarray:
-        return self._by_epoch(self._slot_sources)
+        return _read_only(self._slot_sources(np.arange(1, self.epochs + 1)).astype(np.int16))
 
-    def _by_epoch(self, per_epoch) -> np.ndarray:
-        out = np.empty((self.n_users, self.epochs, self.config.tau), dtype=np.int16)
-        for epoch in range(1, self.epochs + 1):
-            out[:, epoch - 1] = per_epoch(epoch)
-        out.flags.writeable = False
-        return out
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 def _draws_for_site(

@@ -6,8 +6,9 @@ per-topic arrays are omega + 1 long. Names are full slash paths
 ("/Arts & Entertainment/Comics"); the parent relation is derived
 from the path rather than stored, so it cannot go out of sync.
 
-The Unknown sentinel (id 0) is never a file row and never part of the
-uniform sample space for noise draws.
+`UNKNOWN_TOPIC_ID` (0) is the classifier's Unknown: never a file row,
+never one of the `Taxonomy`'s topics, and never part of the uniform
+sample space for noise draws.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from pathlib import Path
 from typing import IO, Iterable, Optional, Union
 
 UNKNOWN_TOPIC_ID = 0
-UNKNOWN_TOPIC_NAME = "Unknown"
 
 TAXONOMY_HEADER = "id\tname"
 
@@ -41,9 +41,6 @@ class Topic:
     parent_id: Optional[int]
 
 
-UNKNOWN_TOPIC = Topic(UNKNOWN_TOPIC_ID, UNKNOWN_TOPIC_NAME, None)
-
-
 class Taxonomy:
     """Validated, immutable topic hierarchy; topic i is `topics[i - 1]`."""
 
@@ -52,27 +49,11 @@ class Taxonomy:
         for expected, t in enumerate(self.topics, start=1):
             if t.id != expected:
                 raise TaxonomyError(f"topic ids must run 1, 2, ... in order: expected {expected}, got {t.id}")
-        self._by_name = {t.name: t for t in self.topics}
-        self.unknown = UNKNOWN_TOPIC
 
     @property
     def omega(self) -> int:
         """Number of real (non-Unknown) topics."""
         return len(self.topics)
-
-    def __contains__(self, topic_id: int) -> bool:
-        return UNKNOWN_TOPIC_ID <= topic_id <= self.omega
-
-    def get(self, topic_id: int) -> Topic:
-        if topic_id not in self:
-            raise TaxonomyError(f"topic id {topic_id} not in taxonomy")
-        return self.topics[topic_id - 1] if topic_id != UNKNOWN_TOPIC_ID else self.unknown
-
-    def by_name(self, name: str) -> Topic:
-        try:
-            return self._by_name[name]
-        except KeyError:
-            raise TaxonomyError(f"topic name {name!r} not in taxonomy") from None
 
     def ids(self) -> tuple[int, ...]:
         return tuple(range(1, self.omega + 1))

@@ -24,7 +24,8 @@ faster rewrite can be checked for equal results:
   `ObservationLog`) checks `simulator.run_scenario` and `SiteLog.call`;
 * `denoise_multi_shot` (per-topic state objects for one user's call
   history, tau passed explicitly where the engine reads it from the
-  call width) checks `denoiser.MultiShotEngine`;
+  call width) checks `denoiser.MultiShotEngine`, whose recovered slots
+  `recovered_matrix` turns into a dense `(user, topic)` mask;
 * `truth_channel` and `evaluate_denoiser` (per-draw scoring of
   `denoise_multi_shot` outcomes) check `denoiser.denoise_site_trajectory`;
 * `argmax_match_one_way` and `reidentify_two_calls` (a blocked float32
@@ -469,6 +470,14 @@ def denoise_multi_shot(
         recovered=recovered,
         frozen=len(recovered) >= config.T,
     )
+
+
+def recovered_matrix(engine: MultiShotEngine) -> np.ndarray:
+    """The engine's `recovered_slots` as a dense `(user, topic)` mask."""
+    out = np.zeros((engine.topic.shape[1], engine.omega + 1), dtype=bool)
+    s, u = np.nonzero(engine.recovered_slots())
+    out[u, engine.topic[s, u]] = True
+    return out
 
 
 @dataclass(frozen=True)

@@ -35,6 +35,17 @@ def test_load_rejects_unknown_topic_id(taxonomy):
         load_classification(io.StringIO("a.com\t1,999\n"), taxonomy)
 
 
+@pytest.mark.parametrize("tid, refused", [(-1, True), (0, True), (1, False), (349, False), (350, True)])
+def test_load_takes_topic_ids_one_to_omega_only(taxonomy, tid, refused):
+    """The Unknown id 0 and anything past omega = 349 are not topics a domain can carry."""
+    source = io.StringIO(f"a.com\t{tid}\n")
+    if refused:
+        with pytest.raises(ClassificationError, match=f"row 1: unknown topic id {tid}$"):
+            load_classification(source, taxonomy)
+    else:
+        assert load_classification(source, taxonomy).topics_of("a.com") == frozenset({tid})
+
+
 def test_load_rejects_duplicate_domain(taxonomy):
     with pytest.raises(ClassificationError, match="duplicate domain"):
         load_classification(io.StringIO("a.com\t1\na.com\t2\n"), taxonomy)

@@ -17,6 +17,7 @@ from reference import (
     denoise_multi_shot,
     evaluate_denoiser,
     log_result,
+    recovered_matrix,
     threshold_classify,
     truth_channel,
 )
@@ -179,7 +180,7 @@ def test_eviction_tie_break_prefers_earlier_sighting_then_lower_id(calls, kept):
         engine.observe_epoch(e + 1, np.array([call], dtype=np.int16))
     history = [res([t for t in call if t >= 0], epoch=e + 1) for e, call in enumerate(calls)]
     outcome = denoise_multi_shot(history, prev, cfg, tau=len(calls[0]))
-    assert np.nonzero(engine.recovered_matrix()[0])[0].tolist() == [kept]
+    assert np.nonzero(recovered_matrix(engine)[0])[0].tolist() == [kept]
     assert outcome.recovered == {kept}
 
 
@@ -287,7 +288,7 @@ def test_engine_matches_object_denoiser(case, T, threshold, aggressive):
     engine = MultiShotEngine(len(users), 349, prev, cfg)
     for e in range(len(users[0])):
         engine.observe_epoch(e + 1, np.array([calls[e] for calls in users], dtype=np.int16))
-    genuine, recovered, sizes = engine.genuine_matrix(), engine.recovered_matrix(), engine.recovered_sizes()
+    genuine, recovered, sizes = engine.genuine_matrix(), recovered_matrix(engine), engine.recovered_sizes()
 
     for u, calls in enumerate(users):
         history = [res([t for t in topics if t >= 0], epoch=e + 1) for e, topics in enumerate(calls)]
@@ -312,7 +313,7 @@ def test_slot_tables_grow_when_a_user_sees_more_topics_than_slots():
     for e in range(12):
         engine.observe_epoch(e + 1, np.array([user[e] for user in calls], dtype=np.int16))
         widths.append(engine.topic.shape[0])
-        genuine, recovered = engine.genuine_matrix(), engine.recovered_matrix()
+        genuine, recovered = engine.genuine_matrix(), recovered_matrix(engine)
         for u, user in enumerate(calls):
             outcome = denoise_multi_shot([res(c, epoch=i + 1) for i, c in enumerate(user[: e + 1])], prev)
             assert set(np.nonzero(genuine[u])[0].tolist()) == set(outcome.verdict.genuine_topics()), (e, u)
@@ -353,7 +354,7 @@ def test_suppressed_entries_never_match_an_empty_slot(case, aggressive):
     epochs = len(users[0])
     for e in range(epochs):
         engine.observe_epoch(e + 1, np.array([calls[e] for calls in users], dtype=np.int64))
-        genuine, recovered, sizes = engine.genuine_matrix(), engine.recovered_matrix(), engine.recovered_sizes()
+        genuine, recovered, sizes = engine.genuine_matrix(), recovered_matrix(engine), engine.recovered_sizes()
         for u, calls in enumerate(users):
             history = [res([t for t in topics if t >= 0], epoch=i + 1) for i, topics in enumerate(calls[: e + 1])]
             outcome = denoise_multi_shot(history, prev, cfg, tau)
@@ -390,7 +391,7 @@ def test_observe_epoch_rejects_topic_above_omega():
     assert engine.current_epoch == 0
     # Any negative id is a suppressed slot.
     engine.observe_epoch(1, np.array([[7, 7, -1], [-5, 349, 349]], dtype=np.int16))
-    assert np.nonzero(engine.recovered_matrix())[1].tolist() == [7, 349]
+    assert np.nonzero(recovered_matrix(engine))[1].tolist() == [7, 349]
 
 
 def test_engine_refuses_a_prevalence_table_of_another_taxonomy():
@@ -420,7 +421,7 @@ def test_observe_epoch_rejects_row_count_mismatch(rows):
     # The refused epoch can still be fed correctly.
     engine.observe_epoch(1, np.array([[5, 5, 5], [-1, -1, -1], [9, 9, -1]], dtype=np.int16))
     assert engine.current_epoch == 1
-    assert np.nonzero(engine.recovered_matrix())[1].tolist() == [5, 9]
+    assert np.nonzero(recovered_matrix(engine))[1].tolist() == [5, 9]
 
 @settings(max_examples=60, deadline=None)
 @given(calls_strategy)
@@ -584,7 +585,7 @@ def test_median_user_fully_recovered_after_thirty_epochs(taxonomy):
     site = log.site_view("w")
     for e in range(1, 31):
         engine.observe_epoch(e, site.topics[:, e - 1, :])
-    recovered = engine.recovered_matrix()
+    recovered = recovered_matrix(engine)
     exact = 0
     for i, u in enumerate(users):
         got = set(np.nonzero(recovered[i])[0].tolist())

@@ -171,10 +171,11 @@ def test_slots_trace_to_truth_draws(taxonomy):
     users = users_with_random_profiles(30)
     cfg = SimConfig(epochs=5, sites=("wa",), seed=43)
     log = run_scenario(users, cfg, taxonomy)
+    slot_sources = log.site_view("wa").slot_sources
     for u in range(30):
         for epoch in range(1, 6):
             res = log_result(log, "wa", u, epoch)
-            sources = log.slot_sources[0, u, epoch - 1]
+            sources = slot_sources[u, epoch - 1]
             assert sorted(sources) == list(range(epoch - 3, epoch))
             for slot, topic in enumerate(res.topics):
                 draw = log_truth_draw(log, "wa", u, int(sources[slot]))
@@ -230,6 +231,35 @@ def test_calls_read_in_any_epoch_order_are_equal(taxonomy):
             view.call(epoch)
 
 
+@pytest.mark.parametrize("tau, epochs", [(1, 6), (4, 6), (3, 0), (1, 0)])
+def test_calls_of_any_epoch_array_equal_the_per_epoch_calls_and_views(taxonomy, tau, epochs):
+    """One former serves every read: `calls` on an unsorted array with
+    repeats, or an empty one, stacks the per-epoch `call`s, which are the
+    rows of the `topics` view, and each slot holds its source's draw."""
+    users = users_with_random_profiles(30)
+    cfg = SimConfig(tau=tau, p=0.3, epochs=epochs, sites=("wa",), seed=23)
+    log = run_scenario(users, cfg, taxonomy)
+    view = log.site_view("wa")
+    assert view.topics.shape == view.slot_sources.shape == (30, epochs, tau)
+    for order in ([], [epochs, 1, epochs, 2, 1], list(range(epochs, 0, -1))):
+        picked = np.array([e for e in order if 1 <= e <= epochs], dtype=np.int64)
+        calls = view.calls(picked)
+        assert calls.shape == (30, len(picked), tau) and calls.dtype == np.int16
+        for k, e in enumerate(picked.tolist()):
+            assert np.array_equal(calls[:, k], view.call(e))
+            assert np.array_equal(calls[:, k], view.topics[:, e - 1])
+            sources = view.slot_sources[:, e - 1].astype(np.int64)
+            assert (np.sort(sources, axis=1) == np.arange(e - tau, e)).all()
+            draws = np.take_along_axis(view.truth_topics, sources - log.source_epochs[0], axis=1)
+            assert np.array_equal(calls[:, k], draws)
+    valid = [epochs] if epochs else []
+    for bad in (0, epochs + 1):
+        with pytest.raises(ValueError, match=f"epoch must be in 1..{epochs}, got {bad}$"):
+            view.call(bad)
+        with pytest.raises(ValueError, match=f"epoch must be in 1..{epochs}, got {bad}$"):
+            view.calls(np.array(valid + [bad, 0]))
+
+
 def test_log_holds_only_the_truth_draws(taxonomy):
     """The log keeps no call: after every call is read, its arrays are
     still only the user ids, the truth draws and the source-epoch labels."""
@@ -248,7 +278,8 @@ def test_log_holds_only_the_truth_draws(taxonomy):
 def test_noisy_slot_fraction_equals_the_slot_level_fraction(taxonomy, tau, epochs):
     users = users_with_random_profiles(60)
     log = run_scenario(users, SimConfig(tau=tau, p=0.3, epochs=epochs, sites=("wa", "wb"), seed=31), taxonomy)
-    src = log.slot_sources.astype(np.int64) - log.source_epochs[0]
+    slot_sources = np.array([log.site_view(site).slot_sources for site in log.sites])
+    src = slot_sources.astype(np.int64) - log.source_epochs[0]
     flags = np.take_along_axis(log.truth_noisy[:, :, None, :], src, axis=3)
     assert log.noisy_slot_fraction() == (float(flags.mean()) if flags.size else 0.0)
 

@@ -79,37 +79,31 @@ def test_ids_are_contiguous_from_one(taxonomy):
 
 
 def test_parent_chain_example(taxonomy):
-    sales = taxonomy.by_name("/Business & Industrial/Advertising & Marketing/Sales")
-    parent = taxonomy.get(sales.parent_id)
+    by_name = {t.name: t for t in taxonomy.topics}
+    sales = by_name["/Business & Industrial/Advertising & Marketing/Sales"]
+    parent = taxonomy.topics[sales.parent_id - 1]
     assert parent.name == "/Business & Industrial/Advertising & Marketing"
-    grandparent = taxonomy.get(parent.parent_id)
+    grandparent = taxonomy.topics[parent.parent_id - 1]
     assert grandparent.name == "/Business & Industrial"
     assert grandparent.parent_id is None
 
 
 def test_root_has_no_parent(taxonomy):
-    assert taxonomy.by_name("/News").parent_id is None
+    assert {t.name: t for t in taxonomy.topics}["/News"].parent_id is None
 
 
 def test_unknown_sentinel(taxonomy):
-    assert taxonomy.get(UNKNOWN_TOPIC_ID).parent_id is None
-    assert taxonomy.get(UNKNOWN_TOPIC_ID).name == "Unknown"
-    assert UNKNOWN_TOPIC_ID in taxonomy
     # The sentinel is never one of the omega real topics.
     assert all(t.id != UNKNOWN_TOPIC_ID for t in taxonomy.topics)
+    assert UNKNOWN_TOPIC_ID not in taxonomy.ids()
 
 
 def test_parent_name_is_proper_prefix(taxonomy):
     for topic in taxonomy.topics:
         if topic.parent_id is not None:
-            parent = taxonomy.get(topic.parent_id)
+            parent = taxonomy.topics[topic.parent_id - 1]
             assert topic.name.startswith(parent.name + "/")
             assert len(parent.name) < len(topic.name)
-
-
-def test_unknown_topic_lookup_fails(taxonomy):
-    with pytest.raises(TaxonomyError):
-        taxonomy.get(999)
 
 
 def test_empty_file_rejected():
