@@ -136,7 +136,7 @@ def load_classification(source: TextSource, taxonomy: Taxonomy) -> DomainClassif
 def classification_lines(classification: DomainClassification) -> list[str]:
     """`domain<TAB>id,id,...` rows, the file format `load_classification` reads."""
     return [
-        f"{d}\t{','.join(map(str, classification.row(i).tolist()))}\n"
+        f"{d}\t{','.join(map(str, classification.row(i).tolist()))}"
         for i, d in enumerate(classification.names)
     ]
 

@@ -143,9 +143,11 @@ def file_header(cfg: dict) -> dict:
     return {"topicsim": __version__, "config_hash": config_hash(cfg), "seed": cfg["seed"]}
 
 
-def csv_header_line(cfg: dict) -> str:
+def _write_csv(path: Path, cfg: dict, lines: list[str]) -> None:
+    """`lines` under the provenance comment line, each ended by a newline."""
     h = file_header(cfg)
-    return f"# topicsim={h['topicsim']} config_hash={h['config_hash']} seed={h['seed']}"
+    head = f"# topicsim={h['topicsim']} config_hash={h['config_hash']} seed={h['seed']}"
+    path.write_text("\n".join([head, *lines]) + "\n", encoding="utf-8")
 
 
 def _resolve_taxonomy(cfg: dict) -> Taxonomy:
@@ -175,10 +177,7 @@ def _resolve_classification(cfg: dict, taxonomy: Taxonomy) -> DomainClassificati
     spec = cfg["classification"]
     if spec.startswith("synthetic:"):
         return synthetic_classification(_world_config(cfg), taxonomy)
-    path = Path(spec)
-    if not path.exists():
-        raise MissingArtifactError(path, "filter (or supply a classification file)")
-    return load_classification(path, taxonomy)
+    return load_classification(_require(Path(spec), "filter (or supply a classification file)"), taxonomy)
 
 
 def _resolve_prevalence(cfg: dict, taxonomy: Taxonomy) -> PrevalenceTable:
@@ -206,6 +205,8 @@ def _build_order(cfg: dict, classification: DomainClassification) -> RankedDomai
 
 
 def cmd_generate(cfg: dict) -> int:
+    if cfg["crux"] is None and (cfg["tranco"] is not None or cfg["radar"] is not None):
+        raise ConfigError("`tranco` and `radar` order the domains of a `crux` file, but `crux` is null")
     taxonomy = _resolve_taxonomy(cfg)
     classification = _resolve_classification(cfg, taxonomy)
     order = _build_order(cfg, classification)
@@ -291,39 +292,34 @@ def _check_header(path: Path, key: str, expected: str, produced_by: str) -> None
         )
 
 
-def _rebuild_scenario(cfg: dict, taxonomy: Taxonomy, n_sites: int) -> tuple[Profiles, ObservationLog]:
-    """`_simulate` for the analysis subcommands, once `log.ndjson` is checked.
+def _analysis_inputs(cfg: dict, command: str, n_sites: int) -> tuple[PrevalenceTable, Profiles, ObservationLog]:
+    """The prevalence, the profiles and the log of the first `n_sites` sites that `command` analyses.
 
-    The NDJSON artifacts are the interchange format; for analysis we
-    re-derive the identical log from the recorded seed (draws are keyed
-    per site, so this is byte-exact for the sites simulated) rather than
-    reparsing gigabytes. The log's header must carry this config's
-    scenario hash.
+    `sites` and `epochs` the command cannot use are refused before any
+    work. The NDJSON artifacts are the interchange format; for analysis
+    we re-derive the identical log from the recorded seed (draws are
+    keyed per site, so this is byte-exact for the sites simulated)
+    rather than reparsing gigabytes. The log's header must carry this
+    config's scenario hash.
     """
-    out = _out_dir(cfg)
-    population_path = _require(out / "population.ndjson", "generate")
-    _check_header(_require(out / "log.ndjson", "simulate"), "scenario_hash", scenario_hash(cfg), "simulate")
-    return _simulate(cfg, taxonomy, population_path, n_sites)
-
-
-def _check_analysis_keys(cfg: dict, command: str, n_sites: int) -> None:
-    """Refuse `sites` and `epochs` an analysis subcommand cannot use, before any work."""
     if len(cfg["sites"]) < n_sites:
         raise ConfigError(f"{command} needs {n_sites} site(s) in `sites`, got {len(cfg['sites'])}")
     if cfg["epochs"] < 1:
         raise ConfigError(f"{command} needs `epochs` >= 1, got {cfg['epochs']}")
+    taxonomy = _resolve_taxonomy(cfg)
+    prev = _resolve_prevalence(cfg, taxonomy)
+    out = _out_dir(cfg)
+    population_path = _require(out / "population.ndjson", "generate")
+    _check_header(_require(out / "log.ndjson", "simulate"), "scenario_hash", scenario_hash(cfg), "simulate")
+    return (prev, *_simulate(cfg, taxonomy, population_path, n_sites))
 
 
 def cmd_denoise(cfg: dict) -> int:
-    _check_analysis_keys(cfg, "denoise", 1)
-    taxonomy = _resolve_taxonomy(cfg)
-    prev = _resolve_prevalence(cfg, taxonomy)
-    profiles, log = _rebuild_scenario(cfg, taxonomy, 1)
+    prev, profiles, log = _analysis_inputs(cfg, "denoise", 1)
     out = _out_dir(cfg)
     site = cfg["sites"][0]
     traj = denoise_site_trajectory(log.site_view(site), prev, _denoiser_config(cfg), profiles)
-    lines = [csv_header_line(cfg)] + traj.csv_lines()
-    (out / "denoise_metrics.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_csv(out / "denoise_metrics.csv", cfg, traj.csv_lines())
     last = traj.points[-1]
     tpr, fpr = ("n/a" if r is None else f"{r:.4f}" for r in (last.metrics.tpr, last.metrics.fpr))
     print(f"site {site}: epoch {last.epoch} tpr={tpr} fpr={fpr} median_recovered={last.median_recovered:g}")
@@ -335,19 +331,14 @@ REPORTED_EPOCHS = (1, 2, 5, 10, 15, 20, 25, 30)
 
 
 def cmd_reidentify(cfg: dict) -> int:
-    _check_analysis_keys(cfg, "reidentify", 2)
-    taxonomy = _resolve_taxonomy(cfg)
-    prev = _resolve_prevalence(cfg, taxonomy)
-    _, log = _rebuild_scenario(cfg, taxonomy, 2)
+    prev, _, log = _analysis_inputs(cfg, "reidentify", 2)
     out = _out_dir(cfg)
     site_a, site_b = cfg["sites"][0], cfg["sites"][1]
     epochs = [e for e in REPORTED_EPOCHS if e <= cfg["epochs"]]
     rep = run_reidentification(log, site_a, site_b, prev, _denoiser_config(cfg), report_epochs=epochs)
-    lines = [csv_header_line(cfg)] + rep.csv_lines()
-    (out / "reid_report.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_csv(out / "reid_report.csv", cfg, rep.csv_lines())
     for e in rep.epochs:
-        klines = [csv_header_line(cfg)] + rep.k_cdf_csv_lines(e)
-        (out / f"reid_kcdf_epoch_{e:02d}.csv").write_text("\n".join(klines) + "\n", encoding="utf-8")
+        _write_csv(out / f"reid_kcdf_epoch_{e:02d}.csv", cfg, rep.k_cdf_csv_lines(e))
     last = rep.epochs[-1]
     whole, tied, wrong = rep.miss_counts[last]
     print(f"epoch {last}: unique_rate={rep.unique_rate_at(last):.4f} "
@@ -375,9 +366,7 @@ def cmd_filter(cfg: dict, scores_path: str) -> int:
     classification = classify_scores(vectors, FilterParams())
     out = _out_dir(cfg)
     dest = out / "filtered_classification.tsv"
-    with open(dest, "w", encoding="utf-8") as fh:
-        fh.write(csv_header_line(cfg) + "\n")
-        fh.writelines(classification_lines(classification))
+    _write_csv(dest, cfg, classification_lines(classification))
     print(f"filtered {len(vectors)} score vectors -> {dest}")
     return 0
 
@@ -387,9 +376,8 @@ def cmd_report(cfg: dict) -> int:
     taxonomy = _resolve_taxonomy(cfg)
     prev = _resolve_prevalence(cfg, taxonomy)
     out = _out_dir(cfg)
-    lines = [csv_header_line(cfg), "topic_id,domain_count"]
-    lines += [f"{tid},{int(prev.counts[tid])}" for tid in range(1, taxonomy.omega + 1)]
-    (out / "prevalence_hist.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    lines = ["topic_id,domain_count"] + [f"{tid},{int(prev.counts[tid])}" for tid in range(1, taxonomy.omega + 1)]
+    _write_csv(out / "prevalence_hist.csv", cfg, lines)
     produced = [out / "prevalence_hist.csv"]
     for name in ("denoise_metrics.csv", "reid_report.csv"):
         if (out / name).exists():

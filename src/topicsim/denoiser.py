@@ -343,22 +343,20 @@ def denoise_site_trajectory(
     draws of its window, so by epoch e the adversary has seen exactly
     the draws of source epochs before e.
 
-    Refuses a `config` whose T differs from the population's profile
-    width: T is the adversary's assumption, which the calls do not reveal.
+    `population` is the one the log was simulated from: row i of its
+    profiles is the log's user i. Refuses a population whose user ids
+    are not the log's, in the log's order, and a `config` whose T
+    differs from the population's profile width: T is the adversary's
+    assumption, which the calls do not reveal.
     """
-    if config.T != population.profiles.shape[1]:
-        raise ValueError(
-            f"denoiser T = {config.T}, but the population's profiles hold {population.profiles.shape[1]} topics"
-        )
+    if not np.array_equal(population.user_ids, site_log.user_ids):
+        raise ValueError("the population's user ids are not the log's, in the log's order: "
+                         "pass the population the log was simulated from")
+    profiles = population.profiles
+    if config.T != profiles.shape[1]:
+        raise ValueError(f"denoiser T = {config.T}, but the population's profiles hold {profiles.shape[1]} topics")
     omega = prev.counts.size - 1
     engine = MultiShotEngine(site_log.n_users, omega, prev, config)
-
-    # Align the population's profiles to the log's users.
-    missing = ~np.isin(site_log.user_ids, population.user_ids)
-    if missing.any():
-        raise ValueError(f"user {site_log.user_ids[missing][0]} of the log is not in the population")
-    by_id = np.argsort(population.user_ids, kind="stable")
-    profiles = population.profiles[by_id[np.searchsorted(population.user_ids[by_id], site_log.user_ids)]]
 
     tt = site_log.truth_topics
     in_profile = np.zeros(tt.shape, dtype=bool)

@@ -34,7 +34,6 @@ population output NDJSON, one user per line.
 
 from __future__ import annotations
 
-import contextlib
 import csv
 import functools
 import itertools
@@ -44,14 +43,14 @@ import math
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
-from typing import IO, Iterable, Iterator, Mapping, Optional, Sequence, Union
+from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
 from . import rng
 from .analytics import DEFAULT_T
 from .classification import DomainClassification
-from .taxonomy import Taxonomy
+from .taxonomy import Taxonomy, TextSource, read_lines
 
 logger = logging.getLogger(__name__)
 
@@ -175,7 +174,7 @@ def build_total_order(
     return RankedDomainList(domains=tuple(ordered))
 
 
-def load_bucket_file(source: Union[str, Path, IO[str]]) -> dict[str, str]:
+def load_bucket_file(source: TextSource) -> dict[str, str]:
     """CSV `origin,rank_bucket` (header optional), keyed by each origin's host.
 
     An origin may carry a scheme (`https://www.a.com`). A host that
@@ -192,7 +191,7 @@ def load_bucket_file(source: Union[str, Path, IO[str]]) -> dict[str, str]:
     return out
 
 
-def load_rank_file(source: Union[str, Path, IO[str]]) -> dict[str, int]:
+def load_rank_file(source: TextSource) -> dict[str, int]:
     """CSV `rank,domain` (header optional)."""
     out: dict[str, int] = {}
     for lineno, row in _rows(source, 2):
@@ -205,22 +204,15 @@ def load_rank_file(source: Union[str, Path, IO[str]]) -> dict[str, int]:
     return out
 
 
-def _rows(source: Union[str, Path, IO[str]], width: int) -> Iterator[tuple[int, list[str]]]:
+def _rows(source: TextSource, width: int) -> Iterator[tuple[int, list[str]]]:
     """Non-empty CSV rows with their line numbers; a row of fewer than
     `width` fields is refused."""
-    with _open(source) as fh:
-        for lineno, row in enumerate(csv.reader(fh), start=1):
-            if not row:
-                continue
-            if len(row) < width:
-                raise PopulationError(f"row {lineno}: expected {width} fields, got {len(row)}: {row!r}")
-            yield lineno, row
-
-
-def _open(source):
-    if hasattr(source, "read"):
-        return contextlib.nullcontext(source)
-    return open(source, "r", encoding="utf-8", newline="")
+    for lineno, row in enumerate(csv.reader(read_lines(source)), start=1):
+        if not row:
+            continue
+        if len(row) < width:
+            raise PopulationError(f"row {lineno}: expected {width} fields, got {len(row)}: {row!r}")
+        yield lineno, row
 
 
 # --- traffic & count models ---------------------------------------------
@@ -285,7 +277,7 @@ class CountHistogram:
         return np.asarray(self.support, dtype=np.int64)[idx]
 
 
-def load_count_histogram(source: Union[str, Path, IO[str]]) -> CountHistogram:
+def load_count_histogram(source: TextSource) -> CountHistogram:
     """CSV `unique_domain_count,user_fraction` (header optional)."""
     support, probs = [], []
     for lineno, row in _rows(source, 2):
@@ -458,7 +450,7 @@ def _profiles(
     uids: np.ndarray,
     observed: np.ndarray,
     width: int,
-    all_ids: np.ndarray,
+    omega: int,
     T: int,
     seed: int,
     candidate: int,
@@ -469,7 +461,7 @@ def _profiles(
     row * width + topic. A user's picks are its T observed topics of
     lowest keyed uniform (ties by position in the sorted list), a keyed
     permutation; users with fewer than T observed topics are padded with
-    distinct uniform taxonomy draws from the fill stream.
+    distinct uniform draws of taxonomy ids 1..omega from the fill stream.
     """
     if not 0 <= candidate < 10:
         raise PopulationError(f"candidate index must be in [0, 10), got {candidate}")
@@ -481,24 +473,24 @@ def _profiles(
 
     def fill(counter, r, jj):
         u = rng.uniform(seed, rng.TAG_PROFILE_FILL, uids[r], candidate, counter, jj)
-        return all_ids[(u * all_ids.size).astype(np.int64)]
+        return 1 + (u * omega).astype(np.int64)
 
     padding = rng.distinct_draws(short, lambda s: np.full_like(s, 16), fill, width, taken=observed)
     return (np.sort(np.concatenate([picks, padding])) % width).reshape(uids.size, T)
 
 
-def _topic_ids(taxonomy: Taxonomy, topics: np.ndarray, T: int) -> tuple[np.ndarray, int]:
-    """Taxonomy ids, and the key width over them and `topics`.
+def _topic_ids(taxonomy: Taxonomy, topics: np.ndarray, T: int) -> tuple[int, int]:
+    """Omega, the taxonomy's ids being 1..omega, and the key width over them and `topics`.
 
     Refuses a profile width T outside 1..omega: profiles are padded with
     distinct taxonomy draws, so T may not exceed the taxonomy's size.
     """
-    all_ids = np.asarray(taxonomy.ids(), dtype=np.int64)
+    omega = taxonomy.omega
     if T < 1:
         raise PopulationError(f"T must be >= 1, got {T}")
-    if T > all_ids.size:
-        raise PopulationError(f"T = {T} exceeds the taxonomy's {all_ids.size} topics")
-    return all_ids, int(max(all_ids.max(initial=0), topics.max(initial=0))) + 1
+    if T > omega:
+        raise PopulationError(f"T = {T} exceeds the taxonomy's {omega} topics")
+    return omega, int(max(omega, topics.max(initial=0))) + 1
 
 
 def top_profiles(
@@ -516,7 +508,7 @@ def top_profiles(
     selects one of up to 10 alternative profiles under distinct
     sub-seeds. Returns shape (len(population), T), each row sorted.
     """
-    all_ids, width = _topic_ids(taxonomy, population.topics, T)
+    omega, width = _topic_ids(taxonomy, population.topics, T)
     rows = _row_ids(population.topic_indptr)
     observed = rows * width + population.topics
     out = np.empty((len(population), T), dtype=np.int64)
@@ -524,7 +516,7 @@ def top_profiles(
         hi = min(lo + POPULATION_BLOCK_USERS, len(population))
         a, b = population.topic_indptr[lo], population.topic_indptr[hi]
         uids = population.user_ids[lo:hi]
-        out[lo:hi] = _profiles(uids, observed[a:b] - lo * width, width, all_ids, T, seed, candidate)
+        out[lo:hi] = _profiles(uids, observed[a:b] - lo * width, width, omega, T, seed, candidate)
     return out
 
 
@@ -569,7 +561,7 @@ def generate_population(
     lens = np.where(rows >= 0, classification.indptr[rows + 1] - classification.indptr[rows], 0)
     indptr = _indptr(lens)
     flat = classification.topics[_segments(classification.indptr[rows], lens)]
-    all_ids, width = _topic_ids(taxonomy, flat, T)
+    omega, width = _topic_ids(taxonomy, flat, T)
 
     visit_parts, topic_parts, visit_lens, topic_lens = [], [], [], []
     profiles = np.empty((n, T), dtype=np.int64)
@@ -584,7 +576,7 @@ def generate_population(
         vrows, pos = np.divmod(visits, m)
         seg = indptr[pos + 1] - indptr[pos]
         observed = _sorted_unique(np.repeat(vrows * width, seg) + flat[_segments(indptr[pos], seg)])
-        profiles[uids] = _profiles(uids, observed, width, all_ids, T, seed, 0)
+        profiles[uids] = _profiles(uids, observed, width, omega, T, seed, 0)
         orows, topics = np.divmod(observed, width)
         visit_parts.append(pos.astype(np.int32))
         topic_parts.append(topics.astype(np.int32))
@@ -663,13 +655,16 @@ def _records(path: Union[str, Path], keys: tuple[str, ...]) -> tuple[list, ...]:
     """The values of `keys` in each user record of a `write_population` file, one list per key."""
     columns = tuple([] for _ in keys)
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line or line.startswith('{"header"'):
                 continue
             obj = json.loads(line)
-            for column, key in zip(columns, keys):
-                column.append(obj[key])
+            try:
+                for column, key in zip(columns, keys):
+                    column.append(obj[key])
+            except (KeyError, TypeError):
+                raise PopulationError(f"{path} line {lineno}: not a user record with {key!r}") from None
     return columns
 
 

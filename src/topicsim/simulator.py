@@ -338,6 +338,11 @@ def run_scenario(
     user_ids, profiles = population.user_ids, population.profiles
     if not profiles.shape[1]:
         raise ValueError("profiles are empty: every user needs a top profile of T >= 1 topics")
+    outside = np.argwhere((profiles < 1) | (profiles > taxonomy.omega))
+    if outside.size:
+        i, j = outside[0]
+        raise ValueError(f"user {user_ids[i]} has topic {profiles[i, j]} in its profile, "
+                         f"outside the taxonomy's 1..{taxonomy.omega}")
     n = len(user_ids)
     source_epochs = np.arange(1 - config.tau, config.epochs, dtype=np.int64)
     taxonomy_ids = np.asarray(taxonomy.ids(), dtype=np.int16)

@@ -60,7 +60,7 @@ def test_load_allows_empty_topic_list(taxonomy):
 def test_save_load_roundtrip(tmp_path, taxonomy):
     cls = DomainClassification({"a.com": {3, 1}, "b.com": set()})
     path = tmp_path / "cls.tsv"
-    path.write_text("".join(classification_lines(cls)), encoding="utf-8")
+    path.write_text("\n".join(classification_lines(cls)) + "\n", encoding="utf-8")
     back = load_classification(path, taxonomy)
     assert back.entries == cls.entries
 

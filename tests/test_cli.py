@@ -507,3 +507,49 @@ def test_generate_builds_the_preset_world(preset, world_config, tmp_path):
     assert run_cli("generate", "--config", cfg) == 0
     world = build_world(replace(world_config(150, seed=1), n_domains=2000), bundled_taxonomy())
     assert list(read_population(tmp_path / "o" / "population.ndjson")) == list(world.population)
+
+
+def _rewrite_user_line(path, index, edit):
+    """Rewrite the user record on line `index` (0 is the header) of a population file."""
+    lines = path.read_text().splitlines()
+    lines[index] = edit(json.loads(lines[index]))
+    path.write_text("\n".join(lines) + "\n")
+
+
+def test_simulate_refuses_a_profile_topic_outside_the_taxonomy(tiny_config, tmp_path, capsys):
+    """An id the int16 draws would wrap (40000 as -25536) is refused by user and id."""
+    cfg, out = tiny_config
+    noiseless = tmp_path / "noiseless.json"
+    noiseless.write_text(json.dumps(dict(json.loads(cfg.read_text()), p=0.0)))
+    assert run_cli("generate", "--config", noiseless) == 0
+    _rewrite_user_line(out / "population.ndjson", 3, lambda u: json.dumps(dict(u, top_profile=[40000] * 5)))
+    capsys.readouterr()
+    assert run_cli("simulate", "--config", noiseless) == 2
+    assert "user 2 has topic 40000 in its profile, outside the taxonomy's 1..349" in capsys.readouterr().err
+    assert not (out / "log.ndjson").exists()
+
+
+@pytest.mark.parametrize("edit, key", [
+    (lambda u: json.dumps({k: v for k, v in u.items() if k != "user_id"}), "user_id"),
+    (lambda u: json.dumps({k: v for k, v in u.items() if k != "top_profile"}), "top_profile"),
+    (lambda u: json.dumps(u["top_profile"]), "user_id"),
+], ids=["no-user_id", "no-top_profile", "not-an-object"])
+def test_simulate_refuses_a_malformed_population_record(tiny_config, capsys, edit, key):
+    cfg, out = tiny_config
+    assert run_cli("generate", "--config", cfg) == 0
+    _rewrite_user_line(out / "population.ndjson", 3, edit)
+    capsys.readouterr()
+    assert run_cli("simulate", "--config", cfg) == 2
+    assert f"population.ndjson line 4: not a user record with {key!r}" in capsys.readouterr().err
+    assert not (out / "log.ndjson").exists()
+
+
+@pytest.mark.parametrize("key", ["tranco", "radar"])
+def test_generate_refuses_tranco_or_radar_without_crux(tmp_path, capsys, key):
+    """Both order the domains of a `crux` file; without one they would be ignored."""
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"n_users": 5, "n_domains": 500, key: str(tmp_path / "missing.csv"),
+                               "out": str(tmp_path / "o")}))
+    assert run_cli("generate", "--config", cfg) == 2
+    assert "`tranco` and `radar` order the domains of a `crux` file, but `crux` is null" in capsys.readouterr().err
+    assert not (tmp_path / "o" / "population.ndjson").exists()

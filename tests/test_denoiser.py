@@ -31,7 +31,6 @@ from topicsim.denoiser import (
 )
 from topicsim.population import Population, UserProfile
 from topicsim.simulator import EpochDraw, SimConfig, SiteLog, run_scenario
-from topicsim.taxonomy import Taxonomy, Topic
 from topicsim.worlds import build_world, wide_pool_config
 
 
@@ -523,26 +522,18 @@ def test_trajectory_matches_object_evaluation(taxonomy):
         ), point.epoch
 
 
-def test_trajectory_aligns_users_by_id(taxonomy):
-    """Profiles are matched to the log's users by id, not by row; a log
-    user the population lacks is refused."""
-    # Noise over six topics lands in a five-topic profile most of the
-    # time, so the effective-noise truth depends on whose profile is used.
-    small = Taxonomy(Topic(i, f"/t{i}", None) for i in range(1, 7))
-    gen = np.random.default_rng(4)
-    users = Population.from_records(
-        UserProfile(i, frozenset(), frozenset(), tuple(sorted(gen.choice(np.arange(1, 7), 5, replace=False).tolist())))
-        for i in range(40)
-    )
-    log = run_scenario(users, SimConfig(p=0.5, epochs=3, sites=("w",), seed=2), small)
-    prev = PrevalenceTable(counts=np.full(7, 40, dtype=np.int64), total_domains=1000)
+def test_trajectory_refuses_a_population_other_than_the_logs(taxonomy):
+    """Row i of the profiles scores the log's user i, so only the population
+    the log was simulated from is taken: the same users in another order,
+    and a population that lacks a log user, are refused."""
+    users, log = stable_scenario(taxonomy, n_users=20, epochs=3)
     site = log.site_view("w")
-    want = denoise_site_trajectory(site, prev, DenoiserConfig(), users)
+    denoise_site_trajectory(site, prevalence_with(), DenoiserConfig(), users)
     reversed_rows = Population.from_records(list(users)[::-1])
-    assert denoise_site_trajectory(site, prev, DenoiserConfig(), reversed_rows) == want
     fewer = Population.from_records(u for u in users if u.user_id != 13)
-    with pytest.raises(ValueError, match="user 13 of the log is not in the population"):
-        denoise_site_trajectory(site, prev, DenoiserConfig(), fewer)
+    for other in (reversed_rows, fewer):
+        with pytest.raises(ValueError, match="the population's user ids are not the log's, in the log's order"):
+            denoise_site_trajectory(site, prevalence_with(), DenoiserConfig(), other)
 
 
 def test_trajectory_refuses_config_of_another_log(taxonomy):

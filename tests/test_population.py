@@ -399,6 +399,20 @@ def test_csv_loaders_refuse_bad_rows(loader, body, message):
         loader(io.StringIO(body))
 
 
+@pytest.mark.parametrize("loader, body, want", [
+    (load_bucket_file, "origin,rank_bucket\r\nhttps://a.com,1k\r\nb.com,5k\r\n", {"a.com": "1k", "b.com": "5k"}),
+    (load_rank_file, "rank,domain\r\n1,a.com\r\n2,b.com\r\n", {"a.com": 1, "b.com": 2}),
+    (load_count_histogram, "unique_domain_count,user_fraction\r\n5,1\r\n6,3\r\n",
+     CountHistogram(support=(5, 6), probabilities=(0.25, 0.75))),
+], ids=["bucket", "rank", "histogram"])
+def test_csv_loaders_read_crlf_rows_as_lf_rows(tmp_path, loader, body, want):
+    """A CRLF file, read from its path or as an open text file, gives the rows of its LF copy."""
+    path = tmp_path / "rows.csv"
+    path.write_bytes(body.encode())
+    lf = io.StringIO(body.replace("\r\n", "\n"))
+    assert loader(path) == loader(io.StringIO(body)) == loader(lf) == want
+
+
 # Host names that JSON escapes (quote, backslash, control character),
 # non-ASCII ones, and plain ones whose lexicographic order differs from
 # the rank order `build_total_order` gives them.
