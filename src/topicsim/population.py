@@ -652,7 +652,11 @@ def write_population(
 
 
 def _records(path: Union[str, Path], keys: tuple[str, ...]) -> tuple[list, ...]:
-    """The values of `keys` in each user record of a `write_population` file, one list per key."""
+    """The values of `keys` in each user record of a `write_population` file, one list per key.
+
+    `keys` names `top_profile`, which must be a list of JSON integers:
+    `7`, `null`, `1.5` and `true` are refused.
+    """
     columns = tuple([] for _ in keys)
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -665,6 +669,12 @@ def _records(path: Union[str, Path], keys: tuple[str, ...]) -> tuple[list, ...]:
                     column.append(obj[key])
             except (KeyError, TypeError):
                 raise PopulationError(f"{path} line {lineno}: not a user record with {key!r}") from None
+            profile = obj["top_profile"]
+            if not (isinstance(profile, list) and all(type(t) is int for t in profile)):
+                raise PopulationError(
+                    f"{path} line {lineno}: user {obj['user_id']} has top_profile {json.dumps(profile)}, "
+                    "not a list of integers"
+                )
     return columns
 
 

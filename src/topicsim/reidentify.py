@@ -5,7 +5,10 @@ tau from the width of the calls). A user's matching set at epoch e is
 every topic their side has ever labeled genuine up to e (confirmed
 topics plus threshold-passing first sightings); the union is
 cumulative, so matching sets never shrink. Each user seen on site A
-is mapped to the argmax tie set over site-B users by shared-topic count.
+is mapped to the argmax tie set over site-B users by shared-topic count,
+and each user seen on site B likewise over site-A users. Both directions
+come from one scan down the subset sizes j, in which each side's j-subset
+keys are built once: as its own queries and as the other side's table.
 
 A user is uniquely re-identified when that group is exactly their own
 identity; they are matched better than random when the group contains
@@ -140,44 +143,62 @@ def _argmax_match(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray,
     both = np.sort(np.concatenate([a, b], axis=1), axis=1)
     self_overlap = np.count_nonzero((both[:, 1:] == both[:, :-1]) & (both[:, 1:] >= 0), axis=1)
     width = int(max(a.max(initial=0), b.max(initial=0))) + 1
-    m_ab, k_ab = _max_overlap_groups(a, b, width)
-    m_ba, k_ba = _max_overlap_groups(b, a, width)
+    m_ab, k_ab, m_ba, k_ba = _max_overlap_groups(a, b, width)
     return k_ab, self_overlap == m_ab, k_ba, self_overlap == m_ba
 
 
-def _max_overlap_groups(x: np.ndarray, y: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
-    """Each row's maximum overlap m with the rows of `y`, and how many reach it.
+def _max_overlap_groups(a: np.ndarray, b: np.ndarray, width: int) -> tuple[np.ndarray, ...]:
+    """Each row's maximum overlap m with the rows of the other table, and how many reach it.
 
-    `x` and `y` are row-sorted topic tables whose ids lie below `width`.
-    m is the largest j such that some j-subset of the row's set lies in
-    some set of `y`, and the count sums, over the m-subsets X of the row's
-    set, the sets of `y` that contain X (m = 0 counts every row of `y`).
-    Levels j are scanned downwards; a row leaves the scan at its first hit,
-    and a level that no row is left to query builds no table.
+    `a` and `b` are row-sorted topic tables whose ids lie below `width`.
+    For a row of `a`, m is the largest j such that some j-subset of the
+    row's set lies in some set of `b`, and the count sums, over the
+    m-subsets X of the row's set, the sets of `b` that contain X (m = 0
+    counts every row of `b`); likewise for each row of `b` against `a`.
+    Returns `(m_ab, k_ab, m_ba, k_ba)`.
+
+    One scan runs down the levels j for both directions. At each level
+    each side's j-subset keys are built once: its live rows' keys are its
+    queries, and all its keys, sorted, are the table that the other side's
+    queries look up. A row leaves the scan at its first hit, and a level
+    that no row of either side is left to query is skipped. Only the
+    sorted tables and the live rows' keys outlive the building of a
+    side's keys, and only until the level's look-ups are done.
     """
     cap = MAX_SUBSET_TOPICS
     while math.comb(width, cap) >= 2**63:  # j-subset keys lie below C(width, j)
         cap -= 1
     binom = _binom(width, cap)
-    size_x, size_y = np.count_nonzero(x >= 0, axis=1), np.count_nonzero(y >= 0, axis=1)
-    queries, sets_y = _sets_by_size(x, size_x, cap), _sets_by_size(y, size_y, cap)
-    m = np.zeros(x.shape[0], dtype=np.int64)
-    k = np.full(x.shape[0], np.count_nonzero(size_y <= cap), dtype=np.int64)
-    for j in range(max(queries, default=0), 0, -1):
-        live = [s for s, (rows, _) in queries.items() if s >= j and rows.size]
-        if not live:
+    sides = (a, b)
+    sizes = [np.count_nonzero(t >= 0, axis=1) for t in sides]
+    sets = [_sets_by_size(t, size, cap) for t, size in zip(sides, sizes)]
+    # Per side and set size, the positions in `sets` of the rows not yet hit.
+    live = [{s: np.arange(rows.size) for s, (rows, _) in groups.items()} for groups in sets]
+    m = [np.zeros(t.shape[0], dtype=np.int64) for t in sides]
+    k = [np.full(t.shape[0], np.count_nonzero(size <= cap), dtype=np.int64) for t, size in zip(sides, sizes[::-1])]
+    for j in range(max([*sets[0], *sets[1]], default=0), 0, -1):
+        if not any(s >= j and pos.size for side in live for s, pos in side.items()):
             continue
-        # The int64 maximum lies above every key, so `searchsorted` stays in the table.
-        keys = [_subset_keys(topics, j, binom).ravel() for s, (_, topics) in sets_y.items() if s >= j]
-        table, counts = np.unique(np.concatenate([*keys, [np.iinfo(np.int64).max]]), return_counts=True)
-        for s in live:
-            rows, topics = queries[s]
-            query = _subset_keys(topics, j, binom)
-            idx = np.searchsorted(table, query)
-            total = np.where(table[idx] == query, counts[idx], 0).sum(axis=1)
-            hit = total > 0
-            m[rows[hit]], k[rows[hit]] = j, total[hit]
-            queries[s] = rows[~hit], topics[~hit]
+        queries_b, table_b = _level_keys(sets[1], live[1], j, binom)
+        queries_a, table_a = _level_keys(sets[0], live[0], j, binom)
+        for x, queries, table in ((0, queries_a, table_b), (1, queries_b, table_a)):
+            for s, keys in queries.items():
+                total = _counts_in(table, keys).sum(axis=0)
+                hit = total > 0
+                pos = live[x][s]
+                rows = sets[x][s][0][pos[hit]]
+                m[x][rows], k[x][rows] = j, total[hit]
+                live[x][s] = pos[~hit]
+    m_ab, k_ab = _add_wide(a, b, sizes[0], sizes[1], m[0], k[0], cap, width)
+    m_ba, k_ba = _add_wide(b, a, sizes[1], sizes[0], m[1], k[1], cap, width)
+    return m_ab, k_ab, m_ba, k_ba
+
+
+def _add_wide(
+    x: np.ndarray, y: np.ndarray, size_x: np.ndarray, size_y: np.ndarray, m: np.ndarray, k: np.ndarray, cap: int, width: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The subset scan's `m` and `k` of the rows of `x` against `y`, with the
+    pairs that involve a set of over `cap` topics counted against dense rows."""
     wide_x, wide_y = size_x > cap, size_y > cap
     if wide_x.any():
         m[wide_x], k[wide_x] = _max_count(_overlaps(y[~wide_y], x[wide_x], width).T)
@@ -190,32 +211,67 @@ def _max_overlap_groups(x: np.ndarray, y: np.ndarray, width: int) -> tuple[np.nd
 
 @functools.cache
 def _binom(width: int, cap: int) -> np.ndarray:
-    """`binom[t, i] = C(t, i)` for t < width and i <= cap, read-only.
+    """`binom[i, t] = C(t, i)` for i <= cap and t < width, read-only.
 
     A j-subset's key is sum_i C(t_i, i + 1) over its ascending topic ids
     t_i: its rank among the j-subsets.
     """
-    binom = np.array([[math.comb(t, i) for i in range(cap + 1)] for t in range(width)], dtype=np.int64)
+    binom = np.array([[math.comb(t, i) for t in range(width)] for i in range(cap + 1)], dtype=np.int64)
     binom.flags.writeable = False
     return binom
 
 
 def _sets_by_size(table: np.ndarray, size: np.ndarray, cap: int) -> dict:
-    """`{s: (row ids, (rows, s) ascending topic ids)}` for rows of 1 to `cap` topics of a row-sorted table."""
+    """`{s: (row ids, (s, rows) ascending topic ids)}` for rows of 1 to `cap` topics of a row-sorted table.
+
+    Each group's topics are stored one slot per row, so that gathering the
+    slots of a subset position copies whole rows.
+    """
     groups = {}
     for s in np.flatnonzero(np.bincount(size[(size > 0) & (size <= cap)])).tolist():
         rows = np.flatnonzero(size == s)
-        groups[s] = rows, table[rows, table.shape[1] - s:]
+        groups[s] = rows, np.ascontiguousarray(table[rows, table.shape[1] - s:].T)
     return groups
 
 
-def _subset_keys(topics: np.ndarray, j: int, binom: np.ndarray) -> np.ndarray:
-    """Exact keys of every j-subset of each row of ascending topic ids."""
-    combos = _combinations(topics.shape[1], j)
-    keys = np.zeros((len(topics), len(combos)), dtype=np.int64)
-    for i in range(j):
-        keys += binom[topics[:, combos[:, i]], i + 1]
-    return keys
+def _level_keys(sets: dict, live: dict, j: int, binom: np.ndarray) -> tuple[dict, np.ndarray]:
+    """One side's j-subset keys: `{s: keys of the live rows of s topics}`, and the
+    keys of all its rows of at least j topics in one sorted array."""
+    groups = {s: topics for s, (_, topics) in sets.items() if s >= j}
+    table = np.empty(sum(topics.shape[1] * math.comb(s, j) for s, topics in groups.items()), dtype=np.int64)
+    queries, at = {}, 0
+    for s, topics in groups.items():
+        n = topics.shape[1] * math.comb(s, j)
+        keys = _subset_keys(topics, j, binom, out=table[at : at + n].reshape(-1, topics.shape[1]))
+        at += n
+        if live[s].size:
+            queries[s] = keys[:, live[s]]  # a copy, kept through the sort below
+    table.sort()
+    return queries, table
+
+
+def _subset_keys(topics: np.ndarray, j: int, binom: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Exact keys of every j-subset of each column of ascending topic ids, written to `out`, `(C(s, j), columns)`."""
+    combos = _combinations(topics.shape[0], j)
+    # Each slot's term once per column, then one row gather per subset position.
+    np.take(binom[1][topics], combos[:, 0], axis=0, out=out)
+    for i in range(1, j):
+        out += binom[i + 1][topics][combos[:, i]]
+    return out
+
+
+def _counts_in(table: np.ndarray, query: np.ndarray) -> np.ndarray:
+    """How many entries of the sorted `table` equal each entry of `query`.
+
+    The query is looked up in sorted order, which keeps the binary
+    searches' memory reads close together.
+    """
+    flat = query.ravel()
+    order = np.argsort(flat)
+    needles = flat[order]
+    counts = np.empty_like(flat)
+    counts[order] = np.searchsorted(table, needles, "right") - np.searchsorted(table, needles, "left")
+    return counts.reshape(query.shape)
 
 
 @functools.cache
@@ -312,8 +368,9 @@ def run_reidentification(
     requested epoch the two sides' sticky topic tables, transposed to
     `(user, slot)`, are matched in both directions (A against B for the
     headline rates, B against A for the symmetry check) with one
-    `_argmax_match` call, whose cost grows with the number of users and
-    the subsets of their sets, not with their pairs.
+    `_argmax_match` call. Its one scan down the subset sizes serves both
+    directions, and its cost grows with the number of users and the
+    subsets of their sets, not with their pairs.
     """
     la, lb = log.site_view(site_a), log.site_view(site_b)
     omega = prev.counts.size - 1

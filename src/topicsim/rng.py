@@ -35,9 +35,13 @@ TAG_SYNTH_CLASSIFICATION = 0x08
 
 
 def _splitmix(z: np.ndarray) -> np.ndarray:
-    z = (z ^ (z >> np.uint64(30))) * _MIX1
-    z = (z ^ (z >> np.uint64(27))) * _MIX2
-    return z ^ (z >> np.uint64(31))
+    """splitmix64's finalizer, in place when `z` is an array: pass a fresh one."""
+    z ^= z >> np.uint64(30)
+    z *= _MIX1
+    z ^= z >> np.uint64(27)
+    z *= _MIX2
+    z ^= z >> np.uint64(31)
+    return z
 
 
 def string_key(s: str) -> int:
@@ -60,7 +64,9 @@ def hash_u64(*words) -> np.ndarray:
     with np.errstate(over="ignore"):
         h = _GOLDEN
         for w in words:
-            h = _splitmix((h * _MIX1) ^ _as_u64(w) ^ _GOLDEN)
+            # After the first word `h` is this hash's own array (or a scalar), so each step may work in place.
+            h *= _MIX1
+            h = _splitmix(h ^ (_as_u64(w) ^ _GOLDEN))
         return _splitmix(h)
 
 

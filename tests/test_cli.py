@@ -529,6 +529,20 @@ def test_simulate_refuses_a_profile_topic_outside_the_taxonomy(tiny_config, tmp_
     assert not (out / "log.ndjson").exists()
 
 
+@pytest.mark.parametrize("profile", [7, None, [1.5, 2, 3, 4, 5], [True, 2, 3, 4, 5]],
+                         ids=["int", "null", "float-topic", "bool-topic"])
+def test_simulate_refuses_a_top_profile_that_is_not_a_list_of_integers(tiny_config, capsys, profile):
+    """Not a list used to crash with a traceback; a float or `true` topic was read as an integer."""
+    cfg, out = tiny_config
+    assert run_cli("generate", "--config", cfg) == 0
+    _rewrite_user_line(out / "population.ndjson", 3, lambda u: json.dumps(dict(u, top_profile=profile)))
+    capsys.readouterr()
+    assert run_cli("simulate", "--config", cfg) == 2
+    err = capsys.readouterr().err
+    assert f"population.ndjson line 4: user 2 has top_profile {json.dumps(profile)}, not a list of integers" in err
+    assert not (out / "log.ndjson").exists()
+
+
 @pytest.mark.parametrize("edit, key", [
     (lambda u: json.dumps({k: v for k, v in u.items() if k != "user_id"}), "user_id"),
     (lambda u: json.dumps({k: v for k, v in u.items() if k != "top_profile"}), "top_profile"),

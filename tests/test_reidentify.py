@@ -199,9 +199,24 @@ def topic_table(mat: np.ndarray, seed: int = 0) -> np.ndarray:
     return np.random.default_rng(seed).permuted(table, axis=1)
 
 
+def rows_of(width: int, *sets) -> np.ndarray:
+    """A 0/1 matrix with one row per set of column ids."""
+    mat = np.zeros((len(sets), width), dtype=bool)
+    for i, cols in enumerate(sets):
+        mat[i, list(cols)] = True
+    return mat
+
+
 @pytest.mark.parametrize("first_topic", [1, 7, 1024])
 @settings(max_examples=400, deadline=None)
 @example(mats=(np.zeros((1, 0), bool), np.zeros((1, 0), bool)))
+# Every A set is wider than every B set: at the top levels only A has rows to query.
+@example(mats=(rows_of(8, range(6), range(1, 7), [0, 2, 4, 5, 6, 7]), rows_of(8, [0, 1], [2, 3], [6, 7])))
+# One side all empty.
+@example(mats=(np.zeros((3, 6), bool), rows_of(6, [0, 1, 2], [1], [])))
+@example(mats=(rows_of(6, [0, 1, 2], [], [3, 4]), np.zeros((3, 6), bool)))
+# 8-10-topic rows on A only; with first_topic 1024 they take the dense path and B's rows do not.
+@example(mats=(rows_of(12, range(9), range(1, 9), [0, 5], range(10)), rows_of(12, range(7), [1, 2, 3], range(2, 9), [9, 11])))
 @given(mats=overlap_inputs())
 def test_argmax_match_both_directions_equal_one_way_oracle(first_topic, mats):
     # Drawn topics start at id `first_topic`, as taxonomy ids start at 1.

@@ -31,6 +31,44 @@ def test_scalar_and_array_forms_agree():
     assert np.allclose(scalars, vector)
 
 
+def test_hash_and_uniform_known_answers():
+    """Values recorded from the chained splitmix64 hash, which every keyed draw and golden digest rests on."""
+    assert int(rng.hash_u64(1, 2, 3)) == 3715079401207273477
+    assert float(rng.uniform(1, 2, 3)) == 0.20139485788725364
+    assert int(rng.hash_u64(-1, 2**63 + 5)) == 12859700671047691018
+    assert int(rng.hash_u64()) == 16294208416658607535
+
+    rows, cols = np.arange(3)[:, None], np.arange(2)
+    assert rng.hash_u64(7, rows, cols).tolist() == [
+        [13553997398794122241, 7304712230722248651],
+        [17511472776448645998, 17480248186269227510],
+        [7192756806324255118, 14945651140132481497],
+    ]
+    assert rng.uniform(7, rows, cols).tolist() == [
+        [0.7347636712817731, 0.39598924349652476],
+        [0.9492988413823195, 0.9476061529569447],
+        [0.3899201277788328, 0.8102053717671046],
+    ]
+    signed = np.array([-1, -(2**63), 5], dtype=np.int64)
+    assert rng.hash_u64(signed, -7).tolist() == [4898197329974210236, 15186811368601676705, 17823050589820735897]
+    unsigned = np.array([2**64 - 1, 2**63, 0], dtype=np.uint64)
+    assert rng.hash_u64(unsigned, 9).tolist() == [12763892098773693625, 11420925924248422225, 17121361702972494789]
+    assert rng.uniform(unsigned, 9).tolist() == [0.6919319771430501, 0.6191296349433077, 0.9281508777136447]
+
+
+def test_hash_leaves_its_word_arrays_unchanged():
+    """The finalizer works in place on the hash's own arrays, never on the caller's."""
+    words = [np.arange(3)[:, None], np.arange(2), np.array([-1, -(2**63), 5], dtype=np.int64),
+             np.array([2**64 - 1, 2**63, 0], dtype=np.uint64)]
+    before = [w.copy() for w in words]
+    for w in words:
+        rng.hash_u64(w)
+        rng.uniform(7, w)
+    rng.hash_u64(*words[:2])
+    for w, b in zip(words, before):
+        assert w.dtype == b.dtype and np.array_equal(w, b)
+
+
 def test_uniform_range_and_mean():
     u = rng.counter_stream(200_000, 42)
     assert u.min() >= 0.0 and u.max() < 1.0
