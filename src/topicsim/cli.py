@@ -232,8 +232,7 @@ def cmd_generate(cfg: dict) -> int:
     write_population(population, out / "population.ndjson",
                      header=dict(file_header(cfg), population_hash=population_hash(cfg)),
                      candidates=candidates)
-    stats = summarize_population(population)
-    for line in stats.lines():
+    for line in summarize_population(population):
         print(line)
     print(f"wrote {out / 'population.ndjson'}")
     return 0

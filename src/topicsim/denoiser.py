@@ -116,26 +116,26 @@ class MultiShotEngine:
     * `next_count`: first epoch at which a call counts again, 0 for a
       fresh slot;
     * `greedy_ev`: multiplicity summed over calls at least `gap` apart;
-    * `evidence`: max(greedy_ev, largest within-call multiplicity).
+    * `evidence`: max(greedy_ev, largest within-call multiplicity);
+    * `ever_genuine`: the topic was labeled genuine at some epoch so far,
+      the matching set of re-identification.
 
     A user's topics take the next free slots, the topics of one call in
     ascending id, so slot order is order of first observation with ties
-    by id. A slot keeps its topic for the engine's life, so a mask over
-    slots stays valid from epoch to epoch once `widen`ed. K starts at
-    `INITIAL_SLOTS` and doubles whenever a user's new topics do not fit.
+    by id. A slot keeps its topic for the engine's life, and K grows by
+    appending slot rows, so a flat index `slot * n_users + user` into
+    any table stays valid. K starts at `INITIAL_SLOTS` and doubles
+    whenever a user's new topics do not fit.
 
     Every user makes one tau-slot call per epoch, so `observe_epoch`
     needs no grouping sort: it transposes the call to `(tau, n_users)`
     once, compares each slot row of `topic` with each call row, which
-    gives the call's multiplicity of every held topic, and updates all
-    four tables with whole-table arithmetic. Only the users that meet a
-    new topic are gathered, to place it in their next free slot.
+    gives the call's multiplicity of every held topic, and updates the
+    tables with whole-table arithmetic. Only the users that meet a new
+    topic are gathered, to place it in their next free slot.
 
-    A topic is confirmed when `evidence >= 2`. Feed calls epoch by epoch
-    via observe_epoch, then read genuine_slots / recovered_sizes (or the
-    dense `(n_users, omega + 1)` view genuine_matrix).
-    The first call's width is tau; every later call must have as many
-    slots.
+    A topic is confirmed when `evidence >= 2`. The first call's width is
+    tau; every later call must have as many slots.
     """
 
     def __init__(self, n_users: int, omega: int, prev: PrevalenceTable, config: DenoiserConfig):
@@ -149,6 +149,7 @@ class MultiShotEngine:
         self.next_count = np.zeros(shape, dtype=np.int16)
         self.greedy_ev = np.zeros(shape, dtype=np.int16)
         self.evidence = np.zeros(shape, dtype=np.int16)
+        self.ever_genuine = np.zeros(shape, dtype=bool)
         self.threshold_pass = prev.counts > config.threshold  # (omega + 1,)
         self.threshold_pass[0] = False
         self.current_epoch = 0
@@ -160,8 +161,9 @@ class MultiShotEngine:
         # a single pinned draw; it exists for comparison only.
         return 2 if self.config.aggressive_gap_rule else self.tau
 
-    def observe_epoch(self, epoch: int, call_topics: np.ndarray) -> None:
-        """call_topics: (n_users, slots) int topics, any negative id for a suppressed slot."""
+    def observe_epoch(self, epoch: int, call_topics: np.ndarray) -> np.ndarray:
+        """Fold in every user's call of `epoch`, `(n_users, tau)` int topics, any
+        negative id for a suppressed slot; returns the epoch's `genuine_slots()`."""
         if epoch != self.current_epoch + 1:
             raise ValueError(f"epochs must be observed in order, got {epoch} after {self.current_epoch}")
         if call_topics.ndim != 2 or call_topics.shape[0] != self.topic.shape[1]:
@@ -196,7 +198,7 @@ class MultiShotEngine:
         users = np.flatnonzero(new.any(axis=0))
         if users.size:
             slot, u, mult = self._add_topics(call[:, users], new[:, users], users)
-            m = self.widen(m)
+            m = self._widen(m)
             m[slot, u] = mult
 
         # Greedy evidence and the largest multiplicity only grow, so the
@@ -210,16 +212,20 @@ class MultiShotEngine:
         self.greedy_ev += m
         np.maximum(self.evidence, self.greedy_ev, out=self.evidence)
         np.maximum(self.next_count, countable * np.int16(epoch + self.gap), out=self.next_count)
+        genuine = self.genuine_slots()
+        self.ever_genuine |= genuine
+        return genuine
 
     def slots_of(self, u: np.ndarray, t: np.ndarray) -> np.ndarray:
-        """The slot holding topic `t >= 0` in user `u`'s column, per pair; -1 where there is none."""
+        """The slot holding topic `t >= 0` in user `u`'s column, `u` broadcast
+        against `t`; -1 where there is none."""
         # A user holds a topic in at most one slot, so at most one term is nonzero.
-        hit = np.zeros(u.size, dtype=np.int64)
+        hit = np.zeros(np.broadcast_shapes(np.shape(u), np.shape(t)), dtype=np.int64)
         for s, row in enumerate(self.topic):
             hit += (row[u] == t) * (s + 1)
         return hit - 1
 
-    def widen(self, a: np.ndarray) -> np.ndarray:
+    def _widen(self, a: np.ndarray) -> np.ndarray:
         """Per-slot table `a` zero-padded at the bottom to K slot rows; `a` itself if it has K rows."""
         k = self.topic.shape[0]
         return a if a.shape[0] == k else np.pad(a, ((0, k - a.shape[0]), (0, 0)))
@@ -245,8 +251,8 @@ class MultiShotEngine:
             k *= 2
         if k > self.topic.shape[0]:
             self.topic = np.pad(self.topic, ((0, k - self.topic.shape[0]), (0, 0)), constant_values=-1)
-            self.next_count, self.greedy_ev, self.evidence = map(
-                self.widen, (self.next_count, self.greedy_ev, self.evidence)
+            self.next_count, self.greedy_ev, self.evidence, self.ever_genuine = map(
+                self._widen, (self.next_count, self.greedy_ev, self.evidence, self.ever_genuine)
             )
         u = users[col]
         self.topic[slot, u] = call[i, col]
@@ -362,36 +368,30 @@ def denoise_site_trajectory(
     in_profile = np.zeros(tt.shape, dtype=bool)
     for c in range(profiles.shape[1]):
         in_profile |= tt == profiles[:, c, None]
-    noisy_eff = site_log.truth_noisy & ~in_profile
-    noisy_per_source = np.count_nonzero(noisy_eff, axis=0)
+    noisy_eff = np.ascontiguousarray((site_log.truth_noisy & ~in_profile).T)  # (source, user)
 
-    # Seen draws are tallied on their topic's slot, all draws and the
-    # effectively noisy ones apart, as `(slot, user)` tables. Slots never
-    # move, so each draw is tallied once, in the epoch that first shows it.
+    # Each draw's flat index `slot * n + user` into the engine's tables,
+    # `(source, user)`, set in the epoch that first shows the draw. Source
+    # epochs ascend, so the draws seen by epoch e are the first rows.
     n = site_log.n_users
-    draws = np.zeros((0, n), dtype=np.int64)
-    noisy = np.zeros((0, n), dtype=np.int64)
-    seen_before = np.zeros(tt.shape[1], dtype=bool)
+    users = np.arange(n)
+    draw_at = np.empty(noisy_eff.shape, dtype=np.int64)
+    seen = 0
     points = []
     for epoch in range(1, site_log.epochs + 1):
-        engine.observe_epoch(epoch, site_log.call(epoch))
-        seen = site_log.source_epochs < epoch
-        new = np.flatnonzero(seen & ~seen_before)
-        u, d = np.repeat(np.arange(n), new.size), np.tile(new, n)
-        slot = engine.slots_of(u, tt[u, d])
+        genuine = engine.observe_epoch(epoch, site_log.call(epoch))
+        first_new, seen = seen, int(np.count_nonzero(site_log.source_epochs < epoch))
+        slot = engine.slots_of(users, tt[:, first_new:seen].T)
         if np.any(slot < 0):
             raise ValueError(f"a draw seen by epoch {epoch} is missing from the calls")
-        draws, noisy = engine.widen(draws), engine.widen(noisy)
-        key = slot * n + u
-        draws += np.bincount(key, minlength=draws.size).reshape(draws.shape)
-        noisy += np.bincount(key[noisy_eff[u, d]], minlength=noisy.size).reshape(noisy.shape)
-        seen_before = seen
+        draw_at[first_new:seen] = slot * n + users
 
-        genuine = engine.genuine_slots()
-        fn = int(noisy[genuine].sum())
-        tn = int(draws[genuine].sum()) - fn
-        tp = int(noisy_per_source[seen].sum()) - fn
-        fp = n * int(np.count_nonzero(seen)) - tp - fn - tn
+        labeled = genuine.ravel()[draw_at[:seen]]
+        noisy = noisy_eff[:seen]
+        fn = int(np.count_nonzero(labeled & noisy))
+        tn = int(np.count_nonzero(labeled)) - fn
+        tp = int(np.count_nonzero(noisy)) - fn
+        fp = labeled.size - tp - fn - tn
         sizes = engine.recovered_sizes()
         points.append(
             TrajectoryPoint(

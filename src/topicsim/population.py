@@ -651,12 +651,22 @@ def write_population(
             ))
 
 
+_INT64 = range(-(2**63), 2**63)
+
+
+def _is_int64(v) -> bool:
+    """`v` is a JSON integer, not `true` or `1.0`, that fits 64 bits."""
+    return type(v) is int and v in _INT64
+
+
 def _records(path: Union[str, Path], keys: tuple[str, ...]) -> tuple[list, ...]:
     """The values of `keys` in each user record of a `write_population` file, one list per key.
 
-    `keys` names `top_profile`, which must be a list of JSON integers:
-    `7`, `null`, `1.5` and `true` are refused.
+    `keys` names `user_id` and `top_profile`. Each `user_id` must be a
+    JSON integer that fits 64 bits, and no two records may share one;
+    each `top_profile` must be a list of such integers.
     """
+    first_line: dict[int, int] = {}
     columns = tuple([] for _ in keys)
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -669,11 +679,16 @@ def _records(path: Union[str, Path], keys: tuple[str, ...]) -> tuple[list, ...]:
                     column.append(obj[key])
             except (KeyError, TypeError):
                 raise PopulationError(f"{path} line {lineno}: not a user record with {key!r}") from None
-            profile = obj["top_profile"]
-            if not (isinstance(profile, list) and all(type(t) is int for t in profile)):
+            uid, profile = obj["user_id"], obj["top_profile"]
+            if not _is_int64(uid):
+                raise PopulationError(f"{path} line {lineno}: user_id {json.dumps(uid)} is not a 64-bit integer")
+            if uid in first_line:
+                raise PopulationError(f"{path} line {lineno}: user {uid} is also the user of line {first_line[uid]}")
+            first_line[uid] = lineno
+            if not (isinstance(profile, list) and all(map(_is_int64, profile))):
                 raise PopulationError(
-                    f"{path} line {lineno}: user {obj['user_id']} has top_profile {json.dumps(profile)}, "
-                    "not a list of integers"
+                    f"{path} line {lineno}: user {uid} has top_profile {json.dumps(profile)}, "
+                    "not a list of 64-bit integers"
                 )
     return columns
 
@@ -695,27 +710,12 @@ def read_profiles(path: Union[str, Path]) -> Profiles:
     return _profiles_of(*_records(path, ("user_id", "top_profile")))
 
 
-@dataclass(frozen=True)
-class PopulationStats:
-    n_users: int
-    unique_observed_domains: int
-    unique_observed_topics: int
-    unique_top_profiles: int
-
-    def lines(self) -> list[str]:
-        return [
-            f"Number of users              {self.n_users}",
-            f"Unique observed domains      {self.unique_observed_domains}",
-            f"Unique observed topics       {self.unique_observed_topics}",
-            f"Unique top profiles          {self.unique_top_profiles}",
-        ]
-
-
-def summarize_population(population: Population) -> PopulationStats:
-    return PopulationStats(
-        n_users=len(population),
-        unique_observed_domains=int(_sorted_unique(population.visits).size),
+def summarize_population(population: Population) -> list[str]:
+    """The lines `generate` prints about a population."""
+    return [
+        f"Number of users              {len(population)}",
+        f"Unique observed domains      {_sorted_unique(population.visits).size}",
         # Taxonomy padding counts as observed for reporting purposes.
-        unique_observed_topics=int(np.union1d(population.topics, population.profiles).size),
-        unique_top_profiles=int(np.unique(population.profiles, axis=0).shape[0]),
-    )
+        f"Unique observed topics       {np.union1d(population.topics, population.profiles).size}",
+        f"Unique top profiles          {np.unique(population.profiles, axis=0).shape[0]}",
+    ]

@@ -1,10 +1,9 @@
 """Two-advertiser collusion: match users across sites by topic overlap.
 
-Each side denoises its own observation log on the fly (its engine reads
-tau from the width of the calls). A user's matching set at epoch e is
-every topic their side has ever labeled genuine up to e (confirmed
-topics plus threshold-passing first sightings); the union is
-cumulative, so matching sets never shrink. Each user seen on site A
+Each side denoises its own observation log on the fly. A user's matching
+set at epoch e is every topic their side's engine has ever labeled
+genuine up to e (confirmed topics plus threshold-passing first
+sightings), so matching sets never shrink. Each user seen on site A
 is mapped to the argmax tie set over site-B users by shared-topic count,
 and each user seen on site B likewise over site-A users. Both directions
 come from one scan down the subset sizes j, in which each side's j-subset
@@ -361,23 +360,16 @@ def run_reidentification(
 ) -> ReidReport:
     """Full two-site attack over an observation log (vectorized).
 
-    Denoises both sites incrementally and accumulates each side's sticky
-    genuine set as a `(slot, user)` mask over its engine's slot rows.
-    Slots never move, so the mask only needs False rows appended when
-    the engine's tables widen, which the engine's `widen` does. At each
-    requested epoch the two sides' sticky topic tables, transposed to
-    `(user, slot)`, are matched in both directions (A against B for the
-    headline rates, B against A for the symmetry check) with one
-    `_argmax_match` call. Its one scan down the subset sizes serves both
-    directions, and its cost grows with the number of users and the
-    subsets of their sets, not with their pairs.
+    Denoises both sites incrementally. At each requested epoch each
+    side's matching sets, its engine's topics `ever_genuine` as a
+    `(user, slot)` table, are matched in both directions (A against B for
+    the headline rates, B against A for the symmetry check) with one
+    `_argmax_match` call.
     """
     la, lb = log.site_view(site_a), log.site_view(site_b)
     omega = prev.counts.size - 1
     ea = MultiShotEngine(la.n_users, omega, prev, config)
     eb = MultiShotEngine(lb.n_users, omega, prev, config)
-    sticky_a = np.zeros((0, la.n_users), dtype=bool)
-    sticky_b = np.zeros((0, lb.n_users), dtype=bool)
 
     wanted = sorted(set(report_epochs)) if report_epochs is not None else list(
         range(1, log.epochs + 1)
@@ -387,12 +379,13 @@ def run_reidentification(
     for epoch in range(1, log.epochs + 1):
         ea.observe_epoch(epoch, la.call(epoch))
         eb.observe_epoch(epoch, lb.call(epoch))
-        sticky_a, sticky_b = ea.widen(sticky_a), eb.widen(sticky_b)
-        sticky_a |= ea.genuine_slots()
-        sticky_b |= eb.genuine_slots()
         if epoch not in wanted:
             continue
-        k_ab, c_ab, k_ba, c_ba = _argmax_match(np.where(sticky_a, ea.topic, -1).T, np.where(sticky_b, eb.topic, -1).T)
+        # Built in the call and bound to no name here, so the matcher's
+        # sorted copies can replace them in memory.
+        k_ab, c_ab, k_ba, c_ba = _argmax_match(
+            np.where(ea.ever_genuine, ea.topic, -1).T, np.where(eb.ever_genuine, eb.topic, -1).T
+        )
         forward.append(MatchReport(epoch=epoch, k=k_ab, contains_truth=c_ab, n_users=la.n_users))
         reverse.append(MatchReport(epoch=epoch, k=k_ba, contains_truth=c_ba, n_users=lb.n_users))
     return reid_report(forward, reverse)

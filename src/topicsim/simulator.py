@@ -156,16 +156,14 @@ class ObservationLog:
             source_epochs=self.source_epochs,
         )
 
-    def _topic_text(self) -> tuple[np.ndarray, int]:
-        """The text table of every topic id from the log's least to its greatest, and that least id."""
-        t = self.truth_topics
-        least, most = (int(t.min()), int(t.max())) if t.size else (0, 0)
-        return _text_table(np.arange(least, most + 1)), least
+    def _topic_text(self) -> np.ndarray:
+        """The text table of topic ids 0 up to the log's greatest: row t is topic t (ids are >= 1)."""
+        return _text_table(np.arange(int(self.truth_topics.max(initial=0)) + 1))
 
     def write_ndjson(self, path: Union[str, Path], header: Optional[dict] = None) -> None:
         tau, epochs = self.config.tau, self.epochs
         epoch_text = _text_table(np.arange(1, epochs + 1))
-        topic_text, least = self._topic_text()
+        topic_text = self._topic_text()
         with open(path, "wb") as fh:
             fh.write(header_line(header).encode())
             for site in self.sites:
@@ -173,7 +171,7 @@ class ObservationLog:
                 for lo in range(0, len(self.user_ids), POPULATION_BLOCK_USERS):
                     view = self.site_view(site, slice(lo, lo + POPULATION_BLOCK_USERS))
                     n = view.n_users
-                    topics = view.calls(np.arange(1, epochs + 1)).reshape(n * epochs, tau) - least
+                    topics = view.calls(np.arange(1, epochs + 1)).reshape(n * epochs, tau)
                     fields = [head, (_text_table(view.user_ids), np.repeat(np.arange(n), epochs)),
                               b',"epoch":', (epoch_text, np.tile(np.arange(epochs), n)),
                               b',"topics":[', (topic_text, topics[:, 0])]
@@ -184,7 +182,7 @@ class ObservationLog:
     def write_truth_ndjson(self, path: Union[str, Path], header: Optional[dict] = None) -> None:
         n_sources = len(self.source_epochs)
         source_text = _text_table(self.source_epochs)
-        topic_text, least = self._topic_text()
+        topic_text = self._topic_text()
         with open(path, "wb") as fh:
             fh.write(header_line(header).encode())
             for site in self.sites:
@@ -195,7 +193,7 @@ class ObservationLog:
                     fh.write(_records(n * n_sources, [
                         head, (_text_table(view.user_ids), np.repeat(np.arange(n), n_sources)),
                         b',"source_epoch":', (source_text, np.tile(np.arange(n_sources), n)),
-                        b',"topic":', (topic_text, view.truth_topics.ravel() - least),
+                        b',"topic":', (topic_text, view.truth_topics.ravel()),
                         b',"noisy":', (_BOOL_TEXT, view.truth_noisy.ravel().view(np.uint8)),
                         b"}\n",
                     ]))

@@ -529,18 +529,50 @@ def test_simulate_refuses_a_profile_topic_outside_the_taxonomy(tiny_config, tmp_
     assert not (out / "log.ndjson").exists()
 
 
-@pytest.mark.parametrize("profile", [7, None, [1.5, 2, 3, 4, 5], [True, 2, 3, 4, 5]],
-                         ids=["int", "null", "float-topic", "bool-topic"])
+@pytest.mark.parametrize(
+    "profile", [7, None, [1.5, 2, 3, 4, 5], [True, 2, 3, 4, 5], [2**70, 2, 3, 4, 5]],
+    ids=["int", "null", "float-topic", "bool-topic", "topic-beyond-64-bits"],
+)
 def test_simulate_refuses_a_top_profile_that_is_not_a_list_of_integers(tiny_config, capsys, profile):
-    """Not a list used to crash with a traceback; a float or `true` topic was read as an integer."""
+    """Not a list used to crash with a traceback; a float or `true` topic was read as an integer,
+    and a topic beyond 64 bits ended in an OverflowError traceback."""
     cfg, out = tiny_config
     assert run_cli("generate", "--config", cfg) == 0
     _rewrite_user_line(out / "population.ndjson", 3, lambda u: json.dumps(dict(u, top_profile=profile)))
     capsys.readouterr()
     assert run_cli("simulate", "--config", cfg) == 2
     err = capsys.readouterr().err
-    assert f"population.ndjson line 4: user 2 has top_profile {json.dumps(profile)}, not a list of integers" in err
+    assert (f"population.ndjson line 4: user 2 has top_profile {json.dumps(profile)}, "
+            "not a list of 64-bit integers") in err
     assert not (out / "log.ndjson").exists()
+
+
+@pytest.mark.parametrize("user_id", [1.5, True, "1", 2**70], ids=["float", "bool", "string", "beyond-64-bits"])
+def test_simulate_refuses_a_user_id_that_is_not_a_64_bit_integer(tiny_config, capsys, user_id):
+    """1.5, `true` and "1" used to be read as user 1; 2**70 ended in an OverflowError traceback (exit 1)."""
+    cfg, out = tiny_config
+    assert run_cli("generate", "--config", cfg) == 0
+    _rewrite_user_line(out / "population.ndjson", 3, lambda u: json.dumps(dict(u, user_id=user_id)))
+    capsys.readouterr()
+    assert run_cli("simulate", "--config", cfg) == 2
+    err = capsys.readouterr().err
+    assert f"population.ndjson line 4: user_id {json.dumps(user_id)} is not a 64-bit integer" in err
+    assert not (out / "log.ndjson").exists()
+
+
+def test_stages_refuse_a_repeated_user_id(tiny_config, capsys):
+    """Two records of user 0 used to be simulated as two users, and
+    `reidentify` then matched both."""
+    cfg, out = tiny_config
+    assert run_cli("generate", "--config", cfg) == 0
+    assert run_cli("simulate", "--config", cfg) == 0
+    _rewrite_user_line(out / "population.ndjson", 3, lambda u: json.dumps(dict(u, user_id=0)))
+    for stage in ("simulate", "denoise", "reidentify"):
+        capsys.readouterr()
+        assert run_cli(stage, "--config", cfg) == 2, stage
+        assert "population.ndjson line 4: user 0 is also the user of line 2" in capsys.readouterr().err, stage
+    assert not (out / "denoise_metrics.csv").exists()
+    assert not (out / "reid_report.csv").exists()
 
 
 @pytest.mark.parametrize("edit, key", [

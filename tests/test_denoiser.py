@@ -323,7 +323,7 @@ def test_slot_tables_grow_when_a_user_sees_more_topics_than_slots():
     assert sorted(engine.topic[:24, 0].tolist()) == list(range(1, 25))
 
 
-ENGINE_TABLES = ("topic", "next_count", "greedy_ev", "evidence")
+ENGINE_TABLES = ("topic", "next_count", "greedy_ev", "evidence", "ever_genuine")
 
 
 @st.composite
@@ -497,20 +497,27 @@ def test_trajectory_matches_object_evaluation(taxonomy):
     """Vectorized per-epoch metrics equal the object-level evaluation at
     every epoch, the cold-start ones included, where the warm-start draws
     of source epochs <= 0 are already seen."""
+    users, log, prev, cfg = object_evaluation_scenario(taxonomy)
+    traj = denoise_site_trajectory(log.site_view("w"), prev, cfg, users)
+    assert [pt.epoch for pt in traj.points] == list(range(1, 7))
+    assert_matches_object_evaluation(traj, log, users, prev, cfg)
+
+
+def object_evaluation_scenario(taxonomy):
+    """60 users on site "w" over 6 epochs, topics 1..99 above the threshold."""
     users, log = stable_scenario(taxonomy, n_users=60, epochs=6)
     counts = np.zeros(350, dtype=np.int64)
     counts[1:100] = 40
-    prev = PrevalenceTable(counts=counts, total_domains=1000)
-    cfg = DenoiserConfig()
-    site = log.site_view("w")
+    return users, log, PrevalenceTable(counts=counts, total_domains=1000), DenoiserConfig()
 
-    traj = denoise_site_trajectory(site, prev, cfg, users)
-    assert [pt.epoch for pt in traj.points] == list(range(1, 7))
 
-    truth = truth_channel(site, users)
+def assert_matches_object_evaluation(traj, log, users, prev, cfg):
+    """Each point of site "w"'s trajectory equals `evaluate_denoiser` over
+    the object-level denoiser's outcomes through that epoch."""
+    truth = truth_channel(log.site_view("w"), users)
     for point in traj.points:
         outcomes = {}
-        for u in range(60):
+        for u in range(len(users)):
             history = [log_result(log, "w", u, e) for e in range(1, point.epoch + 1)]
             outcomes[u] = denoise_multi_shot(history, prev, cfg)
         ev = evaluate_denoiser(outcomes, truth, through_epoch=point.epoch)
@@ -520,6 +527,25 @@ def test_trajectory_matches_object_evaluation(taxonomy):
         assert (point.min_recovered, point.median_recovered, point.max_recovered) == (
             ev.min_recovered, ev.median_recovered, ev.max_recovered
         ), point.epoch
+
+
+def test_trajectory_does_not_depend_on_initial_slots(taxonomy, monkeypatch):
+    """With one initial slot the engine's tables widen after draws were
+    indexed into them; the trajectory equals the default's, and the
+    object-level evaluation at every epoch."""
+    import topicsim.denoiser
+
+    users, log, prev, cfg = object_evaluation_scenario(taxonomy)
+    site = log.site_view("w")
+    trajectories = {}
+    for slots in (INITIAL_SLOTS, 1):
+        monkeypatch.setattr(topicsim.denoiser, "INITIAL_SLOTS", slots)
+        trajectories[slots] = denoise_site_trajectory(site, prev, cfg, users)
+    engine = MultiShotEngine(site.n_users, 349, prev, cfg)
+    widths = [engine.observe_epoch(e, site.call(e)).shape[0] for e in range(1, 7)]
+    assert 1 < widths[0] < widths[-1]
+    assert trajectories[1].csv_lines() == trajectories[INITIAL_SLOTS].csv_lines()
+    assert_matches_object_evaluation(trajectories[1], log, users, prev, cfg)
 
 
 def test_trajectory_refuses_a_population_other_than_the_logs(taxonomy):

@@ -377,11 +377,12 @@ def test_summarize_population_counts():
         UserProfile(0, frozenset({"a"}), frozenset({1, 2}), (1, 2, 3, 4, 5)),
         UserProfile(1, frozenset({"a", "b"}), frozenset({2}), (1, 2, 3, 4, 6)),
     ])
-    stats = summarize_population(users)
-    assert stats.n_users == 2
-    assert stats.unique_observed_domains == 2
-    assert stats.unique_top_profiles == 2
-    assert stats.unique_observed_topics == 6  # observed plus profile padding
+    assert summarize_population(users) == [
+        "Number of users              2",
+        "Unique observed domains      2",
+        "Unique observed topics       6",  # observed plus profile padding
+        "Unique top profiles          2",
+    ]
 
 
 @pytest.mark.parametrize("loader, body, message", [
