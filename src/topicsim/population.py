@@ -14,17 +14,17 @@ top-T interest profile samples uniformly from observed topics, padded
 with uniform taxonomy draws when fewer than T were observed.
 
 All sampling is keyed on (seed, tag, user_id, counter), so generation
-is reproducible and needs no generator state: users are drawn as arrays,
-one block of `POPULATION_BLOCK_USERS` at a time, each block's domain
-draws in rounds for the users still short of their count, its observed
-topics gathered from a domain->topic CSR, and its profiles picked by one
-segmented sort of keyed uniforms. The result does not depend on the
-block size. A `Population` keeps the users as arrays: ids, an (n, T)
-profile array, and visited positions and observed topics as CSRs over
-the order's domain names; `UserProfile` is the per-user record view.
-Its base `Profiles` holds only the ids and profiles, all that the
-simulator and the denoiser read, and `read_profiles` loads just those
-from a population file.
+is reproducible and needs no generator state. Generation draws browsing
+as arrays, one block of `POPULATION_BLOCK_USERS` users at a time, the
+domains in rounds for the users still short of their count and the
+observed topics from a domain->topic CSR, then takes every profile from
+`top_profiles`: per block, one segmented sort of keyed uniforms. The
+result does not depend on the block size. A `Population` keeps the
+users as arrays: ids, an (n, T) profile array, and visited positions and
+observed topics as CSRs over the order's domain names; `UserProfile` is
+the per-user record view. Its base `Profiles` holds only the ids and
+profiles, all that the simulator and the denoiser read, and
+`read_profiles` loads just those from a population file.
 
 File formats: rank-bucket CSV `origin,rank_bucket`, an origin with or
 without its scheme, keyed by its host; rank list CSV
@@ -40,7 +40,7 @@ import itertools
 import json
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from importlib import resources
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
@@ -178,14 +178,19 @@ def load_bucket_file(source: TextSource) -> dict[str, str]:
     """CSV `origin,rank_bucket` (header optional), keyed by each origin's host.
 
     An origin may carry a scheme (`https://www.a.com`). A host that
-    appears more than once keeps its most popular bucket.
+    appears more than once keeps its most popular bucket. A row whose
+    bucket is not one of `BUCKET_LABELS` or their sizes is refused.
     """
     out: dict[str, str] = {}
-    for _, row in _rows(source, 2):
+    for lineno, row in _rows(source, 2):
         if row[0].lower() in ("origin", "domain"):
             continue
         host, bucket = _host(row[0]), row[1].strip()
-        if host in out and _bucket_rank(out[host]) <= _bucket_rank(bucket):
+        try:
+            rank = _bucket_rank(bucket)
+        except PopulationError as exc:
+            raise PopulationError(f"row {lineno}: {exc}") from None
+        if host in out and _bucket_rank(out[host]) <= rank:
             continue
         out[host] = bucket
     return out
@@ -267,7 +272,7 @@ class CountHistogram:
         if any(k < 1 for k in self.support):
             raise PopulationError("histogram support must be positive integers")
         total = float(sum(self.probabilities))
-        if abs(total - 1.0) > 1e-6:
+        if not abs(total - 1.0) <= 1e-6:  # NaN fails too
             raise PopulationError(f"histogram probabilities sum to {total}, expected 1")
 
     def sample(self, n: int, seed: int) -> np.ndarray:
@@ -278,18 +283,25 @@ class CountHistogram:
 
 
 def load_count_histogram(source: TextSource) -> CountHistogram:
-    """CSV `unique_domain_count,user_fraction` (header optional)."""
+    """CSV `unique_domain_count,user_fraction`, the first row a header if its count holds no digit.
+
+    Every other row's count must be a positive integer, and its fraction
+    a finite, non-negative number.
+    """
     support, probs = [], []
-    for lineno, row in _rows(source, 2):
-        if not row[0].strip().isdigit():
+    for i, (lineno, row) in enumerate(_rows(source, 2)):
+        count = row[0].strip()
+        if i == 0 and not any(map(str.isdigit, count)):
             continue
+        if not (count.isascii() and count.isdigit() and int(count) >= 1):
+            raise PopulationError(f"row {lineno}: count {count!r} is not a positive integer")
         try:
             fraction = float(row[1])
         except ValueError:
             fraction = math.nan
-        if not fraction >= 0:
+        if not 0 <= fraction < math.inf:
             raise PopulationError(f"row {lineno}: fraction {row[1].strip()!r} is not a non-negative number")
-        support.append(int(row[0]))
+        support.append(int(count))
         probs.append(fraction)
     total = sum(probs)
     if not total > 0:
@@ -446,41 +458,8 @@ def _from_rows(
 POPULATION_BLOCK_USERS = 1024
 
 
-def _profiles(
-    uids: np.ndarray,
-    observed: np.ndarray,
-    width: int,
-    omega: int,
-    T: int,
-    seed: int,
-    candidate: int,
-) -> np.ndarray:
-    """Sorted top-T profiles, shape (len(uids), T), of users `uids`.
-
-    `observed` holds each row's observed topics as sorted keys
-    row * width + topic. A user's picks are its T observed topics of
-    lowest keyed uniform (ties by position in the sorted list), a keyed
-    permutation; users with fewer than T observed topics are padded with
-    distinct uniform draws of taxonomy ids 1..omega from the fill stream.
-    """
-    if not 0 <= candidate < 10:
-        raise PopulationError(f"candidate index must be in [0, 10), got {candidate}")
-    rows = observed // width
-    j = rng.segment_ranks(rows)
-    order = np.lexsort((j, rng.uniform(seed, rng.TAG_PROFILE, uids[rows], candidate, j), rows))
-    picks = observed[order[rng.segment_ranks(rows[order]) < T]]
-    short = np.maximum(T - np.bincount(rows, minlength=uids.size), 0)
-
-    def fill(counter, r, jj):
-        u = rng.uniform(seed, rng.TAG_PROFILE_FILL, uids[r], candidate, counter, jj)
-        return 1 + (u * omega).astype(np.int64)
-
-    padding = rng.distinct_draws(short, lambda s: np.full_like(s, 16), fill, width, taken=observed)
-    return (np.sort(np.concatenate([picks, padding])) % width).reshape(uids.size, T)
-
-
-def _topic_ids(taxonomy: Taxonomy, topics: np.ndarray, T: int) -> tuple[int, int]:
-    """Omega, the taxonomy's ids being 1..omega, and the key width over them and `topics`.
+def _topic_ids(taxonomy: Taxonomy, T: int) -> int:
+    """Omega, the taxonomy's ids being 1..omega.
 
     Refuses a profile width T outside 1..omega: profiles are padded with
     distinct taxonomy draws, so T may not exceed the taxonomy's size.
@@ -490,7 +469,7 @@ def _topic_ids(taxonomy: Taxonomy, topics: np.ndarray, T: int) -> tuple[int, int
         raise PopulationError(f"T must be >= 1, got {T}")
     if T > omega:
         raise PopulationError(f"T = {T} exceeds the taxonomy's {omega} topics")
-    return omega, int(max(omega, topics.max(initial=0))) + 1
+    return omega
 
 
 def top_profiles(
@@ -500,23 +479,39 @@ def top_profiles(
     seed: int,
     candidate: int = 0,
 ) -> np.ndarray:
-    """Stable top-T profile of each user, as `generate_population` draws it.
+    """Stable top-T profile of each user; candidate 0 is the one `generate_population` keeps.
 
-    Uniform sample of T distinct observed topics; when fewer than T were
-    observed, the remainder is drawn uniformly (distinct) from the
-    taxonomy, mirroring the noise mechanism's padding. `candidate`
-    selects one of up to 10 alternative profiles under distinct
-    sub-seeds. Returns shape (len(population), T), each row sorted.
+    A user's picks are its T observed topics of lowest keyed uniform
+    (ties by position), padded when fewer with distinct uniform taxonomy
+    ids from the fill stream, as the noise mechanism pads. `candidate`
+    selects one of up to 10 alternatives under distinct sub-seeds. Users
+    go one block of `POPULATION_BLOCK_USERS` at a time; the result does
+    not depend on the block size. Returns shape (len(population), T),
+    each row sorted.
     """
-    omega, width = _topic_ids(taxonomy, population.topics, T)
-    rows = _row_ids(population.topic_indptr)
-    observed = rows * width + population.topics
+    omega = _topic_ids(taxonomy, T)
+    if not 0 <= candidate < 10:
+        raise PopulationError(f"candidate index must be in [0, 10), got {candidate}")
+    width = int(max(omega, population.topics.max(initial=0))) + 1
     out = np.empty((len(population), T), dtype=np.int64)
     for lo in range(0, len(population), POPULATION_BLOCK_USERS):
         hi = min(lo + POPULATION_BLOCK_USERS, len(population))
-        a, b = population.topic_indptr[lo], population.topic_indptr[hi]
         uids = population.user_ids[lo:hi]
-        out[lo:hi] = _profiles(uids, observed[a:b] - lo * width, width, omega, T, seed, candidate)
+        indptr = population.topic_indptr[lo:hi + 1]
+        # Each observed topic as the key row * width + topic, rows block-local.
+        rows = _row_ids(indptr)
+        observed = rows * width + population.topics[indptr[0]:indptr[-1]]
+        j = rng.segment_ranks(rows)
+        order = np.lexsort((j, rng.uniform(seed, rng.TAG_PROFILE, uids[rows], candidate, j), rows))
+        picks = observed[order[rng.segment_ranks(rows[order]) < T]]
+        short = np.maximum(T - np.diff(indptr), 0)
+
+        def fill(counter, r, jj):
+            u = rng.uniform(seed, rng.TAG_PROFILE_FILL, uids[r], candidate, counter, jj)
+            return 1 + (u * omega).astype(np.int64)
+
+        padding = rng.distinct_draws(short, lambda s: np.full_like(s, 16), fill, width, taken=observed)
+        out[lo:hi] = (np.sort(np.concatenate([picks, padding])) % width).reshape(hi - lo, T)
     return out
 
 
@@ -534,20 +529,21 @@ def generate_population(
     """Generate n users with visited domains, observed topics, and top-T profiles.
 
     Deterministic for a fixed seed. Every draw is keyed on (seed, tag,
-    user_id, counter), so users are drawn as arrays, one block of
-    `POPULATION_BLOCK_USERS` at a time, and the result does not depend
-    on the block size. A user's domains are its first k distinct
+    user_id, counter), so browsing is drawn as arrays, one block of
+    `POPULATION_BLOCK_USERS` users at a time, and the result does not
+    depend on the block size. A user's domains are its first k distinct
     traffic-weighted positions, drawn with replacement in rounds of
     max(2 * short, 16) keyed uniforms; first occurrences realize
     successive weighted sampling without replacement. Counts exceeding
-    the list length are clamped (logged). The profiles are candidate 0;
-    `top_profiles` draws the others from the result.
+    the list length are clamped (logged). A bad T is refused first; the
+    profiles are `top_profiles`' candidate 0 of the drawn browsing.
     """
     if n < 1:
         raise PopulationError(f"population size must be >= 1, got {n}")
     m = len(order)
     if m < 1:
         raise PopulationError("the ranked domain list is empty")
+    _topic_ids(taxonomy, T)
     cdf = np.cumsum(traffic.weights(m))
     ks = counts.sample(n, seed)
     clamped = int(np.sum(ks > m))
@@ -561,10 +557,9 @@ def generate_population(
     lens = np.where(rows >= 0, classification.indptr[rows + 1] - classification.indptr[rows], 0)
     indptr = _indptr(lens)
     flat = classification.topics[_segments(classification.indptr[rows], lens)]
-    omega, width = _topic_ids(taxonomy, flat, T)
+    width = int(flat.max(initial=0)) + 1
 
     visit_parts, topic_parts, visit_lens, topic_lens = [], [], [], []
-    profiles = np.empty((n, T), dtype=np.int64)
     for lo in range(0, n, POPULATION_BLOCK_USERS):
         uids = np.arange(lo, min(lo + POPULATION_BLOCK_USERS, n), dtype=np.int64)
 
@@ -576,21 +571,21 @@ def generate_population(
         vrows, pos = np.divmod(visits, m)
         seg = indptr[pos + 1] - indptr[pos]
         observed = _sorted_unique(np.repeat(vrows * width, seg) + flat[_segments(indptr[pos], seg)])
-        profiles[uids] = _profiles(uids, observed, width, omega, T, seed, 0)
         orows, topics = np.divmod(observed, width)
         visit_parts.append(pos.astype(np.int32))
         topic_parts.append(topics.astype(np.int32))
         visit_lens.append(np.bincount(vrows, minlength=uids.size))
         topic_lens.append(np.bincount(orows, minlength=uids.size))
-    return Population(
+    population = Population(
         user_ids=np.arange(n, dtype=np.int64),
-        profiles=profiles,
+        profiles=np.empty((n, 0), dtype=np.int64),  # top_profiles reads no profile
         visit_indptr=_indptr(np.concatenate(visit_lens)),
         visits=np.concatenate(visit_parts),
         topic_indptr=_indptr(np.concatenate(topic_lens)),
         topics=np.concatenate(topic_parts),
         domains=order.domains,
     )
+    return replace(population, profiles=top_profiles(population, taxonomy, T, seed))
 
 
 def _ints(values: list) -> str:
@@ -662,8 +657,9 @@ def _is_int64(v) -> bool:
 def _records(path: Union[str, Path], keys: tuple[str, ...]) -> tuple[list, ...]:
     """The values of `keys` in each user record of a `write_population` file, one list per key.
 
-    `keys` names `user_id` and `top_profile`. Each `user_id` must be a
-    JSON integer that fits 64 bits, and no two records may share one;
+    `keys` names `user_id` and `top_profile`. Only line 1 may be the
+    `{"header"` line. Each other line must be JSON; each `user_id` must be
+    a JSON integer that fits 64 bits, and no two records may share one;
     each `top_profile` must be a list of such integers.
     """
     first_line: dict[int, int] = {}
@@ -671,12 +667,14 @@ def _records(path: Union[str, Path], keys: tuple[str, ...]) -> tuple[list, ...]:
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
-            if not line or line.startswith('{"header"'):
+            if not line or (lineno == 1 and line.startswith('{"header"')):
                 continue
-            obj = json.loads(line)
             try:
+                obj = json.loads(line)
                 for column, key in zip(columns, keys):
                     column.append(obj[key])
+            except json.JSONDecodeError as exc:
+                raise PopulationError(f"{path} line {lineno}: not JSON ({exc.msg} at column {exc.colno})") from None
             except (KeyError, TypeError):
                 raise PopulationError(f"{path} line {lineno}: not a user record with {key!r}") from None
             uid, profile = obj["user_id"], obj["top_profile"]

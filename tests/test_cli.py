@@ -384,6 +384,18 @@ def test_generate_refuses_a_one_column_bucket_row(tmp_path, capsys):
     assert not (tmp_path / "o" / "population.ndjson").exists()
 
 
+def test_generate_refuses_a_histogram_count_that_is_not_an_integer(tmp_path, capsys):
+    """A `20.0` row used to be skipped as a header, and every user then drew 10 domains."""
+    histogram = tmp_path / "histogram.csv"
+    histogram.write_text("10,0.5\n20.0,0.5\n")
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"n_users": 5, "histogram": str(histogram), "n_domains": 500,
+                               "out": str(tmp_path / "o")}))
+    assert run_cli("generate", "--config", cfg) == 2
+    assert "row 2: count '20.0' is not a positive integer" in capsys.readouterr().err
+    assert not (tmp_path / "o" / "population.ndjson").exists()
+
+
 def test_generate_refuses_a_bucket_file_without_domains(tmp_path, capsys):
     crux = tmp_path / "crux.csv"
     crux.write_text("origin,rank_bucket\n")
@@ -579,7 +591,8 @@ def test_stages_refuse_a_repeated_user_id(tiny_config, capsys):
     (lambda u: json.dumps({k: v for k, v in u.items() if k != "user_id"}), "user_id"),
     (lambda u: json.dumps({k: v for k, v in u.items() if k != "top_profile"}), "top_profile"),
     (lambda u: json.dumps(u["top_profile"]), "user_id"),
-], ids=["no-user_id", "no-top_profile", "not-an-object"])
+    (lambda u: json.dumps({"header": {"seed": 5}}), "user_id"),
+], ids=["no-user_id", "no-top_profile", "not-an-object", "header-after-line-1"])
 def test_simulate_refuses_a_malformed_population_record(tiny_config, capsys, edit, key):
     cfg, out = tiny_config
     assert run_cli("generate", "--config", cfg) == 0
@@ -587,6 +600,18 @@ def test_simulate_refuses_a_malformed_population_record(tiny_config, capsys, edi
     capsys.readouterr()
     assert run_cli("simulate", "--config", cfg) == 2
     assert f"population.ndjson line 4: not a user record with {key!r}" in capsys.readouterr().err
+    assert not (out / "log.ndjson").exists()
+
+
+def test_simulate_refuses_a_population_line_that_is_not_json(tiny_config, capsys):
+    """Such a line used to be refused without the file or the line."""
+    cfg, out = tiny_config
+    assert run_cli("generate", "--config", cfg) == 0
+    _rewrite_user_line(out / "population.ndjson", 3, lambda u: "{not json")
+    capsys.readouterr()
+    assert run_cli("simulate", "--config", cfg) == 2
+    assert "population.ndjson line 4: not JSON (Expecting property name enclosed in double quotes at column 2)" \
+        in capsys.readouterr().err
     assert not (out / "log.ndjson").exists()
 
 

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from scipy import stats
 
 from reference import derive_top_profile, generate_population_reference, write_population_reference
-from topicsim import population
+from topicsim import population, rng
 from topicsim.classification import DomainClassification
 from topicsim.taxonomy import Taxonomy, Topic
 from topicsim.population import (
@@ -202,6 +202,8 @@ def test_count_model_validation():
         CountHistogram(support=(), probabilities=())
     with pytest.raises(PopulationError, match="sum to 0.5"):
         CountHistogram(support=(1,), probabilities=(0.5,))
+    with pytest.raises(PopulationError, match="sum to nan"):
+        CountHistogram(support=(1, 2), probabilities=(math.nan, 0.0))
 
 
 def tiny_world(taxonomy):
@@ -360,6 +362,19 @@ def test_profile_size_above_taxonomy_size_is_refused(taxonomy):
         top_profiles(users, taxonomy, T=T, seed=1)
 
 
+def test_bad_profile_size_is_refused_before_any_domain_is_drawn(taxonomy, monkeypatch):
+    order, traffic, cls = tiny_world(taxonomy)
+    counts = CountHistogram(support=(2,), probabilities=(1.0,))
+
+    def no_draws(*args, **kwargs):
+        raise AssertionError("a domain was drawn")
+
+    monkeypatch.setattr(rng, "distinct_draws", no_draws)
+    for T in (0, len(taxonomy.ids()) + 1):
+        with pytest.raises(PopulationError):
+            generate_population(3, order, traffic, counts, cls, seed=1, T=T, taxonomy=taxonomy)
+
+
 def test_population_ndjson_roundtrip(tmp_path, taxonomy):
     order, traffic, cls = tiny_world(taxonomy)
     counts = CountHistogram(support=(4,), probabilities=(1.0,))
@@ -393,8 +408,19 @@ def test_summarize_population_counts():
      "count histogram has no positive fraction"),
     (load_count_histogram, "5,-0.5\n6,1.5\n", "row 1: fraction '-0.5' is not a non-negative number"),
     (load_count_histogram, "5,0.5\n6\n", "row 2: expected 2 fields, got 1"),
+    (load_bucket_file, "origin,rank_bucket\nhttps://a.com,1k\nhttps://b.com,2000\n",
+     "row 3: unknown rank bucket '2000'"),
+    (load_count_histogram, "10,0.5\n20.0,0.5\n", "row 2: count '20.0' is not a positive integer"),
+    (load_count_histogram, "10,0.5\n-20,0.5\n", "row 2: count '-20' is not a positive integer"),
+    (load_count_histogram, "10,0.5\n1e3,0.5\n", "row 2: count '1e3' is not a positive integer"),
+    (load_count_histogram, "0,0.5\n10,0.5\n", "row 1: count '0' is not a positive integer"),
+    (load_count_histogram, "10,0.5\nunique_domain_count,user_fraction\n20,0.5\n",
+     "row 2: count 'unique_domain_count' is not a positive integer"),
+    (load_count_histogram, "10,inf\n20,0.5\n", "row 1: fraction 'inf' is not a non-negative number"),
 ], ids=["bucket-one-column", "rank-one-column", "rank-not-integer", "histogram-all-zero",
-        "histogram-negative", "histogram-one-column"])
+        "histogram-negative", "histogram-one-column", "bucket-unknown", "histogram-float-count",
+        "histogram-negative-count", "histogram-exponent-count", "histogram-zero-count",
+        "histogram-header-after-row-1", "histogram-infinite-fraction"])
 def test_csv_loaders_refuse_bad_rows(loader, body, message):
     with pytest.raises(PopulationError, match=re.escape(message)):
         loader(io.StringIO(body))
