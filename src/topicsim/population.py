@@ -175,21 +175,22 @@ def build_total_order(
 
 
 def load_bucket_file(source: TextSource) -> dict[str, str]:
-    """CSV `origin,rank_bucket` (header optional), keyed by each origin's host.
+    """CSV `origin,rank_bucket`, keyed by each origin's host; the first
+    non-empty row is a header if its first field is `origin` or `domain`.
 
     An origin may carry a scheme (`https://www.a.com`). A host that
     appears more than once keeps its most popular bucket. A row whose
     bucket is not one of `BUCKET_LABELS` or their sizes is refused.
     """
     out: dict[str, str] = {}
-    for lineno, row in _rows(source, 2):
-        if row[0].lower() in ("origin", "domain"):
+    for i, (lineno, row) in enumerate(_rows(source, 2)):
+        if i == 0 and row[0].lower() in ("origin", "domain"):
             continue
         host, bucket = _host(row[0]), row[1].strip()
         try:
             rank = _bucket_rank(bucket)
         except PopulationError as exc:
-            raise PopulationError(f"row {lineno}: {exc}") from None
+            raise PopulationError(f"{_row_name(source, lineno)}: {exc}") from None
         if host in out and _bucket_rank(out[host]) <= rank:
             continue
         out[host] = bucket
@@ -197,15 +198,15 @@ def load_bucket_file(source: TextSource) -> dict[str, str]:
 
 
 def load_rank_file(source: TextSource) -> dict[str, int]:
-    """CSV `rank,domain` (header optional)."""
+    """CSV `rank,domain`; the first non-empty row is a header if its first field is `rank`."""
     out: dict[str, int] = {}
-    for lineno, row in _rows(source, 2):
-        if row[0].lower() == "rank":
+    for i, (lineno, row) in enumerate(_rows(source, 2)):
+        if i == 0 and row[0].lower() == "rank":
             continue
         try:
             out[row[1].strip()] = int(row[0])
         except ValueError:
-            raise PopulationError(f"row {lineno}: rank {row[0]!r} is not an integer") from None
+            raise PopulationError(f"{_row_name(source, lineno)}: rank {row[0]!r} is not an integer") from None
     return out
 
 
@@ -216,8 +217,13 @@ def _rows(source: TextSource, width: int) -> Iterator[tuple[int, list[str]]]:
         if not row:
             continue
         if len(row) < width:
-            raise PopulationError(f"row {lineno}: expected {width} fields, got {len(row)}: {row!r}")
+            raise PopulationError(f"{_row_name(source, lineno)}: expected {width} fields, got {len(row)}: {row!r}")
         yield lineno, row
+
+
+def _row_name(source: TextSource, lineno: int) -> str:
+    """Where row `lineno` of a CSV stands, for a refusal: `<path> row N`, or `row N` in an open file."""
+    return f"row {lineno}" if hasattr(source, "read") else f"{source} row {lineno}"
 
 
 # --- traffic & count models ---------------------------------------------
@@ -294,13 +300,14 @@ def load_count_histogram(source: TextSource) -> CountHistogram:
         if i == 0 and not any(map(str.isdigit, count)):
             continue
         if not (count.isascii() and count.isdigit() and int(count) >= 1):
-            raise PopulationError(f"row {lineno}: count {count!r} is not a positive integer")
+            raise PopulationError(f"{_row_name(source, lineno)}: count {count!r} is not a positive integer")
         try:
             fraction = float(row[1])
         except ValueError:
             fraction = math.nan
         if not 0 <= fraction < math.inf:
-            raise PopulationError(f"row {lineno}: fraction {row[1].strip()!r} is not a non-negative number")
+            raise PopulationError(
+                f"{_row_name(source, lineno)}: fraction {row[1].strip()!r} is not a non-negative number")
         support.append(int(count))
         probs.append(fraction)
     total = sum(probs)

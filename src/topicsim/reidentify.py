@@ -25,7 +25,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -119,9 +119,14 @@ def _topic_table(rows: Sequence[list[int]]) -> np.ndarray:
 
 # Sets of at most this many topics are matched by counting their 2^|S|
 # subsets; with topic ids below 351 every such subset has an exact int64
-# key. Pairs involving a wider set are compared by counting shared topics
-# against that set's dense row.
+# key, and the keys of up to 4 topics fit int32. Pairs involving a wider
+# set are compared by counting shared topics against that set's dense row.
 MAX_SUBSET_TOPICS = 10
+
+# A level of at most this many possible keys counts each side's keys in
+# one bincount instead of sorting them for binary searches: with topic
+# ids below 351, the levels of one and two topics.
+DENSE_KEY_SPACE = 2**16
 
 
 def _argmax_match(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -158,16 +163,20 @@ def _max_overlap_groups(a: np.ndarray, b: np.ndarray, width: int) -> tuple[np.nd
 
     One scan runs down the levels j for both directions. At each level
     each side's j-subset keys are built once: its live rows' keys are its
-    queries, and all its keys, sorted, are the table that the other side's
-    queries look up. A row leaves the scan at its first hit, and a level
-    that no row of either side is left to query is skipped. Only the
-    sorted tables and the live rows' keys outlive the building of a
+    queries, and all its keys, sorted or counted, are the table that the
+    other side's queries look up. A row leaves the scan at its first hit,
+    and a level that no row of either side is left to query is skipped.
+    Only the tables and the live rows' keys outlive the building of a
     side's keys, and only until the level's look-ups are done.
     """
     cap = MAX_SUBSET_TOPICS
     while math.comb(width, cap) >= 2**63:  # j-subset keys lie below C(width, j)
         cap -= 1
-    binom = _binom(width, cap)
+    narrow = cap
+    while math.comb(width, narrow) >= 2**31:
+        narrow -= 1
+    # Levels up to `narrow` build their keys, tables and queries as int32.
+    binom32, binom64 = _binom(width, narrow, np.int32), _binom(width, cap, np.int64)
     sides = (a, b)
     sizes = [np.count_nonzero(t >= 0, axis=1) for t in sides]
     sets = [_sets_by_size(t, size, cap) for t, size in zip(sides, sizes)]
@@ -178,11 +187,12 @@ def _max_overlap_groups(a: np.ndarray, b: np.ndarray, width: int) -> tuple[np.nd
     for j in range(max([*sets[0], *sets[1]], default=0), 0, -1):
         if not any(s >= j and pos.size for side in live for s, pos in side.items()):
             continue
-        queries_b, table_b = _level_keys(sets[1], live[1], j, binom)
-        queries_a, table_a = _level_keys(sets[0], live[0], j, binom)
-        for x, queries, table in ((0, queries_a, table_b), (1, queries_b, table_a)):
+        binom = binom32 if j <= narrow else binom64
+        queries_b, count_b = _level_keys(sets[1], live[1], j, binom)
+        queries_a, count_a = _level_keys(sets[0], live[0], j, binom)
+        for x, queries, count in ((0, queries_a, count_b), (1, queries_b, count_a)):
             for s, keys in queries.items():
-                total = _counts_in(table, keys).sum(axis=0)
+                total = count(keys).sum(axis=0)
                 hit = total > 0
                 pos = live[x][s]
                 rows = sets[x][s][0][pos[hit]]
@@ -209,13 +219,15 @@ def _add_wide(
 
 
 @functools.cache
-def _binom(width: int, cap: int) -> np.ndarray:
-    """`binom[i, t] = C(t, i)` for i <= cap and t < width, read-only.
+def _binom(width: int, cap: int, dtype: type) -> np.ndarray:
+    """`binom[i, t] = C(t, i)` for i <= cap and t < width, as `dtype`, read-only.
 
     A j-subset's key is sum_i C(t_i, i + 1) over its ascending topic ids
-    t_i: its rank among the j-subsets.
+    t_i: its rank among the j-subsets, below C(width, j). With cap <= 10,
+    every entry is below C(width, cap) or C(19, 9), so a `dtype` that
+    holds C(width, cap) holds the table too.
     """
-    binom = np.array([[math.comb(t, i) for t in range(width)] for i in range(cap + 1)], dtype=np.int64)
+    binom = np.array([[math.comb(t, i) for t in range(width)] for i in range(cap + 1)], dtype=dtype)
     binom.flags.writeable = False
     return binom
 
@@ -233,20 +245,23 @@ def _sets_by_size(table: np.ndarray, size: np.ndarray, cap: int) -> dict:
     return groups
 
 
-def _level_keys(sets: dict, live: dict, j: int, binom: np.ndarray) -> tuple[dict, np.ndarray]:
-    """One side's j-subset keys: `{s: keys of the live rows of s topics}`, and the
-    keys of all its rows of at least j topics in one sorted array."""
+def _level_keys(sets: dict, live: dict, j: int, binom: np.ndarray) -> tuple[dict, Callable[[np.ndarray], np.ndarray]]:
+    """One side's j-subset keys: `{s: keys of the live rows of s topics}`, of `binom`'s dtype,
+    and `count(keys)`, how many of the keys of all its rows of at least j topics equal each entry."""
     groups = {s: topics for s, (_, topics) in sets.items() if s >= j}
-    table = np.empty(sum(topics.shape[1] * math.comb(s, j) for s, topics in groups.items()), dtype=np.int64)
+    table = np.empty(sum(topics.shape[1] * math.comb(s, j) for s, topics in groups.items()), dtype=binom.dtype)
     queries, at = {}, 0
     for s, topics in groups.items():
         n = topics.shape[1] * math.comb(s, j)
         keys = _subset_keys(topics, j, binom, out=table[at : at + n].reshape(-1, topics.shape[1]))
         at += n
         if live[s].size:
-            queries[s] = keys[:, live[s]]  # a copy, kept through the sort below
+            queries[s] = keys[:, live[s]]  # a copy, kept through the count or sort below
+    space = math.comb(binom.shape[1], j)  # the keys lie below C(width, j)
+    if space <= DENSE_KEY_SPACE:
+        return queries, np.bincount(table, minlength=space).take
     table.sort()
-    return queries, table
+    return queries, functools.partial(_counts_in, table)
 
 
 def _subset_keys(topics: np.ndarray, j: int, binom: np.ndarray, out: np.ndarray) -> np.ndarray:

@@ -58,21 +58,60 @@ def _as_u64(word) -> np.ndarray:
     return arr.astype(np.uint64)
 
 
+def _fold(h, words) -> np.ndarray:
+    """The hash state `h` with `words` folded in, left to right, not yet finished.
+
+    `h` is a scalar or an array of the caller's own that this fold may
+    overwrite. Callers silence numpy's overflow warnings: the arithmetic
+    is modulo 2^64 by design.
+    """
+    for w in words:
+        # After the first word `h` is this fold's own array (or a scalar), so each step may work in place.
+        h *= _MIX1
+        h = _splitmix(h ^ (_as_u64(w) ^ _GOLDEN))
+    return h
+
+
+def _hash(h, words) -> np.ndarray:
+    """The finished hash of the state `h` continued by `words`."""
+    with np.errstate(over="ignore"):
+        return _splitmix(_fold(h, words))
+
+
 def hash_u64(*words) -> np.ndarray:
     """Hash a key tuple of integers to uint64; a string enters as its `string_key`.
     Integer array words broadcast together."""
-    with np.errstate(over="ignore"):
-        h = _GOLDEN
-        for w in words:
-            # After the first word `h` is this hash's own array (or a scalar), so each step may work in place.
-            h *= _MIX1
-            h = _splitmix(h ^ (_as_u64(w) ^ _GOLDEN))
-        return _splitmix(h)
+    return _hash(_GOLDEN, words)
+
+
+def _unit(h: np.ndarray) -> np.ndarray:
+    """A hash's top 53 bits as a float64 in [0, 1)."""
+    return (h >> np.uint64(11)) * (2.0**-53)
 
 
 def uniform(*words) -> np.ndarray:
     """Uniform float64 in [0, 1) keyed by the word tuple."""
-    return (hash_u64(*words) >> np.uint64(11)) * (2.0**-53)
+    return _unit(hash_u64(*words))
+
+
+class KeyPrefix:
+    """A key prefix folded once, for many keys that extend it:
+    `KeyPrefix(*a).hash_u64(*b) == hash_u64(*a, *b)`, and likewise `uniform`.
+
+    The hash folds its words left to right, so the prefix's state is the
+    same for every extension and only the extension's words are folded
+    again.
+    """
+
+    def __init__(self, *words):
+        with np.errstate(over="ignore"):
+            self._state = _fold(_GOLDEN, words)
+
+    def hash_u64(self, *words) -> np.ndarray:
+        return _hash(self._state.copy(), words)
+
+    def uniform(self, *words) -> np.ndarray:
+        return _unit(self.hash_u64(*words))
 
 
 def permutation(k: int, *words) -> np.ndarray:

@@ -234,10 +234,13 @@ class SiteLog:
     """One site's slice of an ObservationLog, of all its users or of one block of them:
     their truth draws and the calls formed from them.
 
-    `call(epoch)` and the views go through `calls`. `topics` and
-    `slot_sources` are every call and the source epoch of its every slot,
-    `(user, epoch, tau)` int16, read-only and built in full when first
-    read; only `tests/` and `perfbench/` read them.
+    `call(epoch)` and the views go through `calls`. The first call folds
+    each user's `(seed, user, site)` shuffle-key prefix, and the view
+    keeps it (8 bytes per user), so each epoch's keys fold only the
+    epoch, the tag and the slot. `topics` and `slot_sources` are every
+    call and the source epoch of its every slot, `(user, epoch, tau)`
+    int16, read-only and built in full when first read; only `tests/`
+    and `perfbench/` read them.
     """
 
     site: str
@@ -269,17 +272,23 @@ class SiteLog:
 
     def _slot_sources(self, epochs: np.ndarray) -> np.ndarray:
         """The source epoch of each slot of every user's call at each of `epochs`,
-        `(user, len(epochs), tau)`: e - tau .. e - 1 in the order of one keyed shuffle."""
+        `(user, len(epochs), tau)`: e - tau .. e - 1 in the order of one keyed shuffle.
+
+        The shuffle sorts the window's draws by their keys' uniforms, ties
+        kept in source order. The uniforms' 53-bit numerators, `hash >> 11`,
+        order alike, so the keys are compared as those integers, finished
+        from the view's folded `(seed, user, site)` prefix.
+        """
         bad = epochs[(epochs < 1) | (epochs > self.epochs)]
         if bad.size:
             raise ValueError(f"epoch must be in 1..{self.epochs}, got {bad[0]}")
         tau = self.config.tau
-        shuffle_keys = rng.uniform(
-            self.config.seed, self.user_ids[:, None, None], rng.string_key(self.site), epochs[:, None],
-            rng.TAG_SHUFFLE, np.arange(tau),
-        )
-        order = np.argsort(shuffle_keys.reshape(-1, tau), axis=1, kind="stable").reshape(shuffle_keys.shape)
-        return epochs[:, None] - tau + order
+        keys = self._shuffle_prefix.hash_u64(epochs[:, None], rng.TAG_SHUFFLE, np.arange(tau)) >> np.uint64(11)
+        return epochs[:, None] - tau + _shuffle_order(keys)
+
+    @functools.cached_property
+    def _shuffle_prefix(self) -> rng.KeyPrefix:
+        return rng.KeyPrefix(self.config.seed, self.user_ids[:, None, None], rng.string_key(self.site))
 
     @functools.cached_property
     def topics(self) -> np.ndarray:
@@ -288,6 +297,30 @@ class SiteLog:
     @functools.cached_property
     def slot_sources(self) -> np.ndarray:
         return _read_only(self._slot_sources(np.arange(1, self.epochs + 1)).astype(np.int16))
+
+
+def _shuffle_order(keys: np.ndarray) -> np.ndarray:
+    """`np.argsort(keys, axis=-1, kind="stable")` for a short last axis.
+
+    Each slot is placed by its key's rank among its row's keys, ties
+    broken by slot: the slots before it whose keys are no greater, and the
+    slots after it whose keys are less. That is tau (tau - 1) / 2 comparisons and
+    tau scatters, much cheaper than a sort at tau = 3.
+    """
+    tau = keys.shape[-1]
+    cols = [keys[..., i] for i in range(tau)]
+    # Where each row's slots start in the flat result, plus each slot's rank.
+    at = [np.arange(0, keys.size, tau).reshape(keys.shape[:-1]) for _ in range(tau)]
+    for i in range(tau):
+        for l in range(i):
+            before = cols[l] <= cols[i]
+            at[i] += before
+            at[l] += ~before
+    order = np.empty(keys.shape, dtype=np.intp)
+    flat = order.ravel()  # a view: `order` is contiguous
+    for i in range(tau):
+        flat[at[i]] = i
+    return order
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -307,11 +340,9 @@ def _draws_for_site(
 
     A genuine draw picks uniformly among the `profiles.shape[1]` columns.
     """
-    site_key = rng.string_key(site)
-    uu = user_ids[:, None]
-    ss = source_epochs[None, :]
-    noisy = rng.uniform(config.seed, uu, site_key, ss, rng.TAG_NOISE_FLAG) < config.p
-    u = rng.uniform(config.seed, uu, site_key, ss, rng.TAG_TOPIC_PICK)
+    key = rng.KeyPrefix(config.seed, user_ids[:, None], rng.string_key(site), source_epochs[None, :])
+    noisy = key.uniform(rng.TAG_NOISE_FLAG) < config.p
+    u = key.uniform(rng.TAG_TOPIC_PICK)
     genuine_idx = (u * profiles.shape[1]).astype(np.int64)
     genuine_topic = profiles[np.arange(len(user_ids))[:, None], genuine_idx]
     noisy_topic = taxonomy_ids[(u * len(taxonomy_ids)).astype(np.int64)]

@@ -22,6 +22,8 @@ faster rewrite can be checked for equal results:
 * `call_api` (one API call from per-epoch `epoch_topic_draw`s) with
   `ApiResult`, `log_result` and `log_truth_draw` (object views of an
   `ObservationLog`) checks `simulator.run_scenario` and `SiteLog.call`;
+* `shuffle_order_reference` (a stable sort of each call's shuffle keys)
+  checks `simulator._shuffle_order` (each slot placed by its key's rank);
 * `denoise_multi_shot` (per-topic state objects for one user's call
   history, tau passed explicitly where the engine reads it from the
   call width) checks `denoiser.MultiShotEngine`, whose recovered slots
@@ -310,6 +312,11 @@ def call_api(user: UserProfile, site: str, epoch: int, config: SimConfig, taxono
     perm = rng.permutation(len(returned), config.seed, user.user_id, rng.string_key(site),
                            epoch, rng.TAG_SHUFFLE)
     return ApiResult(topics=tuple(returned[i] for i in perm), epoch=epoch, site=site, user_id=user.user_id)
+
+
+def shuffle_order_reference(keys: np.ndarray) -> np.ndarray:
+    """The slot order of each row of keys along the last axis, ties kept in slot order."""
+    return np.argsort(keys, axis=-1, kind="stable")
 
 
 def _user_row(log: ObservationLog, user_id: int) -> int:

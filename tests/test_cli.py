@@ -380,7 +380,21 @@ def test_generate_refuses_a_one_column_bucket_row(tmp_path, capsys):
     cfg.write_text(json.dumps({"n_users": 5, "crux": str(crux), "classification": "synthetic:wide-pool",
                                "n_domains": 500, "out": str(tmp_path / "o")}))
     assert run_cli("generate", "--config", cfg) == 2
-    assert "row 3: expected 2 fields, got 1" in capsys.readouterr().err
+    assert f"{crux} row 3: expected 2 fields, got 1" in capsys.readouterr().err
+    assert not (tmp_path / "o" / "population.ndjson").exists()
+
+
+def test_generate_refuses_a_rank_row_that_is_not_an_integer(tmp_path, capsys):
+    crux = tmp_path / "crux.csv"
+    crux.write_text("origin,rank_bucket\na.example,1k\n")
+    tranco = tmp_path / "tranco.csv"
+    tranco.write_text("rank,domain\n1,a.example\nfirst,b.example\n")
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"n_users": 5, "crux": str(crux), "tranco": str(tranco),
+                               "classification": "synthetic:wide-pool", "n_domains": 500,
+                               "out": str(tmp_path / "o")}))
+    assert run_cli("generate", "--config", cfg) == 2
+    assert f"{tranco} row 3: rank 'first' is not an integer" in capsys.readouterr().err
     assert not (tmp_path / "o" / "population.ndjson").exists()
 
 
@@ -392,7 +406,7 @@ def test_generate_refuses_a_histogram_count_that_is_not_an_integer(tmp_path, cap
     cfg.write_text(json.dumps({"n_users": 5, "histogram": str(histogram), "n_domains": 500,
                                "out": str(tmp_path / "o")}))
     assert run_cli("generate", "--config", cfg) == 2
-    assert "row 2: count '20.0' is not a positive integer" in capsys.readouterr().err
+    assert f"{histogram} row 2: count '20.0' is not a positive integer" in capsys.readouterr().err
     assert not (tmp_path / "o" / "population.ndjson").exists()
 
 

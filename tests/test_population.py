@@ -132,6 +132,9 @@ def test_bucket_and_rank_file_parsing():
     assert bins == {"www.google.com": "1000", "a.com": "5000", "b.com": "1k"}
     ranks = load_rank_file(io.StringIO("rank,domain\n1,a.com\n2,b.com\n"))
     assert ranks == {"a.com": 1, "b.com": 2}
+    # The header is the first non-empty row, wherever blank lines put it.
+    assert load_rank_file(io.StringIO("\nrank,domain\n1,a.com\n")) == {"a.com": 1}
+    assert load_bucket_file(io.StringIO("\n\ndomain,rank_bucket\na.com,1k\n")) == {"a.com": "1k"}
 
 
 def test_zipf_weights_normalize():
@@ -417,10 +420,14 @@ def test_summarize_population_counts():
     (load_count_histogram, "10,0.5\nunique_domain_count,user_fraction\n20,0.5\n",
      "row 2: count 'unique_domain_count' is not a positive integer"),
     (load_count_histogram, "10,inf\n20,0.5\n", "row 1: fraction 'inf' is not a non-negative number"),
+    (load_rank_file, "1,a.com\nrank,domain\n2,b.com\n", "row 2: rank 'rank' is not an integer"),
+    (load_bucket_file, "a.com,1k\norigin,rank_bucket\nb.com,5k\n", "row 2: unknown rank bucket 'rank_bucket'"),
+    (load_bucket_file, "\na.com,1k\ndomain,rank_bucket\n", "row 3: unknown rank bucket 'rank_bucket'"),
 ], ids=["bucket-one-column", "rank-one-column", "rank-not-integer", "histogram-all-zero",
         "histogram-negative", "histogram-one-column", "bucket-unknown", "histogram-float-count",
         "histogram-negative-count", "histogram-exponent-count", "histogram-zero-count",
-        "histogram-header-after-row-1", "histogram-infinite-fraction"])
+        "histogram-header-after-row-1", "histogram-infinite-fraction", "rank-header-after-row-1",
+        "bucket-origin-header-after-row-1", "bucket-domain-header-after-row-1"])
 def test_csv_loaders_refuse_bad_rows(loader, body, message):
     with pytest.raises(PopulationError, match=re.escape(message)):
         loader(io.StringIO(body))

@@ -1,7 +1,9 @@
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import hypothesis.strategies as st
 import numpy as np
@@ -19,6 +21,7 @@ from topicsim.reidentify import (
     MAX_SUBSET_TOPICS,
     MatchReport,
     _argmax_match,
+    _level_keys as level_keys,
     match_users,
     reid_report,
     run_reidentification,
@@ -217,13 +220,30 @@ def rows_of(width: int, *sets) -> np.ndarray:
 @example(mats=(rows_of(6, [0, 1, 2], [], [3, 4]), np.zeros((3, 6), bool)))
 # 8-10-topic rows on A only; with first_topic 1024 they take the dense path and B's rows do not.
 @example(mats=(rows_of(12, range(9), range(1, 9), [0, 5], range(10)), rows_of(12, range(7), [1, 2, 3], range(2, 9), [9, 11])))
+# 4-topic rows on both sides, so level 4 runs: on int32 keys at first_topic 1, on int64 keys at 1024.
+# (Levels of at most DENSE_KEY_SPACE keys are counted densely, so small ids take that path
+# at every level, and first_topic 1024 takes the sorted one from level 2 on.)
+@example(mats=(rows_of(4, range(4), [0, 1]), rows_of(4, range(4), [2, 3])))
 @given(mats=overlap_inputs())
 def test_argmax_match_both_directions_equal_one_way_oracle(first_topic, mats):
     # Drawn topics start at id `first_topic`, as taxonomy ids start at 1.
     # Past id 1000 the subset cap falls to 7, so 8-10-topic rows on
     # either side are also compared against their dense form.
     a, b = (np.pad(m, ((0, 0), (first_topic, 0))) for m in mats)
-    k_ab, c_ab, k_ba, c_ba = _argmax_match(topic_table(a), topic_table(b, seed=1))
+    level_dtypes = {}
+
+    def spy(sets, live, j, binom):
+        queries, count = level_keys(sets, live, j, binom)
+        level_dtypes.setdefault(j, set()).update(q.dtype for q in queries.values())
+        return queries, count
+
+    with mock.patch.object(topicsim.reidentify, "_level_keys", spy):
+        k_ab, c_ab, k_ba, c_ba = _argmax_match(topic_table(a), topic_table(b, seed=1))
+    # A level's keys lie below C(width, j), width one past the greatest id: int32 while that fits.
+    width = max(np.flatnonzero(np.any(m, axis=0)).max(initial=0) for m in (a, b)) + 1
+    assert level_dtypes == {j: {np.dtype(np.int32 if math.comb(width, j) < 2**31 else np.int64)} for j in level_dtypes}
+    if 4 in level_dtypes and first_topic in (1, 1024):
+        assert level_dtypes[4] == {np.dtype({1: np.int32, 1024: np.int64}[first_topic])}
     fa, fb = a.astype(np.float32), b.astype(np.float32)
     ref_k_ab, ref_c_ab = argmax_match_one_way(fa, fb)
     ref_k_ba, ref_c_ba = argmax_match_one_way(fb, fa)

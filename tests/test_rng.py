@@ -69,6 +69,25 @@ def test_hash_leaves_its_word_arrays_unchanged():
         assert w.dtype == b.dtype and np.array_equal(w, b)
 
 
+@given(st.lists(st.integers(min_value=-(2**62), max_value=2**62), max_size=5), st.integers(0, 5), st.booleans())
+def test_key_prefix_continues_the_hash_at_every_split(words, arrays_from, unsigned):
+    """`KeyPrefix(*w[:i]).hash_u64(*w[i:]) == hash_u64(*w)` for every i, and
+    neither the prefix nor the caller's word arrays change."""
+    # The words from `arrays_from` on are arrays, each along its own axis, so the key broadcasts.
+    dtype = np.uint64 if unsigned else np.int64
+    words = [w if i < arrays_from else np.array([w, -w, 3], dtype=np.int64).astype(dtype).reshape((3,) + (1,) * i)
+             for i, w in enumerate(words)]
+    before = [np.copy(w) for w in words]
+    want, want_u = rng.hash_u64(*words), rng.uniform(*words)
+    for split in range(len(words) + 1):
+        prefix = rng.KeyPrefix(*words[:split])
+        for _ in range(2):
+            assert np.array_equal(prefix.hash_u64(*words[split:]), want)
+            assert np.array_equal(prefix.uniform(*words[split:]), want_u)
+    for w, b in zip(words, before):
+        assert np.asarray(w).dtype == b.dtype and np.array_equal(w, b)
+
+
 def test_uniform_range_and_mean():
     u = rng.counter_stream(200_000, 42)
     assert u.min() >= 0.0 and u.max() < 1.0

@@ -12,11 +12,12 @@ from reference import (
     call_api,
     log_result,
     log_truth_draw,
+    shuffle_order_reference,
     write_log_ndjson_reference,
     write_truth_ndjson_reference,
 )
 from topicsim.population import POPULATION_BLOCK_USERS, Population, Profiles, UserProfile
-from topicsim.simulator import SimConfig, epoch_topic_draw, run_scenario
+from topicsim.simulator import SimConfig, _shuffle_order, epoch_topic_draw, run_scenario
 
 
 def users_with_random_profiles(n, seed0=0):
@@ -180,6 +181,20 @@ def test_slots_trace_to_truth_draws(taxonomy):
             for slot, topic in enumerate(res.topics):
                 draw = log_truth_draw(log, "wa", u, int(sources[slot]))
                 assert draw.topic == topic
+
+
+@pytest.mark.parametrize("tau", [1, 2, 3, 4])
+def test_shuffle_order_equals_stable_sort(tau):
+    """Placing each slot by its key's rank, ties broken by slot, is the stable
+    sort's order, on keys with many ties and rows of equal keys."""
+    gen = np.random.default_rng(tau)
+    keys = gen.integers(0, 3, size=(400, 5, tau)).astype(np.uint64)
+    keys[:20] = 2**53 - 1  # all-equal rows, at the largest 53-bit numerator
+    keys[20:40] = 2**53 - 1 - gen.integers(0, 2, size=(20, 5, tau)).astype(np.uint64)
+    keys[40, 0] = np.arange(tau, dtype=np.uint64)[::-1]  # strictly descending
+    order = _shuffle_order(keys)
+    assert order.shape == keys.shape
+    assert np.array_equal(order, shuffle_order_reference(keys))
 
 
 def test_call_equals_object_api_for_every_user_and_epoch(taxonomy):
