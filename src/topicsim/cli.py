@@ -34,7 +34,6 @@ from .population import (
     load_rank_file,
     read_profiles,
     summarize_population,
-    top_profiles,
     write_population,
 )
 from .reidentify import run_reidentification
@@ -58,8 +57,6 @@ CONFIG_DEFAULTS: dict = {
     "p": analytics.DEFAULT_P,
     "threshold": 10,
     "aggressive_gap_rule": False,
-    "profile_candidates": 1,        # candidate profiles per user (1..10)
-    "profile_index": 0,             # which candidate the experiments use
     "seed": 0,
     "out": "out",
 }
@@ -106,10 +103,6 @@ def load_config(path: Optional[str], overrides: dict) -> dict:
             raise ConfigError(f"config key {key!r} must be {kind}, got {json.dumps(value)}")
         if type(CONFIG_DEFAULTS[key]) is float:
             cfg[key] = float(value)
-    if not 1 <= cfg["profile_candidates"] <= 10:
-        raise ConfigError("profile_candidates must be in 1..10")
-    if not 0 <= cfg["profile_index"] < cfg["profile_candidates"]:
-        raise ConfigError("profile_index must be < profile_candidates")
     return cfg
 
 
@@ -219,19 +212,8 @@ def cmd_generate(cfg: dict) -> int:
         seed=cfg["seed"], T=cfg["T"], taxonomy=taxonomy,
     )
     out = _out_dir(cfg)
-    n_candidates = cfg["profile_candidates"]
-    candidates = None
-    if n_candidates > 1:
-        # Alternative top-profiles under distinct sub-seeds; experiments
-        # pick one via profile_index, downstream files carry them all.
-        candidates = [population.profiles] + [
-            top_profiles(population, taxonomy, cfg["T"], cfg["seed"], candidate=c)
-            for c in range(1, n_candidates)
-        ]
-        population = replace(population, profiles=candidates[cfg["profile_index"]])
     write_population(population, out / "population.ndjson",
-                     header=dict(file_header(cfg), population_hash=population_hash(cfg)),
-                     candidates=candidates)
+                     header=dict(file_header(cfg), population_hash=population_hash(cfg)))
     for line in summarize_population(population):
         print(line)
     print(f"wrote {out / 'population.ndjson'}")

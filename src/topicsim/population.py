@@ -484,21 +484,17 @@ def top_profiles(
     taxonomy: Taxonomy,
     T: int,
     seed: int,
-    candidate: int = 0,
 ) -> np.ndarray:
-    """Stable top-T profile of each user; candidate 0 is the one `generate_population` keeps.
+    """Stable top-T profile of each user, the profiles `generate_population` gives.
 
     A user's picks are its T observed topics of lowest keyed uniform
     (ties by position), padded when fewer with distinct uniform taxonomy
-    ids from the fill stream, as the noise mechanism pads. `candidate`
-    selects one of up to 10 alternatives under distinct sub-seeds. Users
-    go one block of `POPULATION_BLOCK_USERS` at a time; the result does
-    not depend on the block size. Returns shape (len(population), T),
-    each row sorted.
+    ids from the fill stream, as the noise mechanism pads. Users go one
+    block of `POPULATION_BLOCK_USERS` at a time; the result does not
+    depend on the block size. Returns shape (len(population), T), each
+    row sorted.
     """
     omega = _topic_ids(taxonomy, T)
-    if not 0 <= candidate < 10:
-        raise PopulationError(f"candidate index must be in [0, 10), got {candidate}")
     width = int(max(omega, population.topics.max(initial=0))) + 1
     out = np.empty((len(population), T), dtype=np.int64)
     for lo in range(0, len(population), POPULATION_BLOCK_USERS):
@@ -509,12 +505,13 @@ def top_profiles(
         rows = _row_ids(indptr)
         observed = rows * width + population.topics[indptr[0]:indptr[-1]]
         j = rng.segment_ranks(rows)
-        order = np.lexsort((j, rng.uniform(seed, rng.TAG_PROFILE, uids[rows], candidate, j), rows))
+        # The key word 0 in both streams keeps every existing seed's profiles.
+        order = np.lexsort((j, rng.uniform(seed, rng.TAG_PROFILE, uids[rows], 0, j), rows))
         picks = observed[order[rng.segment_ranks(rows[order]) < T]]
         short = np.maximum(T - np.diff(indptr), 0)
 
         def fill(counter, r, jj):
-            u = rng.uniform(seed, rng.TAG_PROFILE_FILL, uids[r], candidate, counter, jj)
+            u = rng.uniform(seed, rng.TAG_PROFILE_FILL, uids[r], 0, counter, jj)
             return 1 + (u * omega).astype(np.int64)
 
         padding = rng.distinct_draws(short, lambda s: np.full_like(s, 16), fill, width, taken=observed)
@@ -543,7 +540,7 @@ def generate_population(
     max(2 * short, 16) keyed uniforms; first occurrences realize
     successive weighted sampling without replacement. Counts exceeding
     the list length are clamped (logged). A bad T is refused first; the
-    profiles are `top_profiles`' candidate 0 of the drawn browsing.
+    profiles are `top_profiles` of the drawn browsing.
     """
     if n < 1:
         raise PopulationError(f"population size must be >= 1, got {n}")
@@ -610,11 +607,9 @@ def write_population(
     population: Population,
     path: Union[str, Path],
     header: Optional[dict] = None,
-    candidates: Optional[Sequence[np.ndarray]] = None,
 ) -> None:
     """NDJSON, one user per line: `user_id`, `visited_domains` sorted by
-    name, `observed_topics`, `top_profile`, and with `candidates` (one
-    (n, T) profile array per candidate) `top_profile_candidates`.
+    name, `observed_topics` and `top_profile`.
 
     Lines are formatted from the arrays one block of
     `POPULATION_BLOCK_USERS` users at a time, each domain name escaped
@@ -639,16 +634,10 @@ def write_population(
             observed = population.topics[a:b].tolist()
             tb = (population.topic_indptr[lo:hi + 1] - a).tolist()
             profiles = population.profiles[lo:hi].tolist()
-            extra = [""] * (hi - lo)
-            if candidates is not None:
-                extra = [
-                    ',"top_profile_candidates":[' + ",".join(f"[{_ints(c)}]" for c in cs) + "]"
-                    for cs in np.stack([c[lo:hi] for c in candidates], axis=1).tolist()
-                ]
             fh.write("".join(
                 f'{{"user_id":{uid},"visited_domains":[{",".join(visited[vb[j]:vb[j + 1]])}],'
                 f'"observed_topics":[{_ints(observed[tb[j]:tb[j + 1]])}],'
-                f'"top_profile":[{_ints(profiles[j])}]{extra[j]}}}\n'
+                f'"top_profile":[{_ints(profiles[j])}]}}\n'
                 for j, uid in enumerate(population.user_ids[lo:hi].tolist())
             ))
 
@@ -716,11 +705,18 @@ def read_profiles(path: Union[str, Path]) -> Profiles:
 
 
 def summarize_population(population: Population) -> list[str]:
-    """The lines `generate` prints about a population."""
+    """The lines `generate` prints about a population.
+
+    The users whose top profile no other user holds bound how many the
+    re-identification attack can single out.
+    """
+    _, holders = np.unique(population.profiles, axis=0, return_counts=True)
+    alone = int(np.sum(holders == 1))
     return [
         f"Number of users              {len(population)}",
         f"Unique observed domains      {_sorted_unique(population.visits).size}",
         # Taxonomy padding counts as observed for reporting purposes.
         f"Unique observed topics       {np.union1d(population.topics, population.profiles).size}",
-        f"Unique top profiles          {np.unique(population.profiles, axis=0).shape[0]}",
+        f"Unique top profiles          {holders.size}",
+        f"Users with a unique profile  {alone} ({alone / len(population):.1%})",
     ]

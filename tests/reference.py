@@ -17,8 +17,7 @@ faster rewrite can be checked for equal results:
   `population.generate_population` (its `Population` rows, as
   `UserProfile` records) and `population.top_profiles`;
 * `write_population_reference` (one `json.dumps` per `UserProfile`
-  record, the candidates variant re-dumping the record with the
-  candidate lists appended) checks `population.write_population`;
+  record) checks `population.write_population`;
 * `call_api` (one API call from per-epoch `epoch_topic_draw`s) with
   `ApiResult`, `log_result` and `log_truth_draw` (object views of an
   `ObservationLog`) checks `simulator.run_scenario` and `SiteLog.call`;
@@ -61,7 +60,6 @@ from topicsim.classification import (
 from topicsim.denoiser import DenoiseMetrics, DenoiserConfig, MultiShotEngine
 from topicsim.population import (
     CountHistogram,
-    PopulationError,
     RankedDomainList,
     TrafficModel,
     UniqueDomainCountModel,
@@ -194,29 +192,25 @@ def derive_top_profile(
     taxonomy: Taxonomy,
     T: int,
     seed: int,
-    candidate: int = 0,
 ) -> UserProfile:
     """Fill in the stable top-T profile for a user.
 
     Uniform sample of T distinct observed topics; when fewer than T were
     observed, the remainder is drawn uniformly (distinct) from the
-    taxonomy, mirroring the noise mechanism's padding. `candidate`
-    selects one of up to 10 alternative profiles under distinct
-    sub-seeds.
+    taxonomy, mirroring the noise mechanism's padding.
     """
-    if not 0 <= candidate < 10:
-        raise PopulationError(f"candidate index must be in [0, 10), got {candidate}")
     observed = sorted(user.observed_topics)
     picks: list[int] = []
     if observed:
-        perm = rng.permutation(len(observed), seed, rng.TAG_PROFILE, user.user_id, candidate)
+        # The key word 0 in both streams keeps every existing seed's profiles.
+        perm = rng.permutation(len(observed), seed, rng.TAG_PROFILE, user.user_id, 0)
         picks = [observed[i] for i in perm[:T]]
     if len(picks) < T:
         all_ids = taxonomy.ids()
         counter = 0
         have = set(picks)
         while len(picks) < T:
-            u = rng.counter_stream(16, seed, rng.TAG_PROFILE_FILL, user.user_id, candidate, counter)
+            u = rng.counter_stream(16, seed, rng.TAG_PROFILE_FILL, user.user_id, 0, counter)
             counter += 1
             for tid in (np.asarray(all_ids)[(u * len(all_ids)).astype(np.int64)]):
                 tid = int(tid)
@@ -242,7 +236,6 @@ def generate_population_reference(
     seed: int,
     T: int,
     taxonomy: Taxonomy,
-    profile_candidate: int = 0,
 ) -> list[UserProfile]:
     """`generate_population`, one user at a time."""
     m = len(order)
@@ -254,7 +247,7 @@ def generate_population_reference(
         visited = frozenset(order.domains[i] for i in positions)
         observed = frozenset().union(*(classification.topics_of(order.domains[i]) for i in positions))
         base = UserProfile(uid, visited, observed, top_profile=())
-        users.append(derive_top_profile(base, taxonomy, T, seed, candidate=profile_candidate))
+        users.append(derive_top_profile(base, taxonomy, T, seed))
     return users
 
 
@@ -274,20 +267,13 @@ def write_population_reference(
     users: Iterable[UserProfile],
     path: Union[str, Path],
     header: Optional[dict] = None,
-    candidates: Optional[Mapping[int, list[list[int]]]] = None,
 ) -> None:
-    """`write_population`, one record at a time; `candidates` maps a user
-    id to its alternative top-profile lists."""
+    """`write_population`, one record at a time."""
     with open(path, "w", encoding="utf-8") as fh:
         if header is not None:
             fh.write(json.dumps({"header": header}, separators=(",", ":"), sort_keys=True) + "\n")
         for u in users:
-            if candidates is None:
-                fh.write(user_to_json(u) + "\n")
-            else:
-                record = json.loads(user_to_json(u))
-                record["top_profile_candidates"] = candidates[u.user_id]
-                fh.write(json.dumps(record, separators=(",", ":")) + "\n")
+            fh.write(user_to_json(u) + "\n")
 
 
 # --- simulator ---------------------------------------------------------------

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from reference import derive_top_profile, write_log_ndjson_reference, write_truth_ndjson_reference
+from reference import write_log_ndjson_reference, write_truth_ndjson_reference
 from topicsim.cli import (
     CONFIG_DEFAULTS,
     _build_order,
@@ -45,7 +45,7 @@ def test_full_pipeline(tiny_config, capsys):
     assert run_cli("generate", "--config", cfg) == 0
     stdout = capsys.readouterr().out
     for label in ("Number of users", "Unique observed domains",
-                  "Unique observed topics", "Unique top profiles"):
+                  "Unique observed topics", "Unique top profiles", "Users with a unique profile"):
         assert label in stdout
     assert (out / "population.ndjson").exists()
 
@@ -199,27 +199,6 @@ def test_workers_flag_does_not_change_outputs(tiny_config):
     assert (out / "population.ndjson").read_bytes() == one
 
 
-def test_profile_candidates_match_oracle(tmp_path):
-    base = {"n_users": 40, "n_domains": 2000, "T": 5, "seed": 3, "profile_candidates": 3}
-    records = {}
-    for index in (0, 2):
-        cfg = tmp_path / f"c{index}.json"
-        cfg.write_text(json.dumps(dict(base, profile_index=index, out=str(tmp_path / f"o{index}"))))
-        assert run_cli("generate", "--config", cfg) == 0
-        lines = (tmp_path / f"o{index}" / "population.ndjson").read_text().splitlines()
-        records[index] = [json.loads(line) for line in lines[1:]]
-    taxonomy = bundled_taxonomy()
-    for record, user in zip(records[0], read_population(tmp_path / "o0" / "population.ndjson")):
-        assert record["top_profile_candidates"] == [
-            list(derive_top_profile(user, taxonomy, 5, 3, candidate=c).top_profile) for c in range(3)
-        ]
-    for zero, two in zip(records[0], records[2]):
-        assert two["top_profile_candidates"] == zero["top_profile_candidates"]
-        assert zero["top_profile"] == zero["top_profile_candidates"][0]
-        assert two["top_profile"] == zero["top_profile_candidates"][2]
-    assert any(z["top_profile"] != t["top_profile"] for z, t in zip(records[0], records[2]))
-
-
 def test_unknown_config_key_rejected(tmp_path, capsys):
     cfg = tmp_path / "bad.json"
     cfg.write_text(json.dumps({"not_a_key": 1}))
@@ -227,12 +206,14 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
     assert "unknown config keys" in capsys.readouterr().err
 
 
-def test_workers_key_is_unknown(tmp_path, capsys):
-    # No stage forks; `--workers` is still parsed but stays out of the config.
+@pytest.mark.parametrize("key", ["workers", "profile_candidates", "profile_index"])
+def test_removed_key_is_unknown(tmp_path, capsys, key):
+    # No stage forks, and each user has one top profile; `--workers` is
+    # still parsed but stays out of the config.
     cfg = tmp_path / "c.json"
-    cfg.write_text(json.dumps({"workers": 2, "out": str(tmp_path / "o")}))
+    cfg.write_text(json.dumps({key: 2, "out": str(tmp_path / "o")}))
     assert run_cli("analytics", "--config", cfg) == 2
-    assert "unknown config keys: ['workers']" in capsys.readouterr().err
+    assert f"unknown config keys: [{key!r}]" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
 
 

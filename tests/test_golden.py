@@ -35,35 +35,34 @@ CHAINS = {
     "aggressive-skew": {
         "n_users": 300, "n_domains": 5000, "classification": "synthetic:aggressive-skew",
         "sites": ["wa.example", "wb.example"], "epochs": 8, "seed": 7,
-        "T": 4, "tau": 2, "p": 0.1, "threshold": 5,
-        "profile_candidates": 3, "profile_index": 1, "aggressive_gap_rule": True,
+        "T": 4, "tau": 2, "p": 0.1, "threshold": 5, "aggressive_gap_rule": True,
     },
 }
 
 GOLDEN = {
     "aggressive-skew": {
-        "analytics.json": "66ba066dc4e8128c28a570dd7426b64492aa0908d45d863e3a11e0604bed1f87",
-        "denoise_metrics.csv": "0d530327a5f22b0a6afdc8c73818dd994164bc51452cbe2a8c94c74d4d71e027",
-        "log.ndjson": "d854193401e2c7668f6fad9a3dc0684bc6eed8e6e05e3a7960deef7d32b7db5a",
-        "population.ndjson": "e2a60ad2a2b0dbb396df167a60b84e8f031dcfbd436f644a84484f45aa0a63b5",
-        "prevalence_hist.csv": "ef8281997be8ccd0ac12af21f1898823e1dfab3a9c32dea39486abcfdd31b68c",
-        "reid_kcdf_epoch_01.csv": "3cee2e0bffb14b895c6f4896a0d589346d2bbfbd0db6c1d0e45ee483be2ed257",
-        "reid_kcdf_epoch_02.csv": "18bdbacd6eb393a1b9b048acac1e729ee5632c0a8451209f42a2473f8ff51dbf",
-        "reid_kcdf_epoch_05.csv": "939e885f13f19b695e63a47b5183184867e2bf0f76f58694fd59dc92751fd370",
-        "reid_report.csv": "60d6252c5a587e4eef15f58d2310fe41c4e83f60f02e0a29b6566e6339f352f2",
-        "truth.ndjson": "d78ec0b5bbb90a02794c79792fe5d13acd2019073e2b6e50b49fe3a7e1d7e5d3",
+        "analytics.json": "7ae4b6d43b7b98f20cf722a5f19ad8d16123dccf7d42cd67ffbfdd8b297dfef4",
+        "denoise_metrics.csv": "bbff7651b88f05689280dd3776d16c649f7cfb4a9e2c4f3f3949b1c0c23314c5",
+        "log.ndjson": "2ca28b678c276cdcae17d38046f2f3d1721dd5b8e1581e7ce39cf2060b6bf966",
+        "population.ndjson": "6b5b2640204c84a81c1bde8dc8b776bde1c1007cbc9e345eb9c0519681a9784e",
+        "prevalence_hist.csv": "0e9eb5fae64b665ff38e60849003e1c564995f9469f11a3b5355be435d599ad2",
+        "reid_kcdf_epoch_01.csv": "608bf9c0368f75a92fe319118bd2ad6033ca525fe3ffed5edc192d453b29050d",
+        "reid_kcdf_epoch_02.csv": "3a3bf1b6b8a6dbd908d6ce2c28fd27252643094dde8304a975790a783eb64149",
+        "reid_kcdf_epoch_05.csv": "5debefcc67564e915b170b0e6737355d992f108f2439ae63a454b6416d3b94ad",
+        "reid_report.csv": "b8936a3fe8648edc6e6fec3c9900012587c1951bd84c4675ced9d4f6f0eb6c0d",
+        "truth.ndjson": "1925565929d69c0d2509c911fae6ea88c5bb6471f30ac7aaf17f14f28e4b0d44",
     },
     "wide-pool": {
-        "analytics.json": "411b42d212cf572c21d8d179fefb77dd844d35b72ed1fc35368cdc3966879d3f",
-        "denoise_metrics.csv": "0c452c08bd1e926b3fa264a947e33363e4a4ce6d05412905fe989af2be76b43b",
-        "log.ndjson": "88244d62a092d409635989c5515d18312c656ed87cb5218c67e18c585c815803",
-        "population.ndjson": "7bfbf81b40db99cd71c86662ed7c7972da3bdd48a44bd38fd4704427942adfa6",
-        "prevalence_hist.csv": "860ca6a1adef06e7489212f5e39a21cf6a252b2da8935d0914a374518997407a",
-        "reid_kcdf_epoch_01.csv": "53aef31f0f6df0b782fb305d8d5e61ac254cf8eadf1f832705317b9c882f4c2a",
-        "reid_kcdf_epoch_02.csv": "3c6db2214ebd1665eee3e174441f2f113c6a6184caffe34959a70b21ca828469",
-        "reid_kcdf_epoch_05.csv": "595de61eae6ba3928840bb533345dbf521b0dc68a0d77f13dca3d8ce99dbd774",
-        "reid_report.csv": "f38f646e315db6ddbd9d9751e76b51d7cf7ed3dccb416281142e470016f2ada2",
-        "truth.ndjson": "3ce90f6a3dbd1bdfd20bd0a73f4397f07ebeda5dedb682a18721ed65f612190f",
+        "analytics.json": "9fb2a83b0c8d897c48bec1e8a9c53482c7cb9568e8e07d027512a39e17c7e80d",
+        "denoise_metrics.csv": "d3b3be6f6666adc07e0647bf24aa0c0d7afc24df275fc09bdd2f4a1677a7e673",
+        "log.ndjson": "0285a299c3b3f70b806474d16356b552ad2593f244ce6caa689ed253cf99730f",
+        "population.ndjson": "d87e4423a83cb64a282c9fd58a81b4ad4f933e946cb457f316958d0db77d57cd",
+        "prevalence_hist.csv": "ec8193374cc4c3ed251b98d7bbd5ae980eaafbba2e2de71446590295684aab6a",
+        "reid_kcdf_epoch_01.csv": "67d4aa0fd915c61f4b6160579125f70560b20e2471d971976816871635201845",
+        "reid_kcdf_epoch_02.csv": "9ada24927993306b246b03feb16fa773f522221d08570d2294906e273c487338",
+        "reid_kcdf_epoch_05.csv": "a3a41439ac080dbc36cb0b9c0601994b0769f3e625071a254e086049c7a29792",
+        "reid_report.csv": "f5faaa4bd76fcd58645edd68d78cbe007a64d9fc8e300a82e327d778c3353df8",
+        "truth.ndjson": "842ae7679d56dfb6acdbc658f6a84c8ecff77c2a3fb3aaedaddf5df9351bbe97",
     },
 }
 
@@ -155,17 +154,17 @@ FILE_CHAIN = {
 }
 
 GOLDEN_FILES = {
-    "analytics.json": "f400f628bf957c49610731d3145cf117b6b3a9b14bd4b9ca7ae6bb6f422f1437",
-    "denoise_metrics.csv": "41f25a1eaa20514b0c91abedeb759a9252face91565ea4564f1c13510acd458b",
-    "filtered_classification.tsv": "040e79fa56930b3e5fe885249584ea9bf4bf1f31cc0f64a8fa010701ffbbe493",
-    "log.ndjson": "e925271d8c8ffe6819815e74269878a32c2a9337b274139072c6f78eb1cee4b8",
-    "population.ndjson": "a86dabc01377ef1d212cf33d3ab465d94be7407847330ed823a842037be83b42",
-    "prevalence_hist.csv": "2fe49ceb55b46d44ebebd9eb63b5c283277d8f3abb9770cfded84df83fef790a",
-    "reid_kcdf_epoch_01.csv": "6148918b27ddf7f9d321bba10508c234d77d7b61513b06174ae51be5909e4f11",
-    "reid_kcdf_epoch_02.csv": "69e471caa9a01c55439d9efae424c3fc96639555c785d72c2c30a07d2a3909ec",
-    "reid_kcdf_epoch_05.csv": "9e991cb79a2db5112f67d37b139912a426743eddbb8be79e9d00040470d2aab2",
-    "reid_report.csv": "01ebb046bdd3fdf04306047f7b7609b1f58c2f326bea9adcc119a4f70b5e2d76",
-    "truth.ndjson": "9a2f9951476e0f712a7b5443e00e1be35081ed153502ca1d2d2b3014f8ca989a",
+    "analytics.json": "1ae868a4a87a72a0cd8630b4645a98f697e8b9faa8747ea13e18e6e02478cd94",
+    "denoise_metrics.csv": "dd1be0226ea70f74118537bea210979ede51664b214f957afb5388339b724746",
+    "filtered_classification.tsv": "5afaee292b8bb6c046874e394dc16393308343f72f1cac13608f716d4975d937",
+    "log.ndjson": "27d960df4e3326e2233f0a9969f713ac9dd468eca3e745a64c0a7e47968b2335",
+    "population.ndjson": "6219522fdaada3636be86728848c119a18b98e0bf868797260c70df194f36726",
+    "prevalence_hist.csv": "c89cb1ff7f41d9773086173f52c3ba72af3fa73c5827744cceb352d583e8aece",
+    "reid_kcdf_epoch_01.csv": "137c470f9ce003552258491d7c41610282167495007991755061579d3c8b162d",
+    "reid_kcdf_epoch_02.csv": "713a8859b2f15aef504c61607152923fd693d0201e6df210c1ee475a483d2327",
+    "reid_kcdf_epoch_05.csv": "40ebd5dfb5e11b125eb52cc778a57fc6782274a9fb448d445dbd875e7253eefd",
+    "reid_report.csv": "0e536765d6b08c3ce12945832094c92e60d134d2dd5079e80474324599e63486",
+    "truth.ndjson": "d856bfc7bf81ba0a03d1b87010442b34c1bd42e216b1fa300018c101824310cd",
 }
 
 

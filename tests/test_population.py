@@ -1,7 +1,6 @@
 import io
 import math
 import re
-from dataclasses import replace
 
 import hypothesis.strategies as st
 import numpy as np
@@ -242,8 +241,8 @@ def test_generate_deterministic_and_block_size_independent(taxonomy, monkeypatch
         monkeypatch.setattr(population, "POPULATION_BLOCK_USERS", block)
         got = generate_population(200, order, traffic, counts, cls, seed=8, taxonomy=taxonomy)
         assert list(got) == list(one)
-        assert top_profiles(one, taxonomy, T=5, seed=8, candidate=3).tolist() == [
-            list(derive_top_profile(u, taxonomy, T=5, seed=8, candidate=3).top_profile) for u in one
+        assert top_profiles(one, taxonomy, T=5, seed=8).tolist() == [
+            list(derive_top_profile(u, taxonomy, T=5, seed=8).top_profile) for u in one
         ]
 
 
@@ -274,7 +273,6 @@ def generation_cases(draw):
         classification=DomainClassification(entries),
         seed=draw(st.integers(0, 2**32)),
         T=draw(st.integers(1, 6)),
-        candidate=draw(st.integers(0, 9)),
     )
 
 
@@ -292,7 +290,6 @@ ONE_DOMAIN_EACH = dict(
     classification=DomainClassification({"d0.example": (), "d1.example": (), "d2.example": (3,)}),
     seed=5,
     T=6,
-    candidate=9,
 )
 
 
@@ -301,13 +298,10 @@ ONE_DOMAIN_EACH = dict(
 @example(ONE_DOMAIN_EACH, True)
 def test_generate_matches_per_user_oracle(taxonomy, case, small):
     taxonomy = SMALL_TAXONOMY if small else taxonomy
-    case = dict(case)
-    candidate = case.pop("candidate")
     got = generate_population(**case, taxonomy=taxonomy)
     assert list(got) == generate_population_reference(**case, taxonomy=taxonomy)
-    assert top_profiles(got, taxonomy, case["T"], case["seed"], candidate=candidate).tolist() == [
-        list(derive_top_profile(u, taxonomy, case["T"], case["seed"], candidate=candidate).top_profile)
-        for u in got
+    assert top_profiles(got, taxonomy, case["T"], case["seed"]).tolist() == [
+        list(derive_top_profile(u, taxonomy, case["T"], case["seed"]).top_profile) for u in got
     ]
 
 
@@ -333,24 +327,6 @@ def test_profile_subset_when_enough_observed(taxonomy):
     user = UserProfile(1, frozenset(), observed, ())
     got = derive_top_profile(user, taxonomy, T=5, seed=3)
     assert set(got.top_profile) <= observed
-
-
-def test_profile_deterministic_and_candidates_differ(taxonomy):
-    user = UserProfile(2, frozenset(), frozenset(range(1, 40)), ())
-    a = derive_top_profile(user, taxonomy, T=5, seed=3)
-    b = derive_top_profile(user, taxonomy, T=5, seed=3)
-    assert a.top_profile == b.top_profile
-    candidates = {derive_top_profile(user, taxonomy, T=5, seed=3, candidate=c).top_profile
-                  for c in range(10)}
-    assert len(candidates) > 1
-
-
-def test_profile_candidate_range(taxonomy):
-    user = UserProfile(2, frozenset(), frozenset({1}), ())
-    with pytest.raises(PopulationError):
-        derive_top_profile(user, taxonomy, T=5, seed=3, candidate=10)
-    with pytest.raises(PopulationError):
-        top_profiles(Population.from_records([user]), taxonomy, T=5, seed=3, candidate=10)
 
 
 def test_profile_size_above_taxonomy_size_is_refused(taxonomy):
@@ -394,12 +370,14 @@ def test_summarize_population_counts():
     users = Population.from_records([
         UserProfile(0, frozenset({"a"}), frozenset({1, 2}), (1, 2, 3, 4, 5)),
         UserProfile(1, frozenset({"a", "b"}), frozenset({2}), (1, 2, 3, 4, 6)),
+        UserProfile(2, frozenset({"b"}), frozenset({1}), (1, 2, 3, 4, 6)),
     ])
     assert summarize_population(users) == [
-        "Number of users              2",
+        "Number of users              3",
         "Unique observed domains      2",
         "Unique observed topics       6",  # observed plus profile padding
         "Unique top profiles          2",
+        "Users with a unique profile  1 (33.3%)",  # users 1 and 2 share theirs
     ]
 
 
@@ -468,7 +446,6 @@ def writer_cases(draw):
         n=draw(st.sampled_from([1, 5, 1023, 1024, 1025])),
         T=draw(st.integers(1, 5)),
         seed=draw(st.integers(0, 2**32)),
-        n_candidates=draw(st.sampled_from([1, 3])),
     )
 
 
@@ -476,14 +453,14 @@ AWKWARD_CASE = dict(
     bins={d: "1k" for d in AWKWARD_NAMES},
     ranks={etld_plus_one(d): r for r, d in enumerate(reversed(AWKWARD_NAMES), start=1)},
     topics={d: frozenset({1 + i, 100 + i}) for i, d in enumerate(AWKWARD_NAMES)},
-    n=1025, T=5, seed=3, n_candidates=3,
+    n=1025, T=5, seed=3,
 )
 
 
 @settings(max_examples=12, deadline=None)
 @given(writer_cases())
 @example(AWKWARD_CASE)
-@example(dict(AWKWARD_CASE, n=1023, n_candidates=1))
+@example(dict(AWKWARD_CASE, n=1023))
 def test_population_ndjson_matches_per_record_oracle(taxonomy, tmp_path_factory, case):
     """The block writer gives the bytes of one `json.dumps` per record, and
     reading a file back writes the same bytes."""
@@ -493,22 +470,16 @@ def test_population_ndjson_matches_per_record_oracle(taxonomy, tmp_path_factory,
         CountHistogram(support=(1, 3, 6), probabilities=(0.3, 0.4, 0.3)),
         DomainClassification(case["topics"]), seed=case["seed"], T=case["T"], taxonomy=taxonomy,
     )
-    candidates, by_user = None, None
-    if case["n_candidates"] > 1:
-        candidates = [top_profiles(users, taxonomy, case["T"], case["seed"], candidate=c)
-                      for c in range(case["n_candidates"])]
-        by_user = {u: [c[u].tolist() for c in candidates] for u in range(case["n"])}
     out = tmp_path_factory.mktemp("pop")
     header = {"seed": case["seed"], "note": "café"}
-    write_population(users, out / "got.ndjson", header=header, candidates=candidates)
-    write_population_reference(users, out / "want.ndjson", header=header, candidates=by_user)
+    write_population(users, out / "got.ndjson", header=header)
+    write_population_reference(users, out / "want.ndjson", header=header)
     assert (out / "got.ndjson").read_bytes() == (out / "want.ndjson").read_bytes()
 
-    write_population(users, out / "plain.ndjson", header=header)
-    back = read_population(out / "plain.ndjson")
+    back = read_population(out / "got.ndjson")
     assert list(back) == list(users)
     write_population(back, out / "again.ndjson", header=header)
-    assert (out / "again.ndjson").read_bytes() == (out / "plain.ndjson").read_bytes()
+    assert (out / "again.ndjson").read_bytes() == (out / "got.ndjson").read_bytes()
 
 
 def test_read_refuses_ragged_profiles(tmp_path):
@@ -521,19 +492,14 @@ def test_read_refuses_ragged_profiles(tmp_path):
             read(path)
 
 
-def test_read_profiles_keeps_top_profile_not_candidates(tmp_path, taxonomy):
+def test_read_profiles_matches_read_population(tmp_path, taxonomy):
     order, traffic, cls = tiny_world(taxonomy)
     counts = CountHistogram(support=(4,), probabilities=(1.0,))
     users = generate_population(10, order, traffic, counts, cls, seed=2, taxonomy=taxonomy)
-    # As `generate` writes `profile_candidates: 3, profile_index: 1`.
-    candidates = [top_profiles(users, taxonomy, users.profiles.shape[1], seed=2, candidate=c) for c in range(3)]
-    users = replace(users, profiles=candidates[1])
     path = tmp_path / "pop.ndjson"
-    write_population(users, path, header={"seed": 2}, candidates=candidates)
+    write_population(users, path, header={"seed": 2})
     full, profiles = read_population(path), read_profiles(path)
     assert np.array_equal(profiles.user_ids, full.user_ids)
     assert np.array_equal(profiles.profiles, full.profiles)
     assert profiles.user_ids.dtype == full.user_ids.dtype and profiles.profiles.dtype == full.profiles.dtype
-    assert np.array_equal(profiles.profiles, candidates[1])
-    assert not np.array_equal(profiles.profiles, candidates[0])
     assert len(profiles) == len(full) == 10
