@@ -44,8 +44,8 @@ class DomainClassification:
     the popularity rank order when the classification was synthesized or
     loaded from a ranked list. Row i's topic ids are
     `topics[indptr[i]:indptr[i + 1]]`, sorted; an empty row means the
-    domain is classified only as Unknown. `entries`, `topics_of` and the
-    per-domain statistics are views derived from these arrays.
+    domain is classified only as Unknown. Readers look domains up
+    through `rows_of` and `row`; the package keeps no per-domain set.
     """
 
     def __init__(self, entries: Mapping[str, Iterable[int]]):
@@ -77,14 +77,6 @@ class DomainClassification:
 
     def row(self, i: int) -> np.ndarray:
         return self.topics[self.indptr[i]:self.indptr[i + 1]]
-
-    def topics_of(self, domain: str) -> frozenset[int]:
-        i = self._row_of.get(domain)
-        return frozenset() if i is None else frozenset(self.row(i).tolist())
-
-    @property
-    def entries(self) -> dict[str, frozenset[int]]:
-        return {d: frozenset(self.row(i).tolist()) for i, d in enumerate(self.names)}
 
     def domains(self) -> list[str]:
         return list(self.names)

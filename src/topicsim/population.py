@@ -399,17 +399,6 @@ class Population(Profiles):
     def __iter__(self) -> Iterator[UserProfile]:
         return (self[i] for i in range(len(self)))
 
-    @classmethod
-    def from_records(cls, users: Iterable[UserProfile]) -> "Population":
-        """The population of these records, in their order."""
-        users = list(users)
-        return _from_rows(
-            [u.user_id for u in users],
-            [sorted(u.visited_domains) for u in users],
-            [u.observed_topics for u in users],
-            [u.top_profile for u in users],
-        )
-
 
 def _unique_rows(indptr: np.ndarray, values: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
     """A CSR's rows sorted and without repeats, for values in [0, width)."""
@@ -650,7 +639,7 @@ def _is_int64(v) -> bool:
     return type(v) is int and v in _INT64
 
 
-def _records(path: Union[str, Path], keys: tuple[str, ...]) -> tuple[list, ...]:
+def _read_columns(path: Union[str, Path], keys: tuple[str, ...]) -> tuple[list, ...]:
     """The values of `keys` in each user record of a `write_population` file, one list per key.
 
     `keys` names `user_id` and `top_profile`. Only line 1 may be the
@@ -692,7 +681,7 @@ def read_population(path: Union[str, Path]) -> Population:
 
     Refuses a file whose users' `top_profile`s differ in length.
     """
-    return _from_rows(*_records(path, ("user_id", "visited_domains", "observed_topics", "top_profile")))
+    return _from_rows(*_read_columns(path, ("user_id", "visited_domains", "observed_topics", "top_profile")))
 
 
 def read_profiles(path: Union[str, Path]) -> Profiles:
@@ -701,7 +690,7 @@ def read_profiles(path: Union[str, Path]) -> Profiles:
 
     Refuses a file whose users' `top_profile`s differ in length.
     """
-    return _profiles_of(*_records(path, ("user_id", "top_profile")))
+    return _profiles_of(*_read_columns(path, ("user_id", "top_profile")))
 
 
 def summarize_population(population: Population) -> list[str]:

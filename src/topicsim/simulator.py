@@ -7,6 +7,8 @@ profile array, not a simulation setting). A call at epoch e returns the
 draws for source epochs e-tau .. e-1 in shuffled order. Pinning and
 call-order independence come from keying every draw on
 (seed, user, site, source_epoch) -- there is no shared generator state.
+One routine makes every draw, `_draws_for_site`: `run_scenario` calls
+it per block of users, and `epoch_topic_draw` at one key.
 
 Users are warm-started: profiles are assumed stable for at least tau
 epochs before epoch 1, so every call returns exactly tau topics.
@@ -82,22 +84,20 @@ def epoch_topic_draw(
     config: SimConfig,
     taxonomy: Taxonomy,
 ) -> EpochDraw:
-    """The pinned draw for (user, site, source_epoch).
+    """The pinned draw for (user, site, source_epoch): `_draws_for_site` at that one key.
 
     Pure function of (seed, user, site, source_epoch): every caller and
-    every repeated call sees the same draw.
+    every repeated call sees the same draw. Refuses what `run_scenario`
+    refuses of a profile: none, or a topic outside the taxonomy.
     """
     if not user.top_profile:
         raise ValueError(f"user {user.user_id} has no top profile")
-    key = (config.seed, user.user_id, rng.string_key(site), source_epoch)
-    noisy = bool(rng.uniform(*key, rng.TAG_NOISE_FLAG) < config.p)
-    u = float(rng.uniform(*key, rng.TAG_TOPIC_PICK))
-    if noisy:
-        topic = 1 + int(u * taxonomy.omega)
-    else:
-        profile = user.top_profile
-        topic = profile[int(u * len(profile))]
-    return EpochDraw(topic=int(topic), noisy=noisy)
+    user_ids = np.array([user.user_id], dtype=np.int64)
+    profiles = np.array([user.top_profile], dtype=np.int64)
+    _refuse_outside_taxonomy(user_ids, profiles, taxonomy)
+    topics, noisy = _draws_for_site(site, user_ids, profiles, np.array([source_epoch], dtype=np.int64),
+                                    config, np.asarray(taxonomy.ids(), dtype=np.int16))
+    return EpochDraw(topic=int(topics[0, 0]), noisy=bool(noisy[0, 0]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -350,6 +350,15 @@ def _draws_for_site(
     return topics, noisy
 
 
+def _refuse_outside_taxonomy(user_ids: np.ndarray, profiles: np.ndarray, taxonomy: Taxonomy) -> None:
+    """Refuse a profile topic outside the taxonomy's 1..omega; the draws' int16 cast would wrap a large one."""
+    outside = np.argwhere((profiles < 1) | (profiles > taxonomy.omega))
+    if outside.size:
+        i, j = outside[0]
+        raise ValueError(f"user {user_ids[i]} has topic {profiles[i, j]} in its profile, "
+                         f"outside the taxonomy's 1..{taxonomy.omega}")
+
+
 def run_scenario(
     population: Profiles,
     config: SimConfig,
@@ -367,11 +376,7 @@ def run_scenario(
     user_ids, profiles = population.user_ids, population.profiles
     if not profiles.shape[1]:
         raise ValueError("profiles are empty: every user needs a top profile of T >= 1 topics")
-    outside = np.argwhere((profiles < 1) | (profiles > taxonomy.omega))
-    if outside.size:
-        i, j = outside[0]
-        raise ValueError(f"user {user_ids[i]} has topic {profiles[i, j]} in its profile, "
-                         f"outside the taxonomy's 1..{taxonomy.omega}")
+    _refuse_outside_taxonomy(user_ids, profiles, taxonomy)
     n = len(user_ids)
     source_epochs = np.arange(1 - config.tau, config.epochs, dtype=np.int64)
     taxonomy_ids = np.asarray(taxonomy.ids(), dtype=np.int16)

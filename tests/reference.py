@@ -5,6 +5,9 @@ faster rewrite can be checked for equal results:
 
 * `distinct_draws_reference` (one row and one value at a time) checks
   `rng.distinct_draws`;
+* `entries` and `topics_of` (per-domain topic sets, read from the CSR
+  through `names`, `rows_of` and `row`) are the record views of a
+  `DomainClassification` that the tests compare;
 * `prevalence_reference` (a double loop over the domain -> topic-set
   mapping) checks `classification.prevalence` (one `np.bincount` over
   the CSR);
@@ -17,9 +20,13 @@ faster rewrite can be checked for equal results:
   `population.generate_population` (its `Population` rows, as
   `UserProfile` records) and `population.top_profiles`;
 * `write_population_reference` (one `json.dumps` per `UserProfile`
-  record) checks `population.write_population`;
-* `call_api` (one API call from per-epoch `epoch_topic_draw`s) with
-  `ApiResult`, `log_result` and `log_truth_draw` (object views of an
+  record) checks `population.write_population`, and
+  `population_from_records` builds a `Population` from such records;
+* `epoch_topic_draw_reference` (one scalar draw from two keyed
+  uniforms) checks `simulator.epoch_topic_draw`, which runs the array
+  draw `_draws_for_site` at one key;
+* `call_api` (one API call from per-epoch `epoch_topic_draw_reference`s)
+  with `ApiResult`, `log_result` and `log_truth_draw` (object views of an
   `ObservationLog`) checks `simulator.run_scenario` and `SiteLog.call`;
 * `shuffle_order_reference` (a stable sort of each call's shuffle keys)
   checks `simulator._shuffle_order` (each slot placed by its key's rank);
@@ -60,13 +67,15 @@ from topicsim.classification import (
 from topicsim.denoiser import DenoiseMetrics, DenoiserConfig, MultiShotEngine
 from topicsim.population import (
     CountHistogram,
+    Population,
     RankedDomainList,
     TrafficModel,
     UniqueDomainCountModel,
     UserProfile,
+    _from_rows,
 )
 from topicsim.reidentify import MatchReport, ReidReport, reid_report
-from topicsim.simulator import EpochDraw, ObservationLog, SimConfig, SiteLog, epoch_topic_draw
+from topicsim.simulator import EpochDraw, ObservationLog, SimConfig, SiteLog
 from topicsim.taxonomy import Taxonomy
 
 
@@ -102,10 +111,21 @@ def distinct_draws_reference(
 # --- classification ----------------------------------------------------------
 
 
+def entries(classification: DomainClassification) -> dict[str, frozenset[int]]:
+    """Every domain's topic ids, in entry order."""
+    return {d: frozenset(classification.row(i).tolist()) for i, d in enumerate(classification.names)}
+
+
+def topics_of(classification: DomainClassification, domain: str) -> frozenset[int]:
+    """The topic ids of `domain`; none for a domain not classified here."""
+    i = int(classification.rows_of([domain])[0])
+    return frozenset() if i < 0 else frozenset(classification.row(i).tolist())
+
+
 def prevalence_reference(classification: DomainClassification, taxonomy: Taxonomy) -> PrevalenceTable:
     """`prevalence`, one (domain, topic) pair at a time."""
     counts = np.zeros(taxonomy.omega + 1, dtype=np.int64)
-    for topics in classification.entries.values():
+    for topics in entries(classification).values():
         for tid in topics:
             counts[tid] += 1
     return PrevalenceTable(counts=counts, total_domains=len(classification))
@@ -245,10 +265,21 @@ def generate_population_reference(
     for uid in range(n):
         positions = _sample_distinct_domains(int(ks[uid]), cdf, seed, uid)
         visited = frozenset(order.domains[i] for i in positions)
-        observed = frozenset().union(*(classification.topics_of(order.domains[i]) for i in positions))
+        observed = frozenset().union(*(topics_of(classification, order.domains[i]) for i in positions))
         base = UserProfile(uid, visited, observed, top_profile=())
         users.append(derive_top_profile(base, taxonomy, T, seed))
     return users
+
+
+def population_from_records(users: Iterable[UserProfile]) -> Population:
+    """The population of these records, in their order."""
+    users = list(users)
+    return _from_rows(
+        [u.user_id for u in users],
+        [sorted(u.visited_domains) for u in users],
+        [u.observed_topics for u in users],
+        [u.top_profile for u in users],
+    )
 
 
 def user_to_json(user: UserProfile) -> str:
@@ -287,12 +318,30 @@ class ApiResult:
     user_id: int
 
 
+def epoch_topic_draw_reference(
+    user: UserProfile, site: str, source_epoch: int, config: SimConfig, taxonomy: Taxonomy
+) -> EpochDraw:
+    """`epoch_topic_draw` as one scalar draw: noisy with probability p, then
+    a uniform pick over the taxonomy or over the user's top profile."""
+    if not user.top_profile:
+        raise ValueError(f"user {user.user_id} has no top profile")
+    key = (config.seed, user.user_id, rng.string_key(site), source_epoch)
+    noisy = bool(rng.uniform(*key, rng.TAG_NOISE_FLAG) < config.p)
+    u = float(rng.uniform(*key, rng.TAG_TOPIC_PICK))
+    if noisy:
+        topic = 1 + int(u * taxonomy.omega)
+    else:
+        profile = user.top_profile
+        topic = profile[int(u * len(profile))]
+    return EpochDraw(topic=int(topic), noisy=noisy)
+
+
 def call_api(user: UserProfile, site: str, epoch: int, config: SimConfig, taxonomy: Taxonomy) -> ApiResult:
     """Assemble one API result from the pinned per-epoch draws."""
     if epoch < 1:
         raise ValueError(f"epoch must be >= 1, got {epoch}")
     returned = [
-        epoch_topic_draw(user, site, src, config, taxonomy).topic
+        epoch_topic_draw_reference(user, site, src, config, taxonomy).topic
         for src in range(epoch - config.tau, epoch)
     ]
     perm = rng.permutation(len(returned), config.seed, user.user_id, rng.string_key(site),

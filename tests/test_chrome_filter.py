@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+from reference import topics_of
 from topicsim.chrome_filter import (
     FilterParams,
     ScoreVector,
@@ -152,7 +153,7 @@ def test_score_vector_file_roundtrip(taxonomy):
     vectors = load_score_vectors(io.StringIO(body), taxonomy)
     assert vectors["d1.com"].scores[0] == 0.6
     cls = classify_scores(vectors)
-    assert cls.topics_of("d1.com") == {1, 2}
+    assert topics_of(cls, "d1.com") == {1, 2}
 
 
 def test_score_vector_wrong_arity(taxonomy):

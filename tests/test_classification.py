@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 import hypothesis.strategies as st
 
-from reference import prevalence_reference, synthesize_skewed_classification_reference
+from reference import entries, prevalence_reference, synthesize_skewed_classification_reference, topics_of
 from topicsim.classification import (
     ClassificationError,
     DomainClassification,
@@ -43,7 +43,7 @@ def test_load_takes_topic_ids_one_to_omega_only(taxonomy, tid, refused):
         with pytest.raises(ClassificationError, match=f"row 1: unknown topic id {tid}$"):
             load_classification(source, taxonomy)
     else:
-        assert load_classification(source, taxonomy).topics_of("a.com") == frozenset({tid})
+        assert topics_of(load_classification(source, taxonomy), "a.com") == frozenset({tid})
 
 
 def test_load_rejects_duplicate_domain(taxonomy):
@@ -53,8 +53,8 @@ def test_load_rejects_duplicate_domain(taxonomy):
 
 def test_load_allows_empty_topic_list(taxonomy):
     cls = load_classification(io.StringIO("a.com\t\nb.com\t5\n"), taxonomy)
-    assert cls.topics_of("a.com") == frozenset()
-    assert cls.topics_of("b.com") == {5}
+    assert topics_of(cls, "a.com") == frozenset()
+    assert topics_of(cls, "b.com") == {5}
 
 
 def test_save_load_roundtrip(tmp_path, taxonomy):
@@ -62,7 +62,7 @@ def test_save_load_roundtrip(tmp_path, taxonomy):
     path = tmp_path / "cls.tsv"
     path.write_text("\n".join(classification_lines(cls)) + "\n", encoding="utf-8")
     back = load_classification(path, taxonomy)
-    assert back.entries == cls.entries
+    assert entries(back) == entries(cls)
 
 
 def test_prevalence_singleton(taxonomy):
@@ -117,8 +117,8 @@ def test_csr_views(taxonomy):
     assert cls.names == ("b.com", "a.com", "c.com")
     assert cls.indptr.tolist() == [0, 2, 2, 3]
     assert cls.topics.tolist() == [2, 9, 4]
-    assert cls.entries == {"b.com": {2, 9}, "a.com": frozenset(), "c.com": {4}}
-    assert cls.topics_of("b.com") == {2, 9} and cls.topics_of("zzz") == frozenset()
+    assert entries(cls) == {"b.com": {2, 9}, "a.com": frozenset(), "c.com": {4}}
+    assert topics_of(cls, "b.com") == {2, 9} and topics_of(cls, "zzz") == frozenset()
     assert cls.rows_of(["c.com", "zzz", "b.com"]).tolist() == [2, -1, 0]
     assert cls.rows_of(cls.names).tolist() == cls.rows_of(list(cls.names)).tolist() == [0, 1, 2]
 
@@ -163,9 +163,9 @@ def test_synthesize_deterministic(taxonomy):
     spec = SkewSpec(zero_topics=10, top_fraction=0.1, median=5)
     a = synthesize_skewed_classification(taxonomy, 5_000, spec, seed=11, head_topics=20, head_floor=10)
     b = synthesize_skewed_classification(taxonomy, 5_000, spec, seed=11, head_topics=20, head_floor=10)
-    assert a.entries == b.entries
+    assert entries(a) == entries(b)
     c = synthesize_skewed_classification(taxonomy, 5_000, spec, seed=12, head_topics=20, head_floor=10)
-    assert a.entries != c.entries
+    assert entries(a) != entries(c)
 
 
 def test_synthesize_rejects_infeasible_spec(taxonomy):
@@ -211,7 +211,7 @@ def test_synthesize_matches_per_topic_oracle(taxonomy, case):
     except ClassificationError:
         assume(False)  # an infeasible spec or window; the oracle would fail or hang
     want = synthesize_skewed_classification_reference(taxonomy, **case)
-    assert got.entries == want.entries
+    assert entries(got) == entries(want)
     assert got.names == want.names
     assert np.array_equal(got.indptr, want.indptr)
     assert np.array_equal(got.topics, want.topics)
@@ -242,7 +242,7 @@ def test_synthesize_refuses_a_count_larger_than_its_window(taxonomy):
     assert full.size
     floor_domains = cls.domains()[4:]
     for tid in full.tolist():
-        assert [d for d in cls.domains() if tid in cls.topics_of(d)] == floor_domains
+        assert [d for d in cls.domains() if tid in topics_of(cls, d)] == floor_domains
 
 
 @pytest.mark.parametrize("seed", [1, 2, 7])

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from reference import write_log_ndjson_reference, write_truth_ndjson_reference
+from reference import entries, write_log_ndjson_reference, write_truth_ndjson_reference
 from topicsim.cli import (
     CONFIG_DEFAULTS,
     _build_order,
@@ -498,7 +498,7 @@ def test_synthetic_classification_matches_world(preset, world_config):
     cfg = dict(CONFIG_DEFAULTS, classification=f"synthetic:{preset}", n_domains=2000, seed=seed)
     got = _resolve_classification(cfg, taxonomy)
     world = build_world(replace(world_config(1, seed), n_domains=2000), taxonomy)
-    assert got.entries == world.classification.entries
+    assert entries(got) == entries(world.classification)
 
 
 @pytest.mark.parametrize("preset, world_config", [

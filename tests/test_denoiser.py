@@ -17,6 +17,7 @@ from reference import (
     denoise_multi_shot,
     evaluate_denoiser,
     log_result,
+    population_from_records,
     recovered_matrix,
     threshold_classify,
     truth_channel,
@@ -29,7 +30,7 @@ from topicsim.denoiser import (
     MultiShotEngine,
     denoise_site_trajectory,
 )
-from topicsim.population import Population, UserProfile
+from topicsim.population import UserProfile
 from topicsim.simulator import EpochDraw, SimConfig, SiteLog, run_scenario
 from topicsim.worlds import build_world, wide_pool_config
 
@@ -440,7 +441,7 @@ def test_confirmed_set_monotone_in_history(calls):
 
 
 def stable_scenario(taxonomy, n_users=400, epochs=12, seed=5):
-    users = Population.from_records(
+    users = population_from_records(
         UserProfile(i, frozenset(), frozenset(), make_profile(100 + i)) for i in range(n_users)
     )
     cfg = SimConfig(epochs=epochs, sites=("w",), seed=seed)
@@ -555,8 +556,8 @@ def test_trajectory_refuses_a_population_other_than_the_logs(taxonomy):
     users, log = stable_scenario(taxonomy, n_users=20, epochs=3)
     site = log.site_view("w")
     denoise_site_trajectory(site, prevalence_with(), DenoiserConfig(), users)
-    reversed_rows = Population.from_records(list(users)[::-1])
-    fewer = Population.from_records(u for u in users if u.user_id != 13)
+    reversed_rows = population_from_records(list(users)[::-1])
+    fewer = population_from_records(u for u in users if u.user_id != 13)
     for other in (reversed_rows, fewer):
         with pytest.raises(ValueError, match="the population's user ids are not the log's, in the log's order"):
             denoise_site_trajectory(site, prevalence_with(), DenoiserConfig(), other)
@@ -591,7 +592,7 @@ def test_trajectory_refuses_a_log_whose_calls_miss_seen_draws(taxonomy):
 def test_median_user_fully_recovered_after_thirty_epochs(taxonomy):
     """With stable interests, 30 epochs of observation recover the exact
     top profile for the typical user."""
-    users = Population.from_records(
+    users = population_from_records(
         UserProfile(i, frozenset(), frozenset(), make_profile(900 + i)) for i in range(400)
     )
     log = run_scenario(users, SimConfig(epochs=30, sites=("w",), seed=8), taxonomy)

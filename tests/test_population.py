@@ -8,13 +8,18 @@ import pytest
 from hypothesis import example, given, settings
 from scipy import stats
 
-from reference import derive_top_profile, generate_population_reference, write_population_reference
+from reference import (
+    derive_top_profile,
+    generate_population_reference,
+    population_from_records,
+    topics_of,
+    write_population_reference,
+)
 from topicsim import population, rng
 from topicsim.classification import DomainClassification
 from topicsim.taxonomy import Taxonomy, Topic
 from topicsim.population import (
     DEFAULT_FIXED_TOP,
-    Population,
     PopulationError,
     RankedDomainList,
     TrafficModel,
@@ -227,7 +232,7 @@ def test_generate_observed_topics_are_union(taxonomy):
     counts = CountHistogram(support=(8,), probabilities=(1.0,))
     users = generate_population(30, order, traffic, counts, cls, seed=4, taxonomy=taxonomy)
     for u in users:
-        expected = frozenset().union(*(cls.topics_of(d) for d in u.visited_domains))
+        expected = frozenset().union(*(topics_of(cls, d) for d in u.visited_domains))
         assert u.observed_topics == expected
 
 
@@ -367,7 +372,7 @@ def test_population_ndjson_roundtrip(tmp_path, taxonomy):
 
 
 def test_summarize_population_counts():
-    users = Population.from_records([
+    users = population_from_records([
         UserProfile(0, frozenset({"a"}), frozenset({1, 2}), (1, 2, 3, 4, 5)),
         UserProfile(1, frozenset({"a", "b"}), frozenset({2}), (1, 2, 3, 4, 6)),
         UserProfile(2, frozenset({"b"}), frozenset({1}), (1, 2, 3, 4, 6)),

@@ -12,11 +12,11 @@ from hypothesis import example, given, settings
 from hypothesis.extra.numpy import arrays
 
 from conftest import make_profile
-from reference import argmax_match_one_way, reidentify_two_calls
+from reference import argmax_match_one_way, population_from_records, reidentify_two_calls
 import topicsim
 from topicsim.classification import PrevalenceTable
 from topicsim.denoiser import DenoiserConfig
-from topicsim.population import Population, UserProfile
+from topicsim.population import UserProfile
 from topicsim.reidentify import (
     MAX_SUBSET_TOPICS,
     MatchReport,
@@ -118,7 +118,7 @@ def test_k_cdf_monotone():
 
 
 def small_two_site_world(taxonomy, n=150, epochs=8, seed=3):
-    users = Population.from_records(
+    users = population_from_records(
         UserProfile(i, frozenset(), frozenset(), make_profile(500 + i)) for i in range(n)
     )
     cfg = SimConfig(epochs=epochs, sites=("wa", "wb"), seed=seed)

@@ -10,24 +10,26 @@ from scipy import stats
 from conftest import make_profile
 from reference import (
     call_api,
+    epoch_topic_draw_reference,
     log_result,
     log_truth_draw,
+    population_from_records,
     shuffle_order_reference,
     write_log_ndjson_reference,
     write_truth_ndjson_reference,
 )
-from topicsim.population import POPULATION_BLOCK_USERS, Population, Profiles, UserProfile
+from topicsim.population import POPULATION_BLOCK_USERS, Profiles, UserProfile
 from topicsim.simulator import SimConfig, _shuffle_order, epoch_topic_draw, run_scenario
 
 
 def users_with_random_profiles(n, seed0=0):
-    return Population.from_records(
+    return population_from_records(
         UserProfile(i, frozenset(), frozenset(), make_profile(seed0 + i)) for i in range(n)
     )
 
 
 def single_profile_users(n, profile=(1, 2, 3, 4, 5)):
-    return Population.from_records(UserProfile(i, frozenset(), frozenset(), tuple(profile)) for i in range(n))
+    return population_from_records(UserProfile(i, frozenset(), frozenset(), tuple(profile)) for i in range(n))
 
 
 def test_config_validation():
@@ -79,7 +81,39 @@ def test_pinning_matches_scenario_arrays(taxonomy):
         u = int(rng.integers(50))
         site = cfg.sites[int(rng.integers(2))]
         src = int(rng.integers(1 - cfg.tau, cfg.epochs))
-        assert epoch_topic_draw(users[u], site, src, cfg, taxonomy) == log_truth_draw(log, site, u, src)
+        draw = epoch_topic_draw(users[u], site, src, cfg, taxonomy)
+        assert draw == log_truth_draw(log, site, u, src)
+        assert draw == epoch_topic_draw_reference(users[u], site, src, cfg, taxonomy)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=st.integers(0, 2**32),
+    user_id=st.integers(0, 2**40),
+    site=st.sampled_from(["wa", 'a"b', "\u00fc.example", '\u00fc"x.example']),
+    source_epoch=st.integers(-5, 59),
+    p=st.sampled_from([0.0, 0.05, 1.0]),
+    profile=st.lists(st.integers(1, 349), min_size=1, max_size=8),
+)
+@example(seed=0, user_id=2**40, site='\u00fc"x.example', source_epoch=-5, p=0.05, profile=[349] * 8)
+def test_epoch_topic_draw_equals_the_scalar_reference(taxonomy, seed, user_id, site, source_epoch, p, profile):
+    """The array draw at one key is the scalar draw: warm-start source epochs,
+    ids past 32 bits, profiles of 1 to 8 topics, escaped and non-ASCII sites."""
+    user = UserProfile(user_id, frozenset(), frozenset(), tuple(profile))
+    cfg = SimConfig(p=p, seed=seed)
+    assert epoch_topic_draw(user, site, source_epoch, cfg, taxonomy) == epoch_topic_draw_reference(
+        user, site, source_epoch, cfg, taxonomy)
+
+
+@pytest.mark.parametrize("topic", [0, 350, 2**16 + 1])
+def test_epoch_topic_draw_refuses_a_profile_topic_outside_the_taxonomy(taxonomy, topic):
+    """As `run_scenario` does: 350 is omega + 1, and 2**16 + 1 would wrap to topic 1 in the int16 draws."""
+    user = UserProfile(4, frozenset(), frozenset(), (1, 2, topic))
+    for p in (0.0, 1.0):
+        with pytest.raises(ValueError, match=f"user 4 has topic {topic} in its profile, outside the taxonomy's 1..349"):
+            epoch_topic_draw(user, "w", 1, SimConfig(p=p, seed=3), taxonomy)
+        with pytest.raises(ValueError, match=f"user 4 has topic {topic} in its profile"):
+            run_scenario(population_from_records([user]), SimConfig(p=p, epochs=1, sites=("w",)), taxonomy)
 
 
 def test_call_returns_tau_topics(taxonomy):
@@ -147,7 +181,7 @@ def test_scenario_empty_site_list(taxonomy, tmp_path):
 
 def test_scenario_rejects_empty_population(taxonomy):
     with pytest.raises(ValueError):
-        run_scenario(Population.from_records([]), SimConfig(sites=("w",)), taxonomy)
+        run_scenario(population_from_records([]), SimConfig(sites=("w",)), taxonomy)
 
 
 def test_scenario_draws_over_the_profile_width(taxonomy):
@@ -201,7 +235,7 @@ def test_call_equals_object_api_for_every_user_and_epoch(taxonomy):
     """`SiteLog.call` forms each call from the stored draws exactly as the
     object path assembles it from per-epoch draws and the keyed shuffle."""
     ids = np.random.default_rng(8).choice(10**6, size=25, replace=False)  # not 0..n-1, not sorted
-    users = Population.from_records(UserProfile(int(u), frozenset(), frozenset(), make_profile(i))
+    users = population_from_records(UserProfile(int(u), frozenset(), frozenset(), make_profile(i))
                                     for i, u in enumerate(ids))
     for tau in (1, 3, 4):
         cfg = SimConfig(tau=tau, p=0.3, epochs=6, sites=("wa", "wb"), seed=11)
@@ -395,7 +429,7 @@ def test_ndjson_writers_match_reference_bytes(taxonomy, n, id_seed, sites, epoch
     gen = np.random.default_rng(id_seed)
     ids = gen.choice(10**6, size=n, replace=False)  # not 0..n-1, not sorted
     profiles = np.argsort(gen.random((n, 349)), axis=1)[:, :5] + 1
-    users = Population.from_records(UserProfile(int(u), frozenset(), frozenset(), tuple(row.tolist()))
+    users = population_from_records(UserProfile(int(u), frozenset(), frozenset(), tuple(row.tolist()))
                                     for u, row in zip(ids, profiles))
     cfg = SimConfig(tau=tau, p=p, epochs=epochs, sites=tuple(sites), seed=id_seed)
     log = run_scenario(users, cfg, taxonomy)
