@@ -321,5 +321,5 @@ def synthesize_skewed_classification(
     indptr = np.zeros(n_domains + 1, dtype=np.int64)
     np.cumsum(np.bincount(doms, minlength=n_domains), out=indptr[1:])
     width = len(str(n_domains))
-    names = tuple(f"site-{i:0{width}d}.example" for i in range(1, n_domains + 1))
+    names = tuple(map(f"site-%0{width}d.example".__mod__, range(1, n_domains + 1)))
     return DomainClassification.from_csr(names, indptr, tids[by_domain])

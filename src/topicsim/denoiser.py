@@ -136,6 +136,11 @@ class MultiShotEngine:
 
     A topic is confirmed when `evidence >= 2`. The first call's width is
     tau; every later call must have as many slots.
+
+    The engine reads a call as a multiset: the order of a call's slots
+    changes no table and no label (property-tested). So the attack loops
+    feed it each epoch's draws in source order (`SiteLog.window`) rather
+    than the shuffled call the API returns.
     """
 
     def __init__(self, n_users: int, omega: int, prev: PrevalenceTable, config: DenoiserConfig):
@@ -379,7 +384,7 @@ def denoise_site_trajectory(
     seen = 0
     points = []
     for epoch in range(1, site_log.epochs + 1):
-        genuine = engine.observe_epoch(epoch, site_log.call(epoch))
+        genuine = engine.observe_epoch(epoch, site_log.window(epoch))
         first_new, seen = seen, int(np.count_nonzero(site_log.source_epochs < epoch))
         slot = engine.slots_of(users, tt[:, first_new:seen].T)
         if np.any(slot < 0):

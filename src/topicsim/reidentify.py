@@ -392,8 +392,8 @@ def run_reidentification(
     forward: list[MatchReport] = []
     reverse: list[MatchReport] = []
     for epoch in range(1, log.epochs + 1):
-        ea.observe_epoch(epoch, la.call(epoch))
-        eb.observe_epoch(epoch, lb.call(epoch))
+        ea.observe_epoch(epoch, la.window(epoch))
+        eb.observe_epoch(epoch, lb.window(epoch))
         if epoch not in wanted:
             continue
         # Built in the call and bound to no name here, so the matcher's

@@ -19,7 +19,8 @@ by adversary-side code; evaluation functions take it explicitly.
 The log stores only the truth draws, (site, user, source epoch) arrays.
 A call is formed when it is read, by one former for any array of epochs
 (`SiteLog.calls`): its window of tau draws in the keyed shuffle's order,
-so nothing keeps the calls.
+so nothing keeps the calls. The attacks read a call as a multiset, so
+they read its unshuffled window (`SiteLog.window`), a slice of the draws.
 
 Log output: NDJSON, one record per call `{site, user, epoch, topics}`;
 truth channel NDJSON `{site, user, source_epoch, topic, noisy}`. Both
@@ -104,11 +105,14 @@ def epoch_topic_draw(
 class ObservationLog:
     """The truth draws of every (site, user, source epoch), from which each call is formed.
 
-    An analysis reads one call per epoch through `site_view(site).call(epoch)`,
-    and the NDJSON writer reads the calls of one block of users at a time
-    through `site_view(site, rows)`. `topics` is every call, `(site, user,
-    epoch, tau)` int16, read-only, built in full when first read and then
-    kept; nothing in the package reads it, only `tests/` and `perfbench/` do.
+    An analysis reads one epoch's draws at a time through
+    `site_view(site).window(epoch)`, the topics of that epoch's calls in
+    source order: the attacks count a call's topics and never read their
+    order. The NDJSON writer reads the shuffled calls of one block of
+    users at a time through `site_view(site, rows)`. `topics` is every
+    call, `(site, user, epoch, tau)` int16, read-only, built in full when
+    first read and then kept; nothing in the package reads it, only
+    `tests/` and `perfbench/` do.
     """
 
     config: SimConfig
@@ -234,13 +238,14 @@ class SiteLog:
     """One site's slice of an ObservationLog, of all its users or of one block of them:
     their truth draws and the calls formed from them.
 
-    `call(epoch)` and the views go through `calls`. The first call folds
-    each user's `(seed, user, site)` shuffle-key prefix, and the view
-    keeps it (8 bytes per user), so each epoch's keys fold only the
-    epoch, the tag and the slot. `topics` and `slot_sources` are every
-    call and the source epoch of its every slot, `(user, epoch, tau)`
-    int16, read-only and built in full when first read; only `tests/`
-    and `perfbench/` read them.
+    `window(epoch)` is a call's draws in source order, a read-only slice of
+    `truth_topics`: what the attack loops read. `call(epoch)` and the
+    views go through `calls`, which shuffles; the NDJSON writer and
+    `tests/` read them. `calls` folds each user's `(seed, user, site)`
+    shuffle-key prefix once for all the epochs it forms. `topics` and
+    `slot_sources` are every call and the source epoch of its every slot,
+    `(user, epoch, tau)` int16, read-only and built in full when first
+    read; only `tests/` and `perfbench/` read them.
     """
 
     site: str
@@ -262,6 +267,15 @@ class SiteLog:
         """Every user's call at `epoch`, `(user, tau)` int16."""
         return self.calls(np.array([epoch]))[:, 0]
 
+    def window(self, epoch: int) -> np.ndarray:
+        """Every user's draws of source epochs `epoch - tau .. epoch - 1`, `(user, tau)`
+        int16 in source order: the topics of `call(epoch)` before the shuffle.
+
+        A read-only view of `truth_topics`, neither copied nor hashed.
+        """
+        _refuse_epochs(np.array([epoch]), self.epochs)
+        return _read_only(self.truth_topics[:, epoch - 1 : epoch - 1 + self.config.tau])
+
     def calls(self, epochs: np.ndarray) -> np.ndarray:
         """Every user's call at each of `epochs`, `(user, len(epochs), tau)` int16:
         their window of draws in shuffled order."""
@@ -277,18 +291,13 @@ class SiteLog:
         The shuffle sorts the window's draws by their keys' uniforms, ties
         kept in source order. The uniforms' 53-bit numerators, `hash >> 11`,
         order alike, so the keys are compared as those integers, finished
-        from the view's folded `(seed, user, site)` prefix.
+        from one folded `(seed, user, site)` prefix per user.
         """
-        bad = epochs[(epochs < 1) | (epochs > self.epochs)]
-        if bad.size:
-            raise ValueError(f"epoch must be in 1..{self.epochs}, got {bad[0]}")
+        _refuse_epochs(epochs, self.epochs)
         tau = self.config.tau
-        keys = self._shuffle_prefix.hash_u64(epochs[:, None], rng.TAG_SHUFFLE, np.arange(tau)) >> np.uint64(11)
+        prefix = rng.KeyPrefix(self.config.seed, self.user_ids[:, None, None], rng.string_key(self.site))
+        keys = prefix.hash_u64(epochs[:, None], rng.TAG_SHUFFLE, np.arange(tau)) >> np.uint64(11)
         return epochs[:, None] - tau + _shuffle_order(keys)
-
-    @functools.cached_property
-    def _shuffle_prefix(self) -> rng.KeyPrefix:
-        return rng.KeyPrefix(self.config.seed, self.user_ids[:, None, None], rng.string_key(self.site))
 
     @functools.cached_property
     def topics(self) -> np.ndarray:
@@ -297,6 +306,12 @@ class SiteLog:
     @functools.cached_property
     def slot_sources(self) -> np.ndarray:
         return _read_only(self._slot_sources(np.arange(1, self.epochs + 1)).astype(np.int16))
+
+
+def _refuse_epochs(epochs: np.ndarray, n_epochs: int) -> None:
+    bad = epochs[(epochs < 1) | (epochs > n_epochs)]
+    if bad.size:
+        raise ValueError(f"epoch must be in 1..{n_epochs}, got {bad[0]}")
 
 
 def _shuffle_order(keys: np.ndarray) -> np.ndarray:

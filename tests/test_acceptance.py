@@ -277,7 +277,8 @@ def test_criterion_7_full_scale_replication():
     if not path:
         pytest.skip(
             "full-scale replication needs a real top-1M classification file; "
-            f"set {FULL_CLASSIFICATION_ENV}=<path> to run (several hours)"
+            f"set {FULL_CLASSIFICATION_ENV}=<path> to run (about 40 s with a 50k-domain stand-in; "
+            "a top-1M file is unmeasured)"
         )
     from topicsim.classification import load_classification, prevalence
     from topicsim.population import RankedDomainList, TrafficModel, UniqueDomainCountModel, generate_population

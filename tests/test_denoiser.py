@@ -367,6 +367,46 @@ def test_suppressed_entries_never_match_an_empty_slot(case, aggressive):
         assert np.array_equal(getattr(engine, name), table), name
 
 
+@st.composite
+def permuted_cases(draw):
+    """tau, one call list per user (few topic ids, so calls repeat topics, and
+    suppressed ids) and the same calls with each user's slots permuted
+    independently at every epoch."""
+    tau = draw(st.integers(min_value=1, max_value=4))
+    epochs = draw(st.integers(min_value=1, max_value=8))
+    slot = st.one_of(st.sampled_from([-1, -5, -40_000]), st.integers(min_value=1, max_value=8))
+    user = st.lists(st.lists(slot, min_size=tau, max_size=tau), min_size=epochs, max_size=epochs)
+    calls = np.array(draw(st.lists(user, min_size=1, max_size=4)), dtype=np.int64).reshape(-1, epochs, tau)
+    permuted = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).permuted(calls, axis=2)
+    return calls, permuted
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=permuted_cases(), aggressive=st.booleans(), slots=st.sampled_from([INITIAL_SLOTS, 1]))
+@example(
+    case=(np.array([[[7, 7, -1], [2, 7, 9]], [[-5, 4, 4], [4, -1, 3]]]),
+          np.array([[[-1, 7, 7], [9, 2, 7]], [[4, 4, -5], [3, 4, -1]]])),
+    aggressive=False, slots=1,
+)
+def test_engine_reads_each_call_as_a_multiset(case, aggressive, slots):
+    """The order of a call's slots changes no label and no table: the attack
+    loops feed the engine each epoch's draws in source order, not in the
+    order the API returns them."""
+    import topicsim.denoiser
+
+    calls, permuted = case
+    prev = prevalence_with(above=range(1, 5), below=range(5, 9))
+    cfg = DenoiserConfig(T=2, aggressive_gap_rule=aggressive)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(topicsim.denoiser, "INITIAL_SLOTS", slots)
+        in_order, shuffled = (MultiShotEngine(len(calls), 349, prev, cfg) for _ in range(2))
+    for e in range(calls.shape[1]):
+        labels = in_order.observe_epoch(e + 1, calls[:, e])
+        assert np.array_equal(shuffled.observe_epoch(e + 1, permuted[:, e]), labels), e
+        for name in ENGINE_TABLES:
+            assert np.array_equal(getattr(shuffled, name), getattr(in_order, name)), (e, name)
+
+
 def test_engine_state_has_no_topic_columns():
     """After 30 epochs at 2k users, every per-user table is K slots wide, not omega + 1."""
     world = build_world(wide_pool_config(n_users=2_000, seed=1))
@@ -577,8 +617,8 @@ def test_trajectory_refuses_a_log_whose_calls_miss_seen_draws(taxonomy):
     users, log = stable_scenario(taxonomy, n_users=20, epochs=4)
 
     class BlankedFirstCall(SiteLog):
-        def call(self, epoch):
-            topics = super().call(epoch)
+        def window(self, epoch):
+            topics = super().window(epoch).copy()
             if epoch == 1:
                 topics[3] = -1  # user 3's first call, all warm-start draws
             return topics

@@ -309,6 +309,31 @@ def test_calls_of_any_epoch_array_equal_the_per_epoch_calls_and_views(taxonomy, 
             view.calls(np.array(valid + [bad, 0]))
 
 
+@pytest.mark.parametrize("tau, epochs", [(1, 5), (3, 7), (4, 6)])
+def test_window_is_the_call_before_the_shuffle(taxonomy, tau, epochs):
+    """`window(e)` holds the topics of `call(e)` in source order, for the whole
+    view and for a block view; it is a read-only view of the truth draws and
+    refuses the epochs `call` refuses, with its message."""
+    n = POPULATION_BLOCK_USERS + 5
+    log = run_scenario(users_with_random_profiles(n), SimConfig(tau=tau, p=0.3, epochs=epochs, sites=("wa",), seed=29),
+                       taxonomy)
+    rows = slice(POPULATION_BLOCK_USERS - 2, None)
+    for view in (log.site_view("wa"), log.site_view("wa", rows)):
+        for e in range(1, epochs + 1):
+            window = view.window(e)
+            assert window.shape == (view.n_users, tau) and window.dtype == np.int16
+            assert np.array_equal(np.sort(window, axis=1), np.sort(view.call(e), axis=1))
+            assert np.array_equal(window, view.truth_topics[:, e - 1 : e - 1 + tau])
+            assert np.shares_memory(window, view.truth_topics)
+            assert not window.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                window[0, 0] = 1
+        for bad in (0, epochs + 1):
+            with pytest.raises(ValueError, match=f"epoch must be in 1..{epochs}, got {bad}$"):
+                view.window(bad)
+    assert log.truth_topics.flags.writeable
+
+
 def test_log_holds_only_the_truth_draws(taxonomy):
     """The log keeps no call: after every call is read, its arrays are
     still only the user ids, the truth draws and the source-epoch labels."""
