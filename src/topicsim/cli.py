@@ -381,7 +381,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="flat JSON config file")
         p.add_argument("--seed", type=int, help="master seed (overrides config)")
         p.add_argument("--workers", type=int,
-                       help="accepted and ignored, for older scripts; no stage forks")
+                       help="accepted and ignored, for older scripts: no stage forks, and "
+                            "reidentify matches on one helper thread whatever the value")
         p.add_argument("--out", help="output directory (overrides config)")
 
     for name in ("generate", "simulate", "denoise", "reidentify", "analytics", "report"):

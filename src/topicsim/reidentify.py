@@ -1,13 +1,14 @@
 """Two-advertiser collusion: match users across sites by topic overlap.
 
 Each side denoises its own observation log on the fly. A user's matching
-set at epoch e is every topic their side's engine has ever labeled
-genuine up to e (confirmed topics plus threshold-passing first
-sightings), so matching sets never shrink. Each user seen on site A
-is mapped to the argmax tie set over site-B users by shared-topic count,
-and each user seen on site B likewise over site-A users. Both directions
-come from one scan down the subset sizes j, in which each side's j-subset
-keys are built once: as its own queries and as the other side's table.
+set at epoch e is every topic the denoiser has ever labeled genuine
+among their calls on that side up to e (confirmed topics plus
+threshold-passing first sightings), so matching sets never shrink. Each
+user seen on site A is mapped to the argmax tie set over site-B users by
+shared-topic count, and each user seen on site B likewise over site-A
+users. Both directions come from one scan down the subset sizes j, in
+which each side's j-subset keys are built once: as its own queries and
+as the other side's table.
 
 A user is uniquely re-identified when that group is exactly their own
 identity; they are matched better than random when the group contains
@@ -24,8 +25,9 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -140,26 +142,50 @@ def _argmax_match(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray,
     user is in their own group when their overlap with themselves is the
     maximum overlap.
     """
+    return _match_prepared(_prepare_match(a, b))
+
+
+class _PreparedMatch(NamedTuple):
+    """Two topic tables as the subset scan reads them (see `_prepare_match`)."""
+
+    tables: tuple[np.ndarray, np.ndarray]  # row-sorted, as wide as the widest set
+    sizes: tuple[np.ndarray, np.ndarray]   # each row's set size
+    sets: tuple[dict, dict]                # `_sets_by_size` of each table
+    self_overlap: np.ndarray               # topics that row i of A shares with row i of B
+    width: int                             # ids lie below it
+    cap: int                               # sets of more topics take the dense path
+
+
+def _prepare_match(a: np.ndarray, b: np.ndarray) -> _PreparedMatch:
+    """The per-row work of `_argmax_match` on topic tables `a` and `b`: sorting,
+    sizes, grouping by size and each identity's own overlap. Every array it
+    returns is new, so `_match_prepared` never reads `a` or `b`."""
     n = a.shape[0]
     if b.shape[0] != n:
         raise ValueError(f"A has {n} users and B has {b.shape[0]}: matching needs the same users")
     a, b = np.sort(a, axis=1), np.sort(b, axis=1)  # empty slots first, then ascending ids
+    sizes = np.count_nonzero(a >= 0, axis=1), np.count_nonzero(b >= 0, axis=1)
+    # Only the widest set's slots hold topics; the copies let the full sorts go.
+    a, b = (t[:, t.shape[1] - size.max(initial=0):].copy() for t, size in zip((a, b), sizes))
     both = np.sort(np.concatenate([a, b], axis=1), axis=1)
     self_overlap = np.count_nonzero((both[:, 1:] == both[:, :-1]) & (both[:, 1:] >= 0), axis=1)
     width = int(max(a.max(initial=0), b.max(initial=0))) + 1
-    m_ab, k_ab, m_ba, k_ba = _max_overlap_groups(a, b, width)
-    return k_ab, self_overlap == m_ab, k_ba, self_overlap == m_ba
+    cap = MAX_SUBSET_TOPICS
+    while math.comb(width, cap) >= 2**63:  # j-subset keys lie below C(width, j)
+        cap -= 1
+    sets = _sets_by_size(a, sizes[0], cap), _sets_by_size(b, sizes[1], cap)
+    return _PreparedMatch((a, b), sizes, sets, self_overlap, width, cap)
 
 
-def _max_overlap_groups(a: np.ndarray, b: np.ndarray, width: int) -> tuple[np.ndarray, ...]:
-    """Each row's maximum overlap m with the rows of the other table, and how many reach it.
+def _match_prepared(p: _PreparedMatch) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """`_argmax_match`'s result from its prepared tables `a` and `b`.
 
-    `a` and `b` are row-sorted topic tables whose ids lie below `width`.
-    For a row of `a`, m is the largest j such that some j-subset of the
-    row's set lies in some set of `b`, and the count sums, over the
-    m-subsets X of the row's set, the sets of `b` that contain X (m = 0
-    counts every row of `b`); likewise for each row of `b` against `a`.
-    Returns `(m_ab, k_ab, m_ba, k_ba)`.
+    A row's group is k, how many rows of the other table reach its
+    maximum overlap m. For a row of `a`, m is the largest j such that
+    some j-subset of the row's set lies in some set of `b`, and k sums,
+    over the m-subsets X of the row's set, the sets of `b` that contain X
+    (m = 0 counts every row of `b`); likewise for each row of `b` against
+    `a`. The row holds its own identity when its own overlap is m.
 
     One scan runs down the levels j for both directions. At each level
     each side's j-subset keys are built once: its live rows' keys are its
@@ -169,17 +195,13 @@ def _max_overlap_groups(a: np.ndarray, b: np.ndarray, width: int) -> tuple[np.nd
     Only the tables and the live rows' keys outlive the building of a
     side's keys, and only until the level's look-ups are done.
     """
-    cap = MAX_SUBSET_TOPICS
-    while math.comb(width, cap) >= 2**63:  # j-subset keys lie below C(width, j)
-        cap -= 1
+    (a, b), sizes, sets, cap, width = p.tables, p.sizes, p.sets, p.cap, p.width
     narrow = cap
     while math.comb(width, narrow) >= 2**31:
         narrow -= 1
     # Levels up to `narrow` build their keys, tables and queries as int32.
     binom32, binom64 = _binom(width, narrow, np.int32), _binom(width, cap, np.int64)
     sides = (a, b)
-    sizes = [np.count_nonzero(t >= 0, axis=1) for t in sides]
-    sets = [_sets_by_size(t, size, cap) for t, size in zip(sides, sizes)]
     # Per side and set size, the positions in `sets` of the rows not yet hit.
     live = [{s: np.arange(rows.size) for s, (rows, _) in groups.items()} for groups in sets]
     m = [np.zeros(t.shape[0], dtype=np.int64) for t in sides]
@@ -200,7 +222,7 @@ def _max_overlap_groups(a: np.ndarray, b: np.ndarray, width: int) -> tuple[np.nd
                 live[x][s] = pos[~hit]
     m_ab, k_ab = _add_wide(a, b, sizes[0], sizes[1], m[0], k[0], cap, width)
     m_ba, k_ba = _add_wide(b, a, sizes[1], sizes[0], m[1], k[1], cap, width)
-    return m_ab, k_ab, m_ba, k_ba
+    return k_ab, p.self_overlap == m_ab, k_ba, p.self_overlap == m_ba
 
 
 def _add_wide(
@@ -375,33 +397,47 @@ def run_reidentification(
 ) -> ReidReport:
     """Full two-site attack over an observation log (vectorized).
 
-    Denoises both sites incrementally. At each requested epoch each
-    side's matching sets, its engine's topics `ever_genuine` as a
-    `(user, slot)` table, are matched in both directions (A against B for
-    the headline rates, B against A for the symmetry check) with one
-    `_argmax_match` call.
+    Denoises both sites incrementally. The engine's columns are
+    independent users, so one engine holds both sides: site A's users,
+    then site B's, one call per epoch. At each requested epoch each
+    side's matching sets, the engine's topics `ever_genuine` as a
+    `(user, slot)` table, are copied out of the engine and matched in
+    both directions (A against B for the headline rates, B against A for
+    the symmetry check), as `_argmax_match` would match them.
+
+    The copies are sorted and grouped by set size on this thread
+    (`_prepare_match`), and the subset scan (`_match_prepared`) runs on
+    one helper thread while this thread denoises the next epochs; numpy's
+    sorts, searches and ufunc loops release the GIL, so the two overlap.
+    A match reads only its epoch's copies. At most one match is in
+    flight: the previous one is awaited before the next is handed over,
+    which bounds memory at one match's temporaries beside the engine and
+    the next epoch's prepared tables. The report does not depend on how
+    the threads are scheduled. An exception from either thread reaches
+    the caller, and the helper thread ends before this call returns.
     """
     la, lb = log.site_view(site_a), log.site_view(site_b)
-    omega = prev.counts.size - 1
-    ea = MultiShotEngine(la.n_users, omega, prev, config)
-    eb = MultiShotEngine(lb.n_users, omega, prev, config)
-
+    n_a = la.n_users
+    engine = MultiShotEngine(n_a + lb.n_users, prev.counts.size - 1, prev, config)
     wanted = sorted(set(report_epochs)) if report_epochs is not None else list(
         range(1, log.epochs + 1)
     )
+    matches: list[tuple[int, Future]] = []  # (epoch, its match), in epoch order
+    with ThreadPoolExecutor(max_workers=1) as helper:
+        for epoch in range(1, log.epochs + 1):
+            engine.observe_epoch(epoch, np.concatenate([la.window(epoch), lb.window(epoch)]))
+            if epoch not in wanted:
+                continue
+            # New arrays throughout, so later epochs never touch a match's input.
+            prepared = _prepare_match(*np.split(np.where(engine.ever_genuine, engine.topic, -1).T, [n_a]))
+            if matches:
+                matches[-1][1].result()
+            matches.append((epoch, helper.submit(_match_prepared, prepared)))
+            del prepared  # held by the helper only while it matches
     forward: list[MatchReport] = []
     reverse: list[MatchReport] = []
-    for epoch in range(1, log.epochs + 1):
-        ea.observe_epoch(epoch, la.window(epoch))
-        eb.observe_epoch(epoch, lb.window(epoch))
-        if epoch not in wanted:
-            continue
-        # Built in the call and bound to no name here, so the matcher's
-        # sorted copies can replace them in memory.
-        k_ab, c_ab, k_ba, c_ba = _argmax_match(
-            np.where(ea.ever_genuine, ea.topic, -1).T, np.where(eb.ever_genuine, eb.topic, -1).T
-        )
-        forward.append(MatchReport(epoch=epoch, k=k_ab, contains_truth=c_ab, n_users=la.n_users))
+    for epoch, match in matches:
+        k_ab, c_ab, k_ba, c_ba = match.result()
+        forward.append(MatchReport(epoch=epoch, k=k_ab, contains_truth=c_ab, n_users=n_a))
         reverse.append(MatchReport(epoch=epoch, k=k_ba, contains_truth=c_ba, n_users=lb.n_users))
     return reid_report(forward, reverse)
-

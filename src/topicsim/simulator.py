@@ -239,13 +239,14 @@ class SiteLog:
     their truth draws and the calls formed from them.
 
     `window(epoch)` is a call's draws in source order, a read-only slice of
-    `truth_topics`: what the attack loops read. `call(epoch)` and the
-    views go through `calls`, which shuffles; the NDJSON writer and
-    `tests/` read them. `calls` folds each user's `(seed, user, site)`
-    shuffle-key prefix once for all the epochs it forms. `topics` and
-    `slot_sources` are every call and the source epoch of its every slot,
-    `(user, epoch, tau)` int16, read-only and built in full when first
-    read; only `tests/` and `perfbench/` read them.
+    `truth_topics`: what the attack loops read. `calls(epochs)` forms the
+    calls the API returns, the same draws in a keyed shuffle's order; the
+    NDJSON writer, the views below and `tests/` read them. `calls` folds
+    each user's `(seed, user, site)` shuffle-key prefix once for all the
+    epochs it forms. `topics` and `slot_sources` are every call and the
+    source epoch of its every slot, `(user, epoch, tau)` int16, read-only
+    and built in full when first read; only `tests/` and `perfbench/` read
+    them.
     """
 
     site: str
@@ -263,13 +264,9 @@ class SiteLog:
     def epochs(self) -> int:
         return self.config.epochs
 
-    def call(self, epoch: int) -> np.ndarray:
-        """Every user's call at `epoch`, `(user, tau)` int16."""
-        return self.calls(np.array([epoch]))[:, 0]
-
     def window(self, epoch: int) -> np.ndarray:
         """Every user's draws of source epochs `epoch - tau .. epoch - 1`, `(user, tau)`
-        int16 in source order: the topics of `call(epoch)` before the shuffle.
+        int16 in source order: the topics of the call at `epoch` before the shuffle.
 
         A read-only view of `truth_topics`, neither copied nor hashed.
         """

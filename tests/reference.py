@@ -27,7 +27,8 @@ faster rewrite can be checked for equal results:
   draw `_draws_for_site` at one key;
 * `call_api` (one API call from per-epoch `epoch_topic_draw_reference`s)
   with `ApiResult`, `log_result` and `log_truth_draw` (object views of an
-  `ObservationLog`) checks `simulator.run_scenario` and `SiteLog.call`;
+  `ObservationLog`) checks `simulator.run_scenario` and, through
+  `site_call` (one epoch of `SiteLog.calls`), the call former;
 * `shuffle_order_reference` (a stable sort of each call's shuffle keys)
   checks `simulator._shuffle_order` (each slot placed by its key's rank);
 * `denoise_multi_shot` (per-topic state objects for one user's call
@@ -347,6 +348,11 @@ def call_api(user: UserProfile, site: str, epoch: int, config: SimConfig, taxono
     perm = rng.permutation(len(returned), config.seed, user.user_id, rng.string_key(site),
                            epoch, rng.TAG_SHUFFLE)
     return ApiResult(topics=tuple(returned[i] for i in perm), epoch=epoch, site=site, user_id=user.user_id)
+
+
+def site_call(view: SiteLog, epoch: int) -> np.ndarray:
+    """Every user's call at `epoch`, `(user, tau)` int16: one epoch of `view.calls`."""
+    return view.calls(np.array([epoch]))[:, 0]
 
 
 def shuffle_order_reference(keys: np.ndarray) -> np.ndarray:

@@ -19,6 +19,7 @@ from reference import (
     log_result,
     population_from_records,
     recovered_matrix,
+    site_call,
     threshold_classify,
     truth_channel,
 )
@@ -583,7 +584,7 @@ def test_trajectory_does_not_depend_on_initial_slots(taxonomy, monkeypatch):
         monkeypatch.setattr(topicsim.denoiser, "INITIAL_SLOTS", slots)
         trajectories[slots] = denoise_site_trajectory(site, prev, cfg, users)
     engine = MultiShotEngine(site.n_users, 349, prev, cfg)
-    widths = [engine.observe_epoch(e, site.call(e)).shape[0] for e in range(1, 7)]
+    widths = [engine.observe_epoch(e, site_call(site, e)).shape[0] for e in range(1, 7)]
     assert 1 < widths[0] < widths[-1]
     assert trajectories[1].csv_lines() == trajectories[INITIAL_SLOTS].csv_lines()
     assert_matches_object_evaluation(trajectories[1], log, users, prev, cfg)

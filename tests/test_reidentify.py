@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 from unittest import mock
 
@@ -15,13 +16,15 @@ from conftest import make_profile
 from reference import argmax_match_one_way, population_from_records, reidentify_two_calls
 import topicsim
 from topicsim.classification import PrevalenceTable
-from topicsim.denoiser import DenoiserConfig
+from topicsim.denoiser import DenoiserConfig, MultiShotEngine
 from topicsim.population import UserProfile
 from topicsim.reidentify import (
     MAX_SUBSET_TOPICS,
     MatchReport,
     _argmax_match,
     _level_keys as level_keys,
+    _match_prepared as match_prepared,
+    _prepare_match as prepare_match,
     match_users,
     reid_report,
     run_reidentification,
@@ -270,12 +273,17 @@ def test_argmax_match_needs_same_users():
         _argmax_match(np.ones((3, 2), np.float32), np.ones((4, 2), np.float32))
 
 
-def test_run_reidentification_equals_two_call_oracle():
+@pytest.fixture(scope="module")
+def wide_pool_2k():
+    """2k wide-pool users (world seed 1) and their 30-epoch log on two sites (sim seed 101)."""
     world = build_world(wide_pool_config(n_users=2_000, seed=1))
     log = run_scenario(world.population, SimConfig(epochs=30, sites=("wa", "wb"), seed=101), world.taxonomy)
-    rep = run_reidentification(log, "wa", "wb", world.prevalence, DenoiserConfig())
-    ref = reidentify_two_calls(log, "wa", "wb", world.prevalence, DenoiserConfig())
-    assert rep.epochs == ref.epochs == tuple(range(1, 31))
+    return world, log
+
+
+def assert_same_report(rep, ref):
+    """Rates, reverse rates, miss counts and every k-CDF, bit for bit."""
+    assert rep.epochs == ref.epochs
     assert rep.unique_rates == ref.unique_rates
     assert rep.better_than_random_rates == ref.better_than_random_rates
     assert rep.reverse_unique_rates == ref.reverse_unique_rates
@@ -285,34 +293,111 @@ def test_run_reidentification_equals_two_call_oracle():
     assert rep.miss_counts == ref.miss_counts
 
 
-def test_run_reidentification_does_not_depend_on_initial_slots(monkeypatch):
+def test_run_reidentification_equals_two_call_oracle(wide_pool_2k):
+    world, log = wide_pool_2k
+    rep = run_reidentification(log, "wa", "wb", world.prevalence, DenoiserConfig())
+    ref = reidentify_two_calls(log, "wa", "wb", world.prevalence, DenoiserConfig())
+    assert rep.epochs == tuple(range(1, 31))
+    assert_same_report(rep, ref)
+
+
+def test_matching_overlaps_later_epochs_and_equals_the_oracle(wide_pool_2k, monkeypatch):
+    """Each match is held on the helper thread until the engine has
+    observed two more epochs (the last epoch at the end), so the engine
+    runs on while the match holds its epoch's prepared tables. The report
+    still equals the two-call oracle bit for bit: later epochs never touch
+    a snapshot. No thread outlives the call."""
+    import topicsim.reidentify
+
+    world, log = wide_pool_2k
+    wanted = list(range(1, 31, 2))
+    observed = {e: threading.Event() for e in range(1, 31)}
+    observe = MultiShotEngine.observe_epoch
+
+    def observe_then_release(self, epoch, call_topics):
+        genuine = observe(self, epoch, call_topics)
+        observed[epoch].set()
+        return genuine
+
+    epochs, lags = iter(wanted), []
+
+    def held_match(prepared):
+        e = next(epochs)
+        release = min(e + 2, 30)
+        if not observed[release].wait(timeout=120):
+            raise AssertionError(f"the engine never observed epoch {release} during the match of epoch {e}")
+        lags.append(max(x for x, event in observed.items() if event.is_set()) - e)
+        return match_prepared(prepared)
+
+    threads = threading.active_count()
+    with monkeypatch.context() as patch:
+        patch.setattr(MultiShotEngine, "observe_epoch", observe_then_release)
+        patch.setattr(topicsim.reidentify, "_match_prepared", held_match)
+        rep = run_reidentification(log, "wa", "wb", world.prevalence, DenoiserConfig(), report_epochs=wanted)
+    assert threading.active_count() == threads
+    assert lags == [2] * (len(wanted) - 1) + [1]
+    ref = reidentify_two_calls(log, "wa", "wb", world.prevalence, DenoiserConfig(), report_epochs=wanted)
+    assert rep.epochs == tuple(wanted)
+    assert_same_report(rep, ref)
+
+
+def test_failures_on_either_thread_reach_the_caller(wide_pool_2k, monkeypatch):
+    """A match that fails at report epoch 5 and an engine that fails at
+    epoch 7 each raise their own exception from the call, and no thread
+    outlives it."""
+    import topicsim.reidentify
+
+    world, log = wide_pool_2k
+    wanted = [1, 2, 5, 10, 30]
+    epochs = iter(wanted)
+
+    def failing_match(prepared):
+        if next(epochs) == 5:
+            raise RuntimeError("boom")
+        return match_prepared(prepared)
+
+    observe = MultiShotEngine.observe_epoch
+
+    def failing_observe(self, epoch, call_topics):
+        if epoch == 7:
+            raise RuntimeError("engine failed at epoch 7")
+        return observe(self, epoch, call_topics)
+
+    threads = threading.active_count()
+    for owner, name, failing, message in (
+        (topicsim.reidentify, "_match_prepared", failing_match, "boom"),
+        (MultiShotEngine, "observe_epoch", failing_observe, "engine failed at epoch 7"),
+    ):
+        with monkeypatch.context() as patch:
+            patch.setattr(owner, name, failing)
+            with pytest.raises(RuntimeError, match=f"^{message}$"):
+                run_reidentification(log, "wa", "wb", world.prevalence, DenoiserConfig(), report_epochs=wanted)
+        assert threading.active_count() == threads
+
+
+def test_run_reidentification_does_not_depend_on_initial_slots(wide_pool_2k, monkeypatch):
     """One slot to start with (the tables double many times) or the default:
     equal reports, and the matcher is fed K-wide topic tables, not omega + 1 columns."""
     import topicsim.denoiser
     import topicsim.reidentify
 
-    world = build_world(wide_pool_config(n_users=2_000, seed=1))
-    log = run_scenario(world.population, SimConfig(epochs=30, sites=("wa", "wb"), seed=101), world.taxonomy)
+    world, log = wide_pool_2k
     fed = []
 
     def spy(a, b):
         fed.append((a.shape, b.shape))
-        return _argmax_match(a, b)
+        return prepare_match(a, b)
 
-    monkeypatch.setattr(topicsim.reidentify, "_argmax_match", spy)
+    monkeypatch.setattr(topicsim.reidentify, "_prepare_match", spy)
     reports = []
     for slots in (1, topicsim.denoiser.INITIAL_SLOTS):
         monkeypatch.setattr(topicsim.denoiser, "INITIAL_SLOTS", slots)
         reports.append(run_reidentification(log, "wa", "wb", world.prevalence, DenoiserConfig(),
                                             report_epochs=[1, 2, 5, 30]))
     one, default = reports
-    assert (one.unique_rates, one.better_than_random_rates, one.reverse_unique_rates, one.miss_counts) == (
-        default.unique_rates, default.better_than_random_rates, default.reverse_unique_rates, default.miss_counts)
-    for e in default.epochs:
-        for got, want in zip(one.k_cdfs[e], default.k_cdfs[e]):
-            assert np.array_equal(got, want)
+    assert_same_report(one, default)
     assert len(fed) == 8
-    assert all(shape[1] < world.taxonomy.omega + 1 for pair in fed for shape in pair)
+    assert all(shape == (2_000, shape[1]) and shape[1] < world.taxonomy.omega + 1 for pair in fed for shape in pair)
 
 
 def test_miss_counts_partition_non_unique_users():

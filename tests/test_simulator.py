@@ -15,6 +15,7 @@ from reference import (
     log_truth_draw,
     population_from_records,
     shuffle_order_reference,
+    site_call,
     write_log_ndjson_reference,
     write_truth_ndjson_reference,
 )
@@ -232,7 +233,7 @@ def test_shuffle_order_equals_stable_sort(tau):
 
 
 def test_call_equals_object_api_for_every_user_and_epoch(taxonomy):
-    """`SiteLog.call` forms each call from the stored draws exactly as the
+    """`SiteLog.calls` forms each call from the stored draws exactly as the
     object path assembles it from per-epoch draws and the keyed shuffle."""
     ids = np.random.default_rng(8).choice(10**6, size=25, replace=False)  # not 0..n-1, not sorted
     users = population_from_records(UserProfile(int(u), frozenset(), frozenset(), make_profile(i))
@@ -243,7 +244,7 @@ def test_call_equals_object_api_for_every_user_and_epoch(taxonomy):
         for site in cfg.sites:
             view = log.site_view(site)
             for epoch in range(1, cfg.epochs + 1):
-                call = view.call(epoch)
+                call = site_call(view, epoch)
                 assert call.shape == (25, tau) and call.dtype == np.int16
                 for row, user in enumerate(users):
                     assert tuple(call[row].tolist()) == call_api(user, site, epoch, cfg, taxonomy).topics
@@ -256,7 +257,7 @@ def test_truth_draws_across_a_user_block_boundary(taxonomy):
     log = run_scenario(users, cfg, taxonomy)
     rows = list(range(3)) + list(range(POPULATION_BLOCK_USERS - 3, POPULATION_BLOCK_USERS + 3))
     for si, site in enumerate(cfg.sites):
-        call = log.site_view(site).call(3)
+        call = site_call(log.site_view(site), 3)
         for row in rows:
             for k, src in enumerate(log.source_epochs.tolist()):
                 draw = epoch_topic_draw(users[row], site, src, cfg, taxonomy)
@@ -270,21 +271,21 @@ def test_calls_read_in_any_epoch_order_are_equal(taxonomy):
     users = users_with_random_profiles(40)
     cfg = SimConfig(epochs=7, sites=("wa",), seed=19)
     view = run_scenario(users, cfg, taxonomy).site_view("wa")
-    descending = {e: view.call(e) for e in range(cfg.epochs, 0, -1)}
+    descending = {e: site_call(view, e) for e in range(cfg.epochs, 0, -1)}
     for e in range(1, cfg.epochs + 1):
-        assert np.array_equal(view.call(e), descending[e])
+        assert np.array_equal(site_call(view, e), descending[e])
         assert np.array_equal(view.topics[:, e - 1], descending[e])
     assert not view.topics.flags.writeable
     for epoch in (0, cfg.epochs + 1):
         with pytest.raises(ValueError, match="epoch must be in 1..7"):
-            view.call(epoch)
+            view.calls(np.array([epoch]))
 
 
 @pytest.mark.parametrize("tau, epochs", [(1, 6), (4, 6), (3, 0), (1, 0)])
 def test_calls_of_any_epoch_array_equal_the_per_epoch_calls_and_views(taxonomy, tau, epochs):
     """One former serves every read: `calls` on an unsorted array with
-    repeats, or an empty one, stacks the per-epoch `call`s, which are the
-    rows of the `topics` view, and each slot holds its source's draw."""
+    repeats, or an empty one, stacks the per-epoch calls (`site_call`), which
+    are the rows of the `topics` view, and each slot holds its source's draw."""
     users = users_with_random_profiles(30)
     cfg = SimConfig(tau=tau, p=0.3, epochs=epochs, sites=("wa",), seed=23)
     log = run_scenario(users, cfg, taxonomy)
@@ -295,7 +296,7 @@ def test_calls_of_any_epoch_array_equal_the_per_epoch_calls_and_views(taxonomy, 
         calls = view.calls(picked)
         assert calls.shape == (30, len(picked), tau) and calls.dtype == np.int16
         for k, e in enumerate(picked.tolist()):
-            assert np.array_equal(calls[:, k], view.call(e))
+            assert np.array_equal(calls[:, k], site_call(view, e))
             assert np.array_equal(calls[:, k], view.topics[:, e - 1])
             sources = view.slot_sources[:, e - 1].astype(np.int64)
             assert (np.sort(sources, axis=1) == np.arange(e - tau, e)).all()
@@ -304,16 +305,16 @@ def test_calls_of_any_epoch_array_equal_the_per_epoch_calls_and_views(taxonomy, 
     valid = [epochs] if epochs else []
     for bad in (0, epochs + 1):
         with pytest.raises(ValueError, match=f"epoch must be in 1..{epochs}, got {bad}$"):
-            view.call(bad)
+            view.calls(np.array([bad]))
         with pytest.raises(ValueError, match=f"epoch must be in 1..{epochs}, got {bad}$"):
             view.calls(np.array(valid + [bad, 0]))
 
 
 @pytest.mark.parametrize("tau, epochs", [(1, 5), (3, 7), (4, 6)])
 def test_window_is_the_call_before_the_shuffle(taxonomy, tau, epochs):
-    """`window(e)` holds the topics of `call(e)` in source order, for the whole
+    """`window(e)` holds the topics of the call at e in source order, for the whole
     view and for a block view; it is a read-only view of the truth draws and
-    refuses the epochs `call` refuses, with its message."""
+    refuses the epochs `calls` refuses, with its message."""
     n = POPULATION_BLOCK_USERS + 5
     log = run_scenario(users_with_random_profiles(n), SimConfig(tau=tau, p=0.3, epochs=epochs, sites=("wa",), seed=29),
                        taxonomy)
@@ -322,7 +323,7 @@ def test_window_is_the_call_before_the_shuffle(taxonomy, tau, epochs):
         for e in range(1, epochs + 1):
             window = view.window(e)
             assert window.shape == (view.n_users, tau) and window.dtype == np.int16
-            assert np.array_equal(np.sort(window, axis=1), np.sort(view.call(e), axis=1))
+            assert np.array_equal(np.sort(window, axis=1), np.sort(site_call(view, e), axis=1))
             assert np.array_equal(window, view.truth_topics[:, e - 1 : e - 1 + tau])
             assert np.shares_memory(window, view.truth_topics)
             assert not window.flags.writeable
@@ -343,7 +344,7 @@ def test_log_holds_only_the_truth_draws(taxonomy):
     for site in cfg.sites:
         view = log.site_view(site)
         for e in range(1, cfg.epochs + 1):
-            view.call(e)
+            site_call(view, e)
     held = sum(v.nbytes for v in vars(log).values() if isinstance(v, np.ndarray))
     assert held == sum(a.nbytes for a in (log.user_ids, log.truth_topics, log.truth_noisy, log.source_epochs))
 
@@ -430,7 +431,7 @@ def test_user_block_view_calls_equal_the_whole_population_rows(taxonomy):
             block = log.site_view(site, rows)
             assert np.array_equal(block.user_ids, log.user_ids[rows])
             for epoch in range(1, log.epochs + 1):
-                assert np.array_equal(block.call(epoch), whole.call(epoch)[rows])
+                assert np.array_equal(site_call(block, epoch), site_call(whole, epoch)[rows])
 
 
 @settings(max_examples=30, deadline=None)
